@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import fdtrc, ndtri, stdtr
 
 from .moments import MomentMatrix, ScalarMoments
 
@@ -143,6 +143,15 @@ class InferenceReport:
     contrast_stat: float | None = None
     contrast_pvalue: float | None = None
     contrast_df: tuple[int, int] | None = None
+
+
+def _f_sf(x: float, dfn: int, dfd: int) -> float:
+    """Upper tail of F(dfn, dfd) at x, equal to ``scipy.stats.f.sf``.
+
+    ``fdtrc`` is the function ``stats.f.sf`` evaluates inside the support;
+    below it ``stats.f.sf`` returns 1 where ``fdtrc`` returns NaN.
+    """
+    return 1.0 if x <= 0.0 else float(fdtrc(dfn, dfd, x))
 
 
 def _build_deviations(moments: MomentMatrix) -> np.ndarray:
@@ -345,11 +354,11 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
             se = np.append(se_free, se_ref)
             with np.errstate(divide="ignore", invalid="ignore"):
                 t_stats = beta / se
-            p_values = 2.0 * stats.t.sf(np.abs(t_stats), df)
+            p_values = 2.0 * stdtr(df, -np.abs(t_stats))
             if sigma2 > 0.0:
                 # the numerator is a quadratic form, nonnegative up to rounding
                 f_stat = max(rss_unif - rss, 0.0) / ((k - 1) * sigma2)
-                f_pvalue = float(stats.f.sf(f_stat, k - 1, df))
+                f_pvalue = _f_sf(f_stat, k - 1, df)
             else:
                 f_stat = 0.0 if rss_unif <= 0.0 else np.inf
                 f_pvalue = 1.0 if rss_unif <= 0.0 else 0.0
@@ -429,7 +438,7 @@ def infer(fit: DlmFit, contrast: ContrastSpec | None = None) -> InferenceReport:
         qcq = q @ fit.cov_beta @ q.T
         p = q.shape[0]
         c_stat = float(diff @ np.linalg.solve(qcq, diff) / p)
-        c_p = float(stats.f.sf(c_stat, p, fit.df))
+        c_p = _f_sf(c_stat, p, fit.df)
         c_df = (p, fit.df)
     return InferenceReport(
         names=fit.source_names,
@@ -500,7 +509,7 @@ def target_ci(
         raise ValueError("phi0 needs one mean per source dataset")
     estimate = float(fit.beta_hat @ source_means)
     shift_scale = fit.rss / fit.n_functions
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     half = float(z * np.sqrt(var_hat) * np.sqrt(shift_scale))
     return TargetCI(
         phi0_name=name,

@@ -15,8 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import expit
+from scipy.special import expit, ndtri
 
 from .dlm import DlmFit
 from .tables import DatasetCollection, Table
@@ -203,10 +202,15 @@ def _newton(value, grad, hess, theta0, max_iter=200, tol=1e-10):
     theta = np.asarray(theta0, dtype=float).copy()
     f = value(theta)
     n_iter = 0
+    stalled = False
     for n_iter in range(1, max_iter + 1):
         g = grad(theta)
         if np.linalg.norm(g) <= tol * (1.0 + np.linalg.norm(theta)):
             return theta, True, n_iter, float(np.linalg.norm(g))
+        if stalled:
+            # the last step left f unchanged: the gradient sits at its
+            # rounding floor and further steps cannot improve the fit
+            break
         h = hess(theta)
         direction = None
         ridge = 0.0
@@ -220,7 +224,8 @@ def _newton(value, grad, hess, theta0, max_iter=200, tol=1e-10):
             ridge = max(2.0 * ridge, 1e-8 * max(np.abs(np.diag(h)).max(), 1.0))
         if direction is None or g @ direction >= 0:
             direction = -g
-        # Armijo backtracking: accepted steps strictly decrease the objective
+        # Armijo backtracking; in floating point an accepted step can leave
+        # f unchanged, which ends the iteration at the next gradient test
         step = 1.0
         slope = g @ direction
         accepted = False
@@ -228,6 +233,7 @@ def _newton(value, grad, hess, theta0, max_iter=200, tol=1e-10):
             cand = theta + step * direction
             f_cand = value(cand)
             if f_cand <= f + 1e-4 * step * slope:
+                stalled = not f_cand < f
                 theta, f = cand, f_cand
                 accepted = True
                 break
@@ -275,14 +281,15 @@ def fit_erm_arrays(
         )
     h_hat = hess(theta)
     h_hat = 0.5 * (h_hat + h_hat.T)
-    # influence values on the pooled donor rows (never the target)
+    # influence values -H^{-1} grad on the pooled donor rows (never the
+    # target) have covariance H^{-1} Cov(grad) H^{-1}: two p x p solves
     grads = np.vstack([spec.gradient(theta, x, y) for x, y, _ in packed])
+    centered = grads - grads.mean(axis=0)
+    grad_cov = centered.T @ centered / centered.shape[0]
     try:
-        infl = -np.linalg.solve(h_hat, grads.T).T
+        infl_var = np.linalg.solve(h_hat, np.linalg.solve(h_hat, grad_cov).T)
     except np.linalg.LinAlgError:
         raise ConvergenceError("weighted Hessian is singular at the optimum")
-    centered = infl - infl.mean(axis=0)
-    infl_var = centered.T @ centered / centered.shape[0]
     return ErmFit(
         theta_hat=theta,
         weights_used=beta,
@@ -384,7 +391,7 @@ def erm_ci(fit: ErmFit, dlm_fit: DlmFit, level: float = 0.95) -> np.ndarray:
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     shift_scale = dlm_fit.rss / dlm_fit.n_functions
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     sd = np.sqrt(np.diag(fit.influence_variance))
     half = z * sd * np.sqrt(shift_scale)
     return np.column_stack([fit.theta_hat - half, fit.theta_hat + half])

@@ -222,10 +222,18 @@ class HarnessReport:
         }
 
 
+def _int_setting(value, name: str) -> int:
+    """``int(value)``, or a ValueError that names the setting."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _thread_cap(requested: int) -> int:
     cap = os.environ.get("DRIFTLAB_THREADS")
     if cap is not None:
-        requested = min(requested, max(1, int(cap)))
+        requested = min(requested, max(1, _int_setting(cap, "DRIFTLAB_THREADS")))
     return max(1, requested)
 
 
@@ -776,7 +784,7 @@ def config_from_dict(payload: dict) -> HarnessConfig:
         if key in ("checks",):
             kwargs["checks"] = tuple(value)
         elif key in ("seed", "threads"):
-            kwargs[key] = int(value)
+            kwargs[key] = _int_setting(value, f"harness config key {key!r}")
         elif key in known:
             sub = known[key]
             allowed = set(sub.__dataclass_fields__)

@@ -433,7 +433,9 @@ def sample_uniform(world: PerturbedWorld, k: int, n: int, rng: np.random.Generat
 
     A bin is selected with probability proportional to its weight, then the
     value is uniform within the bin. Conditioned on the weights the draws
-    are i.i.d.
+    are i.i.d. The bin of each draw r is ``searchsorted(cum, r, "right")``
+    over the cumulative bin probabilities; :func:`_find_bins` computes
+    exactly that index with a guide table.
     """
     if not 0 <= k < world.n_dists:
         raise IndexError(f"dataset index {k} out of range [0, {world.n_dists})")
@@ -442,8 +444,37 @@ def sample_uniform(world: PerturbedWorld, k: int, n: int, rng: np.random.Generat
     w = world.weights[k]
     cum = np.cumsum(w / w.sum())
     cum[-1] = 1.0
-    bins = np.searchsorted(cum, rng.random(n), side="right")
-    return (bins + rng.random(n)) / world.m
+    bins = _find_bins(cum, rng.random(n))
+    u = rng.random(n)
+    u += bins
+    u /= world.m
+    return u
+
+
+# more passes than this and a binary search is the cheaper lookup
+_GUIDE_MAX_PASSES = 8
+
+
+def _find_bins(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, r, side="right")`` for nondecreasing ``cum``
+    ending in 1 and ``r`` in [0, 1), by guide-table lookup.
+
+    The unit interval is cut into g = 2m..4m equal cells (g a power of two,
+    so ``r * g`` is exact) and ``start[c]`` counts the entries of ``cum``
+    at or below the cell's left edge c/g. For r in cell c the answer lies
+    in [start[c], start[c + 1]]; starting from ``start[c]``, each pass of
+    ``bins += cum[bins] <= r`` steps up exactly while ``bins`` is below the
+    answer, so the widest cell's count of passes reaches it for every r.
+    """
+    g = 1 << (2 * cum.size - 1).bit_length()
+    start = np.searchsorted(cum, np.arange(g + 1) / g, side="right")
+    passes = int(np.diff(start).max())
+    if passes > _GUIDE_MAX_PASSES:
+        return np.searchsorted(cum, r, side="right")
+    bins = start[(r * g).astype(np.intp)]
+    for _ in range(passes):
+        bins += cum[bins] <= r
+    return bins
 
 
 def sample_dataset(

@@ -7,10 +7,13 @@ are bit-for-bit reproducible regardless of execution order or thread count.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_BYTE = np.uint64(0xFF)
 
 
 def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
@@ -38,6 +41,14 @@ def split_uniform(u: np.ndarray, streams: int) -> np.ndarray:
     disjoint bit sets of a uniform variable, they are exactly independent;
     each is uniform on a centered dyadic grid of 53 // streams or more bits.
 
+    Stream s collects ``width[s]`` bits into an integer ``acc`` and returns
+    ``(acc + 0.5) / 2**width[s]``. The dealing is a fixed permutation of the
+    53 bits, so it runs as seven lookups, one per byte of the input, in
+    per-byte tables (:func:`_split_tables`) whose entries place each bit
+    at its destination in one packed word holding every stream's ``acc``
+    side by side. The output is bit-for-bit that of dealing the bits one
+    at a time.
+
     Returns an array of shape ``(streams,) + u.shape`` with values in (0, 1).
     """
     if streams < 1:
@@ -45,15 +56,38 @@ def split_uniform(u: np.ndarray, streams: int) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if streams == 1:
         return u[None, ...]
-    bits = (u * float(1 << 53)).astype(np.uint64)
-    acc = [np.zeros(u.shape, dtype=np.uint64) for _ in range(streams)]
-    width = [0] * streams
+    width, offset, tables = _split_tables(streams)
+    bits = (u.reshape(-1) * float(1 << 53)).astype(np.uint64)
+    packed = tables[0].take(bits & _BYTE)
+    for c in range(1, 7):
+        packed |= tables[c].take((bits >> np.uint64(8 * c)) & _BYTE)
+    out = np.empty((streams, bits.size), dtype=np.float64)
+    for s in range(streams):
+        acc = (packed >> np.uint64(offset[s])) & np.uint64((1 << width[s]) - 1)
+        np.add(acc, 0.5, out=out[s])
+        out[s] /= float(1 << width[s])
+    return out.reshape((streams,) + u.shape)
+
+
+@lru_cache(maxsize=16)
+def _split_tables(streams: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """Bit widths, packed-word offsets and (7, 256) byte tables for
+    :func:`split_uniform`.
+
+    Bit b of the 53 (b = 0 most significant, at position 52 - b of the
+    integer) is the (b // streams)-th most significant of stream
+    ``b % streams``'s ``width`` bits. ``tables[c][v]`` is the packed word
+    holding, at their destinations, the bits of byte value v read as
+    positions 8c..8c+7 of the input; bits above position 52 are dropped.
+    """
+    width = tuple(len(range(s, 53, streams)) for s in range(streams))
+    offset = tuple(sum(width[s + 1 :]) for s in range(streams))
+    values = np.arange(256, dtype=np.uint64)
+    tables = np.zeros((7, 256), dtype=np.uint64)
     for b in range(53):
         s = b % streams
-        bit = (bits >> np.uint64(52 - b)) & np.uint64(1)
-        acc[s] = (acc[s] << np.uint64(1)) | bit
-        width[s] += 1
-    out = np.empty((streams,) + u.shape, dtype=np.float64)
-    for s in range(streams):
-        out[s] = (acc[s].astype(np.float64) + 0.5) / float(1 << width[s])
-    return out
+        byte, shift = divmod(52 - b, 8)
+        dest = offset[s] + width[s] - 1 - b // streams
+        tables[byte] |= ((values >> np.uint64(shift)) & np.uint64(1)) << np.uint64(dest)
+    tables.flags.writeable = False  # shared by every caller through the cache
+    return width, offset, tables

@@ -427,6 +427,24 @@ class TestValidateCli:
         rc = cli.run(["validate", "--out", str(tmp_path / "v.json")])
         assert rc == 2
 
+    def test_non_integer_thread_env_is_user_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DRIFTLAB_THREADS", "abc")
+        rc = cli.run(["validate", "--out", str(tmp_path / "v.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "DRIFTLAB_THREADS must be an integer, got 'abc'" in err
+        assert "invalid literal" not in err
+        assert not (tmp_path / "v.json").exists()
+
+    @pytest.mark.parametrize("key", ["threads", "seed"])
+    def test_non_integer_config_setting_is_user_error(self, tmp_path, capsys, key):
+        cfg = write(tmp_path / "val.json", json.dumps({key: "x"}))
+        rc = cli.run(["validate", "--config", cfg, "--out", str(tmp_path / "v.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"harness config key '{key}' must be an integer, got 'x'" in err
+        assert "invalid literal" not in err
+
 
 class TestCliSurface:
     def test_bad_flag_exits_1(self, capsys):

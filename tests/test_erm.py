@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -6,6 +8,7 @@ from conftest import make_moments
 from driftlab.dlm import fit_weights
 from driftlab.erm import (
     SeparationError,
+    _newton,
     density_ratio_weights,
     design_matrix,
     erm_ci,
@@ -130,6 +133,41 @@ def test_nonconvergence_flags(rng):
         )
     assert not fit.converged
     assert fit.n_iterations == 1
+
+
+def test_newton_stops_when_accepted_step_leaves_objective_unchanged():
+    # f is flat to rounding near the optimum while the gradient carries a
+    # sign-alternating floor above the 1e-10 tolerance, so Armijo keeps
+    # accepting steps that do not lower f
+    target = np.array([1.0, -2.0])
+    calls = itertools.count()
+
+    def value(theta):
+        d = theta - target
+        return 1e6 + 0.5 * d @ d
+
+    def grad(theta):
+        return theta - target + 3e-10 * (-1.0) ** next(calls)
+
+    theta, converged, n_iter, gnorm = _newton(value, grad, lambda t: np.eye(2), np.zeros(2))
+    assert n_iter <= 5
+    assert converged
+    assert gnorm < 1e-8
+    assert np.abs(theta - target).max() < 1e-9
+
+
+def test_influence_variance_matches_per_row_influences(rng):
+    x1, y1 = linear_data(rng, 400, np.array([1.0, 2.0, -1.0]))
+    x2, y2 = linear_data(rng, 300, np.array([0.5, 2.0, -1.5]))
+    spec = squared_error_loss()
+    fit = fit_erm_arrays([(x1, y1), (x2, y2)], spec, np.array([0.3, 0.7]))
+    grads = np.vstack(
+        [spec.gradient(fit.theta_hat, x1, y1), spec.gradient(fit.theta_hat, x2, y2)]
+    )
+    infl = -np.linalg.solve(fit.hessian_hat, grads.T).T
+    expected = np.cov(infl.T, bias=True)
+    assert np.allclose(fit.influence_variance, expected, rtol=1e-12, atol=0.0)
+    assert np.array_equal(fit.influence_variance, fit.influence_variance.T)
 
 
 def test_ood_risk_one_hot_identity(rng):
