@@ -1,9 +1,11 @@
 """driftlab command line: simulate, fit, erm, diagnose, validate.
 
-File contracts: machine outputs are JSON with floats at 17 significant
-digits (byte-identical for a given config and seed); the human fit summary
-is fixed-layout text. Every output embeds the tool version and a hash of
-the effective config. Writes are atomic (temp file + rename).
+File contracts: machine outputs are standard JSON, with floats written as
+Python's shortest round-trip repr and non-finite values as null; CSV floats
+are written at 17 significant digits. Outputs are byte-identical for a given
+config and seed; the human fit summary is fixed-layout text. Every output
+embeds the tool version and a hash of the effective config. Writes are
+atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ import argparse
 import hashlib
 import json
 import logging
-import os
+import math
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,10 @@ from . import dlm as dlm_mod
 from . import erm as erm_mod
 from .diagnostics import (
     DiagnosticBundle,
+    bundle_rows,
     pairwise_scatter,
     residual_qq,
     standardized_shift_stats,
-    write_bundle_csv,
 )
 from .harness import HarnessConfig, config_from_dict, run_harness
 from .moments import evaluate_moments, fit_whitening, whiten_moments
@@ -44,7 +45,14 @@ from .perturb import (
     sample_uniform,
 )
 from .rng import split_uniform, substream
-from .tables import DatasetCollection, IngestError, Table, read_csv_table, write_csv_table
+from .tables import (
+    DatasetCollection,
+    IngestError,
+    Table,
+    atomic_write,
+    read_csv_table,
+    write_csv_table,
+)
 from .testfuncs import parse_test_functions
 
 logger = logging.getLogger("driftlab.cli")
@@ -65,7 +73,7 @@ class UserError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# JSON with fixed float formatting
+# Standard JSON: non-finite floats become null
 # ---------------------------------------------------------------------------
 
 
@@ -76,7 +84,8 @@ def _encode(obj) -> str:
         if isinstance(x, (list, tuple)):
             return [convert(v) for v in x]
         if isinstance(x, (np.floating, float)):
-            return _F(float(x))
+            x = float(x)
+            return x if math.isfinite(x) else None
         if isinstance(x, (np.integer,)):
             return int(x)
         if isinstance(x, np.ndarray):
@@ -85,12 +94,7 @@ def _encode(obj) -> str:
             return bool(x)
         return x
 
-    class _F(float):
-        # fixed 17 significant digits in the emitted JSON
-        def __repr__(self):
-            return format(float(self), ".17g")
-
-    return json.dumps(convert(obj), indent=2, default=str)
+    return json.dumps(convert(obj), indent=2, default=str, allow_nan=False)
 
 
 def config_hash(config: dict) -> str:
@@ -98,18 +102,8 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical).hexdigest()
 
 
-def atomic_write(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _stamp_comment(chash: str) -> str:
+    return f"driftlab {__version__} config={chash}"
 
 
 def _load_config(path: str | None, allowed: set[str], context: str) -> dict:
@@ -283,24 +277,20 @@ def cmd_simulate(args) -> int:
 
     world = realize_world(scheme, substream(seed, _LANE_WORLD))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    chash = config_hash(config)
-    stamp_line = f"# driftlab {__version__} config={chash}\n"
+    comment = _stamp_comment(config_hash(config))
     files = []
     for j in range(k):
         rng = substream(seed, _LANE_DATASET, j + 1)
         u = sample_uniform(world, j, n_list[j], rng)
         tbl = _build_table(f"source_{j + 1}", u, columns, outcome_spec)
         path = out_dir / f"source_{j + 1}.csv"
-        write_csv_table(tbl, path)
-        _prepend(path, stamp_line)
+        write_csv_table(tbl, path, comment)
         files.append(path.name)
     rng = substream(seed, _LANE_DATASET, 0)
     u0 = rng.random(n_0)
     target_tbl = _build_table("target", u0, columns, None)
     target_path = out_dir / "target.csv"
-    write_csv_table(target_tbl, target_path)
-    _prepend(target_path, stamp_line)
+    write_csv_table(target_tbl, target_path, comment)
     files.append(target_path.name)
 
     world_payload = _stamp(
@@ -319,11 +309,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _prepend(path: Path, line: str) -> None:
-    body = path.read_text(encoding="utf-8")
-    atomic_write(path, line + body)
-
-
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -331,9 +316,9 @@ def _prepend(path: Path, line: str) -> None:
 _FIT_KEYS = {"seed", "test_functions", "outcome", "mode", "whiten", "ridge", "data_label"}
 
 
-def _fit_pipeline(args, config):
+def _fit_pipeline(data_paths, target, config, mode, whiten):
     outcome = config.get("outcome")
-    data = ingest(args.data, args.target, outcome)
+    data = ingest(data_paths, target, outcome)
     declarations = config.get("test_functions")
     if not declarations:
         declarations = [f"column:{c}" for c in data.covariates if data.target.is_numeric(c)]
@@ -341,8 +326,8 @@ def _fit_pipeline(args, config):
             raise UserError("no numeric covariates available as default test functions")
     tests = parse_test_functions(declarations, data)
     moments = evaluate_moments(data, tests)
-    mode = args.mode or config.get("mode", "sum_to_one")
-    whiten = args.whiten or bool(config.get("whiten", False))
+    mode = mode or config.get("mode", "sum_to_one")
+    whiten = whiten or bool(config.get("whiten", False))
     if whiten:
         tests = fit_whitening(moments, ridge=float(config.get("ridge", 0.0)))
         moments = whiten_moments(moments, tests.whitening)
@@ -352,7 +337,7 @@ def _fit_pipeline(args, config):
 
 def cmd_fit(args) -> int:
     config = _load_config(args.config, _FIT_KEYS, "fit")
-    data, moments, fit = _fit_pipeline(args, config)
+    data, moments, fit = _fit_pipeline(args.data, args.target, config, args.mode, args.whiten)
     label = config.get("data_label", "data")
     base = str(args.out)
     for suffix in (".txt", ".json"):
@@ -497,18 +482,10 @@ def cmd_diagnose(args) -> int:
     target_path = args.target or argv.get("target")
     if not data_paths or not target_path:
         raise UserError("fit report does not record data paths; pass --data/--target")
-
-    class _A:
-        pass
-
-    fit_args = _A()
-    fit_args.data = data_paths
-    fit_args.target = target_path
-    fit_args.mode = argv.get("mode")
-    fit_args.whiten = bool(argv.get("whiten", False))
-    fit_args.config = None
     config = {k: v for k, v in stored.items() if k in _FIT_KEYS}
-    data, moments, fit = _fit_pipeline(fit_args, config)
+    data, moments, fit = _fit_pipeline(
+        data_paths, target_path, config, argv.get("mode"), bool(argv.get("whiten", False))
+    )
 
     bundle = residual_qq(fit)
     stats_all = {}
@@ -523,15 +500,11 @@ def cmd_diagnose(args) -> int:
         scatter_blocks=pairwise_scatter(moments) if data.n_sources >= 2 and moments.n_functions >= 10 else (),
         shift_stats=stats_all,
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(f".{out.name}.tmp")
-    write_bundle_csv(bundle, tmp)
-    body = tmp.read_text(encoding="utf-8")
-    tmp.unlink()
+    plot_id, x, y, label = zip(*bundle_rows(bundle))
+    table = Table.from_arrays("diagnostics", plot_id=plot_id, x=x, y=y, label=label)
     chash = payload.get("config_hash", config_hash(config))
-    atomic_write(out, f"# driftlab {__version__} config={chash}\n" + body)
-    print(f"wrote {out}")
+    write_csv_table(table, args.out, _stamp_comment(chash))
+    print(f"wrote {args.out}")
     return 0
 
 

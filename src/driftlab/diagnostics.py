@@ -26,7 +26,6 @@ __all__ = [
     "pairwise_scatter",
     "standardized_shift_stats",
     "bundle_rows",
-    "write_bundle_csv",
 ]
 
 
@@ -175,12 +174,3 @@ def bundle_rows(bundle: DiagnosticBundle) -> list[tuple]:
         rows.append(("shift_stat", float(stat), 0.0, name))
     return rows
 
-
-def write_bundle_csv(bundle: DiagnosticBundle, path) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["plot_id", "x", "y", "label"])
-        for row in bundle_rows(bundle):
-            writer.writerow([row[0], format(row[1], ".17g"), format(row[2], ".17g"), row[3]])

@@ -367,7 +367,8 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
             t_stats = np.array([np.nan])
             p_values = np.array([np.nan])
 
-    assert abs(beta.sum() - 1.0) < 1e-12
+    if not abs(beta.sum() - 1.0) < 1e-12:
+        raise RuntimeError(f"fit_weights: weights sum to {beta.sum()!r}, not 1")
     return DlmFit(
         beta_hat=beta,
         mode=mode,
@@ -460,11 +461,10 @@ def r_squared(fit: DlmFit, moments: MomentMatrix) -> tuple[float, float]:
 
     R^2 = 1 - RSS(beta_hat) / RSS(uniform); the adjusted version rescales
     by L / (L - K + 1). A zero uniform RSS makes both undefined (NaN).
+    RSS(uniform) is the one ``fit_weights`` stored on the fit, computed from
+    the moments it was fitted on; ``moments`` itself is not read.
     """
-    k = moments.n_sources
-    uniform = np.full(k, 1.0 / k)
-    resid_unif = moments.phi_hat[0] - uniform @ moments.phi_hat[1:]
-    rss_unif = float(resid_unif @ resid_unif)
+    rss_unif = fit.rss_uniform
     if rss_unif == 0.0:
         warnings.warn(
             "uniform-weight RSS is zero (uniform weights already interpolate); "

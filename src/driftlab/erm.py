@@ -12,7 +12,7 @@ the mean squared residual of a moment-matching weight fit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit, ndtri
@@ -322,17 +322,7 @@ def fit_erm(
     ]
     fit = fit_erm_arrays(arrays, spec, beta, max_iter=max_iter)
     names = (("intercept",) if intercept else ()) + covs
-    return ErmFit(
-        theta_hat=fit.theta_hat,
-        weights_used=fit.weights_used,
-        hessian_hat=fit.hessian_hat,
-        influence_variance=fit.influence_variance,
-        grad_norm=fit.grad_norm,
-        converged=fit.converged,
-        n_iterations=fit.n_iterations,
-        loss_family=fit.loss_family,
-        feature_names=names,
-    )
+    return replace(fit, feature_names=names)
 
 
 def fit_weighted_samples(

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .tables import DatasetCollection
-from .testfuncs import TestFunctionSet
+
+if TYPE_CHECKING:
+    from .testfuncs import TestFunctionSet
 
 __all__ = [
     "MomentMatrix",
@@ -23,14 +26,13 @@ __all__ = [
     "moments_from_arrays",
     "fit_whitening",
     "whiten_moments",
+    "pooled_moments",
     "pooled_variance",
     "scalar_moments",
     "inverse_sqrt",
 ]
 
 logger = logging.getLogger("driftlab.moments")
-
-_CHUNK = 20_000  # rows per accumulation block when scanning datasets
 
 
 @dataclass(frozen=True)
@@ -87,25 +89,31 @@ class ScalarMoments:
     pooled_var: float
 
 
-def _accumulate(values_iter, n_functions):
-    """Size-weighted mean and second-moment accumulation over datasets."""
-    total = np.zeros(n_functions)
-    total_outer = np.zeros((n_functions, n_functions))
+def pooled_moments(arrays):
+    """Mean and population covariance of the rows of several arrays pooled.
+
+    Each array is (n_k,) or (n_k, L), all of one shape kind; the result is
+    the mean and covariance of their concatenation, accumulated one array at
+    a time without concatenating. (n_k,) arrays give a float mean and
+    variance, (n_k, L) arrays an (L,) mean and an (L, L) covariance, made
+    symmetric with its diagonal clamped at zero.
+    """
+    total = total_outer = 0.0
     n = 0
-    means = []
-    for values in values_iter:
-        means.append(values.mean(axis=0))
-        for start in range(0, values.shape[0], _CHUNK):
-            block = values[start : start + _CHUNK]
-            total += block.sum(axis=0)
-            total_outer += block.T @ block
-        n += values.shape[0]
+    for values in arrays:
+        values = np.asarray(values, dtype=float)
+        scalar = values.ndim == 1
+        block = values.reshape(values.shape[0], -1)
+        total = total + block.sum(axis=0)
+        total_outer = total_outer + block.T @ block
+        n += block.shape[0]
     mean = total / n
     cov = total_outer / n - np.outer(mean, mean)
     cov = 0.5 * (cov + cov.T)
-    d = np.diag(cov).copy()
-    np.fill_diagonal(cov, np.maximum(d, 0.0))
-    return np.asarray(means), cov
+    np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
+    if scalar:
+        return float(mean[0]), float(cov[0, 0])
+    return mean, cov
 
 
 def evaluate_moments(data: DatasetCollection, tests: TestFunctionSet) -> MomentMatrix:
@@ -127,8 +135,8 @@ def evaluate_moments(data: DatasetCollection, tests: TestFunctionSet) -> MomentM
                 f"dataset {tbl.name!r} at row {rows[0]}"
             )
         per_dataset.append(values)
-    means_sources, pooled = _accumulate(iter(per_dataset[1:]), len(tests))
-    phi_hat = np.vstack([per_dataset[0].mean(axis=0)[None, :], means_sources])
+    _, pooled = pooled_moments(per_dataset[1:])
+    phi_hat = np.vstack([values.mean(axis=0) for values in per_dataset])
     mm = MomentMatrix(
         phi_hat=phi_hat,
         names=tests.names,
@@ -157,12 +165,9 @@ def moments_from_arrays(
     """
     source_values = [np.atleast_2d(np.asarray(v, dtype=float)) for v in source_values]
     target_values = np.atleast_2d(np.asarray(target_values, dtype=float))
-    n_funcs = target_values.shape[1]
     if names is None:
-        names = tuple(f"phi_{i}" for i in range(n_funcs))
-    pooled = None
-    if compute_pooled:
-        _, pooled = _accumulate(iter(source_values), n_funcs)
+        names = tuple(f"phi_{i}" for i in range(target_values.shape[1]))
+    pooled = pooled_moments(source_values)[1] if compute_pooled else None
     phi_hat = np.vstack(
         [target_values.mean(axis=0)] + [v.mean(axis=0) for v in source_values]
     )
@@ -178,16 +183,7 @@ def moments_from_arrays(
 
 def pooled_variance(data: DatasetCollection, func) -> float:
     """Population variance of one test function over the pooled sources."""
-    total = 0.0
-    total_sq = 0.0
-    n = 0
-    for tbl in data.sources:
-        v = np.asarray(func.evaluate(tbl), dtype=float)
-        total += v.sum()
-        total_sq += (v * v).sum()
-        n += v.size
-    mean = total / n
-    return max(total_sq / n - mean * mean, 0.0)
+    return pooled_moments(func.evaluate(tbl) for tbl in data.sources)[1]
 
 
 def scalar_moments(data: DatasetCollection, func, name: str | None = None) -> ScalarMoments:

@@ -3,12 +3,23 @@
 from __future__ import annotations
 
 import csv
+import os
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Table", "DatasetCollection", "read_csv_table", "write_csv_table", "IngestError"]
+__all__ = [
+    "Table",
+    "DatasetCollection",
+    "read_csv_table",
+    "write_csv_table",
+    "atomic_open",
+    "atomic_write",
+    "IngestError",
+]
 
 
 class IngestError(ValueError):
@@ -179,16 +190,50 @@ def read_csv_table(path: str | Path, name: str | None = None) -> Table:
     return Table(name or path.stem, tuple(header), cols)
 
 
-def write_csv_table(table: Table, path: str | Path, float_fmt: str = ".17g") -> None:
+@contextmanager
+def atomic_open(path: str | Path):
+    """Open ``path`` for writing UTF-8 text through a temp file beside it.
+
+    The text appears at ``path`` (by ``os.replace``) only if the block exits
+    normally; otherwise the temp file is removed. Line ends are written as
+    given. The file gets the mode a plain ``open`` would give it (0666 less
+    the umask), not mkstemp's 0600.
+    """
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            umask = os.umask(0)  # the umask can only be read by setting it
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def atomic_write(path: str | Path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
+def _cells(col: np.ndarray):
+    if col.dtype.kind == "f":
+        return (format(v, ".17g") for v in col)
+    return map(str, col)
+
+
+def write_csv_table(table: Table, path: str | Path, comment: str) -> None:
+    """Write a table as CSV atomically, floats at 17 significant digits.
+
+    ``comment`` becomes the first line, ``# <comment>``, which
+    ``read_csv_table`` skips. Rows are streamed, never built as one string.
+    """
+    with atomic_open(path) as fh:
+        fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table.columns)
-        cols = [table.data[c] for c in table.columns]
-        for i in range(table.n_rows):
-            writer.writerow(
-                [
-                    format(col[i], float_fmt) if col.dtype.kind == "f" else str(col[i])
-                    for col in cols
-                ]
-            )
+        writer.writerows(zip(*(_cells(table.data[c]) for c in table.columns)))

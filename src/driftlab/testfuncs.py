@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .moments import pooled_moments
 from .tables import DatasetCollection, Table
 
 __all__ = ["TestFunction", "TestFunctionSet", "parse_test_functions"]
@@ -107,13 +108,13 @@ class TestFunctionSet:
         for f in self.functions:
             if f.needs_preparation():
                 a, b, _ = f.spec
-                ma, sa = _pooled_mean_sd(data, a)
-                mb, sb = _pooled_mean_sd(data, b)
-                if sa == 0.0 or sb == 0.0:
+                ma, va = pooled_moments(tbl.column(a) for tbl in data.sources)
+                mb, vb = pooled_moments(tbl.column(b) for tbl in data.sources)
+                if va == 0.0 or vb == 0.0:
                     raise ValueError(
                         f"cannot standardize {f.name!r}: column with zero pooled variance"
                     )
-                prepared.append(replace(f, constants=(ma, sa, mb, sb)))
+                prepared.append(replace(f, constants=(ma, np.sqrt(va), mb, np.sqrt(vb))))
             else:
                 prepared.append(f)
         return TestFunctionSet(tuple(prepared), self.whitening, self.provenance)
@@ -124,20 +125,6 @@ class TestFunctionSet:
 
     def with_whitening(self, transform: np.ndarray, provenance: str) -> "TestFunctionSet":
         return TestFunctionSet(self.functions, np.asarray(transform, dtype=float), provenance)
-
-
-def _pooled_mean_sd(data: DatasetCollection, col: str) -> tuple[float, float]:
-    total = 0.0
-    total_sq = 0.0
-    n = 0
-    for tbl in data.sources:
-        v = np.asarray(tbl.column(col), dtype=float)
-        total += v.sum()
-        total_sq += (v * v).sum()
-        n += v.size
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return mean, float(np.sqrt(var))
 
 
 def _compile_expr(src: str) -> tuple:

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,38 @@ def small_data(tmp_path):
     s2 = write(tmp_path / "s2.csv", "x,y\n1.5,3.0\n2.5,5.2\n0.5,1.1\n")
     tgt = write(tmp_path / "tgt.csv", "x\n1.2\n2.2\n1.8\n")
     return s1, s2, tgt
+
+
+def write_outputs(tmp_path, small_data):
+    """Run fit and diagnose into ``outputs/`` and simulate into ``sim/``."""
+    s1, s2, tgt = small_data
+    cfg = write(
+        tmp_path / "cfg.json",
+        '{"outcome": "y", "test_functions": ["column:x", "expr:x**2"]}',
+    )
+    sim_cfg = write(
+        tmp_path / "sim.json",
+        json.dumps(
+            {
+                "seed": 5,
+                "m": 50,
+                "scheme": {
+                    "kind": "independent",
+                    "laws": [{"family": "lognormal", "mu": 0.0, "sigma": 0.5}],
+                },
+                "n_k": 100,
+                "n_0": 100,
+                "columns": [{"name": "x", "dist": "uniform"}],
+            }
+        ),
+    )
+    out_dir, sim_dir = tmp_path / "outputs", tmp_path / "sim"
+    assert cli.run(["fit", "--data", s1, s2, "--target", tgt, "--config", cfg,
+                    "--out", str(out_dir / "r")]) == 0
+    assert cli.run(["diagnose", "--fit", str(out_dir / "r.json"),
+                    "--out", str(out_dir / "diag.csv")]) == 0
+    assert cli.run(["simulate", "--config", sim_cfg, "--out", str(sim_dir)]) == 0
+    return out_dir, sim_dir
 
 
 class TestIngest:
@@ -159,6 +192,32 @@ class TestFit:
         payload = json.loads((tmp_path / "s.json").read_text())
         assert min(payload["fit"]["beta_hat"]) >= 0
 
+    def test_simplex_report_is_standard_json(self, tmp_path):
+        # a simplex fit has no R^2; it is written as null, not a bare NaN
+        rc = cli.run(
+            [
+                "fit",
+                "--data",
+                *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
+                "--target",
+                str(FIXTURE / "target.csv"),
+                "--config",
+                str(FIXTURE / "fit_config.json"),
+                "--mode",
+                "simplex",
+                "--out",
+                str(tmp_path / "s"),
+            ]
+        )
+        assert rc == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        text = (tmp_path / "s.json").read_text(encoding="utf-8")
+        fit = json.loads(text, parse_constant=reject)["fit"]
+        assert fit["r_squared"] is None and fit["adj_r_squared"] is None
+
     def test_whiten_flag(self, tmp_path):
         # a full indicator expansion is exactly collinear (categories sum to
         # one), so whitening the fixture's default set errors; use a reduced
@@ -201,17 +260,22 @@ class TestFit:
         assert rc == 1
 
     def test_no_leftover_temp_files(self, tmp_path, small_data):
-        s1, s2, tgt = small_data
-        cfg = write(
-            tmp_path / "cfg.json",
-            '{"outcome": "y", "test_functions": ["column:x", "expr:x**2"]}',
-        )
-        out_dir = tmp_path / "outputs"
-        rc = cli.run(["fit", "--data", s1, s2, "--target", tgt, "--config", cfg,
-                      "--out", str(out_dir / "r")])
-        assert rc == 0
-        names = {p.name for p in out_dir.iterdir()}
-        assert names == {"r.txt", "r.json"}
+        out_dir, sim_dir = write_outputs(tmp_path, small_data)
+        assert {p.name for p in out_dir.iterdir()} == {"r.txt", "r.json", "diag.csv"}
+        assert {p.name for p in sim_dir.iterdir()} == {
+            "source_1.csv", "target.csv", "world.json"
+        }
+
+    def test_outputs_respect_umask(self, tmp_path, small_data):
+        old = os.umask(0o022)
+        try:
+            out_dir, sim_dir = write_outputs(tmp_path, small_data)
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777
+                 for d in (out_dir, sim_dir) for p in d.iterdir()}
+        assert len(modes) == 6
+        assert set(modes.values()) == {0o644}, modes
 
 
 class TestSimulate:

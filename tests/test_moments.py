@@ -7,6 +7,7 @@ from driftlab.moments import (
     fit_whitening,
     inverse_sqrt,
     moments_from_arrays,
+    pooled_moments,
     pooled_variance,
     scalar_moments,
 )
@@ -216,3 +217,21 @@ def test_parse_errors():
     for bad in ["column:", "indicator:xy", "product:xy", "nonsense:x"]:
         with pytest.raises(ValueError):
             parse_test_functions([bad])
+
+
+def test_pooled_moments_equal_those_of_the_concatenated_rows(rng):
+    parts = [rng.normal(size=(n, 3)) for n in (5, 40, 17)]
+    mean, cov = pooled_moments(parts)
+    rows = np.vstack(parts)
+    assert np.allclose(mean, rows.mean(axis=0))
+    assert np.allclose(cov, np.cov(rows, rowvar=False, bias=True))
+    assert np.array_equal(cov, cov.T)
+    mean1, var1 = pooled_moments(p[:, 0] for p in parts)
+    assert isinstance(mean1, float) and isinstance(var1, float)
+    assert mean1 == pytest.approx(mean[0]) and var1 == pytest.approx(cov[0, 0])
+
+
+def test_pooled_moments_clamps_a_constant_column_at_zero():
+    # E[x^2] - E[x]^2 rounds to -1.7e-18 here
+    _, var = pooled_moments([np.full(7, 0.1), np.full(3, 0.1)])
+    assert var == 0.0
