@@ -11,6 +11,7 @@ atomic (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -31,7 +32,7 @@ from .diagnostics import (
     residual_qq,
     standardized_shift_stats,
 )
-from .harness import HarnessConfig, config_from_dict, run_harness
+from .harness import HarnessConfig, _int_setting, config_from_dict, run_harness
 from .moments import evaluate_moments, fit_whitening, whiten_moments
 from .perturb import (
     GaussianCopulaWeights,
@@ -189,26 +190,29 @@ def _parse_law(payload: dict) -> WeightLaw:
 
 def _parse_scheme(payload: dict, m: int, seed: int) -> PerturbationScheme:
     kind = payload.get("kind")
-    if kind == "independent":
-        laws = tuple(_parse_law(p) for p in payload["laws"])
-        model = IndependentWeights(laws)
-    elif kind == "gaussian_copula":
-        laws = tuple(_parse_law(p) for p in payload["laws"])
-        model = GaussianCopulaWeights(laws, tuple(tuple(row) for row in payload["corr"]))
-    elif kind == "random_walk":
-        model = RandomWalkWeights(
-            _parse_law(payload["base"]),
-            float(payload["innovation_sd"]),
-            int(payload["k"]),
-        )
-    elif kind == "mixture":
-        model = MixtureWeights(
-            tuple(_parse_law(p) for p in payload["base_laws"]),
-            tuple(tuple(float(c) for c in row) for row in payload["coefficients"]),
-            tuple(float(s) for s in payload["noise_sd"]),
-        )
-    else:
-        raise UserError(f"unknown scheme kind {kind!r}")
+    try:
+        if kind == "independent":
+            laws = tuple(_parse_law(p) for p in payload["laws"])
+            model = IndependentWeights(laws)
+        elif kind == "gaussian_copula":
+            laws = tuple(_parse_law(p) for p in payload["laws"])
+            model = GaussianCopulaWeights(laws, tuple(tuple(row) for row in payload["corr"]))
+        elif kind == "random_walk":
+            model = RandomWalkWeights(
+                _parse_law(payload["base"]),
+                float(payload["innovation_sd"]),
+                int(payload["k"]),
+            )
+        elif kind == "mixture":
+            model = MixtureWeights(
+                tuple(_parse_law(p) for p in payload["base_laws"]),
+                tuple(tuple(float(c) for c in row) for row in payload["coefficients"]),
+                tuple(float(s) for s in payload["noise_sd"]),
+            )
+        else:
+            raise UserError(f"unknown scheme kind {kind!r}")
+    except KeyError as exc:
+        raise UserError(f"scheme {kind}: missing key {exc}") from None
     return PerturbationScheme(m, model, seed)
 
 
@@ -261,17 +265,22 @@ def cmd_simulate(args) -> int:
     for key in ("m", "scheme", "n_k", "n_0", "columns"):
         if key not in config:
             raise UserError(f"simulate config: missing key {key!r}")
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed
+    if seed is None:
+        seed = _int_setting(config.get("seed", 0), "simulate config key 'seed'")
     config["seed"] = seed
-    m = int(config["m"])
+    m = _int_setting(config["m"], "simulate config key 'm'")
     scheme = _parse_scheme(config["scheme"], m, seed)
     k = scheme.n_dists
     n_k = config["n_k"]
-    n_list = [int(n_k)] * k if isinstance(n_k, int) else [int(v) for v in n_k]
+    n_list = [
+        _int_setting(v, "simulate config key 'n_k'")
+        for v in (n_k if isinstance(n_k, list) else [n_k] * k)
+    ]
     if len(n_list) != k:
         raise UserError(f"n_k must give one size per dataset (K={k})")
     check_regime(m, min(n_list))
-    n_0 = int(config["n_0"])
+    n_0 = _int_setting(config["n_0"], "simulate config key 'n_0'")
     columns = config["columns"]
     outcome_spec = config.get("outcome")
 
@@ -329,8 +338,8 @@ def _fit_pipeline(data_paths, target, config, mode, whiten):
     mode = mode or config.get("mode", "sum_to_one")
     whiten = whiten or bool(config.get("whiten", False))
     if whiten:
-        tests = fit_whitening(moments, ridge=float(config.get("ridge", 0.0)))
-        moments = whiten_moments(moments, tests.whitening)
+        transform = fit_whitening(moments, ridge=float(config.get("ridge", 0.0)))
+        moments = whiten_moments(moments, transform)
     fit = dlm_mod.fit_weights(moments, mode=mode)
     return data, moments, fit
 
@@ -411,7 +420,10 @@ def cmd_erm(args) -> int:
         beta = None
     elif args.weights.startswith("file:"):
         path = args.weights[len("file:"):]
-        beta = np.asarray(json.loads(Path(path).read_text(encoding="utf-8")), dtype=float)
+        try:
+            beta = np.asarray(json.loads(Path(path).read_text(encoding="utf-8")), dtype=float)
+        except (OSError, TypeError, ValueError) as exc:
+            raise UserError(f"cannot read weights file {path}: {exc}")
         if beta.size != k or abs(beta.sum() - 1.0) > 1e-8:
             raise UserError(f"weights file must hold {k} values summing to 1")
         provenance["file"] = path
@@ -490,7 +502,7 @@ def cmd_diagnose(args) -> int:
     bundle = residual_qq(fit)
     stats_all = {}
     for k in range(data.n_sources):
-        per = standardized_shift_stats(data, moments.tests, k, moments=moments)
+        per = standardized_shift_stats(moments, k)
         stats_all.update({f"{data.sources[k].name}|{name}": v for name, v in per.items()})
     bundle = DiagnosticBundle(
         residual_points=bundle.residual_points,
@@ -512,17 +524,7 @@ def cmd_diagnose(args) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-_VALIDATE_KEYS = {
-    "seed",
-    "threads",
-    "checks",
-    "clt_cov",
-    "kron_cov",
-    "null_laws",
-    "ci_chi2",
-    "erm_excess_risk",
-    "conditional_shift",
-}
+_VALIDATE_KEYS = {f.name for f in dataclasses.fields(HarnessConfig)}
 
 
 def cmd_validate(args) -> int:

@@ -16,8 +16,6 @@ from scipy.special import ndtri
 
 from .dlm import DlmFit
 from .moments import MomentMatrix
-from .tables import DatasetCollection
-from .testfuncs import TestFunctionSet
 
 __all__ = [
     "DiagnosticBundle",
@@ -118,25 +116,17 @@ def pairwise_scatter(moments: MomentMatrix) -> tuple[ScatterBlock, ...]:
     return tuple(blocks)
 
 
-def standardized_shift_stats(
-    data: DatasetCollection, tests: TestFunctionSet, k: int,
-    moments: MomentMatrix | None = None,
-) -> dict:
+def standardized_shift_stats(mm: MomentMatrix, k: int) -> dict:
     """Two-sample standardized statistics between source k and the target.
 
     For each function: (1/n_k + 1/n_0)^{-1/2} times the source-minus-target
     mean gap over the pooled standard deviation. Functions with zero pooled
     standard deviation are skipped with a warning. Under the dense-shift
-    model these follow a common-inflation normal across functions. Pass the
-    already-evaluated ``moments`` to avoid a second data scan.
+    model these follow a common-inflation normal across functions.
     """
-    from .moments import evaluate_moments
-
-    if not 0 <= k < data.n_sources:
+    if not 0 <= k < mm.n_sources:
         raise IndexError(f"source index {k} out of range")
-    mm = moments if moments is not None else evaluate_moments(data, tests)
-    n_k = data.sizes[k]
-    n_0 = data.target.n_rows
+    n_0, n_k = mm.sizes[0], mm.sizes[1 + k]
     prefactor = (1.0 / n_k + 1.0 / n_0) ** -0.5
     out = {}
     skipped = []

@@ -22,7 +22,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy import stats
@@ -48,7 +48,6 @@ __all__ = [
     "CheckResult",
     "run_harness",
     "ALL_CHECKS",
-    "default_config",
 ]
 
 ALL_CHECKS = (
@@ -160,8 +159,7 @@ class HarnessConfig:
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ValueError(f"unknown checks requested: {sorted(unknown)}")
-        for name in ("clt_cov", "kron_cov", "null_laws", "ci_chi2",
-                     "erm_excess_risk", "conditional_shift"):
+        for name in _CHECK_CONFIGS:
             sub = getattr(self, name)
             if sub.replicates < 100:
                 raise ValueError(f"{name}: need at least 100 replicates")
@@ -175,8 +173,10 @@ class HarnessConfig:
                 )
 
 
-def default_config(**overrides) -> HarnessConfig:
-    return HarnessConfig(**overrides)
+# HarnessConfig's per-check settings blocks: field name -> settings class
+_CHECK_CONFIGS = {
+    f.name: f.default_factory for f in fields(HarnessConfig) if f.default_factory is not MISSING
+}
 
 
 @dataclass(frozen=True)
@@ -271,19 +271,6 @@ def _cov_with_se(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             prods = centered[:, i] * centered[:, j]
             se[i, j] = prods.std(ddof=1) / math.sqrt(n)
     return cov, se
-
-
-def _cosine_means(u: np.ndarray, n_functions: int) -> np.ndarray:
-    """Means of sqrt(2) cos(pi l u), l = 1..L, via the Chebyshev recurrence."""
-    c = np.cos(np.pi * u)
-    prev = np.ones_like(u)
-    cur = c
-    out = np.empty(n_functions)
-    sqrt2 = math.sqrt(2.0)
-    for idx in range(n_functions):
-        out[idx] = sqrt2 * cur.mean()
-        cur, prev = 2.0 * c * cur - prev, cur
-    return out
 
 
 def _walsh_table(n_functions: int, n_bins: int) -> np.ndarray:
@@ -771,22 +758,14 @@ def run_harness(config: HarnessConfig) -> HarnessReport:
 
 def config_from_dict(payload: dict) -> HarnessConfig:
     """Build a HarnessConfig from a plain dict (e.g. parsed JSON)."""
-    known = {
-        "clt_cov": CltCovConfig,
-        "kron_cov": KronCovConfig,
-        "null_laws": NullLawsConfig,
-        "ci_chi2": CiChi2Config,
-        "erm_excess_risk": ExcessRiskConfig,
-        "conditional_shift": ConditionalShiftConfig,
-    }
     kwargs: dict = {}
     for key, value in payload.items():
-        if key in ("checks",):
+        if key == "checks":
             kwargs["checks"] = tuple(value)
         elif key in ("seed", "threads"):
             kwargs[key] = _int_setting(value, f"harness config key {key!r}")
-        elif key in known:
-            sub = known[key]
+        elif key in _CHECK_CONFIGS:
+            sub = _CHECK_CONFIGS[key]
             allowed = set(sub.__dataclass_fields__)
             unknown = set(value) - allowed
             if unknown:

@@ -1,9 +1,12 @@
 """Empirical moments of test functions and the whitening transform.
 
 All variances use the population convention (divide by n): the pooled
-covariance over the K source datasets is the size-weighted second moment
-minus the outer product of the size-weighted mean, i.e. exactly the
-empirical covariance of the concatenated source rows.
+covariance over the K source datasets is exactly the empirical covariance
+of the concatenated source rows.
+
+Whitening is a moment-level transform: ``fit_whitening`` returns the L x L
+matrix T = pooled_cov^(-1/2), and ``whiten_moments`` applies a T to a
+``MomentMatrix`` without a second pass over the data.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "fit_whitening",
     "whiten_moments",
     "pooled_moments",
-    "pooled_variance",
     "scalar_moments",
     "inverse_sqrt",
 ]
@@ -51,7 +53,6 @@ class MomentMatrix:
     source_names: tuple[str, ...]
     target_name: str
     pooled_var: np.ndarray | None = None
-    tests: TestFunctionSet | None = None
     whitened: bool = False
 
     def __post_init__(self):
@@ -97,6 +98,9 @@ def pooled_moments(arrays):
     a time without concatenating. (n_k,) arrays give a float mean and
     variance, (n_k, L) arrays an (L,) mean and an (L, L) covariance, made
     symmetric with its diagonal clamped at zero.
+
+    The sums are taken about the first row, so a mean that is large against
+    the spread does not cancel the variance away.
     """
     total = total_outer = 0.0
     n = 0
@@ -104,11 +108,15 @@ def pooled_moments(arrays):
         values = np.asarray(values, dtype=float)
         scalar = values.ndim == 1
         block = values.reshape(values.shape[0], -1)
+        if n == 0:
+            shift = block[0].copy()
+        block = block - shift
         total = total + block.sum(axis=0)
         total_outer = total_outer + block.T @ block
         n += block.shape[0]
-    mean = total / n
-    cov = total_outer / n - np.outer(mean, mean)
+    d = total / n
+    mean = shift + d
+    cov = total_outer / n - np.outer(d, d)
     cov = 0.5 * (cov + cov.T)
     np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
     if scalar:
@@ -137,25 +145,20 @@ def evaluate_moments(data: DatasetCollection, tests: TestFunctionSet) -> MomentM
         per_dataset.append(values)
     _, pooled = pooled_moments(per_dataset[1:])
     phi_hat = np.vstack([values.mean(axis=0) for values in per_dataset])
-    mm = MomentMatrix(
+    return MomentMatrix(
         phi_hat=phi_hat,
         names=tests.names,
         sizes=(data.target.n_rows,) + data.sizes,
         source_names=data.source_names(),
         target_name=data.target.name,
         pooled_var=pooled,
-        tests=tests,
     )
-    if tests.whitening is not None:
-        return whiten_moments(mm, tests.whitening)
-    return mm
 
 
 def moments_from_arrays(
     source_values: list[np.ndarray],
     target_values: np.ndarray,
     names: tuple[str, ...] | None = None,
-    compute_pooled: bool = True,
 ) -> MomentMatrix:
     """Build a MomentMatrix from raw per-row value arrays.
 
@@ -167,7 +170,7 @@ def moments_from_arrays(
     target_values = np.atleast_2d(np.asarray(target_values, dtype=float))
     if names is None:
         names = tuple(f"phi_{i}" for i in range(target_values.shape[1]))
-    pooled = pooled_moments(source_values)[1] if compute_pooled else None
+    pooled = pooled_moments(source_values)[1]
     phi_hat = np.vstack(
         [target_values.mean(axis=0)] + [v.mean(axis=0) for v in source_values]
     )
@@ -181,20 +184,13 @@ def moments_from_arrays(
     )
 
 
-def pooled_variance(data: DatasetCollection, func) -> float:
-    """Population variance of one test function over the pooled sources."""
-    return pooled_moments(func.evaluate(tbl) for tbl in data.sources)[1]
-
-
 def scalar_moments(data: DatasetCollection, func, name: str | None = None) -> ScalarMoments:
     """Per-source means and pooled variance of an arbitrary function."""
-    means = np.array(
-        [float(np.mean(func.evaluate(tbl))) for tbl in data.sources]
-    )
+    values = [func.evaluate(tbl) for tbl in data.sources]
     return ScalarMoments(
         name=name or getattr(func, "name", "phi0"),
-        source_means=means,
-        pooled_var=pooled_variance(data, func),
+        source_means=np.array([float(np.mean(v)) for v in values]),
+        pooled_var=pooled_moments(values)[1],
     )
 
 
@@ -211,23 +207,16 @@ def inverse_sqrt(mat: np.ndarray, clamp_ratio: float = 1e-12) -> np.ndarray:
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
-def fit_whitening(
-    moments: MomentMatrix,
-    tests: TestFunctionSet | None = None,
-    ridge: float = 0.0,
-) -> TestFunctionSet:
-    """Fit the empirical whitening transform T = pooled_cov^(-1/2).
+def fit_whitening(moments: MomentMatrix, ridge: float = 0.0) -> np.ndarray:
+    """The empirical whitening transform T = pooled_cov^(-1/2), an L x L array.
 
-    After whitening, the pooled covariance of the transformed functions is
-    the identity (up to the ridge, when one is used). A nearly singular
-    pooled covariance is an error unless a positive ``ridge`` is supplied;
-    the ridge amount is logged.
+    After ``whiten_moments(moments, T)`` the pooled covariance is the
+    identity (up to the ridge, when one is used). A nearly singular pooled
+    covariance is an error unless a positive ``ridge`` is supplied; the
+    ridge amount is logged.
     """
     if moments.pooled_var is None:
         raise ValueError("moments carry no pooled covariance; recompute with pooling")
-    tests = tests if tests is not None else moments.tests
-    if tests is None:
-        raise ValueError("no test-function set associated with these moments")
     sigma = moments.pooled_var
     n_funcs = sigma.shape[0]
     vals = np.linalg.eigvalsh(sigma)
@@ -241,17 +230,18 @@ def fit_whitening(
     if ridge > 0.0:
         logger.info("whitening with ridge %.3e added to the pooled covariance", ridge)
         sigma = sigma + ridge * np.eye(n_funcs)
-    transform = inverse_sqrt(sigma)
-    return tests.with_whitening(transform, provenance="empirical")
+    return inverse_sqrt(sigma)
 
 
 def whiten_moments(moments: MomentMatrix, transform: np.ndarray) -> MomentMatrix:
     """Apply a linear test-function transform at the moment level.
 
     Means transform as rows times T^T and the pooled covariance as
-    T S T^T; no second pass over the data is needed.
+    T S T^T; no second pass over the data is needed. T must be L x L.
     """
     t = np.asarray(transform, dtype=float)
+    if t.shape != (moments.n_functions, moments.n_functions):
+        raise ValueError("whitening transform must be L x L")
     pooled = None
     if moments.pooled_var is not None:
         pooled = t @ moments.pooled_var @ t.T
@@ -263,6 +253,5 @@ def whiten_moments(moments: MomentMatrix, transform: np.ndarray) -> MomentMatrix
         source_names=moments.source_names,
         target_name=moments.target_name,
         pooled_var=pooled,
-        tests=moments.tests,
         whitened=True,
     )

@@ -54,9 +54,6 @@ class Table:
     def is_numeric(self, col: str) -> bool:
         return self.data[col].dtype.kind == "f"
 
-    def numeric_columns(self) -> tuple[str, ...]:
-        return tuple(c for c in self.columns if self.is_numeric(c))
-
     def column(self, col: str) -> np.ndarray:
         if col not in self.data:
             raise KeyError(f"table {self.name!r} has no column {col!r}")

@@ -36,9 +36,8 @@ _EXPR_FUNCS = {"log": np.log, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
 @dataclass(frozen=True)
 class TestFunction:
     name: str
-    kind: str  # column | indicator | product | expr | callable
+    kind: str  # column | indicator | product | expr
     spec: tuple = ()
-    fn: object = None  # for kind == "callable"
     constants: tuple | None = None  # standardization constants once prepared
 
     def needs_preparation(self) -> bool:
@@ -65,33 +64,20 @@ class TestFunction:
                 ma, sa, mb, sb = self.constants
                 return ((va - ma) / sa) * ((vb - mb) / sb)
             return va * vb
-        if self.kind == "expr":
-            env = {c: np.asarray(table.column(c), dtype=float) for c in self.spec[1]}
-            return np.asarray(self.spec[0](env), dtype=float)
-        return np.asarray(self.fn(table), dtype=float)
+        env = {c: np.asarray(table.column(c), dtype=float) for c in self.spec[1]}
+        return np.asarray(self.spec[0](env), dtype=float)
 
 
 @dataclass(frozen=True)
 class TestFunctionSet:
-    """L named scalar functions plus an optional whitening transform.
-
-    ``whitening`` is an L x L linear map applied to the vector of function
-    values (equivalently, to their per-dataset means); ``provenance``
-    records where it came from (identity, empirical, user).
-    """
+    """L uniquely named scalar functions of the covariates."""
 
     functions: tuple[TestFunction, ...]
-    whitening: np.ndarray | None = None
-    provenance: str = "identity"
 
     def __post_init__(self):
         names = [f.name for f in self.functions]
         if len(set(names)) != len(names):
             raise ValueError("test function names must be unique")
-        if self.whitening is not None:
-            t = np.asarray(self.whitening, dtype=float)
-            if t.shape != (len(names), len(names)):
-                raise ValueError("whitening transform must be L x L")
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -102,8 +88,6 @@ class TestFunctionSet:
 
     def prepare(self, data: DatasetCollection) -> "TestFunctionSet":
         """Freeze pooled-data standardization constants; resolve nothing else."""
-        if not any(f.needs_preparation() for f in self.functions):
-            return self
         prepared = []
         for f in self.functions:
             if f.needs_preparation():
@@ -114,17 +98,13 @@ class TestFunctionSet:
                     raise ValueError(
                         f"cannot standardize {f.name!r}: column with zero pooled variance"
                     )
-                prepared.append(replace(f, constants=(ma, np.sqrt(va), mb, np.sqrt(vb))))
-            else:
-                prepared.append(f)
-        return TestFunctionSet(tuple(prepared), self.whitening, self.provenance)
+                f = replace(f, constants=(ma, np.sqrt(va), mb, np.sqrt(vb)))
+            prepared.append(f)
+        return TestFunctionSet(tuple(prepared))
 
     def evaluate(self, table: Table) -> np.ndarray:
-        """Raw (unwhitened) values, shape (n_rows, L)."""
+        """Function values, shape (n_rows, L)."""
         return np.column_stack([f.evaluate(table) for f in self.functions])
-
-    def with_whitening(self, transform: np.ndarray, provenance: str) -> "TestFunctionSet":
-        return TestFunctionSet(self.functions, np.asarray(transform, dtype=float), provenance)
 
 
 def _compile_expr(src: str) -> tuple:

@@ -9,6 +9,17 @@ from driftlab import cli
 from driftlab.tables import IngestError, read_csv_table
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_panel"
+SMALL_SIM = {
+    "seed": 5,
+    "m": 50,
+    "scheme": {
+        "kind": "independent",
+        "laws": [{"family": "lognormal", "mu": 0.0, "sigma": 0.5}],
+    },
+    "n_k": 100,
+    "n_0": 100,
+    "columns": [{"name": "x", "dist": "uniform"}],
+}
 
 
 def write(path, text):
@@ -31,22 +42,7 @@ def write_outputs(tmp_path, small_data):
         tmp_path / "cfg.json",
         '{"outcome": "y", "test_functions": ["column:x", "expr:x**2"]}',
     )
-    sim_cfg = write(
-        tmp_path / "sim.json",
-        json.dumps(
-            {
-                "seed": 5,
-                "m": 50,
-                "scheme": {
-                    "kind": "independent",
-                    "laws": [{"family": "lognormal", "mu": 0.0, "sigma": 0.5}],
-                },
-                "n_k": 100,
-                "n_0": 100,
-                "columns": [{"name": "x", "dist": "uniform"}],
-            }
-        ),
-    )
+    sim_cfg = write(tmp_path / "sim.json", json.dumps(SMALL_SIM))
     out_dir, sim_dir = tmp_path / "outputs", tmp_path / "sim"
     assert cli.run(["fit", "--data", s1, s2, "--target", tgt, "--config", cfg,
                     "--out", str(out_dir / "r")]) == 0
@@ -354,27 +350,28 @@ class TestSimulate:
             assert np.allclose(sw, sw.T)
 
     def test_seed_override_changes_output(self, tmp_path):
-        cfg = write(
-            tmp_path / "sim.json",
-            json.dumps(
-                {
-                    "seed": 5,
-                    "m": 50,
-                    "scheme": {
-                        "kind": "independent",
-                        "laws": [{"family": "lognormal", "mu": 0.0, "sigma": 0.5}],
-                    },
-                    "n_k": 100,
-                    "n_0": 100,
-                    "columns": [{"name": "x", "dist": "uniform"}],
-                }
-            ),
-        )
+        cfg = write(tmp_path / "sim.json", json.dumps(SMALL_SIM))
         cli.run(["simulate", "--config", cfg, "--out", str(tmp_path / "a")])
         cli.run(["simulate", "--config", cfg, "--seed", "99", "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "source_1.csv").read_bytes() != (
             tmp_path / "b" / "source_1.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"scheme": {"kind": "independent"}}, "scheme independent: missing key 'laws'"),
+            ({"m": "ten"}, "simulate config key 'm' must be an integer, got 'ten'"),
+        ],
+        ids=["missing_key", "non_integer"],
+    )
+    def test_bad_config_value_is_user_error(self, tmp_path, capsys, change, message):
+        cfg = write(tmp_path / "sim.json", json.dumps({**SMALL_SIM, **change}))
+        rc = cli.run(["simulate", "--config", cfg, "--out", str(tmp_path / "d")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and "invalid literal" not in err
 
 
 class TestErmCli:
@@ -391,6 +388,19 @@ class TestErmCli:
         assert rc == 0
         payload = json.loads((tmp_path / "f.json").read_text())
         assert payload["erm"]["weights"] == [0.25, 0.75]
+
+    @pytest.mark.parametrize("content", [None, "0.25, 0.75"], ids=["missing", "not_json"])
+    def test_unreadable_weights_file_is_user_error(self, tmp_path, small_data, capsys, content):
+        s1, s2, tgt = small_data
+        wfile = tmp_path / "w.json"
+        if content is not None:
+            write(wfile, content)
+        rc = cli.run(["erm", "--data", s1, s2, "--target", tgt,
+                      "--weights", f"file:{wfile}", "--out", str(tmp_path / "f.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"cannot read weights file {wfile}: " in err
+        assert "Traceback" not in err and "invalid literal" not in err
 
     def test_importance_weights_path(self, tmp_path):
         rng = np.random.default_rng(0)

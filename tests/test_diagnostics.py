@@ -11,6 +11,7 @@ from driftlab.diagnostics import (
     standardized_shift_stats,
 )
 from driftlab.dlm import fit_weights
+from driftlab.moments import evaluate_moments
 from driftlab.rng import substream
 from driftlab.tables import DatasetCollection, Table
 from driftlab.testfuncs import parse_test_functions
@@ -125,7 +126,9 @@ def test_shift_stats_identical_datasets_zero():
     src = Table.from_arrays("s", x=x)
     tgt = Table.from_arrays("t", x=x)
     data = DatasetCollection((src,), tgt)
-    stats_map = standardized_shift_stats(data, parse_test_functions(["column:x"]), 0)
+    stats_map = standardized_shift_stats(
+        evaluate_moments(data, parse_test_functions(["column:x"])), 0
+    )
     assert stats_map["column:x"] == pytest.approx(0.0, abs=1e-14)
 
 
@@ -138,7 +141,9 @@ def test_shift_stats_prefactor_algebra():
     src = Table.from_arrays("s", x=base + delta)
     tgt = Table.from_arrays("t", x=base)
     data = DatasetCollection((src,), tgt)
-    stats_map = standardized_shift_stats(data, parse_test_functions(["column:x"]), 0)
+    stats_map = standardized_shift_stats(
+        evaluate_moments(data, parse_test_functions(["column:x"])), 0
+    )
     assert stats_map["column:x"] == pytest.approx(delta * np.sqrt(n / 2))
 
 
@@ -148,7 +153,7 @@ def test_shift_stats_skip_zero_sd():
     data = DatasetCollection((src,), tgt)
     with pytest.warns(UserWarning, match="zero pooled"):
         stats_map = standardized_shift_stats(
-            data, parse_test_functions(["column:x", "column:y"]), 0
+            evaluate_moments(data, parse_test_functions(["column:x", "column:y"])), 0
         )
     assert "column:x" not in stats_map
     assert "column:y" in stats_map

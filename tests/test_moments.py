@@ -8,8 +8,8 @@ from driftlab.moments import (
     inverse_sqrt,
     moments_from_arrays,
     pooled_moments,
-    pooled_variance,
     scalar_moments,
+    whiten_moments,
 )
 from driftlab.rng import substream
 from driftlab.tables import DatasetCollection, Table
@@ -120,9 +120,9 @@ def test_fit_whitening_identity_when_already_white(rng):
     from driftlab.moments import MomentMatrix
 
     mm = MomentMatrix(phi_hat=phi_hat, pooled_var=np.eye(4), **mm_args)
-    tests = parse_test_functions(["column:a", "column:b", "column:c", "column:d"])
-    whitened = fit_whitening(mm, tests)
-    assert np.allclose(whitened.whitening, np.eye(4), atol=1e-12)
+    transform = fit_whitening(mm)
+    assert isinstance(transform, np.ndarray)
+    assert np.allclose(transform, np.eye(4), atol=1e-12)
 
 
 def test_whitening_empirical_gives_identity_covariance(rng):
@@ -134,12 +134,21 @@ def test_whitening_empirical_gives_identity_covariance(rng):
     data = collection([src], tgt)
     tests = parse_test_functions(["column:a", "column:b", "column:c"])
     mm = evaluate_moments(data, tests)
-    whitened_tests = fit_whitening(mm, tests)
-    mm_white = evaluate_moments(data, whitened_tests)
+    mm_white = whiten_moments(mm, fit_whitening(mm))
+    assert mm_white.whitened
     assert np.allclose(mm_white.pooled_var, np.eye(3), atol=1e-6)
-    # idempotence: whitening the whitened set is the identity
-    second = fit_whitening(mm_white, whitened_tests)
-    assert np.allclose(second.whitening, np.eye(3), atol=1e-8)
+    # idempotence: whitening the whitened moments is the identity
+    assert np.allclose(fit_whitening(mm_white), np.eye(3), atol=1e-8)
+
+
+def test_whiten_moments_rejects_a_transform_of_the_wrong_size(rng):
+    src = Table.from_arrays("s", a=rng.normal(size=20), b=rng.normal(size=20))
+    tgt = Table.from_arrays("t", a=[0.0], b=[1.0])
+    mm = evaluate_moments(
+        collection([src], tgt), parse_test_functions(["column:a", "column:b"])
+    )
+    with pytest.raises(ValueError, match="L x L"):
+        whiten_moments(mm, np.eye(3))
 
 
 def test_whitening_near_singular_errors_without_ridge(rng):
@@ -154,11 +163,9 @@ def test_whitening_near_singular_errors_without_ridge(rng):
         target_name="t",
         pooled_var=np.array([[1.0, 1.0], [1.0, 1.0]]),
     )
-    tests = parse_test_functions(["column:a", "column:b"])
     with pytest.raises(ValueError, match="ridge"):
-        fit_whitening(mm, tests)
-    ridged = fit_whitening(mm, tests, ridge=1e-8)
-    assert ridged.whitening.shape == (2, 2)
+        fit_whitening(mm)
+    assert fit_whitening(mm, ridge=1e-8).shape == (2, 2)
 
 
 def test_pooled_variance_consistency_under_perturbation():
@@ -203,7 +210,6 @@ def test_scalar_moments_helper(rng):
     sm = scalar_moments(data, fn)
     assert sm.source_means[0] == pytest.approx(x.mean())
     assert sm.pooled_var == pytest.approx(x.var())
-    assert pooled_variance(data, fn) == pytest.approx(x.var())
 
 
 def test_expr_rejects_unsafe_syntax():
@@ -235,3 +241,16 @@ def test_pooled_moments_clamps_a_constant_column_at_zero():
     # E[x^2] - E[x]^2 rounds to -1.7e-18 here
     _, var = pooled_moments([np.full(7, 0.1), np.full(3, 0.1)])
     assert var == 0.0
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_pooled_moments_keep_the_variance_of_a_far_off_centre(offset):
+    # E[x^2] - E[x]^2 on the raw values gives 0.0 here at 1e8 (np.var: 1.0004)
+    x = np.random.default_rng(0).normal(offset, 1.0, 2000)
+    mean, var = pooled_moments([x[:900], x[900:]])
+    assert var == pytest.approx(np.var(x), rel=1e-12)
+    assert mean == pytest.approx(x.mean(), rel=1e-14)
+    rows = np.column_stack([x, -0.5 * x + np.random.default_rng(1).normal(size=2000)])
+    mean2, cov = pooled_moments([rows[:900], rows[900:]])
+    np.testing.assert_allclose(cov, np.cov(rows, rowvar=False, bias=True), rtol=1e-12)
+    np.testing.assert_allclose(mean2, rows.mean(axis=0), rtol=1e-14)
