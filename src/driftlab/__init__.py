@@ -52,16 +52,15 @@ from .perturb import (
     PerturbedWorld,
     RandomWalkWeights,
     TargetDistribution,
+    categorical_target,
     exponential_target,
     gamma_law,
     gaussian_target,
     lognormal_law,
     multivariate_target,
     realize_world,
-    sample_dataset,
     sample_uniform,
     shift_target,
-    table_target,
     uniform_law,
     uniform_target,
 )

@@ -40,10 +40,15 @@ from .perturb import (
     MixtureWeights,
     PerturbationScheme,
     RandomWalkWeights,
+    TargetDistribution,
     WeightLaw,
+    categorical_target,
     check_regime,
+    exponential_target,
+    gaussian_target,
     realize_world,
     sample_uniform,
+    uniform_target,
 )
 from .rng import split_uniform, substream
 from .tables import (
@@ -167,6 +172,47 @@ def ingest(data: list[str], target: str, outcome: str | None) -> DatasetCollecti
 # simulate
 # ---------------------------------------------------------------------------
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float, or a UserError naming the setting."""
+    if type(value) not in (int, float):
+        raise UserError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # false for nan, inf and out-of-range ints
+        raise UserError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise UserError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _numbers(value, name: str) -> tuple[float, ...]:
+    return tuple(_number(v, f"{name}[{i}]") for i, v in enumerate(_list(value, name)))
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise UserError(f"{name} must be an object, got {value!r}")
+    return value
+
+
+def _check_keys(payload: dict, where: str, required, optional=()) -> None:
+    unknown = set(payload) - {*required, *optional}
+    if unknown:
+        raise UserError(f"{where}: unknown keys {sorted(unknown)}")
+    for key in required:
+        if key not in payload:
+            raise UserError(f"{where}: missing key {key!r}")
+
+
+def _size(value, key: str) -> int:
+    n = _int_setting(value, f"simulate config key {key!r}")
+    if n < 1:
+        raise UserError(f"simulate config key {key!r} must be >= 1, got {n}")
+    return n
+
+
 _LAW_KEYS = {
     "lognormal": ("mu", "sigma"),
     "gamma": ("shape", "scale"),
@@ -174,97 +220,162 @@ _LAW_KEYS = {
 }
 
 
-def _parse_law(payload: dict) -> WeightLaw:
+def _parse_law(payload, name: str) -> WeightLaw:
+    payload = _object(payload, name)
     family = payload.get("family")
     if family not in _LAW_KEYS:
         raise UserError(f"unknown weight family {family!r}")
+    where = f"weight law {family}"
     keys = _LAW_KEYS[family]
-    unknown = set(payload) - {"family", *keys}
-    if unknown:
-        raise UserError(f"weight law {family}: unknown keys {sorted(unknown)}")
-    try:
-        return WeightLaw(family, float(payload[keys[0]]), float(payload[keys[1]]))
-    except KeyError as exc:
-        raise UserError(f"weight law {family}: missing parameter {exc}")
+    _check_keys(payload, where, ("family", *keys))
+    return WeightLaw(family, *(_number(payload[key], f"{where}: key {key!r}") for key in keys))
 
 
-def _parse_scheme(payload: dict, m: int, seed: int) -> PerturbationScheme:
+_SCHEME_KEYS = {
+    "independent": ("laws",),
+    "gaussian_copula": ("laws", "corr"),
+    "random_walk": ("base", "innovation_sd", "k"),
+    "mixture": ("base_laws", "coefficients", "noise_sd"),
+}
+
+
+def _parse_scheme(payload, m: int, seed: int) -> PerturbationScheme:
+    payload = _object(payload, "simulate config key 'scheme'")
     kind = payload.get("kind")
-    try:
-        if kind == "independent":
-            laws = tuple(_parse_law(p) for p in payload["laws"])
-            model = IndependentWeights(laws)
-        elif kind == "gaussian_copula":
-            laws = tuple(_parse_law(p) for p in payload["laws"])
-            model = GaussianCopulaWeights(laws, tuple(tuple(row) for row in payload["corr"]))
-        elif kind == "random_walk":
-            model = RandomWalkWeights(
-                _parse_law(payload["base"]),
-                float(payload["innovation_sd"]),
-                int(payload["k"]),
-            )
-        elif kind == "mixture":
-            model = MixtureWeights(
-                tuple(_parse_law(p) for p in payload["base_laws"]),
-                tuple(tuple(float(c) for c in row) for row in payload["coefficients"]),
-                tuple(float(s) for s in payload["noise_sd"]),
-            )
-        else:
-            raise UserError(f"unknown scheme kind {kind!r}")
-    except KeyError as exc:
-        raise UserError(f"scheme {kind}: missing key {exc}") from None
+    if kind not in _SCHEME_KEYS:
+        raise UserError(f"unknown scheme kind {kind!r}")
+    where = f"scheme {kind}"
+    _check_keys(payload, where, ("kind", *_SCHEME_KEYS[kind]))
+
+    def laws(key):
+        name = f"{where}: key {key!r}"
+        return tuple(_parse_law(p, f"{name}[{i}]") for i, p in enumerate(_list(payload[key], name)))
+
+    def matrix(key):
+        name = f"{where}: key {key!r}"
+        return tuple(_numbers(row, f"{name}[{i}]") for i, row in enumerate(_list(payload[key], name)))
+
+    if kind == "independent":
+        model = IndependentWeights(laws("laws"))
+    elif kind == "gaussian_copula":
+        model = GaussianCopulaWeights(laws("laws"), matrix("corr"))
+    elif kind == "random_walk":
+        model = RandomWalkWeights(
+            _parse_law(payload["base"], f"{where}: key 'base'"),
+            _number(payload["innovation_sd"], f"{where}: key 'innovation_sd'"),
+            _int_setting(payload["k"], f"{where}: key 'k'"),
+        )
+    else:
+        model = MixtureWeights(
+            laws("base_laws"),
+            matrix("coefficients"),
+            _numbers(payload["noise_sd"], f"{where}: key 'noise_sd'"),
+        )
     return PerturbationScheme(m, model, seed)
 
 
-def _column_values(spec: dict, stream: np.ndarray):
+def _name(value, name: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise UserError(f"{name} must be a non-empty string, got {value!r}")
+    return value
+
+
+_TARGETS = {
+    "uniform": (uniform_target, ()),
+    "gaussian": (gaussian_target, ("mean", "sd")),
+    "exponential": (exponential_target, ("rate",)),
+    "categorical": (categorical_target, ("levels", "probs")),
+}
+
+
+def _parse_column(spec, name: str) -> tuple[str, TargetDistribution]:
+    """One ``columns`` entry as (column name, the law its values follow)."""
+    spec = _object(spec, name)
+    column = _name(spec.get("name"), f"{name}: key 'name'")
+    where = f"column {column!r}"
     dist = spec.get("dist")
-    if dist == "uniform":
-        return stream
-    if dist == "gaussian":
-        return spec.get("mean", 0.0) + spec.get("sd", 1.0) * ndtri(stream)
-    if dist == "exponential":
-        return -np.log1p(-stream) / spec.get("rate", 1.0)
+    if dist not in _TARGETS:
+        raise UserError(f"{where}: unknown dist {dist!r}")
+    make, keys = _TARGETS[dist]
     if dist == "categorical":
-        levels = spec["levels"]
-        probs = spec.get("probs", [1.0 / len(levels)] * len(levels))
-        cum = np.cumsum(probs)
-        if abs(cum[-1] - 1.0) > 1e-9:
-            raise UserError(f"column {spec.get('name')}: probs must sum to 1")
-        idx = np.searchsorted(cum, stream, side="left")
-        return np.asarray([levels[i] for i in np.clip(idx, 0, len(levels) - 1)], dtype=object)
-    raise UserError(f"column {spec.get('name')}: unknown dist {dist!r}")
+        _check_keys(spec, where, ("name", "dist", "levels"), keys)
+        kwargs = {"levels": _list(spec["levels"], f"{where}: key 'levels'")}
+        if "probs" in spec:
+            kwargs["probs"] = _numbers(spec["probs"], f"{where}: key 'probs'")
+    else:
+        _check_keys(spec, where, ("name", "dist"), keys)
+        kwargs = {key: _number(spec[key], f"{where}: key {key!r}") for key in keys if key in spec}
+    try:
+        return column, make(**kwargs)
+    except ValueError as exc:
+        raise UserError(f"{where}: {exc}") from None
 
 
-def _build_table(name, u, columns, outcome_spec):
-    n_streams = len(columns) + (1 if outcome_spec else 0)
-    streams = split_uniform(u, n_streams) if n_streams > 1 else u[None, :]
-    data = {}
-    order = []
-    for i, spec in enumerate(columns):
-        data[spec["name"]] = _column_values(spec, streams[i])
-        order.append(spec["name"])
-    if outcome_spec:
-        y = np.full(u.shape, float(outcome_spec.get("intercept", 0.0)))
-        for col, coef in outcome_spec.get("coef", {}).items():
-            if col not in data:
-                raise UserError(f"outcome references unknown column {col!r}")
-            if data[col].dtype.kind != "f":
-                raise UserError(f"outcome coefficient on non-numeric column {col!r}")
-            y = y + float(coef) * data[col]
-        y = y + float(outcome_spec.get("noise_sd", 0.0)) * ndtri(streams[-1])
-        data[outcome_spec["name"]] = y
-        order.append(outcome_spec["name"])
-    return Table(name, tuple(order), data)
+def _parse_columns(specs) -> list[tuple[str, TargetDistribution]]:
+    columns = [
+        _parse_column(spec, f"columns[{i}]")
+        for i, spec in enumerate(_list(specs, "simulate config key 'columns'"))
+    ]
+    if not columns:
+        raise UserError("simulate config key 'columns' must not be empty")
+    names = [name for name, _ in columns]
+    duplicated = sorted({name for name in names if names.count(name) > 1})
+    if duplicated:
+        raise UserError(f"simulate config: duplicate column names {duplicated}")
+    return columns
+
+
+def _parse_outcome(spec, columns: list[dict]) -> dict | None:
+    """The ``outcome`` entry with defaults filled in, or None without one;
+    ``columns`` are the column specs, already checked."""
+    if spec is None:
+        return None
+    names = {col["name"] for col in columns}
+    numeric = {col["name"] for col in columns if col["dist"] != "categorical"}
+    spec = _object(spec, "simulate config key 'outcome'")
+    _check_keys(spec, "outcome", ("name",), ("intercept", "coef", "noise_sd"))
+    name = _name(spec["name"], "outcome: key 'name'")
+    if name in names:
+        raise UserError(f"outcome name {name!r} is also a column name")
+    coef = {}
+    for col, value in _object(spec.get("coef", {}), "outcome: key 'coef'").items():
+        if col not in names:
+            raise UserError(f"outcome references unknown column {col!r}")
+        if col not in numeric:
+            raise UserError(f"outcome coefficient on non-numeric column {col!r}")
+        coef[col] = _number(value, f"outcome: coefficient on {col!r}")
+    noise_sd = _number(spec.get("noise_sd", 0.0), "outcome: key 'noise_sd'")
+    if noise_sd < 0:
+        raise UserError(f"outcome: key 'noise_sd' must be >= 0, got {noise_sd!r}")
+    return {
+        "name": name,
+        "intercept": _number(spec.get("intercept", 0.0), "outcome: key 'intercept'"),
+        "coef": coef,
+        "noise_sd": noise_sd,
+    }
+
+
+def _build_table(name, u, columns, outcome):
+    """Deal ``u`` into one stream per column (plus one for the outcome noise)
+    and draw each column through its law."""
+    streams = split_uniform(u, len(columns) + (outcome is not None))
+    data = {col: target.transform(stream) for (col, target), stream in zip(columns, streams)}
+    if outcome is not None:
+        y = np.full(u.shape, outcome["intercept"])
+        for col, coef in outcome["coef"].items():
+            y = y + coef * data[col]
+        data[outcome["name"]] = y + outcome["noise_sd"] * ndtri(streams[-1])
+    return Table(name, tuple(data), data)
 
 
 _SIMULATE_KEYS = {"seed", "m", "scheme", "n_k", "n_0", "columns", "outcome"}
 
 
 def cmd_simulate(args) -> int:
+    # the whole config is parsed and checked before a world is drawn or a
+    # file written
     config = _load_config(args.config, _SIMULATE_KEYS, "simulate")
-    for key in ("m", "scheme", "n_k", "n_0", "columns"):
-        if key not in config:
-            raise UserError(f"simulate config: missing key {key!r}")
+    _check_keys(config, "simulate config", ("m", "scheme", "n_k", "n_0", "columns"), _SIMULATE_KEYS)
     seed = args.seed
     if seed is None:
         seed = _int_setting(config.get("seed", 0), "simulate config key 'seed'")
@@ -273,16 +384,13 @@ def cmd_simulate(args) -> int:
     scheme = _parse_scheme(config["scheme"], m, seed)
     k = scheme.n_dists
     n_k = config["n_k"]
-    n_list = [
-        _int_setting(v, "simulate config key 'n_k'")
-        for v in (n_k if isinstance(n_k, list) else [n_k] * k)
-    ]
+    n_list = [_size(v, "n_k") for v in (n_k if isinstance(n_k, list) else [n_k] * k)]
     if len(n_list) != k:
         raise UserError(f"n_k must give one size per dataset (K={k})")
+    n_0 = _size(config["n_0"], "n_0")
+    columns = _parse_columns(config["columns"])
+    outcome = _parse_outcome(config.get("outcome"), config["columns"])
     check_regime(m, min(n_list))
-    n_0 = _int_setting(config["n_0"], "simulate config key 'n_0'")
-    columns = config["columns"]
-    outcome_spec = config.get("outcome")
 
     world = realize_world(scheme, substream(seed, _LANE_WORLD))
     out_dir = Path(args.out)
@@ -291,7 +399,7 @@ def cmd_simulate(args) -> int:
     for j in range(k):
         rng = substream(seed, _LANE_DATASET, j + 1)
         u = sample_uniform(world, j, n_list[j], rng)
-        tbl = _build_table(f"source_{j + 1}", u, columns, outcome_spec)
+        tbl = _build_table(f"source_{j + 1}", u, columns, outcome)
         path = out_dir / f"source_{j + 1}.csv"
         write_csv_table(tbl, path, comment)
         files.append(path.name)

@@ -223,8 +223,11 @@ class HarnessReport:
 
 
 def _int_setting(value, name: str) -> int:
-    """``int(value)``, or a ValueError that names the setting."""
+    """``int(value)`` for an integer or an integral float, or a ValueError
+    that names the setting."""
     try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return int(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -42,13 +42,12 @@ __all__ = [
     "PerturbedWorld",
     "realize_world",
     "sample_uniform",
-    "sample_dataset",
     "shift_target",
     "TargetDistribution",
     "uniform_target",
     "gaussian_target",
     "exponential_target",
-    "table_target",
+    "categorical_target",
     "multivariate_target",
 ]
 
@@ -477,21 +476,6 @@ def _find_bins(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
     return bins
 
 
-def sample_dataset(
-    world: PerturbedWorld,
-    k: int,
-    n: int,
-    target: "TargetDistribution",
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample n rows from the k-th perturbed version of ``target``.
-
-    Returns shape (n,) for scalar targets and (n, d) for multivariate ones.
-    """
-    u = sample_uniform(world, k, n, rng)
-    return target.transform(u)
-
-
 def shift_target(world: PerturbedWorld) -> PerturbedWorld:
     """Re-express a (K+1)-distribution world relative to its last member.
 
@@ -530,7 +514,6 @@ class TargetDistribution:
 
     name: str
     transform: Callable[[np.ndarray], np.ndarray]
-    columns: tuple[str, ...] | None = None
     moments: tuple[tuple[float, float], ...] | None = None
 
 
@@ -539,6 +522,8 @@ def uniform_target() -> TargetDistribution:
 
 
 def gaussian_target(mean: float = 0.0, sd: float = 1.0) -> TargetDistribution:
+    if sd <= 0:
+        raise ValueError(f"sd must be > 0, got {sd!r}")
     return TargetDistribution(
         f"gaussian({mean}, {sd})",
         lambda u: mean + sd * ndtri(u),
@@ -548,7 +533,7 @@ def gaussian_target(mean: float = 0.0, sd: float = 1.0) -> TargetDistribution:
 
 def exponential_target(rate: float = 1.0) -> TargetDistribution:
     if rate <= 0:
-        raise ValueError("rate must be > 0")
+        raise ValueError(f"rate must be > 0, got {rate!r}")
     return TargetDistribution(
         f"exponential({rate})",
         lambda u: -np.log1p(-u) / rate,
@@ -556,22 +541,34 @@ def exponential_target(rate: float = 1.0) -> TargetDistribution:
     )
 
 
-def table_target(quantiles: Sequence[float], values: Sequence[float]) -> TargetDistribution:
-    """Piecewise-linear quantile table: transform(u) = interp(u, quantiles, values)."""
-    q = np.asarray(quantiles, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if q.ndim != 1 or q.shape != v.shape or q.size < 2:
-        raise ValueError("quantiles and values must be 1-d arrays of equal length >= 2")
-    if q[0] != 0.0 or q[-1] != 1.0 or np.any(np.diff(q) <= 0):
-        raise ValueError("quantiles must increase from 0 to 1")
-    if np.any(np.diff(v) < 0):
-        raise ValueError("values must be nondecreasing")
-    return TargetDistribution("table", lambda u: np.interp(u, q, v))
+def categorical_target(
+    levels: Sequence, probs: Sequence[float] | None = None
+) -> TargetDistribution:
+    """Maps u to the first level i with u <= cum[i], where cum is the
+    cumulative ``probs`` (uniform by default), or to the last level when
+    rounding leaves cum[-1] below u. Values are an object array of levels.
+    """
+    table = np.fromiter(levels, dtype=object)
+    if table.size == 0:
+        raise ValueError("levels must not be empty")
+    if probs is None:
+        probs = [1.0 / table.size] * table.size
+    if len(probs) != table.size:
+        raise ValueError(f"probs must have one entry per level ({table.size}), got {len(probs)}")
+    if min(probs) < 0:
+        raise ValueError("probs must be >= 0")
+    cum = np.cumsum(probs)
+    if abs(cum[-1] - 1.0) > 1e-9:
+        raise ValueError("probs must sum to 1")
+    last = table.size - 1
+    return TargetDistribution(
+        f"categorical({table.size} levels)",
+        lambda u: table[np.minimum(np.searchsorted(cum, u, side="left"), last)],
+    )
 
 
 def multivariate_target(
     parts: Sequence[TargetDistribution],
-    columns: Sequence[str] | None = None,
     name: str | None = None,
 ) -> TargetDistribution:
     """Build a multivariate law from one uniform by digit interleaving.
@@ -584,8 +581,6 @@ def multivariate_target(
     parts = tuple(parts)
     if len(parts) < 2:
         raise ValueError("need at least two parts")
-    if columns is not None and len(columns) != len(parts):
-        raise ValueError("columns must match number of parts")
 
     def transform(u: np.ndarray) -> np.ndarray:
         streams = split_uniform(u, len(parts))
@@ -597,7 +592,6 @@ def multivariate_target(
     return TargetDistribution(
         name or "paired(" + ", ".join(p.name for p in parts) + ")",
         transform,
-        columns=tuple(columns) if columns is not None else None,
         moments=moments,
     )
 

@@ -357,21 +357,60 @@ class TestSimulate:
             tmp_path / "b" / "source_1.csv"
         ).read_bytes()
 
+    def test_fixture_config_reproduces_the_committed_fixture(self, tmp_path):
+        cfg = str(FIXTURE / "sim_config.json")
+        assert cli.run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        names = [f"source_{k}.csv" for k in range(1, 5)] + ["target.csv", "world.json"]
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (FIXTURE / name).read_bytes(), name
+
     @pytest.mark.parametrize(
         "change, message",
         [
             ({"scheme": {"kind": "independent"}}, "scheme independent: missing key 'laws'"),
             ({"m": "ten"}, "simulate config key 'm' must be an integer, got 'ten'"),
+            ({"m": 50.9}, "simulate config key 'm' must be an integer, got 50.9"),
+            (
+                {"columns": [{"name": "x", "dist": "gaussian", "sd": "big"}]},
+                "column 'x': key 'sd' must be a number, got 'big'",
+            ),
+            ({"columns": [{"name": "x", "dist": "gaussian", "sd": -1}]}, "column 'x': sd must be > 0"),
+            ({"columns": [{"name": "x", "dist": "exponential", "rate": 0}]}, "column 'x': rate must be > 0"),
+            (
+                {"scheme": {"kind": "independent",
+                            "laws": [{"family": "lognormal", "mu": 0.0, "sigma": "wide"}]}},
+                "weight law lognormal: key 'sigma' must be a number, got 'wide'",
+            ),
+            ({"columns": [1]}, "columns[0] must be an object, got 1"),
+            (
+                {"columns": [{"name": "x", "dist": "uniform"}, {"name": "x", "dist": "uniform"}]},
+                "duplicate column names ['x']",
+            ),
+            ({"columns": [{"name": "x", "dist": "gaussian", "sdd": 1}]}, "column 'x': unknown keys ['sdd']"),
+            (
+                {"scheme": {"kind": "independent", "laws": [SMALL_SIM["scheme"]["laws"][0]] * 2},
+                 "n_k": [200, 0]},
+                "simulate config key 'n_k' must be >= 1, got 0",
+            ),
+            (
+                {"columns": [{"name": "c", "dist": "categorical", "levels": ["a", "b"],
+                              "probs": [0.2, 0.3, 0.5]}]},
+                "column 'c': probs must have one entry per level",
+            ),
         ],
-        ids=["missing_key", "non_integer"],
+        ids=["missing_key", "non_integer", "fractional_m", "sd_not_a_number", "sd_negative",
+             "rate_zero", "law_sigma_not_a_number", "column_not_an_object", "duplicate_column",
+             "unknown_column_key", "n_k_zero", "probs_length"],
     )
     def test_bad_config_value_is_user_error(self, tmp_path, capsys, change, message):
         cfg = write(tmp_path / "sim.json", json.dumps({**SMALL_SIM, **change}))
-        rc = cli.run(["simulate", "--config", cfg, "--out", str(tmp_path / "d")])
+        out = tmp_path / "d"
+        rc = cli.run(["simulate", "--config", cfg, "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err and "invalid literal" not in err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestErmCli:

@@ -187,16 +187,8 @@ def test_transform_targets_reproduce_declared_moments():
         assert x.var() == pytest.approx(var, rel=0.05)
 
 
-def test_table_target_interpolates():
-    target = dl.table_target([0.0, 0.5, 1.0], [0.0, 1.0, 3.0])
-    x = target.transform(np.array([0.25, 0.5, 0.75]))
-    assert x == pytest.approx([0.5, 1.0, 2.0])
-
-
 def test_multivariate_target_independent_streams():
-    pair = dl.multivariate_target(
-        [dl.gaussian_target(), dl.uniform_target()], columns=("x", "u")
-    )
+    pair = dl.multivariate_target([dl.gaussian_target(), dl.uniform_target()])
     u = substream(12, 1).random(200_000)
     xy = pair.transform(u)
     assert xy.shape == (200_000, 2)
@@ -220,9 +212,31 @@ def test_regime_warning_below_ratio_10():
     check_regime(100, 5000)  # no warning
 
 
-def test_sample_dataset_applies_transform():
-    scheme = dl.PerturbationScheme(10, dl.IndependentWeights((dl.uniform_law(1.0, 1.0),)))
-    world = dl.realize_world(scheme)
-    x = dl.sample_dataset(world, 0, 500, dl.gaussian_target(3.0, 0.1), substream(14, 1))
-    assert x.shape == (500,)
-    assert x.mean() == pytest.approx(3.0, abs=0.05)
+@pytest.mark.parametrize(
+    "probs", [None, [0.5, 0.3, 0.2], [0.1, 0.0, 0.9], [0.7, 0.2, 0.1 - 1e-10]]
+)
+def test_categorical_target_on_every_cumulative_edge(probs):
+    levels = ["a", "b", "c"]
+    cum = np.cumsum([1 / 3] * 3 if probs is None else probs)
+    edges = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum])
+    u = np.unique(np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]))
+    u = u[(u >= 0.0) & (u < 1.0)]
+    # the first level whose cumulative probability reaches u, else the last
+    expected = [levels[next((i for i, c in enumerate(cum) if x <= c), 2)] for x in u]
+    got = dl.categorical_target(levels, probs).transform(u)
+    assert got.dtype == object
+    assert got.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "levels, probs, message",
+    [
+        ([], None, "levels must not be empty"),
+        (["a", "b"], [1.0], "one entry per level"),
+        (["a", "b"], [1.5, -0.5], "probs must be >= 0"),
+        (["a", "b"], [0.5, 0.6], "probs must sum to 1"),
+    ],
+)
+def test_categorical_target_rejects_bad_probs(levels, probs, message):
+    with pytest.raises(ValueError, match=message):
+        dl.categorical_target(levels, probs)
