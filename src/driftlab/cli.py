@@ -32,7 +32,7 @@ from .diagnostics import (
     residual_qq,
     standardized_shift_stats,
 )
-from .harness import HarnessConfig, _int_setting, config_from_dict, run_harness
+from .harness import ALL_CHECKS, HarnessConfig, run_harness
 from .moments import evaluate_moments, fit_whitening, whiten_moments
 from .perturb import (
     GaussianCopulaWeights,
@@ -41,13 +41,15 @@ from .perturb import (
     PerturbationScheme,
     RandomWalkWeights,
     TargetDistribution,
-    WeightLaw,
     categorical_target,
     check_regime,
     exponential_target,
+    gamma_law,
     gaussian_target,
+    lognormal_law,
     realize_world,
     sample_uniform,
+    uniform_law,
     uniform_target,
 )
 from .rng import split_uniform, substream
@@ -112,21 +114,120 @@ def _stamp_comment(chash: str) -> str:
     return f"driftlab {__version__} config={chash}"
 
 
-def _load_config(path: str | None, allowed: set[str], context: str) -> dict:
-    if path is None:
-        return {}
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise UserError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise UserError(f"{path}: invalid JSON ({exc})")
-    if not isinstance(payload, dict):
-        raise UserError(f"{path}: config must be a JSON object")
-    unknown = set(payload) - allowed
+# ---------------------------------------------------------------------------
+# Config readers
+# ---------------------------------------------------------------------------
+# A reader takes a JSON value and its key path in the config (for example
+# ``scheme.laws[1].sigma``) and returns the value typed, or raises a UserError
+# of the form "<path> must be <kind>, got <value>".
+
+
+def _bad(path: str, kind: str, value) -> UserError:
+    return UserError(f"{path} must be {kind}, got {value!r}")
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _reader(kind: str, test, convert=None):
+    """Reader for the values that pass ``test``, returned through ``convert``."""
+
+    def read(value, path: str):
+        if not test(value):
+            raise _bad(path, kind, value)
+        return value if convert is None else convert(value)
+
+    return read
+
+
+def _integral(value) -> bool:
+    # a JSON integer or an integral float; strings and booleans are rejected
+    return type(value) is int or (type(value) is float and value.is_integer())
+
+
+# abs(value) <= max is false for nan, inf and ints beyond the float range
+number = _reader("a finite number",
+                 lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, float)
+integer = _reader("an integer", _integral, int)
+count = _reader("an integer >= 1", lambda v: _integral(v) and v >= 1, int)
+flag = _reader("true or false", lambda v: type(v) is bool)
+text = _reader("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_object = _reader("an object", lambda v: isinstance(v, dict))
+
+
+def one_of(*choices: str):
+    return _reader(f"one of {list(choices)}", lambda v: v in choices)
+
+
+def list_of(reader):
+    def read(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise _bad(path, "a list", value)
+        return tuple(reader(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return read
+
+
+def _read(payload, path: str, keys: dict, required=()) -> dict:
+    """The object ``payload`` with each value passed through the reader
+    ``keys`` names for it; unknown and missing keys are errors."""
+    payload = _object(payload, path)
+    unknown = sorted(set(payload) - set(keys))
     if unknown:
-        raise UserError(f"{context} config: unknown keys {sorted(unknown)}")
-    return payload
+        raise UserError(f"{path or 'config'} has unknown keys {unknown}")
+    for key in required:
+        if key not in payload:
+            raise UserError(f"{_join(path, key)} is missing")
+    return {key: keys[key](value, _join(path, key)) for key, value in payload.items()}
+
+
+def record(make, keys: dict, required=()):
+    """Reader for an object whose values, read through ``keys``, are passed to
+    ``make`` by key; a ValueError from ``make`` gets the object's path in front."""
+
+    def read(value, path: str):
+        kwargs = _read(value, path, keys, required)
+        try:
+            return make(**kwargs)
+        except ValueError as exc:
+            raise UserError(f"{path}: {exc}" if path else str(exc)) from None
+
+    return read
+
+
+def variant(tag: str, records: dict):
+    """Reader for an object whose ``tag`` key names the record in ``records``
+    that reads its other keys."""
+    pick = one_of(*records)
+
+    def read(value, path: str):
+        kind = pick(_object(value, path).get(tag), _join(path, tag))
+        return records[kind]({k: v for k, v in value.items() if k != tag}, path)
+
+    return read
+
+
+def _load_config(file: str | None, read, seed: int | None = None):
+    """The JSON object in ``file`` ({} without a file), its ``seed`` replaced
+    by ``seed`` when that is given, and what ``read`` makes of it. A UserError
+    from ``read`` gets the file name in front."""
+    config = {}
+    if file is not None:
+        try:
+            config = json.loads(Path(file).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise UserError(f"cannot read {file}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise UserError(f"{file}: invalid JSON ({exc})") from None
+        if not isinstance(config, dict):
+            raise UserError(f"{file}: config must be a JSON object")
+    if seed is not None:
+        config["seed"] = seed
+    try:
+        return config, read(config, "")
+    except UserError as exc:
+        raise UserError(f"{file}: {exc}") from None
 
 
 def _stamp(config: dict, extra: dict) -> dict:
@@ -172,187 +273,87 @@ def ingest(data: list[str], target: str, outcome: str | None) -> DatasetCollecti
 # simulate
 # ---------------------------------------------------------------------------
 
-def _number(value, name: str) -> float:
-    """A JSON number as a float, or a UserError naming the setting."""
-    if type(value) not in (int, float):
-        raise UserError(f"{name} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # false for nan, inf and out-of-range ints
-        raise UserError(f"{name} must be finite, got {value!r}")
-    return float(value)
+_WEIGHT_LAW = variant("family", {
+    "lognormal": record(lognormal_law, {"mu": number, "sigma": number}, ("mu", "sigma")),
+    "gamma": record(gamma_law, {"shape": number, "scale": number}, ("shape", "scale")),
+    "uniform": record(uniform_law, {"lo": number, "hi": number}, ("lo", "hi")),
+})
+
+_SCHEME = variant("kind", {
+    "independent": record(IndependentWeights, {"laws": list_of(_WEIGHT_LAW)}, ("laws",)),
+    "gaussian_copula": record(
+        lambda laws, corr: GaussianCopulaWeights(laws, corr),
+        {"laws": list_of(_WEIGHT_LAW), "corr": list_of(list_of(number))},
+        ("laws", "corr"),
+    ),
+    "random_walk": record(
+        lambda base, innovation_sd, k: RandomWalkWeights(base, innovation_sd, k),
+        {"base": _WEIGHT_LAW, "innovation_sd": number, "k": count},
+        ("base", "innovation_sd", "k"),
+    ),
+    "mixture": record(
+        MixtureWeights,
+        {"base_laws": list_of(_WEIGHT_LAW), "coefficients": list_of(list_of(number)),
+         "noise_sd": list_of(number)},
+        ("base_laws", "coefficients", "noise_sd"),
+    ),
+})
+
+_COLUMN_LAW = variant("dist", {
+    "uniform": record(uniform_target, {}),
+    "gaussian": record(gaussian_target, {"mean": number, "sd": number}),
+    "exponential": record(exponential_target, {"rate": number}),
+    "categorical": record(
+        categorical_target, {"levels": list_of(text), "probs": list_of(number)}, ("levels",)
+    ),
+})
 
 
-def _list(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise UserError(f"{name} must be a list, got {value!r}")
-    return value
-
-
-def _numbers(value, name: str) -> tuple[float, ...]:
-    return tuple(_number(v, f"{name}[{i}]") for i, v in enumerate(_list(value, name)))
-
-
-def _object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise UserError(f"{name} must be an object, got {value!r}")
-    return value
-
-
-def _check_keys(payload: dict, where: str, required, optional=()) -> None:
-    unknown = set(payload) - {*required, *optional}
-    if unknown:
-        raise UserError(f"{where}: unknown keys {sorted(unknown)}")
-    for key in required:
-        if key not in payload:
-            raise UserError(f"{where}: missing key {key!r}")
-
-
-def _size(value, key: str) -> int:
-    n = _int_setting(value, f"simulate config key {key!r}")
-    if n < 1:
-        raise UserError(f"simulate config key {key!r} must be >= 1, got {n}")
-    return n
-
-
-_LAW_KEYS = {
-    "lognormal": ("mu", "sigma"),
-    "gamma": ("shape", "scale"),
-    "uniform": ("lo", "hi"),
-}
-
-
-def _parse_law(payload, name: str) -> WeightLaw:
-    payload = _object(payload, name)
-    family = payload.get("family")
-    if family not in _LAW_KEYS:
-        raise UserError(f"unknown weight family {family!r}")
-    where = f"weight law {family}"
-    keys = _LAW_KEYS[family]
-    _check_keys(payload, where, ("family", *keys))
-    return WeightLaw(family, *(_number(payload[key], f"{where}: key {key!r}") for key in keys))
-
-
-_SCHEME_KEYS = {
-    "independent": ("laws",),
-    "gaussian_copula": ("laws", "corr"),
-    "random_walk": ("base", "innovation_sd", "k"),
-    "mixture": ("base_laws", "coefficients", "noise_sd"),
-}
-
-
-def _parse_scheme(payload, m: int, seed: int) -> PerturbationScheme:
-    payload = _object(payload, "simulate config key 'scheme'")
-    kind = payload.get("kind")
-    if kind not in _SCHEME_KEYS:
-        raise UserError(f"unknown scheme kind {kind!r}")
-    where = f"scheme {kind}"
-    _check_keys(payload, where, ("kind", *_SCHEME_KEYS[kind]))
-
-    def laws(key):
-        name = f"{where}: key {key!r}"
-        return tuple(_parse_law(p, f"{name}[{i}]") for i, p in enumerate(_list(payload[key], name)))
-
-    def matrix(key):
-        name = f"{where}: key {key!r}"
-        return tuple(_numbers(row, f"{name}[{i}]") for i, row in enumerate(_list(payload[key], name)))
-
-    if kind == "independent":
-        model = IndependentWeights(laws("laws"))
-    elif kind == "gaussian_copula":
-        model = GaussianCopulaWeights(laws("laws"), matrix("corr"))
-    elif kind == "random_walk":
-        model = RandomWalkWeights(
-            _parse_law(payload["base"], f"{where}: key 'base'"),
-            _number(payload["innovation_sd"], f"{where}: key 'innovation_sd'"),
-            _int_setting(payload["k"], f"{where}: key 'k'"),
-        )
-    else:
-        model = MixtureWeights(
-            laws("base_laws"),
-            matrix("coefficients"),
-            _numbers(payload["noise_sd"], f"{where}: key 'noise_sd'"),
-        )
-    return PerturbationScheme(m, model, seed)
-
-
-def _name(value, name: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise UserError(f"{name} must be a non-empty string, got {value!r}")
-    return value
-
-
-_TARGETS = {
-    "uniform": (uniform_target, ()),
-    "gaussian": (gaussian_target, ("mean", "sd")),
-    "exponential": (exponential_target, ("rate",)),
-    "categorical": (categorical_target, ("levels", "probs")),
-}
-
-
-def _parse_column(spec, name: str) -> tuple[str, TargetDistribution]:
+def _column(value, path: str) -> tuple[str, TargetDistribution]:
     """One ``columns`` entry as (column name, the law its values follow)."""
-    spec = _object(spec, name)
-    column = _name(spec.get("name"), f"{name}: key 'name'")
-    where = f"column {column!r}"
-    dist = spec.get("dist")
-    if dist not in _TARGETS:
-        raise UserError(f"{where}: unknown dist {dist!r}")
-    make, keys = _TARGETS[dist]
-    if dist == "categorical":
-        _check_keys(spec, where, ("name", "dist", "levels"), keys)
-        kwargs = {"levels": _list(spec["levels"], f"{where}: key 'levels'")}
-        if "probs" in spec:
-            kwargs["probs"] = _numbers(spec["probs"], f"{where}: key 'probs'")
-    else:
-        _check_keys(spec, where, ("name", "dist"), keys)
-        kwargs = {key: _number(spec[key], f"{where}: key {key!r}") for key in keys if key in spec}
-    try:
-        return column, make(**kwargs)
-    except ValueError as exc:
-        raise UserError(f"{where}: {exc}") from None
+    spec = dict(_object(value, path))
+    return text(spec.pop("name", None), _join(path, "name")), _COLUMN_LAW(spec, path)
 
 
-def _parse_columns(specs) -> list[tuple[str, TargetDistribution]]:
-    columns = [
-        _parse_column(spec, f"columns[{i}]")
-        for i, spec in enumerate(_list(specs, "simulate config key 'columns'"))
-    ]
+def _sizes(value, path: str) -> int | tuple[int, ...]:
+    return list_of(count)(value, path) if isinstance(value, list) else count(value, path)
+
+
+def _simulation(m, scheme, n_k, n_0, columns, seed=0, outcome=None):
+    """The read simulate keys checked against each other: the scheme with m
+    and the seed, one size per dataset, and the outcome with its defaults."""
+    scheme = PerturbationScheme(m, scheme, seed)
+    k = scheme.n_dists
+    sizes = n_k if isinstance(n_k, tuple) else (n_k,) * k
+    if len(sizes) != k:
+        raise _bad("n_k", f"one size or a list of K={k} sizes", list(n_k))
     if not columns:
-        raise UserError("simulate config key 'columns' must not be empty")
+        raise _bad("columns", "a non-empty list", [])
     names = [name for name, _ in columns]
-    duplicated = sorted({name for name in names if names.count(name) > 1})
-    if duplicated:
-        raise UserError(f"simulate config: duplicate column names {duplicated}")
-    return columns
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise _bad(f"columns[{i}].name", "distinct from the names before it", name)
+    if outcome is not None:
+        # the outcome is linear in the numeric columns; a categorical law draws strings
+        numeric = [name for name, law in columns
+                   if law.transform(np.full(1, 0.5)).dtype.kind == "f"]
+        keys = {"name": text, "intercept": number, "noise_sd": number,
+                "coef": record(dict, dict.fromkeys(numeric, number))}
+        outcome = {"intercept": 0.0, "coef": {}, "noise_sd": 0.0,
+                   **_read(outcome, "outcome", keys, ("name",))}
+        if outcome["name"] in names:
+            raise _bad("outcome.name", "distinct from every column name", outcome["name"])
+        if outcome["noise_sd"] < 0:
+            raise _bad("outcome.noise_sd", ">= 0", outcome["noise_sd"])
+    return scheme, sizes, n_0, columns, outcome
 
 
-def _parse_outcome(spec, columns: list[dict]) -> dict | None:
-    """The ``outcome`` entry with defaults filled in, or None without one;
-    ``columns`` are the column specs, already checked."""
-    if spec is None:
-        return None
-    names = {col["name"] for col in columns}
-    numeric = {col["name"] for col in columns if col["dist"] != "categorical"}
-    spec = _object(spec, "simulate config key 'outcome'")
-    _check_keys(spec, "outcome", ("name",), ("intercept", "coef", "noise_sd"))
-    name = _name(spec["name"], "outcome: key 'name'")
-    if name in names:
-        raise UserError(f"outcome name {name!r} is also a column name")
-    coef = {}
-    for col, value in _object(spec.get("coef", {}), "outcome: key 'coef'").items():
-        if col not in names:
-            raise UserError(f"outcome references unknown column {col!r}")
-        if col not in numeric:
-            raise UserError(f"outcome coefficient on non-numeric column {col!r}")
-        coef[col] = _number(value, f"outcome: coefficient on {col!r}")
-    noise_sd = _number(spec.get("noise_sd", 0.0), "outcome: key 'noise_sd'")
-    if noise_sd < 0:
-        raise UserError(f"outcome: key 'noise_sd' must be >= 0, got {noise_sd!r}")
-    return {
-        "name": name,
-        "intercept": _number(spec.get("intercept", 0.0), "outcome: key 'intercept'"),
-        "coef": coef,
-        "noise_sd": noise_sd,
-    }
+_SIMULATION = record(
+    _simulation,
+    {"seed": integer, "m": integer, "scheme": _SCHEME, "n_k": _sizes, "n_0": count,
+     "columns": list_of(_column), "outcome": _object},
+    ("m", "scheme", "n_k", "n_0", "columns"),
+)
 
 
 def _build_table(name, u, columns, outcome):
@@ -368,28 +369,14 @@ def _build_table(name, u, columns, outcome):
     return Table(name, tuple(data), data)
 
 
-_SIMULATE_KEYS = {"seed", "m", "scheme", "n_k", "n_0", "columns", "outcome"}
-
-
 def cmd_simulate(args) -> int:
-    # the whole config is parsed and checked before a world is drawn or a
-    # file written
-    config = _load_config(args.config, _SIMULATE_KEYS, "simulate")
-    _check_keys(config, "simulate config", ("m", "scheme", "n_k", "n_0", "columns"), _SIMULATE_KEYS)
-    seed = args.seed
-    if seed is None:
-        seed = _int_setting(config.get("seed", 0), "simulate config key 'seed'")
-    config["seed"] = seed
-    m = _int_setting(config["m"], "simulate config key 'm'")
-    scheme = _parse_scheme(config["scheme"], m, seed)
-    k = scheme.n_dists
-    n_k = config["n_k"]
-    n_list = [_size(v, "n_k") for v in (n_k if isinstance(n_k, list) else [n_k] * k)]
-    if len(n_list) != k:
-        raise UserError(f"n_k must give one size per dataset (K={k})")
-    n_0 = _size(config["n_0"], "n_0")
-    columns = _parse_columns(config["columns"])
-    outcome = _parse_outcome(config.get("outcome"), config["columns"])
+    # the whole config is read and checked before a world is drawn or a file
+    # written
+    config, (scheme, n_list, n_0, columns, outcome) = _load_config(
+        args.config, _SIMULATION, seed=args.seed
+    )
+    config["seed"] = seed = scheme.seed
+    m, k = scheme.m, scheme.n_dists
     check_regime(m, min(n_list))
 
     world = realize_world(scheme, substream(seed, _LANE_WORLD))
@@ -430,12 +417,20 @@ def cmd_simulate(args) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
-_FIT_KEYS = {"seed", "test_functions", "outcome", "mode", "whiten", "ridge", "data_label"}
+_MODE = one_of("sum_to_one", "simplex")
+_FIT_CONFIG = {
+    "test_functions": list_of(text),
+    "outcome": text,
+    "mode": _MODE,
+    "whiten": flag,
+    "ridge": number,
+    "data_label": text,
+}
 
 
 def _fit_pipeline(data_paths, target, config, mode, whiten):
-    outcome = config.get("outcome")
-    data = ingest(data_paths, target, outcome)
+    """``config`` holds the fit keys, already read."""
+    data = ingest(data_paths, target, config.get("outcome"))
     declarations = config.get("test_functions")
     if not declarations:
         declarations = [f"column:{c}" for c in data.covariates if data.target.is_numeric(c)]
@@ -444,18 +439,17 @@ def _fit_pipeline(data_paths, target, config, mode, whiten):
     tests = parse_test_functions(declarations, data)
     moments = evaluate_moments(data, tests)
     mode = mode or config.get("mode", "sum_to_one")
-    whiten = whiten or bool(config.get("whiten", False))
-    if whiten:
-        transform = fit_whitening(moments, ridge=float(config.get("ridge", 0.0)))
+    if whiten or config.get("whiten", False):
+        transform = fit_whitening(moments, ridge=config.get("ridge", 0.0))
         moments = whiten_moments(moments, transform)
     fit = dlm_mod.fit_weights(moments, mode=mode)
     return data, moments, fit
 
 
 def cmd_fit(args) -> int:
-    config = _load_config(args.config, _FIT_KEYS, "fit")
-    data, moments, fit = _fit_pipeline(args.data, args.target, config, args.mode, args.whiten)
-    label = config.get("data_label", "data")
+    config, settings = _load_config(args.config, record(dict, _FIT_CONFIG))
+    data, moments, fit = _fit_pipeline(args.data, args.target, settings, args.mode, args.whiten)
+    label = settings.get("data_label", "data")
     base = str(args.out)
     for suffix in (".txt", ".json"):
         if base.endswith(suffix):
@@ -486,27 +480,26 @@ def cmd_fit(args) -> int:
 # erm
 # ---------------------------------------------------------------------------
 
-_ERM_KEYS = {
-    "seed",
-    "outcome",
-    "test_functions",
-    "covariates",
-    "dlm_mode",
-    "level",
-    "clip_quantile",
+_ERM_CONFIG = {
+    "outcome": text,
+    "test_functions": list_of(text),
+    "covariates": list_of(text),
+    "dlm_mode": _MODE,
+    "level": number,
+    "clip_quantile": number,
 }
 
 
 def cmd_erm(args) -> int:
-    config = _load_config(args.config, _ERM_KEYS, "erm")
-    outcome = config.get("outcome", "y")
+    config, settings = _load_config(args.config, record(dict, _ERM_CONFIG))
+    outcome = settings.get("outcome", "y")
     data = ingest(args.data, args.target, outcome)
     spec = erm_mod.squared_error_loss() if args.loss == "squared" else erm_mod.logistic_loss()
     covariates = tuple(
-        config.get("covariates")
+        settings.get("covariates")
         or [c for c in data.covariates if data.target.is_numeric(c)]
     )
-    level = float(config.get("level", 0.95))
+    level = settings.get("level", 0.95)
     k = data.n_sources
 
     dlm_fit = None
@@ -514,10 +507,10 @@ def cmd_erm(args) -> int:
     if args.weights == "uniform":
         beta = np.full(k, 1.0 / k)
     elif args.weights == "dlm":
-        declarations = config.get("test_functions") or [f"column:{c}" for c in covariates]
+        declarations = settings.get("test_functions") or [f"column:{c}" for c in covariates]
         tests = parse_test_functions(declarations, data)
         moments = evaluate_moments(data, tests)
-        dlm_fit = dlm_mod.fit_weights(moments, mode=config.get("dlm_mode", "simplex"))
+        dlm_fit = dlm_mod.fit_weights(moments, mode=settings.get("dlm_mode", "simplex"))
         beta = dlm_fit.beta_hat
         provenance["dlm"] = {
             "mode": dlm_fit.mode,
@@ -547,7 +540,7 @@ def cmd_erm(args) -> int:
         )
         x_tgt = erm_mod.design_matrix(data.target, covariates, intercept=False)
         iw = erm_mod.importance_weights(
-            x_src, x_tgt, clip_quantile=float(config.get("clip_quantile", 0.99))
+            x_src, x_tgt, clip_quantile=settings.get("clip_quantile", 0.99)
         )
         y = np.concatenate(
             [np.asarray(t.column(outcome), dtype=float) for t in data.sources]
@@ -591,20 +584,29 @@ def cmd_erm(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# a fit report stores the fit keys and the command line that ran them
+_STORED_FIT = {
+    **_FIT_CONFIG,
+    "argv": record(dict, {"data": list_of(text), "target": text, "mode": _MODE, "whiten": flag}),
+}
+
+
+def _stored_fit(report: dict, path: str) -> dict:
+    """The fit keys and argv in a fit report's config, read; other stored keys
+    are skipped, so the reports of older versions still read."""
+    stored = _object(report.get("config", {}), "config")
+    return _read({k: v for k, v in stored.items() if k in _STORED_FIT}, "config", _STORED_FIT)
+
+
 def cmd_diagnose(args) -> int:
-    try:
-        payload = json.loads(Path(args.fit).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UserError(f"cannot read fit report {args.fit}: {exc}")
-    stored = payload.get("config", {})
-    argv = stored.get("argv", {})
+    payload, settings = _load_config(args.fit, _stored_fit)
+    argv = settings.get("argv", {})
     data_paths = args.data or argv.get("data")
     target_path = args.target or argv.get("target")
     if not data_paths or not target_path:
         raise UserError("fit report does not record data paths; pass --data/--target")
-    config = {k: v for k, v in stored.items() if k in _FIT_KEYS}
     data, moments, fit = _fit_pipeline(
-        data_paths, target_path, config, argv.get("mode"), bool(argv.get("whiten", False))
+        data_paths, target_path, settings, argv.get("mode"), argv.get("whiten", False)
     )
 
     bundle = residual_qq(fit)
@@ -622,7 +624,7 @@ def cmd_diagnose(args) -> int:
     )
     plot_id, x, y, label = zip(*bundle_rows(bundle))
     table = Table.from_arrays("diagnostics", plot_id=plot_id, x=x, y=y, label=label)
-    chash = payload.get("config_hash", config_hash(config))
+    chash = payload.get("config_hash", config_hash(payload.get("config", {})))
     write_csv_table(table, args.out, _stamp_comment(chash))
     print(f"wrote {args.out}")
     return 0
@@ -632,14 +634,32 @@ def cmd_diagnose(args) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-_VALIDATE_KEYS = {f.name for f in dataclasses.fields(HarnessConfig)}
+
+def _like(default, **keys):
+    """The reader for values shaped like ``default``: integers, numbers and
+    strings; a tuple as a list of as many entries, each read like the
+    default's entry; and a settings dataclass as an object of its fields, each
+    read like its default unless ``keys`` names a reader for it."""
+    if dataclasses.is_dataclass(default):
+        fields = {f.name: _like(getattr(default, f.name)) for f in dataclasses.fields(default)}
+        return record(type(default), {**fields, **keys})
+    if not isinstance(default, tuple):
+        return {int: integer, float: number, str: text}[type(default)]
+    readers = [_like(entry) for entry in default]
+
+    def read(value, path: str) -> tuple:
+        if not isinstance(value, list) or len(value) != len(readers):
+            raise _bad(path, f"a list of {len(readers)} entries", value)
+        return tuple(r(v, f"{path}[{i}]") for i, (r, v) in enumerate(zip(readers, value)))
+
+    return read
+
+
+_HARNESS_CONFIG = _like(HarnessConfig(), checks=list_of(one_of(*ALL_CHECKS)))
 
 
 def cmd_validate(args) -> int:
-    config = _load_config(args.config, _VALIDATE_KEYS, "validate")
-    if args.seed is not None:
-        config["seed"] = args.seed
-    harness_config = config_from_dict(config) if config else HarnessConfig()
+    config, harness_config = _load_config(args.config, _HARNESS_CONFIG, seed=args.seed)
     report = run_harness(harness_config)
     payload = _stamp(config, {"report": report.to_dict()})
     atomic_write(args.out, _encode(payload) + "\n")

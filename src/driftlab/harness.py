@@ -159,7 +159,7 @@ class HarnessConfig:
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ValueError(f"unknown checks requested: {sorted(unknown)}")
-        for name in _CHECK_CONFIGS:
+        for name in (f.name for f in fields(self) if f.default_factory is not MISSING):
             sub = getattr(self, name)
             if sub.replicates < 100:
                 raise ValueError(f"{name}: need at least 100 replicates")
@@ -171,12 +171,6 @@ class HarnessConfig:
                     "noise will not be negligible next to the shift scale",
                     stacklevel=3,
                 )
-
-
-# HarnessConfig's per-check settings blocks: field name -> settings class
-_CHECK_CONFIGS = {
-    f.name: f.default_factory for f in fields(HarnessConfig) if f.default_factory is not MISSING
-}
 
 
 @dataclass(frozen=True)
@@ -222,21 +216,13 @@ class HarnessReport:
         }
 
 
-def _int_setting(value, name: str) -> int:
-    """``int(value)`` for an integer or an integral float, or a ValueError
-    that names the setting."""
-    try:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _thread_cap(requested: int) -> int:
     cap = os.environ.get("DRIFTLAB_THREADS")
     if cap is not None:
-        requested = min(requested, max(1, _int_setting(cap, "DRIFTLAB_THREADS")))
+        try:
+            requested = min(requested, max(1, int(cap)))
+        except ValueError:
+            raise ValueError(f"DRIFTLAB_THREADS must be an integer, got {cap!r}") from None
     return max(1, requested)
 
 
@@ -758,22 +744,3 @@ def run_harness(config: HarnessConfig) -> HarnessReport:
     results.sort(key=lambda r: order[r.name])
     return HarnessReport(results=tuple(results), seed=config.seed, threads=threads)
 
-
-def config_from_dict(payload: dict) -> HarnessConfig:
-    """Build a HarnessConfig from a plain dict (e.g. parsed JSON)."""
-    kwargs: dict = {}
-    for key, value in payload.items():
-        if key == "checks":
-            kwargs["checks"] = tuple(value)
-        elif key in ("seed", "threads"):
-            kwargs[key] = _int_setting(value, f"harness config key {key!r}")
-        elif key in _CHECK_CONFIGS:
-            sub = _CHECK_CONFIGS[key]
-            allowed = set(sub.__dataclass_fields__)
-            unknown = set(value) - allowed
-            if unknown:
-                raise ValueError(f"unknown keys in {key!r} config: {sorted(unknown)}")
-            kwargs[key] = sub(**value)
-        else:
-            raise ValueError(f"unknown harness config key {key!r}")
-    return HarnessConfig(**kwargs)

@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-class PerturbError(RuntimeError):
+class PerturbError(ValueError):
     """Raised when a weight scheme cannot produce valid (positive) weights."""
 
 
@@ -175,10 +175,11 @@ class GaussianCopulaWeights:
     copula_corr: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        c = np.asarray(self.copula_corr, dtype=float)
         k = len(self.laws)
-        if c.shape != (k, k):
-            raise ValueError("copula_corr must be K x K")
+        # row lengths first: numpy cannot shape a ragged matrix
+        if len(self.copula_corr) != k or any(len(row) != k for row in self.copula_corr):
+            raise ValueError(f"copula_corr must be K x K with K = {k} laws")
+        c = np.asarray(self.copula_corr, dtype=float)
         if not np.allclose(c, c.T):
             raise ValueError("copula_corr must be symmetric")
         if not np.allclose(np.diag(c), 1.0):

@@ -56,7 +56,7 @@ class Table:
 
     def column(self, col: str) -> np.ndarray:
         if col not in self.data:
-            raise KeyError(f"table {self.name!r} has no column {col!r}")
+            raise IngestError(f"table {self.name!r} has no column {col!r}")
         return self.data[col]
 
     @staticmethod

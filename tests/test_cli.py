@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from driftlab import cli
 from driftlab.tables import IngestError, read_csv_table
@@ -27,12 +34,16 @@ def write(path, text):
     return str(path)
 
 
+def write_small_data(directory):
+    s1 = write(directory / "s1.csv", "x,y\n1.0,2.0\n2.0,4.0\n3.0,6.5\n")
+    s2 = write(directory / "s2.csv", "x,y\n1.5,3.0\n2.5,5.2\n0.5,1.1\n")
+    tgt = write(directory / "tgt.csv", "x\n1.2\n2.2\n1.8\n")
+    return s1, s2, tgt
+
+
 @pytest.fixture
 def small_data(tmp_path):
-    s1 = write(tmp_path / "s1.csv", "x,y\n1.0,2.0\n2.0,4.0\n3.0,6.5\n")
-    s2 = write(tmp_path / "s2.csv", "x,y\n1.5,3.0\n2.5,5.2\n0.5,1.1\n")
-    tgt = write(tmp_path / "tgt.csv", "x\n1.2\n2.2\n1.8\n")
-    return s1, s2, tgt
+    return write_small_data(tmp_path)
 
 
 def write_outputs(tmp_path, small_data):
@@ -108,10 +119,166 @@ class TestConfigHandling:
                       "--config", cfg, "--out", str(tmp_path / "r")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [("fit", {"outcome": "y", "test_functions": ["column:nope"]}),
+         ("erm", {"outcome": "y", "covariates": ["nope"]})],
+    )
+    def test_config_naming_a_missing_column_is_user_error(
+        self, tmp_path, small_data, capsys, command, config
+    ):
+        s1, s2, tgt = small_data
+        cfg = write(tmp_path / "cfg.json", json.dumps(config))
+        out = tmp_path / "out"
+        rc = cli.run([command, "--data", s1, s2, "--target", tgt, "--config", cfg,
+                      "--out", str(out / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "has no column 'nope'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "erm"])
+    def test_seed_is_not_a_fit_or_erm_key(self, tmp_path, small_data, capsys, command):
+        s1, s2, tgt = small_data
+        cfg = write(tmp_path / "cfg.json", '{"outcome": "y", "seed": 1}')
+        rc = cli.run([command, "--data", s1, s2, "--target", tgt, "--config", cfg,
+                      "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert f"{cfg}: config has unknown keys ['seed']" in capsys.readouterr().err
+
     def test_config_hash_stable(self):
         h1 = cli.config_hash({"a": 1, "b": [1.5, 2.5]})
         h2 = cli.config_hash({"b": [1.5, 2.5], "a": 1})
         assert h1 == h2 and len(h1) == 64
+
+
+# Valid configs that set every key the config readers check, numbers written
+# as floats and integers as ints, so that a value's JSON type tells its kind.
+FULL_SIM = {
+    "seed": 5,
+    "m": 50,
+    "n_k": [100, 100],
+    "n_0": 100,
+    "columns": [
+        {"name": "x", "dist": "gaussian", "mean": 0.0, "sd": 1.0},
+        {"name": "r", "dist": "exponential", "rate": 1.5},
+        {"name": "u", "dist": "uniform"},
+        {"name": "c", "dist": "categorical", "levels": ["a", "b"], "probs": [0.5, 0.5]},
+    ],
+    "outcome": {"name": "y", "intercept": 1.0, "coef": {"x": 2.0}, "noise_sd": 0.5},
+}
+FULL_SCHEMES = {
+    "copula": {"kind": "gaussian_copula",
+               "laws": [{"family": "lognormal", "mu": 0.0, "sigma": 0.5},
+                        {"family": "gamma", "shape": 4.0, "scale": 0.25}],
+               "corr": [[1.0, 0.5], [0.5, 1.0]]},
+    "walk": {"kind": "random_walk", "base": {"family": "uniform", "lo": 0.5, "hi": 1.5},
+             "innovation_sd": 0.05, "k": 2},
+    "mixture": {"kind": "mixture",
+                "base_laws": [{"family": "gamma", "shape": 4.0, "scale": 0.25}],
+                "coefficients": [[0.7]], "noise_sd": [0.02]},
+}
+FULL_FIT = {"outcome": "y", "test_functions": ["column:x", "expr:x**2"], "mode": "sum_to_one",
+            "whiten": False, "ridge": 0.0, "data_label": "small"}
+FULL_ERM = {"outcome": "y", "test_functions": ["column:x", "expr:x**2"], "covariates": ["x"],
+            "dlm_mode": "simplex", "level": 0.9, "clip_quantile": 0.99}
+FULL_VALIDATE = {
+    "checks": ["clt_cov"],
+    "seed": 3,
+    "threads": 1,
+    "clt_cov": {"replicates": 100, "m": 16, "n_ratio": 10, "n_sources": 2, "sigma": 0.5},
+    "null_laws": {"weight_law": ["uniform", 0.2, 1.8]},
+}
+FULL_NAMES = [*(f"simulate_{s}" for s in FULL_SCHEMES), "fit", "erm", "diagnose", "validate"]
+WRONG_VALUES = ("text", ["text"], {"key": 1}, True, None, 0.5)
+
+
+@pytest.fixture(scope="module")
+def full_configs(tmp_path_factory):
+    """name -> (valid config, argv given the config file and an output
+    directory, key path under which the config is read)."""
+    root = tmp_path_factory.mktemp("full")
+    s1, s2, tgt = write_small_data(root)
+    fit = ["fit", "--data", s1, s2, "--target", tgt, "--config"]
+    assert cli.run([*fit, write(root / "fit.json", json.dumps(FULL_FIT)),
+                    "--out", str(root / "report")]) == 0
+    report = json.loads((root / "report.json").read_text())
+    simulate = lambda cfg, out: ["simulate", "--config", cfg, "--out", out]  # noqa: E731
+    return {
+        **{f"simulate_{s}": ({**FULL_SIM, "scheme": scheme}, simulate, ())
+           for s, scheme in FULL_SCHEMES.items()},
+        "fit": (FULL_FIT, lambda cfg, out: [*fit, cfg, "--out", f"{out}/r"], ()),
+        "erm": (FULL_ERM, lambda cfg, out: ["erm", "--data", s1, s2, "--target", tgt,
+                                            "--config", cfg, "--out", f"{out}/e.json"], ()),
+        "diagnose": (report, lambda cfg, out: ["diagnose", "--fit", cfg,
+                                               "--out", f"{out}/d.csv"], ("config",)),
+        "validate": (FULL_VALIDATE, lambda cfg, out: ["validate", "--config", cfg,
+                                                      "--out", f"{out}/v.json"], ()),
+    }
+
+
+def key_paths(value, path=()):
+    """(path, value) for every object key and list entry below ``value``."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield (*path, key), child
+        yield from key_paths(child, (*path, key))
+
+
+def path_text(path) -> str:
+    out = ""
+    for key in path:
+        out += f"[{key}]" if isinstance(key, int) else f".{key}" if out else key
+    return out
+
+
+def json_kind(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+class TestConfigReaders:
+    @pytest.mark.parametrize("name", FULL_NAMES)
+    def test_full_config_is_valid(self, tmp_path, full_configs, name):
+        config, argv, _ = full_configs[name]
+        cfg = write(tmp_path / "cfg.json", json.dumps(config))
+        assert cli.run(argv(cfg, str(tmp_path / "out"))) == 0
+
+    @pytest.mark.parametrize("name", FULL_NAMES)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_wrong_type_at_any_depth_is_user_error(self, full_configs, name, data):
+        config, argv, under = full_configs[name]
+        # another JSON type for each key, and a fraction where an integer stands
+        cases = [
+            (path, wrong)
+            for path, value in key_paths(config)
+            if path[: len(under)] == under and len(path) > len(under)
+            for wrong in WRONG_VALUES
+            if json_kind(wrong) != json_kind(value) or (type(value) is int and wrong == 0.5)
+        ]
+        path, wrong = data.draw(st.sampled_from(cases))
+        bad = copy.deepcopy(config)
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = wrong
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write(Path(tmp) / "cfg.json", json.dumps(bad))
+            out = Path(tmp) / "out"
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                rc = cli.run(argv(cfg, str(out)))
+            err = stderr.getvalue()
+            assert rc == 1, (path, wrong)
+            assert re.search(re.escape(f"{cfg}: {path_text(path)}") + r"[ \[.:]", err), err
+            assert "Traceback" not in err
+            assert not out.exists() or not any(out.iterdir())
 
 
 class TestFit:
@@ -367,40 +534,52 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"scheme": {"kind": "independent"}}, "scheme independent: missing key 'laws'"),
-            ({"m": "ten"}, "simulate config key 'm' must be an integer, got 'ten'"),
-            ({"m": 50.9}, "simulate config key 'm' must be an integer, got 50.9"),
+            ({"scheme": {"kind": "independent"}}, "sim.json: scheme.laws is missing"),
+            ({"m": "ten"}, "sim.json: m must be an integer, got 'ten'"),
+            ({"m": 50.9}, "sim.json: m must be an integer, got 50.9"),
             (
                 {"columns": [{"name": "x", "dist": "gaussian", "sd": "big"}]},
-                "column 'x': key 'sd' must be a number, got 'big'",
+                "sim.json: columns[0].sd must be a finite number, got 'big'",
             ),
-            ({"columns": [{"name": "x", "dist": "gaussian", "sd": -1}]}, "column 'x': sd must be > 0"),
-            ({"columns": [{"name": "x", "dist": "exponential", "rate": 0}]}, "column 'x': rate must be > 0"),
+            ({"columns": [{"name": "x", "dist": "gaussian", "sd": -1}]}, "sim.json: columns[0]: sd must be > 0"),
+            ({"columns": [{"name": "x", "dist": "exponential", "rate": 0}]}, "sim.json: columns[0]: rate must be > 0"),
             (
                 {"scheme": {"kind": "independent",
                             "laws": [{"family": "lognormal", "mu": 0.0, "sigma": "wide"}]}},
-                "weight law lognormal: key 'sigma' must be a number, got 'wide'",
+                "sim.json: scheme.laws[0].sigma must be a finite number, got 'wide'",
             ),
-            ({"columns": [1]}, "columns[0] must be an object, got 1"),
+            ({"columns": [1]}, "sim.json: columns[0] must be an object, got 1"),
             (
                 {"columns": [{"name": "x", "dist": "uniform"}, {"name": "x", "dist": "uniform"}]},
-                "duplicate column names ['x']",
+                "sim.json: columns[1].name must be distinct from the names before it, got 'x'",
             ),
-            ({"columns": [{"name": "x", "dist": "gaussian", "sdd": 1}]}, "column 'x': unknown keys ['sdd']"),
+            ({"columns": [{"name": "x", "dist": "gaussian", "sdd": 1}]}, "sim.json: columns[0] has unknown keys ['sdd']"),
             (
                 {"scheme": {"kind": "independent", "laws": [SMALL_SIM["scheme"]["laws"][0]] * 2},
                  "n_k": [200, 0]},
-                "simulate config key 'n_k' must be >= 1, got 0",
+                "sim.json: n_k[1] must be an integer >= 1, got 0",
             ),
             (
                 {"columns": [{"name": "c", "dist": "categorical", "levels": ["a", "b"],
                               "probs": [0.2, 0.3, 0.5]}]},
-                "column 'c': probs must have one entry per level",
+                "sim.json: columns[0]: probs must have one entry per level",
+            ),
+            (
+                {"scheme": {"kind": "gaussian_copula", "laws": [SMALL_SIM["scheme"]["laws"][0]] * 2,
+                            "corr": [[1, 0.5], [0.5]]}},
+                "sim.json: scheme: copula_corr must be K x K",
+            ),
+            (
+                {"scheme": {"kind": "random_walk",
+                            "base": {"family": "uniform", "lo": 0.5, "hi": 1.5},
+                            "innovation_sd": 100, "k": 200}},
+                "driftlab: error: nonpositive weights persisted",
             ),
         ],
         ids=["missing_key", "non_integer", "fractional_m", "sd_not_a_number", "sd_negative",
              "rate_zero", "law_sigma_not_a_number", "column_not_an_object", "duplicate_column",
-             "unknown_column_key", "n_k_zero", "probs_length"],
+             "unknown_column_key", "n_k_zero", "probs_length", "ragged_corr",
+             "weights_stay_nonpositive"],
     )
     def test_bad_config_value_is_user_error(self, tmp_path, capsys, change, message):
         cfg = write(tmp_path / "sim.json", json.dumps({**SMALL_SIM, **change}))
@@ -555,7 +734,7 @@ class TestValidateCli:
         rc = cli.run(["validate", "--config", cfg, "--out", str(tmp_path / "v.json")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"harness config key '{key}' must be an integer, got 'x'" in err
+        assert f"{cfg}: {key} must be an integer, got 'x'" in err
         assert "invalid literal" not in err
 
 

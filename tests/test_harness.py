@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import driftlab as dl
-from driftlab import analytic
+from driftlab import analytic, cli
 from driftlab import harness as H
 
 
@@ -142,14 +142,14 @@ def test_config_from_dict_round_trip():
         "checks": ["clt_cov", "f_null"],
         "clt_cov": {"replicates": 500, "m": 128},
     }
-    config = H.config_from_dict(payload)
+    config = cli._HARNESS_CONFIG(payload, "")
     assert config.seed == 99
     assert config.clt_cov.replicates == 500
     assert config.clt_cov.m == 128
     with pytest.raises(ValueError):
-        H.config_from_dict({"unknown_section": {}})
+        cli._HARNESS_CONFIG({"unknown_section": {}}, "")
     with pytest.raises(ValueError):
-        H.config_from_dict({"clt_cov": {"bogus": 1}})
+        cli._HARNESS_CONFIG({"clt_cov": {"bogus": 1}}, "")
     with pytest.raises(ValueError):
         H.HarnessConfig(checks=("not_a_check",))
     with pytest.raises(ValueError):
