@@ -49,7 +49,6 @@ from .perturb import (
     IndependentWeights,
     MixtureWeights,
     PerturbationScheme,
-    PerturbedWorld,
     RandomWalkWeights,
     TargetDistribution,
     categorical_target,

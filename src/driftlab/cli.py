@@ -151,6 +151,9 @@ number = _reader("a finite number",
                  lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, float)
 integer = _reader("an integer", _integral, int)
 count = _reader("an integer >= 1", lambda v: _integral(v) and v >= 1, int)
+# a confidence level lies in the open unit interval, a quantile in the closed one
+open_unit = _reader("a number in (0, 1)", lambda v: type(v) in (int, float) and 0 < v < 1, float)
+unit = _reader("a number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1, float)
 flag = _reader("true or false", lambda v: type(v) is bool)
 text = _reader("a non-empty string", lambda v: isinstance(v, str) and v != "")
 _object = _reader("an object", lambda v: isinstance(v, dict))
@@ -320,9 +323,9 @@ def _sizes(value, path: str) -> int | tuple[int, ...]:
 
 
 def _simulation(m, scheme, n_k, n_0, columns, seed=0, outcome=None):
-    """The read simulate keys checked against each other: the scheme with m
-    and the seed, one size per dataset, and the outcome with its defaults."""
-    scheme = PerturbationScheme(m, scheme, seed)
+    """The read simulate keys checked against each other: the scheme with m,
+    one size per dataset, the outcome with its defaults, and the seed."""
+    scheme = PerturbationScheme(m, scheme)
     k = scheme.n_dists
     sizes = n_k if isinstance(n_k, tuple) else (n_k,) * k
     if len(sizes) != k:
@@ -345,7 +348,7 @@ def _simulation(m, scheme, n_k, n_0, columns, seed=0, outcome=None):
             raise _bad("outcome.name", "distinct from every column name", outcome["name"])
         if outcome["noise_sd"] < 0:
             raise _bad("outcome.noise_sd", ">= 0", outcome["noise_sd"])
-    return scheme, sizes, n_0, columns, outcome
+    return scheme, sizes, n_0, columns, outcome, seed
 
 
 _SIMULATION = record(
@@ -372,10 +375,10 @@ def _build_table(name, u, columns, outcome):
 def cmd_simulate(args) -> int:
     # the whole config is read and checked before a world is drawn or a file
     # written
-    config, (scheme, n_list, n_0, columns, outcome) = _load_config(
+    config, (scheme, n_list, n_0, columns, outcome, seed) = _load_config(
         args.config, _SIMULATION, seed=args.seed
     )
-    config["seed"] = seed = scheme.seed
+    config["seed"] = seed
     m, k = scheme.m, scheme.n_dists
     check_regime(m, min(n_list))
 
@@ -400,8 +403,8 @@ def cmd_simulate(args) -> int:
     world_payload = _stamp(
         config,
         {
-            "sigma_w": world.sigma_w,
-            "mean_w": world.mean_w,
+            "sigma_w": scheme.weight_law.sigma_w(),
+            "mean_w": scheme.weight_law.mean_w(),
             "m": m,
             "n_sources": k,
             "seed_lanes": {"world": _LANE_WORLD, "datasets": _LANE_DATASET},
@@ -485,8 +488,8 @@ _ERM_CONFIG = {
     "test_functions": list_of(text),
     "covariates": list_of(text),
     "dlm_mode": _MODE,
-    "level": number,
-    "clip_quantile": number,
+    "level": open_unit,
+    "clip_quantile": unit,
 }
 
 
@@ -560,14 +563,13 @@ def cmd_erm(args) -> int:
     }
     if dlm_fit is not None:
         ci = erm_mod.erm_ci(fit, dlm_fit, level=level)
-        shift_scale = dlm_fit.rss / dlm_fit.n_functions
-        risk = erm_mod.ood_risk(fit, shift_scale=shift_scale)
+        risk = erm_mod.ood_risk(fit, shift_scale=dlm_fit.shift_scale)
         report["ci"] = {"level": level, "intervals": ci}
         report["ood_risk"] = {
             "mode": risk.mode,
             "value": risk.value,
             "trace_term": risk.trace_term,
-            "shift_scale": shift_scale,
+            "shift_scale": dlm_fit.shift_scale,
         }
     payload = _stamp(
         {**config, "argv": {"data": args.data, "target": args.target,

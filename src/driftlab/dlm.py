@@ -94,6 +94,12 @@ class DlmFit:
     def n_sources(self) -> int:
         return self.beta_hat.size
 
+    @property
+    def shift_scale(self) -> float:
+        """Mean squared residual: the plug-in estimate of the squared shift
+        magnitude."""
+        return self.rss / self.n_functions
+
 
 @dataclass(frozen=True)
 class ContrastSpec:
@@ -508,16 +514,15 @@ def target_ci(
     if source_means.size != fit.n_sources:
         raise ValueError("phi0 needs one mean per source dataset")
     estimate = float(fit.beta_hat @ source_means)
-    shift_scale = fit.rss / fit.n_functions
     z = ndtri(0.5 + level / 2.0)
-    half = float(z * np.sqrt(var_hat) * np.sqrt(shift_scale))
+    half = float(z * np.sqrt(var_hat) * np.sqrt(fit.shift_scale))
     return TargetCI(
         phi0_name=name,
         estimate=estimate,
         half_width=half,
         level=level,
         variance_hat=var_hat,
-        shift_scale=shift_scale,
+        shift_scale=fit.shift_scale,
     )
 
 

@@ -380,10 +380,9 @@ def erm_ci(fit: ErmFit, dlm_fit: DlmFit, level: float = 0.95) -> np.ndarray:
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    shift_scale = dlm_fit.rss / dlm_fit.n_functions
     z = ndtri(0.5 + level / 2.0)
     sd = np.sqrt(np.diag(fit.influence_variance))
-    half = z * sd * np.sqrt(shift_scale)
+    half = z * sd * np.sqrt(dlm_fit.shift_scale)
     return np.column_stack([fit.theta_hat - half, fit.theta_hat + half])
 
 

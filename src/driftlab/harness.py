@@ -91,6 +91,14 @@ class KronCovConfig:
     copula_rho: float = 0.6
 
 
+def _weight_law(spec: tuple) -> WeightLaw:
+    """The marginal law a settings block's ``weight_law`` (family, a, b) names."""
+    try:
+        return WeightLaw(*spec)
+    except ValueError as exc:
+        raise ValueError(f"weight_law: {exc}") from None
+
+
 @dataclass(frozen=True)
 class NullLawsConfig:
     # dyadic bin count for the Walsh test functions; symmetric bin weights
@@ -103,6 +111,9 @@ class NullLawsConfig:
     n_functions: int = 50
     weight_law: tuple = ("uniform", 0.2, 1.8)
 
+    def __post_init__(self):
+        _weight_law(self.weight_law)
+
 
 @dataclass(frozen=True)
 class CiChi2Config:
@@ -114,6 +125,11 @@ class CiChi2Config:
     n_functions: int = 500
     weight_law: tuple = ("uniform", 0.2, 1.8)
     level: float = 0.95
+
+    def __post_init__(self):
+        _weight_law(self.weight_law)
+        if not 0.0 < self.level < 1.0:
+            raise ValueError("level must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -430,7 +446,7 @@ def _simulate_null(cfg, seed: int, threads: int, lane: int, with_ci: bool):
     n_funcs = cfg.n_functions
     n = cfg.n_ratio * cfg.m
     n0 = cfg.n0_ratio * cfg.m
-    law = WeightLaw(*cfg.weight_law)
+    law = _weight_law(cfg.weight_law)
     scheme = PerturbationScheme(cfg.m, IndependentWeights((law,) * k))
     beta_star = np.full(k, 1.0 / k)
     table = _walsh_table(n_funcs, cfg.m)

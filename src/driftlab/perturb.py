@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 from scipy.stats import gamma as gamma_dist
 
-from .rng import split_uniform, substream
+from .rng import split_uniform
 
 _RESAMPLE_CAP = 100
 
@@ -39,7 +39,6 @@ __all__ = [
     "RandomWalkWeights",
     "MixtureWeights",
     "PerturbationScheme",
-    "PerturbedWorld",
     "realize_world",
     "sample_uniform",
     "shift_target",
@@ -368,68 +367,42 @@ class MixtureWeights:
 
 @dataclass(frozen=True)
 class PerturbationScheme:
-    """Generative recipe for one realized set of perturbed distributions."""
+    """Generative recipe for one realized set of perturbed distributions.
+
+    The weight law's ``sigma_w`` is checked once, here: it must be symmetric
+    and positive semidefinite.
+    """
 
     m: int
     weight_law: IndependentWeights | GaussianCopulaWeights | RandomWalkWeights | MixtureWeights
-    seed: int = 0
 
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("need at least m = 2 bins")
+        sigma_w = self.weight_law.sigma_w()
+        if not np.allclose(sigma_w, sigma_w.T):
+            raise ValueError("sigma_w must be symmetric")
+        if np.linalg.eigvalsh(sigma_w).min() < -1e-8:
+            raise ValueError("sigma_w must be positive semidefinite")
 
     @property
     def n_dists(self) -> int:
         return self.weight_law.n_dists
 
 
-@dataclass(frozen=True)
-class PerturbedWorld:
-    """One realization of bin weights plus the analytic sigma_w.
-
-    Immutable after construction; sampling takes an explicit generator, so
-    worlds are safe to share across threads.
-    """
-
-    weights: np.ndarray  # (K, m)
-    sigma_w: np.ndarray  # (K, K)
-    mean_w: np.ndarray  # (K,)
-    m: int
-
-    def __post_init__(self):
-        if self.weights.shape != (self.sigma_w.shape[0], self.m):
-            raise ValueError("weights must be (K, m)")
-        if not np.allclose(self.sigma_w, self.sigma_w.T):
-            raise ValueError("sigma_w must be symmetric")
-        if np.linalg.eigvalsh(self.sigma_w).min() < -1e-8:
-            raise ValueError("sigma_w must be positive semidefinite")
-        if np.any(self.weights <= 0):
-            raise ValueError("all realized weights must be strictly positive")
-
-    @property
-    def n_dists(self) -> int:
-        return self.weights.shape[0]
-
-
-def realize_world(scheme: PerturbationScheme, rng: np.random.Generator | None = None) -> PerturbedWorld:
-    """Draw the bin-weight matrix for one world.
-
-    Reproducible: with ``rng`` omitted, the stream is derived from
-    ``scheme.seed`` alone.
-    """
-    if rng is None:
-        rng = substream(scheme.seed, lane=0)
+def realize_world(scheme: PerturbationScheme, rng: np.random.Generator) -> np.ndarray:
+    """Draw one world: the (K, m) matrix of strictly positive bin weights."""
     w = scheme.weight_law.draw(rng, scheme.m)
-    return PerturbedWorld(
-        weights=w,
-        sigma_w=scheme.weight_law.sigma_w(),
-        mean_w=scheme.weight_law.mean_w(),
-        m=scheme.m,
-    )
+    if w.shape != (scheme.n_dists, scheme.m):
+        raise ValueError("weights must be (K, m)")
+    if np.any(w <= 0):
+        raise ValueError("all realized weights must be strictly positive")
+    return w
 
 
-def sample_uniform(world: PerturbedWorld, k: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n values from the k-th reweighted uniform distribution.
+def sample_uniform(weights: np.ndarray, k: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n values from the k-th reweighted uniform distribution of the
+    world ``weights`` (K, m).
 
     A bin is selected with probability proportional to its weight, then the
     value is uniform within the bin. Conditioned on the weights the draws
@@ -437,17 +410,18 @@ def sample_uniform(world: PerturbedWorld, k: int, n: int, rng: np.random.Generat
     over the cumulative bin probabilities; :func:`_find_bins` computes
     exactly that index with a guide table.
     """
-    if not 0 <= k < world.n_dists:
-        raise IndexError(f"dataset index {k} out of range [0, {world.n_dists})")
+    n_dists, m = weights.shape
+    if not 0 <= k < n_dists:
+        raise IndexError(f"dataset index {k} out of range [0, {n_dists})")
     if n < 1:
         raise ValueError("n must be >= 1")
-    w = world.weights[k]
+    w = weights[k]
     cum = np.cumsum(w / w.sum())
     cum[-1] = 1.0
     bins = _find_bins(cum, rng.random(n))
     u = rng.random(n)
     u += bins
-    u /= world.m
+    u /= m
     return u
 
 
@@ -477,25 +451,20 @@ def _find_bins(cum: np.ndarray, r: np.ndarray) -> np.ndarray:
     return bins
 
 
-def shift_target(world: PerturbedWorld) -> PerturbedWorld:
-    """Re-express a (K+1)-distribution world relative to its last member.
+def shift_target(sigma_w: np.ndarray) -> np.ndarray:
+    """Re-express the sigma_w of K+1 distributions relative to the last.
 
-    The last weight row is designated as the new reference distribution; the
-    remaining K keep their realized weights, and sigma_w becomes
-    ``A sigma_w A^T`` with ``A = [I_K | -1]``, the covariance of shifts
-    measured against the new (itself random) reference.
+    The last distribution becomes the new reference and the first K keep
+    their weights (``weights[:-1]``); their sigma_w is ``A sigma_w A^T`` with
+    ``A = [I_K | -1]``, the covariance of shifts measured against the new
+    (itself random) reference.
     """
-    kp1 = world.n_dists
+    kp1 = len(sigma_w)
     if kp1 < 2:
         raise ValueError("need at least 2 distributions to designate a new target")
     k = kp1 - 1
     a = np.hstack([np.eye(k), -np.ones((k, 1))])
-    return PerturbedWorld(
-        weights=world.weights[:k],
-        sigma_w=a @ world.sigma_w @ a.T,
-        mean_w=world.mean_w[:k],
-        m=world.m,
-    )
+    return a @ sigma_w @ a.T
 
 
 # ---------------------------------------------------------------------------

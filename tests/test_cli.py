@@ -664,6 +664,25 @@ class TestErmCli:
         assert all(a <= t <= b for a, t, b in zip(lo, theta, hi))
 
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("level", 1.5, "level must be a number in (0, 1), got 1.5"),
+         ("level", 0, "level must be a number in (0, 1), got 0"),
+         ("clip_quantile", 1.5, "clip_quantile must be a number in [0, 1], got 1.5")],
+    )
+    def test_out_of_range_setting_exits_before_ingest(
+        self, tmp_path, small_data, monkeypatch, capsys, key, value, message
+    ):
+        monkeypatch.setattr(cli, "read_csv_table", lambda *a: pytest.fail("a CSV was opened"))
+        s1, s2, tgt = small_data
+        cfg = write(tmp_path / "cfg.json", json.dumps({key: value}))
+        rc = cli.run(["erm", "--data", s1, s2, "--target", tgt, "--weights", "importance",
+                      "--config", cfg, "--out", str(tmp_path / "e.json")])
+        assert rc == 1
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
+
+
 class TestDiagnoseCli:
     def test_diagnose_from_fit_report(self, tmp_path):
         out = tmp_path / "report"
@@ -726,6 +745,28 @@ class TestValidateCli:
         err = capsys.readouterr().err
         assert "DRIFTLAB_THREADS must be an integer, got 'abc'" in err
         assert "invalid literal" not in err
+        assert not (tmp_path / "v.json").exists()
+
+    @pytest.mark.parametrize(
+        "block, setting, message",
+        [("null_laws", {"weight_law": ["weibull", 0.2, 1.8]},
+          "null_laws: weight_law: unknown weight family 'weibull'"),
+         ("ci_chi2", {"weight_law": ["uniform", -1.0, 1.8]},
+          "ci_chi2: weight_law: uniform weight law needs 0 < lo <= hi"),
+         ("ci_chi2", {"level": 1.5}, "ci_chi2: level must be in (0, 1)")],
+    )
+    def test_bad_block_setting_exits_before_any_check(
+        self, tmp_path, monkeypatch, capsys, block, setting, message
+    ):
+        monkeypatch.setattr(cli, "run_harness", lambda config: pytest.fail("a check ran"))
+        cfg = write(tmp_path / "val.json", json.dumps({
+            "checks": ["clt_cov", "t_null", "ci_coverage"],
+            "clt_cov": {"replicates": 400, "m": 100},
+            block: {**setting, "replicates": 100},
+        }))
+        rc = cli.run(["validate", "--config", cfg, "--out", str(tmp_path / "v.json")])
+        assert rc == 1
+        assert f"{cfg}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "v.json").exists()
 
     @pytest.mark.parametrize("key", ["threads", "seed"])

@@ -10,28 +10,28 @@ from driftlab import harness as H
 
 def test_analytic_sigma_w_independent_of_perturb_module():
     # the harness targets re-derive sigma_w from scheme parameters; they
-    # must agree with what the simulation module reports for its worlds
+    # must agree with what the simulation module reports for its schemes
     law = dl.lognormal_law(0.1, 0.4)
-    world = dl.realize_world(dl.PerturbationScheme(16, dl.IndependentWeights((law, law))))
+    scheme = dl.PerturbationScheme(16, dl.IndependentWeights((law, law)))
     target = analytic.scheme_sigma_w("independent", laws=[("lognormal", 0.1, 0.4)] * 2)
-    assert np.allclose(world.sigma_w, target)
+    assert np.allclose(scheme.weight_law.sigma_w(), target)
 
     mix = dl.MixtureWeights((law,), ((0.9,),), (0.02,))
-    world = dl.realize_world(dl.PerturbationScheme(16, mix))
+    scheme = dl.PerturbationScheme(16, mix)
     target = analytic.scheme_sigma_w(
         "mixture",
         base_laws=[("lognormal", 0.1, 0.4)],
         coefficients=[[0.9]],
         noise_sd=[0.02],
     )
-    assert np.allclose(world.sigma_w, target)
+    assert np.allclose(scheme.weight_law.sigma_w(), target)
 
     walk = dl.RandomWalkWeights(dl.uniform_law(0.5, 1.5), 0.03, 3)
-    world = dl.realize_world(dl.PerturbationScheme(16, walk))
+    scheme = dl.PerturbationScheme(16, walk)
     target = analytic.scheme_sigma_w(
         "random_walk", base=("uniform", 0.5, 1.5), innovation_sd=0.03, k=3
     )
-    assert np.allclose(world.sigma_w, target)
+    assert np.allclose(scheme.weight_law.sigma_w(), target)
 
 
 def test_analytic_uniform_moments():
@@ -117,6 +117,33 @@ def test_threaded_run_matches_serial():
         serial.results[0].empirical["cov_corrected"]
         == threaded.results[0].empirical["cov_corrected"]
     )
+
+
+def test_results_do_not_depend_on_the_thread_count(monkeypatch):
+    # every check through the pooled branch of _replicate_map and through the
+    # serial one
+    monkeypatch.delenv("DRIFTLAB_THREADS", raising=False)
+    small = dict(
+        clt_cov=H.CltCovConfig(replicates=100, m=32, n_ratio=10),
+        kron_cov=H.KronCovConfig(replicates=100, m=32, n_ratio=10),
+        null_laws=H.NullLawsConfig(replicates=100, m=64, n_ratio=10, n0_ratio=10,
+                                   n_functions=20),
+        ci_chi2=H.CiChi2Config(replicates=100, m=64, n_ratio=10, n0_ratio=10, n_functions=20),
+        erm_excess_risk=H.ExcessRiskConfig(replicates=100, m=64, n_ratio=10),
+        conditional_shift=H.ConditionalShiftConfig(replicates=100, m=32, n_ratio=10,
+                                                   n0_ratio=10),
+    )
+    payloads = []
+    for threads in (1, 2):
+        report = H.run_harness(light_config(threads=threads, **small))
+        assert report.threads == threads
+        payload = report.to_dict()
+        payload.pop("threads")
+        for result in payload["results"]:
+            result.pop("runtime_s")
+        payloads.append(payload)
+    assert [r["name"] for r in payloads[0]["results"]] == list(H.ALL_CHECKS)
+    assert payloads[0] == payloads[1]
 
 
 def test_thread_cap_env(monkeypatch):

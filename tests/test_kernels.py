@@ -137,13 +137,12 @@ def test_find_bins_edges_and_both_paths(w, guided):
 def test_sample_uniform_matches_searchsorted_definition():
     law = dl.lognormal_law(0.0, 0.8)
     scheme = dl.PerturbationScheme(100, dl.IndependentWeights((law, law)))
-    world = dl.realize_world(scheme, substream(8, 3))
+    weights = dl.realize_world(scheme, substream(8, 3))
     for k in range(2):
-        got = dl.sample_uniform(world, k, 5000, substream(8, 4, k))
+        got = dl.sample_uniform(weights, k, 5000, substream(8, 4, k))
         rng = substream(8, 4, k)
-        w = world.weights[k]
-        bins = np.searchsorted(cumulative(w), rng.random(5000), side="right")
-        assert_bitwise(got, (bins + rng.random(5000)) / world.m)
+        bins = np.searchsorted(cumulative(weights[k]), rng.random(5000), side="right")
+        assert_bitwise(got, (bins + rng.random(5000)) / scheme.m)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,16 +13,15 @@ LOGNORMAL_REL_VAR = math.exp(0.25) - 1.0  # Var(W)/E[W]^2 for sigma = 0.5
 
 def test_constant_weights_give_zero_sigma_w():
     scheme = dl.PerturbationScheme(10, dl.IndependentWeights((dl.uniform_law(1.0, 1.0),) * 3))
-    world = dl.realize_world(scheme)
-    assert np.all(world.weights == 1.0)
-    assert np.all(world.sigma_w == 0.0)
+    weights = dl.realize_world(scheme, substream(0, 0))
+    assert np.all(weights == 1.0)
+    assert np.all(scheme.weight_law.sigma_w() == 0.0)
 
 
 def test_lognormal_sigma_w_closed_form_and_monte_carlo():
     law = dl.lognormal_law(0.0, 0.5)
-    scheme = dl.PerturbationScheme(50, dl.IndependentWeights((law, law)), seed=1)
-    world = dl.realize_world(scheme)
-    assert world.sigma_w == pytest.approx(np.diag([LOGNORMAL_REL_VAR] * 2))
+    scheme = dl.PerturbationScheme(50, dl.IndependentWeights((law, law)))
+    assert scheme.weight_law.sigma_w() == pytest.approx(np.diag([LOGNORMAL_REL_VAR] * 2))
     # cross-check the closed form against a large direct sample
     w = law.draw(substream(1, 99), 1_000_000)
     rel = w.var() / w.mean() ** 2
@@ -62,17 +61,20 @@ def test_misconfigured_schemes_error():
         bad.sigma_w()  # zero derived mean is rejected up front
     # a mixture whose derived component has negative mean almost never
     # realizes positive: the reject-and-resample cap must trip instead of
-    # looping forever
+    # looping forever. A scheme rejects that law up front, through its
+    # sigma_w, so the law draws on its own.
     nasty = dl.MixtureWeights((law,), ((-1.0,),), (0.5,))
+    with pytest.raises(ValueError, match="positive mean"):
+        dl.PerturbationScheme(2000, nasty)
     with pytest.raises(PerturbError):
-        dl.realize_world(dl.PerturbationScheme(2000, nasty, seed=5))
+        nasty.draw(substream(5, 0), 2000)
 
 
 def test_mixture_resampling_repairs_rare_negatives():
     law = dl.uniform_law(0.9, 1.1)
     mix = dl.MixtureWeights((law,), ((1.0,),), (0.4,))
-    world = dl.realize_world(dl.PerturbationScheme(2000, mix, seed=6))
-    assert world.weights.min() > 0
+    weights = dl.realize_world(dl.PerturbationScheme(2000, mix), substream(6, 0))
+    assert weights.min() > 0
 
 
 def test_random_walk_sigma_w():
@@ -91,21 +93,15 @@ def test_random_walk_sigma_w():
 
 def test_unperturbed_sampling_is_uniform():
     scheme = dl.PerturbationScheme(7, dl.IndependentWeights((dl.uniform_law(1.0, 1.0),)))
-    world = dl.realize_world(scheme)
-    u = dl.sample_uniform(world, 0, 100_000, substream(6, 1))
+    weights = dl.realize_world(scheme, substream(0, 0))
+    u = dl.sample_uniform(weights, 0, 100_000, substream(6, 1))
     stat = stats.kstest(u, "uniform").statistic
     # 1% critical value of the KS statistic
     assert stat < 1.63 / np.sqrt(100_000)
 
 
 def test_two_bin_probability():
-    world = dl.PerturbedWorld(
-        weights=np.array([[2.0, 1.0]]),
-        sigma_w=np.zeros((1, 1)),
-        mean_w=np.array([1.5]),
-        m=2,
-    )
-    u = dl.sample_uniform(world, 0, 1_000_000, substream(7, 1))
+    u = dl.sample_uniform(np.array([[2.0, 1.0]]), 0, 1_000_000, substream(7, 1))
     frac = np.mean(u < 0.5)
     se = np.sqrt((2 / 3) * (1 / 3) / 1e6)
     assert abs(frac - 2 / 3) < 4 * se
@@ -113,10 +109,10 @@ def test_two_bin_probability():
 
 def test_sampling_is_deterministic_given_seed():
     law = dl.lognormal_law(0.0, 0.5)
-    scheme = dl.PerturbationScheme(20, dl.IndependentWeights((law,)), seed=9)
-    w1 = dl.realize_world(scheme)
-    w2 = dl.realize_world(scheme)
-    assert np.array_equal(w1.weights, w2.weights)
+    scheme = dl.PerturbationScheme(20, dl.IndependentWeights((law,)))
+    w1 = dl.realize_world(scheme, substream(9, 0))
+    w2 = dl.realize_world(scheme, substream(9, 0))
+    assert np.array_equal(w1, w2)
     u1 = dl.sample_uniform(w1, 0, 1000, substream(9, 1, 4))
     u2 = dl.sample_uniform(w2, 0, 1000, substream(9, 1, 4))
     assert np.array_equal(u1, u2)
@@ -159,19 +155,14 @@ def test_standardized_shifts_are_normal():
 
 
 def test_shift_target_examples():
-    def world_with(sigma):
-        sigma = np.asarray(sigma, dtype=float)
-        k = sigma.shape[0]
-        return dl.PerturbedWorld(np.ones((k, 4)), sigma, np.ones(k), 4)
-
-    shifted = dl.shift_target(world_with(np.eye(2)))
-    assert shifted.sigma_w == pytest.approx(np.array([[2.0]]))
-    shifted = dl.shift_target(world_with(np.eye(3)))
-    assert shifted.sigma_w == pytest.approx(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    coupled = dl.shift_target(world_with(np.ones((3, 3))))
-    assert coupled.sigma_w == pytest.approx(np.zeros((2, 2)), abs=1e-12)
+    shifted = dl.shift_target(np.eye(2))
+    assert shifted == pytest.approx(np.array([[2.0]]))
+    shifted = dl.shift_target(np.eye(3))
+    assert shifted == pytest.approx(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    coupled = dl.shift_target(np.ones((3, 3)))
+    assert coupled == pytest.approx(np.zeros((2, 2)), abs=1e-12)
     with pytest.raises(ValueError):
-        dl.shift_target(world_with(np.eye(1)))
+        dl.shift_target(np.eye(1))
 
 
 def test_transform_targets_reproduce_declared_moments():
