@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from . import analytic
 from .dlm import fit_weights, target_ci
@@ -483,6 +483,17 @@ def _simulate_null(cfg, seed: int, threads: int, lane: int, with_ci: bool):
     return _replicate_map(one, cfg.replicates, threads, 4), n, n0
 
 
+def _kstest(sample: np.ndarray, law: str, *args):
+    """KS test of ``sample`` against the ``scipy.stats`` law ``law(*args)``.
+
+    ``scipy.stats`` is imported here, not with the module: importing it takes
+    about a second, and no other subcommand than ``validate`` needs it.
+    """
+    from scipy import stats
+
+    return stats.kstest(sample, law, args=args)
+
+
 def check_null_laws(cfg: NullLawsConfig, seed: int, threads: int) -> list[CheckResult]:
     """t and F statistics under the exchangeable null vs their exact laws."""
     t0 = time.perf_counter()
@@ -491,10 +502,10 @@ def check_null_laws(cfg: NullLawsConfig, seed: int, threads: int) -> list[CheckR
     t_vals, f_vals = data[:, 0], data[:, 1]
     runtime = time.perf_counter() - t0
 
-    crit = stats.t.ppf(0.975, df)
+    crit = stdtrit(df, 0.975)
     size = float(np.mean(np.abs(t_vals) > crit))
     size_se = math.sqrt(0.05 * 0.95 / cfg.replicates)
-    ks_t = stats.kstest(t_vals, "t", args=(df,))
+    ks_t = _kstest(t_vals, "t", df)
     t_pass = bool(0.04 <= size <= 0.06 and ks_t.pvalue > 0.01)
     results = [
         CheckResult(
@@ -513,7 +524,7 @@ def check_null_laws(cfg: NullLawsConfig, seed: int, threads: int) -> list[CheckR
             details={"replicates": cfg.replicates, "m": cfg.m, "n": n, "n0": n0},
         )
     ]
-    ks_f = stats.kstest(f_vals, "f", args=(cfg.n_sources - 1, df))
+    ks_f = _kstest(f_vals, "f", cfg.n_sources - 1, df)
     results.append(
         CheckResult(
             name="f_null",
@@ -544,7 +555,7 @@ def check_ci_chi2(cfg: CiChi2Config, seed: int, threads: int) -> list[CheckResul
     sigma_eff = analytic.effective_row_cov(sigma_w, cfg.m, [n] * k, n0)
     scale = analytic.optimal_uniform_quadratic(sigma_eff) / cfg.m
     chi2_stats = data[:, 2] / scale
-    ks = stats.kstest(chi2_stats, "chi2", args=(n_funcs,))
+    ks = _kstest(chi2_stats, "chi2", n_funcs)
     results = [
         CheckResult(
             name="chi2_residual",

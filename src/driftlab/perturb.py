@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammaincinv, ndtr, ndtri
 
 from .rng import split_uniform
 
@@ -116,7 +115,7 @@ class WeightLaw:
         if self.family == "lognormal":
             return np.exp(self.a + self.b * ndtri(q))
         if self.family == "gamma":
-            return gamma_dist.ppf(q, self.a, scale=self.b)
+            return gammaincinv(self.a, q) * self.b
         return self.a + (self.b - self.a) * np.asarray(q)
 
 

@@ -7,6 +7,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -122,32 +123,44 @@ class DatasetCollection:
         return tuple(tbl.name for tbl in self.sources)
 
 
-def _type_column(raw: list, colname: str, path: str, line_of) -> np.ndarray:
-    """Type a raw string column: numeric iff every cell parses as float."""
-    parsed = np.empty(len(raw), dtype=np.float64)
-    numeric = True
-    first_bad = None
-    n_ok = 0
-    for i, cell in enumerate(raw):
+def _type_column(raw: tuple[str, ...], colname: str, path: str, lines: list[int]) -> np.ndarray:
+    """Type a raw string column: numeric iff every stripped cell parses as float."""
+    try:
+        # numpy parses each str with Python's float(), so this is the per-cell
+        # rule at C speed; float() itself ignores surrounding whitespace.
+        return np.array(raw, dtype=np.float64)
+    except ValueError:
+        pass
+    cells = [c.strip() for c in raw]
+    distinct = set(cells)
+    bad = set()
+    for value in distinct:
         try:
-            parsed[i] = float(cell)
-            n_ok += 1
+            float(value)
         except ValueError:
-            numeric = False
-            if first_bad is None:
-                first_bad = i
-    if numeric:
-        return parsed
-    if n_ok > 0:
-        raise IngestError(
-            f"{path}: line {line_of(first_bad)}, column {colname!r}: "
-            f"unparseable numeric cell {raw[first_bad]!r}"
-        )
-    return np.asarray(raw, dtype=object)
+            bad.add(value)
+    if not bad:
+        # the raw cells failed only on whitespace that str.strip() removes
+        # but float() rejects, such as "\x1f"
+        return np.array(cells, dtype=np.float64)
+    if bad == distinct:
+        return np.array(cells, dtype=object)
+    first_bad = next(i for i, c in enumerate(cells) if c in bad)
+    raise IngestError(
+        f"{path}: line {lines[first_bad]}, column {colname!r}: "
+        f"unparseable numeric cell {cells[first_bad]!r}"
+    )
 
 
 def read_csv_table(path: str | Path, name: str | None = None) -> Table:
     """Read a headered CSV into a typed Table.
+
+    Blank lines and lines starting with ``#`` are skipped. A column is
+    numeric (float64) iff every cell, stripped of surrounding whitespace,
+    parses with Python's ``float()``, so ``1_000``, ``inf`` and ``nan`` are
+    numbers. A column where no cell parses is categorical (the stripped
+    strings). A column where some cells parse and others do not is an error
+    naming the first cell that does not.
 
     Errors name the file, line, and column involved: empty files, non-UTF8
     bytes, ragged rows, and cells that break an otherwise numeric column.
@@ -180,10 +193,10 @@ def read_csv_table(path: str | Path, name: str | None = None) -> Table:
             raise IngestError(
                 f"{path}: line {body_lines[i]}: expected {len(header)} fields, got {len(r)}"
             )
-    cols = {}
-    for j, colname in enumerate(header):
-        raw = [r[j].strip() for r in body]
-        cols[colname] = _type_column(raw, colname, str(path), lambda i: body_lines[i])
+    cols = {
+        colname: _type_column(raw, colname, str(path), body_lines)
+        for colname, raw in zip(header, zip(*body))
+    }
     return Table(name or path.stem, tuple(header), cols)
 
 
@@ -219,7 +232,7 @@ def atomic_write(path: str | Path, text: str) -> None:
 
 def _cells(col: np.ndarray):
     if col.dtype.kind == "f":
-        return (format(v, ".17g") for v in col)
+        return map(format, col.tolist(), repeat(".17g"))
     return map(str, col)
 
 

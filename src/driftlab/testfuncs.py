@@ -192,19 +192,15 @@ def parse_test_functions(
     return TestFunctionSet(tuple(funcs))
 
 
+def _levels(arr: np.ndarray) -> set[str]:
+    """The distinct values of a column as strings (numbers as numpy prints them)."""
+    values = arr.astype(str) if arr.dtype.kind == "f" else arr
+    return {str(v) for v in set(values.tolist())}
+
+
 def _expand_auto_indicators(col: str, data: DatasetCollection) -> list[TestFunction]:
-    source_cats: set = set()
-    for tbl in data.sources:
-        arr = tbl.column(col)
-        vals = np.unique(arr.astype(str) if arr.dtype.kind == "f" else arr)
-        source_cats.update(str(v) for v in vals)
-    target_arr = data.target.column(col)
-    target_cats = {
-        str(v)
-        for v in np.unique(
-            target_arr.astype(str) if target_arr.dtype.kind == "f" else target_arr
-        )
-    }
+    source_cats = set().union(*(_levels(tbl.column(col)) for tbl in data.sources))
+    target_cats = _levels(data.target.column(col))
     only_target = sorted(target_cats - source_cats)
     if only_target:
         warnings.warn(

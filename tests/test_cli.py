@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -786,6 +788,38 @@ class TestCliSurface:
 
     def test_unknown_subcommand_exits_1(self):
         assert cli.run(["frobnicate"]) == 1
+
+    def test_only_validate_imports_scipy_stats(self, tmp_path):
+        # scipy.stats takes about a second to import; only validate's KS
+        # tests need it, so every other subcommand must start without it.
+        script = (
+            "import json, sys\n"
+            "from driftlab import cli\n"
+            "seen = ['scipy.stats' in sys.modules]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if cli.run(argv) != 0:\n"
+            "        sys.exit(f'failed: {argv}')\n"
+            "    seen.append('scipy.stats' in sys.modules)\n"
+            "print(json.dumps(seen))\n"
+        )
+        data = ["--data", *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
+                "--target", str(FIXTURE / "target.csv")]
+        runs = [
+            ["fit", *data, "--config", str(FIXTURE / "fit_config.json"),
+             "--out", str(tmp_path / "fit")],
+            ["diagnose", "--fit", str(tmp_path / "fit.json"),
+             "--out", str(tmp_path / "diag.csv")],
+            ["erm", *data, "--loss", "squared", "--weights", "dlm",
+             "--config", write(tmp_path / "cfg.json", '{"outcome": "income"}'),
+             "--out", str(tmp_path / "erm.json")],
+            ["simulate", "--config", str(FIXTURE / "sim_config.json"),
+             "--out", str(tmp_path / "sim")],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False] * (1 + len(runs))
 
     def test_missing_file_is_user_error(self, tmp_path):
         rc = cli.run(["fit", "--data", "nope.csv", "--target", "nope2.csv",

@@ -1,17 +1,19 @@
 """Oracle tests: the table-driven sampling kernels and the scipy.special
-p-values give bit-for-bit the outputs of the reference definitions."""
+p-values and quantiles give bit-for-bit the outputs of the reference
+definitions."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import stdtrit
 
 import driftlab as dl
 from conftest import make_moments
 from driftlab.dlm import ContrastSpec, _f_sf, fit_weights, infer, target_ci
 from driftlab.moments import ScalarMoments
-from driftlab.perturb import _GUIDE_MAX_PASSES, _find_bins
+from driftlab.perturb import _GUIDE_MAX_PASSES, WeightLaw, _find_bins
 from driftlab.rng import split_uniform, substream
 
 
@@ -179,3 +181,20 @@ def test_dlm_pvalues_equal_scipy_stats(k, extra, seed):
 )
 def test_f_sf_equals_scipy_stats_everywhere(x, dfn, dfd):
     assert_bitwise(_f_sf(x, dfn, dfd), float(stats.f.sf(x, dfn, dfd)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.floats(1e-3, 1e3),
+    scale=st.floats(1e-3, 1e3),
+    q=st.lists(st.floats(0.0, 1.0), max_size=50),
+)
+def test_gamma_ppf_equals_scipy_stats(shape, scale, q):
+    q = np.array(q + [0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0])
+    law = WeightLaw("gamma", shape, scale)
+    assert_bitwise(law.ppf(q), stats.gamma.ppf(q, shape, scale=scale))
+
+
+def test_harness_t_critical_value_equals_scipy_stats():
+    df = np.arange(1, 400)
+    assert_bitwise(stdtrit(df, 0.975), stats.t.ppf(0.975, df))

@@ -1,9 +1,19 @@
+import csv
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftlab.tables import Table, atomic_open, atomic_write, read_csv_table, write_csv_table
+from driftlab.tables import (
+    IngestError,
+    Table,
+    atomic_open,
+    atomic_write,
+    read_csv_table,
+    write_csv_table,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_panel"
 
@@ -40,3 +50,100 @@ def test_interrupted_write_keeps_the_old_file(tmp_path):
             raise RuntimeError("interrupted")
     assert path.read_text(encoding="utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def typed_columns_reference(path):
+    """The per-cell definition: strip each cell, then ``float()`` it.
+
+    A column is numeric iff every cell parses, categorical iff none does,
+    and otherwise an error at its first unparseable cell.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    kept = [
+        (i + 1, ln)
+        for i, ln in enumerate(text.splitlines())
+        if ln.strip() and not ln.startswith("#")
+    ]
+    rows = list(csv.reader([ln for _, ln in kept]))
+    lines = [n for n, _ in kept][1:]
+    out = {}
+    for j, name in enumerate(h.strip() for h in rows[0]):
+        cells = [r[j].strip() for r in rows[1:]]
+        values = []
+        for cell in cells:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                values.append(None)
+        if None not in values:
+            out[name] = np.array(values, dtype=np.float64)
+        elif all(v is None for v in values):
+            out[name] = np.array(cells, dtype=object)
+        else:
+            i = values.index(None)
+            raise IngestError(
+                f"{path}: line {lines[i]}, column {name!r}: "
+                f"unparseable numeric cell {cells[i]!r}"
+            )
+    return out
+
+
+# "\x1f" is whitespace to str.strip() but not to float().
+_PAD = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\x1f"])
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-(10**7), 10**7).map(lambda v: f"{v:_}"),
+    st.sampled_from(["1_000", "inf", "-inf", "nan", "-nan", "NaN", "Infinity", "1e500", "-0.0"]),
+)
+_LABEL = st.text(alphabet="bcdgkm", min_size=1, max_size=5)
+_FILLER = st.sampled_from(["", "   ", "# comment", "#x,y"])
+
+
+@st.composite
+def _cell(draw, value):
+    text = draw(_PAD) + value + draw(_PAD)
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with numeric, categorical and one-bad-cell numeric columns."""
+    n_rows = draw(st.integers(1, 20))
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical", "mixed"]),
+                          min_size=1, max_size=4))
+    columns = []
+    for kind in kinds:
+        values = draw(st.lists(_LABEL if kind == "categorical" else _NUMBER,
+                               min_size=n_rows, max_size=n_rows))
+        if kind == "mixed":
+            values[draw(st.integers(0, n_rows - 1))] = draw(_LABEL)
+        columns.append([draw(_cell(v)) for v in values])
+    lines = draw(st.lists(_FILLER, max_size=2))
+    lines.append(",".join(f"c{j}" for j in range(len(kinds))))
+    for row in zip(*columns):
+        lines.extend(draw(st.lists(_FILLER, max_size=2)))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts())
+def test_reader_matches_the_per_cell_float_definition(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        expected = typed_columns_reference(path)
+    except IngestError as exc:
+        with pytest.raises(IngestError) as got:
+            read_csv_table(path)
+        assert str(got.value) == str(exc)
+        return
+    table = read_csv_table(path)
+    assert table.columns == tuple(expected)
+    for name, want in expected.items():
+        have = table.column(name)
+        assert have.dtype == want.dtype
+        if want.dtype.kind == "f":
+            assert have.tobytes() == want.tobytes()
+        else:
+            assert list(have) == list(want)
