@@ -72,7 +72,6 @@ class DlmFit:
     sigma2_hat: float
     df: int
     design: np.ndarray  # (L, K-1) reparametrized feature matrix
-    design_target: np.ndarray  # (L,) reparametrized outcome
     target_means: np.ndarray  # (L,) target-dataset test-function means
     source_names: tuple[str, ...]
     target_name: str
@@ -385,7 +384,6 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
         sigma2_hat=sigma2,
         df=df,
         design=design,
-        design_target=target_vec,
         target_means=moments.phi_hat[0].copy(),
         source_names=moments.source_names,
         target_name=moments.target_name,
@@ -561,7 +559,7 @@ def _fmt(x: float, spec: str) -> str:
     return "NA" if np.isnan(x) else format(x, spec)
 
 
-def summarize(fit: DlmFit, data_label: str = "data", n_wrap: int = 72) -> str:
+def summarize(fit: DlmFit, data_label: str = "data") -> str:
     """Render the linear-model style text summary.
 
     Layout: Call, five-number residual summary, coefficient table with
@@ -577,7 +575,7 @@ def summarize(fit: DlmFit, data_label: str = "data", n_wrap: int = 72) -> str:
         f"data = {data_label}, whitening = {'TRUE' if fit.whitened else 'FALSE'})"
     )
     lines.append("Call:")
-    lines.extend(_wrap_call(call, n_wrap))
+    lines.extend(_wrap_call(call, 72))
     lines.append("")
     lines.append("Residuals:")
     q = np.percentile(fit.residuals, [0, 25, 50, 75, 100])

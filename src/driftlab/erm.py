@@ -308,7 +308,6 @@ def fit_erm(
     beta: np.ndarray,
     covariates: tuple[str, ...] | None = None,
     intercept: bool = True,
-    max_iter: int = 200,
 ) -> ErmFit:
     """Weighted ERM on a dataset collection (numeric covariates + outcome)."""
     if data.outcome is None:
@@ -320,7 +319,7 @@ def fit_erm(
         (design_matrix(tbl, covs, intercept), np.asarray(tbl.column(data.outcome), dtype=float))
         for tbl in data.sources
     ]
-    fit = fit_erm_arrays(arrays, spec, beta, max_iter=max_iter)
+    fit = fit_erm_arrays(arrays, spec, beta)
     names = (("intercept",) if intercept else ()) + covs
     return replace(fit, feature_names=names)
 
@@ -330,12 +329,10 @@ def fit_weighted_samples(
     y: np.ndarray,
     weights: np.ndarray,
     spec: LossSpec,
-    max_iter: int = 200,
 ) -> ErmFit:
     """Per-sample weighted M-estimation on one pooled dataset."""
     return fit_erm_arrays(
-        [(x, y)], spec, np.array([1.0]), sample_weights=[np.asarray(weights, float)],
-        max_iter=max_iter,
+        [(x, y)], spec, np.array([1.0]), sample_weights=[np.asarray(weights, float)]
     )
 
 
@@ -406,7 +403,6 @@ def importance_weights(
     x_target: np.ndarray,
     clip_quantile: float = 0.99,
     l2_penalty: float = 1e-6,
-    max_iter: int = 200,
 ) -> ImportanceWeightResult:
     """Per-sample density-ratio weights from a source-vs-target classifier.
 
@@ -441,7 +437,7 @@ def importance_weights(
     with warnings.catch_warnings():
         warnings.simplefilter("error" if l2_penalty == 0.0 else "default")
         try:
-            fit = fit_erm_arrays([(x, a)], spec, np.array([1.0]), max_iter=max_iter)
+            fit = fit_erm_arrays([(x, a)], spec, np.array([1.0]))
         except (Warning, ConvergenceError) as exc:
             raise SeparationError(
                 "source/target classifier did not converge (perfect separation "

@@ -22,7 +22,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import stdtrit
@@ -201,16 +201,7 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "runtime_s": self.runtime_s,
-            "definition": self.definition,
-            "target": self.target,
-            "empirical": self.empirical,
-            "mc_se": self.mc_se,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -321,116 +312,92 @@ def _moment_matrix(phi_hat: np.ndarray, sizes: tuple[int, ...]) -> MomentMatrix:
 # ---------------------------------------------------------------------------
 
 
-def check_clt_cov(cfg: CltCovConfig, seed: int, threads: int) -> CheckResult:
-    """Covariance of sqrt(m)-scaled moment shifts vs sigma_w * Var(phi)."""
+def _lognormal_scheme(m: int, sigma: float, k: int):
+    """K independent lognormal(0, sigma) weight laws: the scheme, and its
+    sigma_w derived from the parameters alone (never from the scheme)."""
+    laws = tuple(lognormal_law(0.0, sigma) for _ in range(k))
+    sigma_w = analytic.scheme_sigma_w("independent", laws=[("lognormal", 0.0, sigma)] * k)
+    return PerturbationScheme(m, IndependentWeights(laws)), sigma_w
+
+
+def _moment_shift_cov(name, cfg, scheme, sigma_w, p, seed, threads, definition, **details):
+    """Replicate covariance of the sqrt(m)-scaled shifts of the source means
+    of phi = (u, ..., u^p) vs kron(sigma_w, Var(phi)).
+
+    Each replicate also records each dataset's population covariance S of
+    phi; m * S / n, averaged over replicates, is the sampling term taken off
+    that dataset's diagonal block.
+    """
     t0 = time.perf_counter()
-    k = cfg.n_sources
+    k = sigma_w.shape[0]
     n = cfg.n_ratio * cfg.m
-    scheme = PerturbationScheme(
-        cfg.m, IndependentWeights(tuple(lognormal_law(0.0, cfg.sigma) for _ in range(k)))
-    )
-    sigma_w = analytic.scheme_sigma_w(
-        "independent", laws=[("lognormal", 0.0, cfg.sigma)] * k
-    )
-    target = sigma_w * analytic.uniform_var()
+    target = np.kron(sigma_w, analytic.uniform_poly_cov()[:p, :p])
+    e_phi = 1.0 / np.arange(2, p + 2)  # E[u^i] = 1 / (i + 1)
     sqrt_m = math.sqrt(cfg.m)
 
     def one(r):
-        rng = substream(seed, _LANES["clt_cov"], r)
+        rng = substream(seed, _LANES[name], r)
         world = realize_world(scheme, rng)
-        row = np.empty(2 * k)
+        shifts, s_entries = [], []
         for j in range(k):
             u = sample_uniform(world, j, n, rng)
-            row[j] = sqrt_m * (u.mean() - 0.5)
-            row[k + j] = u.var()
-        return row
+            phi = (u,) if p == 1 else (u, u * u)
+            means = np.array([c.mean() for c in phi])
+            centered = [c - mu for c, mu in zip(phi, means)]
+            shifts.extend(sqrt_m * (means - e_phi))
+            s_entries.extend(np.mean(a * b) for a in centered for b in centered)
+        return shifts + s_entries
 
-    data = _replicate_map(one, cfg.replicates, threads, 2 * k)
-    g, s2 = data[:, :k], data[:, k:]
-    cov, se = _cov_with_se(g)
-    sampling_correction = cfg.m * s2.mean(axis=0) / n
+    data = _replicate_map(one, cfg.replicates, threads, k * p * (1 + p))
+    cov, se = _cov_with_se(data[:, : k * p])
+    correction = cfg.m * data[:, k * p :].mean(axis=0).reshape(k, p, p) / n
     cov_corrected = cov.copy()
-    cov_corrected[np.diag_indices(k)] -= sampling_correction
-    dev = np.abs(cov_corrected - target)
-    passed = bool(np.all(dev <= 3.0 * se))
+    for j, block in enumerate(correction):
+        cov_corrected[j * p : (j + 1) * p, j * p : (j + 1) * p] -= block
     return CheckResult(
-        name="clt_cov",
-        passed=passed,
+        name=name,
+        passed=bool(np.all(np.abs(cov_corrected - target) <= 3.0 * se)),
         runtime_s=time.perf_counter() - t0,
-        definition=(
-            "every entry of the replicate covariance of sqrt(m)*(mean_k - "
-            "target mean), after subtracting the within-replicate sampling "
-            "variance m*s^2/n from the diagonal, lies within 3 Monte Carlo "
-            "standard errors of sigma_w * Var(phi)"
-        ),
+        definition=definition,
         target={"cov": target.tolist()},
         empirical={
             "cov_corrected": cov_corrected.tolist(),
             "cov_raw": cov.tolist(),
-            "sampling_correction_diag": sampling_correction.tolist(),
+            "sampling_correction_diag": np.diagonal(correction, 0, 1, 2).ravel().tolist(),
         },
         mc_se={"cov": se.tolist()},
-        details={"replicates": cfg.replicates, "m": cfg.m, "n": n},
+        details={"replicates": cfg.replicates, "m": cfg.m, "n": n, **details},
+    )
+
+
+def check_clt_cov(cfg: CltCovConfig, seed: int, threads: int) -> CheckResult:
+    """Covariance of sqrt(m)-scaled moment shifts vs sigma_w * Var(phi)."""
+    scheme, sigma_w = _lognormal_scheme(cfg.m, cfg.sigma, cfg.n_sources)
+    return _moment_shift_cov(
+        "clt_cov", cfg, scheme, sigma_w, 1, seed, threads,
+        "every entry of the replicate covariance of sqrt(m)*(mean_k - "
+        "target mean), after subtracting the within-replicate sampling "
+        "variance m*s^2/n from the diagonal, lies within 3 Monte Carlo "
+        "standard errors of sigma_w * Var(phi)",
     )
 
 
 def check_kron_cov(cfg: KronCovConfig, seed: int, threads: int) -> CheckResult:
     """Vector test functions: block covariance vs sigma_w (x) Var(phi)."""
-    t0 = time.perf_counter()
-    k = 2
-    n = cfg.n_ratio * cfg.m
     corr = ((1.0, cfg.copula_rho), (cfg.copula_rho, 1.0))
-    laws = tuple(lognormal_law(0.0, cfg.sigma) for _ in range(k))
+    laws = (lognormal_law(0.0, cfg.sigma),) * 2
     scheme = PerturbationScheme(cfg.m, GaussianCopulaWeights(laws, corr))
     sigma_w = analytic.scheme_sigma_w(
-        "lognormal_copula", sigmas=[cfg.sigma] * k, corr=np.asarray(corr)
+        "lognormal_copula", sigmas=[cfg.sigma] * 2, corr=np.asarray(corr)
     )
-    var_phi = analytic.uniform_poly_cov()
-    target = np.kron(sigma_w, var_phi)
-    e0 = np.array([0.5, 1.0 / 3.0])
-    sqrt_m = math.sqrt(cfg.m)
-
-    def one(r):
-        rng = substream(seed, _LANES["kron_cov"], r)
-        world = realize_world(scheme, rng)
-        g = np.empty(2 * k)
-        s_entries = np.empty(3 * k)  # per dataset: var(u), var(u^2), cov
-        for j in range(k):
-            u = sample_uniform(world, j, n, rng)
-            v = np.column_stack([u, u * u])
-            g[2 * j : 2 * j + 2] = sqrt_m * (v.mean(axis=0) - e0)
-            c = np.cov(v.T, bias=False)
-            s_entries[3 * j : 3 * j + 3] = (c[0, 0], c[1, 1], c[0, 1])
-        return np.concatenate([g, s_entries])
-
-    data = _replicate_map(one, cfg.replicates, threads, 2 * k + 3 * k)
-    g = data[:, : 2 * k]
-    s_mean = data[:, 2 * k :].mean(axis=0)
-    cov, se = _cov_with_se(g)
-    cov_corrected = cov.copy()
-    for j in range(k):
-        block = np.array(
-            [[s_mean[3 * j], s_mean[3 * j + 2]], [s_mean[3 * j + 2], s_mean[3 * j + 1]]]
-        )
-        cov_corrected[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] -= cfg.m * block / n
-    dev = np.abs(cov_corrected - target)
-    passed = bool(np.all(dev <= 3.0 * se))
-    return CheckResult(
-        name="kron_cov",
-        passed=passed,
-        runtime_s=time.perf_counter() - t0,
-        definition=(
-            "every entry of the replicate covariance of the stacked "
-            "sqrt(m)-scaled vector-moment shifts, after subtracting the "
-            "within-replicate sampling covariance m*S/n on the within-dataset "
-            "blocks, lies within 3 Monte Carlo standard errors of "
-            "kron(sigma_w, Var(phi))"
-        ),
-        target={"cov": target.tolist()},
-        empirical={"cov_corrected": cov_corrected.tolist(), "cov_raw": cov.tolist()},
-        mc_se={"cov": se.tolist()},
-        details={"replicates": cfg.replicates, "m": cfg.m, "n": n,
-                 "copula_rho": cfg.copula_rho},
+    return _moment_shift_cov(
+        "kron_cov", cfg, scheme, sigma_w, 2, seed, threads,
+        "every entry of the replicate covariance of the stacked "
+        "sqrt(m)-scaled vector-moment shifts, after subtracting the "
+        "within-replicate sampling covariance m*S/n on the within-dataset "
+        "blocks, lies within 3 Monte Carlo standard errors of "
+        "kron(sigma_w, Var(phi))",
+        copula_rho=cfg.copula_rho,
     )
 
 
@@ -609,12 +576,7 @@ def check_excess_risk(cfg: ExcessRiskConfig, seed: int, threads: int) -> CheckRe
     dim = cfg.dim_x + 1
     theta_star = np.array([1.0, 2.0, -1.0, 0.5, -0.25])[:dim]
     beta = np.full(k, 1.0 / k)
-    scheme = PerturbationScheme(
-        cfg.m, IndependentWeights(tuple(lognormal_law(0.0, cfg.sigma) for _ in range(k)))
-    )
-    sigma_w = analytic.scheme_sigma_w(
-        "independent", laws=[("lognormal", 0.0, cfg.sigma)] * k
-    )
+    scheme, sigma_w = _lognormal_scheme(cfg.m, cfg.sigma, k)
     target = analytic.excess_risk_mean(beta, sigma_w, dim, cfg.noise_sd**2)
     loss = squared_error_loss()
     sqrt12 = math.sqrt(12.0)
@@ -683,8 +645,7 @@ def check_conditional_shift(
     resampled = {}
 
     for sub_idx, (label, sig, prob) in enumerate(subconfigs):
-        scheme = PerturbationScheme(cfg.m, IndependentWeights((lognormal_law(0.0, sig),)))
-        s11 = analytic.scheme_sigma_w("independent", laws=[("lognormal", 0.0, sig)])[0, 0]
+        scheme, sigma_w = _lognormal_scheme(cfg.m, sig, 1)
 
         def one(r, _scheme=scheme, _prob=prob, _sub=sub_idx):
             rng = substream(seed, _LANES["conditional_shift"], 10 * r + _sub)
@@ -705,12 +666,10 @@ def check_conditional_shift(
         out = _replicate_map(one, cfg.replicates, threads, 2)
         data = out[:, 0]
         centered = data - data.mean()
-        var = float(centered @ centered / (cfg.replicates - 1))
-        se = float((centered**2).std(ddof=1) / math.sqrt(cfg.replicates))
-        empirical[label] = var
-        ses[label] = se
+        empirical[label] = float(centered @ centered / (cfg.replicates - 1))
+        ses[label] = float((centered**2).std(ddof=1) / math.sqrt(cfg.replicates))
         targets[label] = analytic.conditional_shift_var(
-            s11, cfg.y_sd**2, prob, cfg.m, n, n0
+            sigma_w[0, 0], cfg.y_sd**2, prob, cfg.m, n, n0
         )
         resampled[label] = int(out[:, 1].sum())
 

@@ -194,15 +194,15 @@ def scalar_moments(data: DatasetCollection, func, name: str | None = None) -> Sc
     )
 
 
-def inverse_sqrt(mat: np.ndarray, clamp_ratio: float = 1e-12) -> np.ndarray:
+def inverse_sqrt(mat: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root via eigendecomposition.
 
-    Eigenvalues below ``clamp_ratio`` times the largest are clamped up to
+    Eigenvalues below 1e-12 times the largest are clamped up to
     that floor, so near-null directions get a large but finite scaling.
     """
     mat = np.asarray(mat, dtype=float)
     vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    floor = clamp_ratio * float(vals.max())
+    floor = 1e-12 * float(vals.max())
     vals = np.maximum(vals, floor)
     return (vecs / np.sqrt(vals)) @ vecs.T
 

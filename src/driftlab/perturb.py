@@ -565,13 +565,13 @@ def multivariate_target(
     )
 
 
-def check_regime(m: int, n_min: int, warn_ratio: float = 10.0) -> None:
+def check_regime(m: int, n_min: int) -> None:
     """Warn when sampling noise is not clearly dominated by the shift scale."""
     import warnings
 
-    if n_min < warn_ratio * m:
+    if n_min < 10 * m:
         warnings.warn(
-            f"n/m ratio {n_min / m:.1f} is below {warn_ratio:.0f}; sampling "
+            f"n/m ratio {n_min / m:.1f} is below 10; sampling "
             "uncertainty may not be negligible relative to distributional "
             "uncertainty",
             stacklevel=2,

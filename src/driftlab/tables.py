@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import os
 import tempfile
 from contextlib import contextmanager
@@ -155,44 +156,48 @@ def _type_column(raw: tuple[str, ...], colname: str, path: str, lines: list[int]
 def read_csv_table(path: str | Path, name: str | None = None) -> Table:
     """Read a headered CSV into a typed Table.
 
-    Blank lines and lines starting with ``#`` are skipped. A column is
+    Lines end at LF, CRLF or CR only; blank lines and lines starting with
+    ``#`` are skipped, and a quoted cell may hold line breaks. A column is
     numeric (float64) iff every cell, stripped of surrounding whitespace,
     parses with Python's ``float()``, so ``1_000``, ``inf`` and ``nan`` are
     numbers. A column where no cell parses is categorical (the stripped
     strings). A column where some cells parse and others do not is an error
     naming the first cell that does not.
 
-    Errors name the file, line, and column involved: empty files, non-UTF8
-    bytes, ragged rows, and cells that break an otherwise numeric column.
+    Errors name the file, line (where the record ends), and column involved:
+    empty files, non-UTF8 bytes, ragged rows, and cells that break an
+    otherwise numeric column.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
     except FileNotFoundError:
         raise IngestError(f"{path}: file not found") from None
-    kept = [
-        (i + 1, ln)
-        for i, ln in enumerate(text.splitlines())
-        if ln.strip() and not ln.startswith("#")
-    ]
-    if not kept:
+    # newline="" keeps each line's end, so csv.reader sees a quoted cell's
+    # line breaks
+    kept, line_numbers = [], []
+    for i, ln in enumerate(io.StringIO(text, newline=""), 1):
+        if ln.strip() and not ln.startswith("#"):
+            kept.append(ln)
+            line_numbers.append(i)
+    reader = csv.reader(kept)
+    header = [h.strip() for h in next(reader, ())]
+    if not header:
         raise IngestError(f"{path}: empty file")
-    line_numbers = [n for n, _ in kept]
-    rows = list(csv.reader([ln for _, ln in kept]))
-    header = [h.strip() for h in rows[0]]
     if len(set(header)) != len(header):
         raise IngestError(f"{path}: duplicate column names in header")
-    body = rows[1:]
-    body_lines = line_numbers[1:]
+    body, body_lines = [], []
+    for row in reader:
+        # a record's line is the physical line where it ends
+        line = line_numbers[reader.line_num - 1]
+        if len(row) != len(header):
+            raise IngestError(f"{path}: line {line}: expected {len(header)} fields, got {len(row)}")
+        body.append(row)
+        body_lines.append(line)
     if not body:
         raise IngestError(f"{path}: no data rows")
-    for i, r in enumerate(body):
-        if len(r) != len(header):
-            raise IngestError(
-                f"{path}: line {body_lines[i]}: expected {len(header)} fields, got {len(r)}"
-            )
     cols = {
         colname: _type_column(raw, colname, str(path), body_lines)
         for colname, raw in zip(header, zip(*body))

@@ -6,6 +6,7 @@ import pytest
 import driftlab as dl
 from driftlab import analytic, cli
 from driftlab import harness as H
+from driftlab.rng import substream
 
 
 def test_analytic_sigma_w_independent_of_perturb_module():
@@ -161,6 +162,32 @@ def test_mc_se_shrinks_with_replicates():
     ratio = se_small / se_big
     assert np.all(ratio > 2 * 0.8)
     assert np.all(ratio < 2 * 1.2)
+
+
+def test_kron_cov_sampling_correction_uses_population_variances():
+    # rebuild every replicate's two datasets from the check's own streams:
+    # the diagonal correction is m/n times the mean population variance
+    # (divide by n) of u and of u^2
+    cfg = H.KronCovConfig(replicates=100, m=16, n_ratio=10)
+    result = H.check_kron_cov(cfg, seed=5, threads=1)
+    n = cfg.n_ratio * cfg.m
+    law = dl.lognormal_law(0.0, cfg.sigma)
+    corr = ((1.0, cfg.copula_rho), (cfg.copula_rho, 1.0))
+    scheme = dl.PerturbationScheme(cfg.m, dl.GaussianCopulaWeights((law, law), corr))
+    variances = np.empty((cfg.replicates, 2, 2))
+    for r in range(cfg.replicates):
+        rng = substream(5, H._LANES["kron_cov"], r)
+        weights = dl.realize_world(scheme, rng)
+        for j in range(2):
+            u = dl.sample_uniform(weights, j, n, rng)
+            variances[r, j] = u.var(), (u * u).var()
+    expected = cfg.m / n * variances.mean(axis=0).ravel()
+    np.testing.assert_allclose(
+        result.empirical["sampling_correction_diag"], expected, rtol=1e-12
+    )
+    # and that is what comes off the diagonal of the raw covariance
+    removed = np.subtract(result.empirical["cov_raw"], result.empirical["cov_corrected"])
+    np.testing.assert_allclose(np.diag(removed), expected, rtol=1e-12)
 
 
 def test_config_from_dict_round_trip():

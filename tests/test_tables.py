@@ -41,6 +41,26 @@ def test_categorical_cells_with_delimiters_round_trip(tmp_path):
     assert np.array_equal(back.column("x"), table.column("x"))
 
 
+@pytest.mark.parametrize(
+    "label", ["a\nb", "a\r\nb", "a\x85b", "a\x1cb", "a\u2028b", "a\x0cb"]
+)
+def test_categorical_cells_with_line_breaks_round_trip(tmp_path, label):
+    # only \n, \r\n and \r end a CSV line; the others are cell text
+    table = Table.from_arrays("t", label=np.array([label, "plain"], dtype=object), x=[1.0, 2.0])
+    path = tmp_path / "t.csv"
+    write_csv_table(table, path, "stamp")
+    back = read_csv_table(path)
+    assert list(back.column("label")) == [label, "plain"]
+    assert np.array_equal(back.column("x"), [1.0, 2.0])
+
+
+def test_errors_after_a_multiline_cell_name_the_physical_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b'# stamp\nx,label\n1,"a\nb"\n2\n')
+    with pytest.raises(IngestError, match=r"t\.csv: line 5: expected 2 fields, got 1"):
+        read_csv_table(path)
+
+
 def test_interrupted_write_keeps_the_old_file(tmp_path):
     path = tmp_path / "out.txt"
     atomic_write(path, "old\n")
