@@ -29,7 +29,6 @@ from scipy.special import stdtrit
 
 from . import analytic
 from .dlm import fit_weights, target_ci
-from .erm import fit_erm_arrays, squared_error_loss
 from .moments import MomentMatrix, ScalarMoments
 from .perturb import (
     GaussianCopulaWeights,
@@ -578,21 +577,22 @@ def check_excess_risk(cfg: ExcessRiskConfig, seed: int, threads: int) -> CheckRe
     beta = np.full(k, 1.0 / k)
     scheme, sigma_w = _lognormal_scheme(cfg.m, cfg.sigma, k)
     target = analytic.excess_risk_mean(beta, sigma_w, dim, cfg.noise_sd**2)
-    loss = squared_error_loss()
     sqrt12 = math.sqrt(12.0)
 
     def one(r):
         rng = substream(seed, _LANES["erm_excess_risk"], r)
         world = realize_world(scheme, rng)
-        datasets = []
+        # the weighted squared-error fit solves its normal equations,
+        # sum_k beta_k X_k'X_k / n theta = sum_k beta_k X_k'y_k / n
+        gram, moment = 0.0, 0.0
         for j in range(k):
             u = sample_uniform(world, j, n, rng)
             streams = sqrt12 * (split_uniform(u, cfg.dim_x + 1) - 0.5)
             x = np.column_stack([np.ones(n)] + [streams[i] for i in range(cfg.dim_x)])
             y = x @ theta_star + cfg.noise_sd * streams[cfg.dim_x]
-            datasets.append((x, y))
-        fit = fit_erm_arrays(datasets, loss, beta)
-        diff = fit.theta_hat - theta_star
+            gram = gram + beta[j] * (x.T @ x) / n
+            moment = moment + beta[j] * (x.T @ y) / n
+        diff = np.linalg.solve(gram, moment) - theta_star
         # M = E[x x'] = I for this construction, so excess = |diff|^2
         return np.array([cfg.m * float(diff @ diff)])
 

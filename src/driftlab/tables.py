@@ -153,20 +153,113 @@ def _type_column(raw: tuple[str, ...], colname: str, path: str, lines: list[int]
     )
 
 
+def _header(fields, path: str) -> list[str]:
+    header = [h.strip() for h in fields]
+    if not header:
+        raise IngestError(f"{path}: empty file")
+    if len(set(header)) != len(header):
+        raise IngestError(f"{path}: duplicate column names in header")
+    return header
+
+
+def _ragged(path: str, line: int, want: int, got: int) -> IngestError:
+    return IngestError(f"{path}: line {line}: expected {want} fields, got {got}")
+
+
+def _too_long(path: str, line: int, limit: int) -> IngestError:
+    # csv.reader's message, so that both record finders raise the same error
+    return IngestError(f"{path}: line {line}: field larger than field limit ({limit})")
+
+
+def _plain_records(text: str, path: str):
+    """Header, raw columns and body line numbers of text without a ``"``.
+
+    Every line is one record and every ``,`` ends a cell, so records come
+    from ``str.split``. Errors match ``_quoted_records`` on the same text.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    numbers = [i for i, ln in enumerate(lines, 1) if ln.strip() and not ln.startswith("#")]
+    records = [lines[i - 1] for i in numbers]
+    limit = csv.field_size_limit()
+    first = records[0].split(",") if records else []
+    if max(map(len, first), default=0) > limit:
+        raise _too_long(path, numbers[0], limit)
+    header = _header(first, path)
+    body, numbers = records[1:], numbers[1:]
+    width = len(header)
+    commas = list(map(str.count, body, repeat(",")))
+    if commas.count(width - 1) != len(body) or max(map(len, body), default=0) > limit:
+        # the first bad record decides; within one, a long cell comes first,
+        # as csv.reader meets it before the record's end
+        for line, record in zip(numbers, body):
+            cells = record.split(",")
+            if max(map(len, cells)) > limit:
+                raise _too_long(path, line, limit)
+            if len(cells) != width:
+                raise _ragged(path, line, width, len(cells))
+    cells = ",".join(body).split(",")
+    return header, [cells[j::width] for j in range(width)], numbers
+
+
+def _quoted_records(text: str, path: str):
+    """Header, raw columns and body line numbers, records found by ``csv.reader``.
+
+    Blank and ``#`` lines are skipped only where a record starts, so a quoted
+    cell keeps every line it spans.
+    """
+    line, at_start = 0, True
+
+    def kept_lines():
+        nonlocal line, at_start
+        # newline="" keeps each line's end, so csv.reader sees a quoted
+        # cell's line breaks
+        for ln in io.StringIO(text, newline=""):
+            line += 1
+            if at_start and (not ln.strip() or ln.startswith("#")):
+                continue
+            at_start = False
+            yield ln
+
+    # csv.reader pulls lines only until its record is complete, so the next
+    # line it asks for starts a record
+    reader = csv.reader(kept_lines())
+    try:
+        header = _header(next(reader, ()), path)
+        body, numbers = [], []
+        at_start = True
+        for row in reader:
+            # a record's line is the physical line where it ends
+            if len(row) != len(header):
+                raise _ragged(path, line, len(header), len(row))
+            body.append(row)
+            numbers.append(line)
+            at_start = True
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {line}: {exc}") from None
+    return header, list(zip(*body)), numbers
+
+
 def read_csv_table(path: str | Path, name: str | None = None) -> Table:
     """Read a headered CSV into a typed Table.
 
-    Lines end at LF, CRLF or CR only; blank lines and lines starting with
-    ``#`` are skipped, and a quoted cell may hold line breaks. A column is
-    numeric (float64) iff every cell, stripped of surrounding whitespace,
-    parses with Python's ``float()``, so ``1_000``, ``inf`` and ``nan`` are
-    numbers. A column where no cell parses is categorical (the stripped
-    strings). A column where some cells parse and others do not is an error
-    naming the first cell that does not.
+    Lines end at LF, CRLF or CR only. A record is one line, or more when a
+    quoted cell holds line breaks; blank lines and lines starting with ``#``
+    are skipped where a record would start, never inside a quoted cell. A
+    cell may hold at most 131072 characters (``csv.field_size_limit()``).
+    Text without a ``"`` is split with ``str.split``, other text with
+    ``csv.reader``; both give the same table and the same errors.
+
+    A column is numeric (float64) iff every cell, stripped of surrounding
+    whitespace, parses with Python's ``float()``, so ``1_000``, ``inf`` and
+    ``nan`` are numbers. A column where no cell parses is categorical (the
+    stripped strings). A column where some cells parse and others do not is
+    an error naming the first cell that does not.
 
     Errors name the file, line (where the record ends), and column involved:
-    empty files, non-UTF8 bytes, ragged rows, and cells that break an
-    otherwise numeric column.
+    empty files, non-UTF8 bytes, ragged rows, oversized cells, and cells that
+    break an otherwise numeric column.
     """
     path = Path(path)
     try:
@@ -175,32 +268,13 @@ def read_csv_table(path: str | Path, name: str | None = None) -> Table:
         raise IngestError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
     except FileNotFoundError:
         raise IngestError(f"{path}: file not found") from None
-    # newline="" keeps each line's end, so csv.reader sees a quoted cell's
-    # line breaks
-    kept, line_numbers = [], []
-    for i, ln in enumerate(io.StringIO(text, newline=""), 1):
-        if ln.strip() and not ln.startswith("#"):
-            kept.append(ln)
-            line_numbers.append(i)
-    reader = csv.reader(kept)
-    header = [h.strip() for h in next(reader, ())]
-    if not header:
-        raise IngestError(f"{path}: empty file")
-    if len(set(header)) != len(header):
-        raise IngestError(f"{path}: duplicate column names in header")
-    body, body_lines = [], []
-    for row in reader:
-        # a record's line is the physical line where it ends
-        line = line_numbers[reader.line_num - 1]
-        if len(row) != len(header):
-            raise IngestError(f"{path}: line {line}: expected {len(header)} fields, got {len(row)}")
-        body.append(row)
-        body_lines.append(line)
-    if not body:
+    records = _quoted_records if '"' in text else _plain_records
+    header, raw_columns, numbers = records(text, str(path))
+    if not numbers:
         raise IngestError(f"{path}: no data rows")
     cols = {
-        colname: _type_column(raw, colname, str(path), body_lines)
-        for colname, raw in zip(header, zip(*body))
+        colname: _type_column(raw, colname, str(path), numbers)
+        for colname, raw in zip(header, raw_columns)
     }
     return Table(name or path.stem, tuple(header), cols)
 
@@ -235,20 +309,43 @@ def atomic_write(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def _cells(col: np.ndarray):
+def _quoted(cell: str, first: bool) -> str:
+    """``cell`` as written: quoted only where reading it back needs it.
+
+    A ``,``, ``"``, LF or CR needs quotes anywhere. A first cell that starts
+    with ``#`` or is only whitespace needs them too, or its line would read
+    back as a comment or a blank line.
+    """
+    if any(c in cell for c in ',"\n\r') or first and (cell.startswith("#") or not cell.strip()):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _cells(col: np.ndarray, first: bool, end: str):
+    """A column's cells as written, each followed by ``end``."""
     if col.dtype.kind == "f":
-        return map(format, col.tolist(), repeat(".17g"))
-    return map(str, col)
+        return map(("{:.17g}" + end).format, col.tolist())
+    labels = col.tolist()
+    # quoting is decided once per distinct label, not once per cell
+    written = {label: _quoted(str(label), first) + end for label in set(labels)}
+    return map(written.__getitem__, labels)
 
 
 def write_csv_table(table: Table, path: str | Path, comment: str) -> None:
     """Write a table as CSV atomically, floats at 17 significant digits.
 
     ``comment`` becomes the first line, ``# <comment>``, which
-    ``read_csv_table`` skips. Rows are streamed, never built as one string.
+    ``read_csv_table`` skips. Cells are quoted as ``_quoted`` says, so
+    ``read_csv_table`` reads every table back as written, categorical
+    labels stripped. Rows are streamed, never built as one string.
     """
+    # the last column's cells carry the line end, so each row is one join
+    last = len(table.columns) - 1
+    cells = [
+        _cells(table.data[c], j == 0, "\n" if j == last else "")
+        for j, c in enumerate(table.columns)
+    ]
     with atomic_open(path) as fh:
         fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(table.columns)
-        writer.writerows(zip(*(_cells(table.data[c]) for c in table.columns)))
+        fh.write(",".join(_quoted(c, j == 0) for j, c in enumerate(table.columns)) + "\n")
+        fh.writelines(map(",".join, zip(*cells)))

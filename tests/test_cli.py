@@ -106,6 +106,18 @@ class TestIngest:
         with pytest.raises(IngestError, match=r"bad.csv: line 3, column 'x'.*'oops'"):
             read_csv_table(bad)
 
+    @pytest.mark.parametrize("cell", ["x" * 131073, '"x' + "x" * 131072 + '"'],
+                             ids=["plain", "quoted"])
+    def test_oversized_cell_is_user_error(self, tmp_path, small_data, capsys, cell):
+        s1, s2, tgt = small_data
+        big = write(tmp_path / "big.csv", f"x,y\n1,2\n{cell},3\n")
+        rc = cli.run(["fit", "--data", s1, big, "--target", tgt, "--out",
+                      str(tmp_path / "fit.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"driftlab: error: {big}: line 3: field larger than field limit (131072)" in err
+        assert "Traceback" not in err
+
     def test_target_with_outcome_rejected(self, tmp_path):
         s1 = write(tmp_path / "s1.csv", "x,y\n1,2\n2,3\n")
         tgt = write(tmp_path / "t.csv", "x,y\n1,2\n")

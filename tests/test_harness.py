@@ -6,7 +6,8 @@ import pytest
 import driftlab as dl
 from driftlab import analytic, cli
 from driftlab import harness as H
-from driftlab.rng import substream
+from driftlab.erm import fit_erm_arrays, squared_error_loss
+from driftlab.rng import split_uniform, substream
 
 
 def test_analytic_sigma_w_independent_of_perturb_module():
@@ -188,6 +189,30 @@ def test_kron_cov_sampling_correction_uses_population_variances():
     # and that is what comes off the diagonal of the raw covariance
     removed = np.subtract(result.empirical["cov_raw"], result.empirical["cov_corrected"])
     np.testing.assert_allclose(np.diag(removed), expected, rtol=1e-12)
+
+
+def test_excess_risk_fit_matches_the_newton_erm_fit():
+    # the check solves the weighted normal equations; rebuild every
+    # replicate's datasets and fit them with erm's Newton solver instead
+    cfg = H.ExcessRiskConfig(replicates=20, m=64, n_ratio=10)
+    result = H.check_excess_risk(cfg, seed=5, threads=1)
+    n, k = cfg.n_ratio * cfg.m, cfg.n_sources
+    scheme, _ = H._lognormal_scheme(cfg.m, cfg.sigma, k)
+    theta_star = np.array([1.0, 2.0, -1.0, 0.5, -0.25])[: cfg.dim_x + 1]
+    excess = []
+    for r in range(cfg.replicates):
+        rng = substream(5, H._LANES["erm_excess_risk"], r)
+        weights = dl.realize_world(scheme, rng)
+        datasets = []
+        for j in range(k):
+            u = dl.sample_uniform(weights, j, n, rng)
+            streams = np.sqrt(12.0) * (split_uniform(u, cfg.dim_x + 1) - 0.5)
+            x = np.column_stack([np.ones(n), *streams[: cfg.dim_x]])
+            datasets.append((x, x @ theta_star + cfg.noise_sd * streams[cfg.dim_x]))
+        fit = fit_erm_arrays(datasets, squared_error_loss(), np.full(k, 1.0 / k))
+        diff = fit.theta_hat - theta_star
+        excess.append(cfg.m * diff @ diff)
+    np.testing.assert_allclose(result.empirical["mean_excess"], np.mean(excess), rtol=1e-9)
 
 
 def test_config_from_dict_round_trip():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlab import tables
 from driftlab.tables import (
     IngestError,
     Table,
@@ -42,10 +43,12 @@ def test_categorical_cells_with_delimiters_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "label", ["a\nb", "a\r\nb", "a\x85b", "a\x1cb", "a\u2028b", "a\x0cb"]
+    "label",
+    ["a\nb", "a\r\nb", "a\x85b", "a\x1cb", "a\u2028b", "a\x0cb", "a\rb", "#a", "a\n\nb", "a\n#b"],
 )
 def test_categorical_cells_with_line_breaks_round_trip(tmp_path, label):
-    # only \n, \r\n and \r end a CSV line; the others are cell text
+    # only \n, \r\n and \r end a CSV line; the others are cell text. A
+    # blank or "#" line inside a quoted cell is cell text too.
     table = Table.from_arrays("t", label=np.array([label, "plain"], dtype=object), x=[1.0, 2.0])
     path = tmp_path / "t.csv"
     write_csv_table(table, path, "stamp")
@@ -167,3 +170,166 @@ def test_reader_matches_the_per_cell_float_definition(tmp_path_factory, text):
             assert have.tobytes() == want.tobytes()
         else:
             assert list(have) == list(want)
+
+
+def test_writer_quotes_only_cells_that_need_it(tmp_path):
+    # a first cell that is blank or starts with "#" would be skipped on
+    # reading; in any other column it reads back as written
+    table = Table.from_arrays(
+        "t",
+        a=np.array(["#a", " ", "", "a\rb", "x#"], dtype=object),
+        b=np.array(["#b", " ", "", "p q", "y"], dtype=object),
+    )
+    path = tmp_path / "t.csv"
+    write_csv_table(table, path, "stamp")
+    assert path.read_bytes() == (
+        b'# stamp\na,b\n"#a",#b\n" ", \n"",\n"a\rb",p q\nx#,y\n'
+    )
+    back = read_csv_table(path)
+    assert list(back.column("a")) == ["#a", "", "", "a\rb", "x#"]
+    assert list(back.column("b")) == ["#b", "", "", "p q", "y"]
+
+
+def typed_records(find, text, path="t.csv"):
+    """The columns ``read_csv_table`` builds from ``find``'s records."""
+    header, raw_columns, numbers = find(text, path)
+    if not numbers:
+        raise IngestError(f"{path}: no data rows")
+    return {c: tables._type_column(raw, c, path, numbers) for c, raw in zip(header, raw_columns)}
+
+
+def outcome(find, text):
+    try:
+        return typed_records(find, text)
+    except IngestError as exc:
+        return str(exc)
+
+
+def assert_same_columns(have, want):
+    assert list(have) == list(want)
+    for name, col in want.items():
+        assert have[name].dtype == col.dtype
+        if col.dtype.kind == "f":
+            assert have[name].tobytes() == col.tobytes()
+        else:
+            assert list(have[name]) == list(col)
+
+
+# Every line-end and whitespace rule in play: LF, CR, whitespace that is no
+# line end to the reader ("\x1c", "\x85", " "), "\xa0", and NUL.
+_PLAIN = ",\n\r# \t\x1c\x85 \xa0\x000123456789.e-_"
+_PLAIN_CELL = st.text(alphabet=_PLAIN.translate({ord(c): None for c in ",\n\r"}), max_size=6)
+_PLAIN_NUMBER = st.tuples(_PAD, st.floats(allow_nan=False).map(repr), _PAD).map("".join)
+_PLAIN_LABEL = st.text(alphabet="#_ \t\x1c\x85\xa0\x00e", max_size=4)
+
+
+@st.composite
+def plain_tables(draw):
+    """Quote-free text: a header, then lines that mostly hold one cell per column."""
+    width = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from([_PLAIN_CELL, _PLAIN_NUMBER, _PLAIN_LABEL]),
+                          min_size=width + 1, max_size=width + 1))
+    lines = [",".join(f" c{j}" for j in range(width))]
+    for _ in range(draw(st.integers(1, 8))):
+        ragged = draw(st.integers(0, 19)) == 0
+        lines.append(",".join(draw(kind) for kind in kinds[:width + ragged]))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(line + draw(ends) for line in lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(st.text(alphabet=_PLAIN, max_size=80), plain_tables()))
+def test_both_record_finders_agree_on_quote_free_text(text):
+    plain = outcome(tables._plain_records, text)
+    quoted = outcome(tables._quoted_records, text)
+    if isinstance(quoted, str):
+        assert plain == quoted
+    else:
+        assert_same_columns(plain, quoted)
+
+
+@pytest.mark.parametrize(
+    "find", [tables._plain_records, tables._quoted_records], ids=["split", "csv_reader"]
+)
+def test_a_cell_over_the_field_limit_is_an_error_naming_its_line(find):
+    fits = "x" * csv.field_size_limit()
+    assert list(typed_records(find, f"a,b\n1,{fits}\n")["b"]) == [fits]
+    too_long = r"^t\.csv: line {}: field larger than field limit \(131072\)$"
+    with pytest.raises(IngestError, match=too_long.format(1)):
+        typed_records(find, f"{fits}x,b\n1,2\n")
+    with pytest.raises(IngestError, match=too_long.format(3)):
+        typed_records(find, f"a,b\n1,2\n3,{fits}x\n")
+    # in one record the long cell is reported before the ragged row
+    with pytest.raises(IngestError, match=too_long.format(3)):
+        typed_records(find, f"# c\na,b\n1,{fits}x,2\n3\n")
+    with pytest.raises(IngestError, match="line 3: expected 2 fields, got 1$"):
+        typed_records(find, f"a,b\n1,2\n3\n4,{fits}x\n")
+
+
+_NEAR_NUMBER_TEXT = st.text(alphabet=" \t\r\n#\",.a1e_-\x85", max_size=6)
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+_ROUND_TRIP_LABEL = st.one_of(_NEAR_NUMBER_TEXT, st.text(max_size=6)).filter(
+    lambda label: not _is_float(label.strip())
+)
+
+
+@st.composite
+def written_tables(draw):
+    """Tables of finite float and text columns; no stripped label parses as a float."""
+    n_rows = draw(st.integers(1, 6))
+    names = draw(st.lists(st.text(alphabet='ab#," \r\n', min_size=1, max_size=3),
+                          min_size=1, max_size=4, unique_by=str.strip))
+    columns = {}
+    for name in names:
+        if draw(st.booleans()):
+            values = st.floats(allow_nan=False)
+            columns[name] = np.array(draw(st.lists(values, min_size=n_rows, max_size=n_rows)))
+        else:
+            labels = draw(st.lists(_ROUND_TRIP_LABEL, min_size=n_rows, max_size=n_rows))
+            columns[name] = np.array(labels, dtype=object)
+    return Table("t", tuple(names), columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=written_tables())
+def test_every_written_table_reads_back(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv_table(table, path, "stamp")
+    back = read_csv_table(path)
+    # the typing rule: labels are stripped, as are header names
+    want = {}
+    for name, col in table.data.items():
+        if col.dtype.kind != "f":
+            col = np.array([label.strip() for label in col], dtype=object)
+        want[name.strip()] = col
+    assert_same_columns(back.data, want)
+
+
+def test_quote_free_files_never_reach_csv_reader(tmp_path, monkeypatch):
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader used on a quote-free file")
+
+    monkeypatch.setattr(tables.csv, "reader", no_reader)
+    for name in ["source_1", "source_2", "source_3", "source_4", "target"]:
+        read_csv_table(FIXTURE / f"{name}.csv")
+    panel = Table.from_arrays(
+        "panel",
+        x1=np.linspace(-1.0, 1.0, 50),
+        occupation=np.array(["clerk", "miner", "nurse", "#", " "] * 10, dtype=object),
+    )
+    write_csv_table(panel, tmp_path / "panel.csv", "stamp")
+    text = (tmp_path / "panel.csv").read_bytes()
+    assert b'"' not in text
+    (tmp_path / "crlf.csv").write_bytes(text.replace(b"\n", b"\r\n") + b"\r\n# end\r\n")
+    for name in ["panel", "crlf"]:
+        back = read_csv_table(tmp_path / f"{name}.csv")
+        assert np.array_equal(back.column("x1"), panel.column("x1"))
