@@ -14,6 +14,15 @@ vanish in the large-n regime.
 Replicates draw from counter-keyed streams (seed, check lane, replicate
 index), so reports are bit-for-bit reproducible for a given config and
 thread count independent of scheduling.
+
+A dataset of n rows from a world's bin weights w is, by construction, a
+multinomial draw of the m bin counts plus a uniform draw inside each bin.
+The checks sample at that level (:func:`_bin_counts`, :func:`_bin_rows`):
+the Walsh checks read their test-function means straight off the counts, and
+rows (b + v) / m are built, in bin order, only where a statistic needs them
+and only for the bins it needs. Every statistic is symmetric in the rows, so
+this is the law of ``perturb.sample_uniform``'s i.i.d. rows;
+``tests/test_harness.py`` tests the two samplers against each other.
 """
 
 from __future__ import annotations
@@ -37,7 +46,6 @@ from .perturb import (
     WeightLaw,
     lognormal_law,
     realize_world,
-    sample_uniform,
 )
 from .rng import split_uniform, substream
 
@@ -90,6 +98,19 @@ class KronCovConfig:
     copula_rho: float = 0.6
 
 
+def _power_of_two(m: int) -> bool:
+    return m > 0 and m & (m - 1) == 0
+
+
+def _walsh_grid(m: int, n_functions: int) -> None:
+    """The Walsh functions 1..n_functions are constant on the m bins only
+    for a power-of-two m larger than n_functions."""
+    if not _power_of_two(m) or n_functions >= m:
+        raise ValueError(
+            f"m must be a power of two larger than n_functions ({n_functions}), got {m}"
+        )
+
+
 def _weight_law(spec: tuple) -> WeightLaw:
     """The marginal law a settings block's ``weight_law`` (family, a, b) names."""
     try:
@@ -111,6 +132,7 @@ class NullLawsConfig:
     weight_law: tuple = ("uniform", 0.2, 1.8)
 
     def __post_init__(self):
+        _walsh_grid(self.m, self.n_functions)
         _weight_law(self.weight_law)
 
 
@@ -126,6 +148,7 @@ class CiChi2Config:
     level: float = 0.95
 
     def __post_init__(self):
+        _walsh_grid(self.m, self.n_functions)
         _weight_law(self.weight_law)
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
@@ -154,6 +177,18 @@ class ConditionalShiftConfig:
     sigma: float = 0.5
     prob: float = 0.5
     y_sd: float = 1.0
+
+    def __post_init__(self):
+        if not _power_of_two(self.m):
+            raise ValueError(f"m must be a power of two, got {self.m}")
+        mantissa, exponent = math.frexp(self.prob)
+        j = 1 - exponent  # prob = 2^-j when the mantissa is 1/2
+        if mantissa != 0.5 or j < 0 or 2 * j + 1 > self.m.bit_length() - 1:
+            raise ValueError(
+                "prob must be 2^-j with 2j + 1 <= log2(m) = "
+                f"{self.m.bit_length() - 1}, so that x < prob and x < prob/2 are "
+                f"sets of bins; got {self.prob}"
+            )
 
 
 @dataclass(frozen=True)
@@ -268,30 +303,41 @@ def _cov_with_se(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cov, se
 
 
+def _bin_counts(w: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows per bin of n i.i.d. draws that pick bin b with probability
+    proportional to ``w[b]``: one multinomial draw."""
+    return rng.multinomial(n, w / w.sum())
+
+
+def _bin_rows(
+    counts: np.ndarray, rng: np.random.Generator, bins: np.ndarray | None = None
+) -> np.ndarray:
+    """The rows (b + v) / m, v uniform on [0, 1), of ``counts[b]`` draws in
+    each bin b of ``bins`` (every bin by default), in bin order."""
+    m = counts.size
+    bins = np.arange(m) if bins is None else bins
+    per_bin = counts[bins]
+    u = rng.random(int(per_bin.sum()))
+    u += np.repeat(bins, per_bin)
+    u /= m
+    return u
+
+
 def _walsh_table(n_functions: int, n_bins: int) -> np.ndarray:
     """Walsh function values on a dyadic grid: (L, n_bins) entries of +-1.
 
     The Walsh system is exactly orthonormal under the uniform law, has zero
     mean for every index >= 1, and is constant on each of the n_bins cells,
     so the binned reweighting acts on it without any within-bin attenuation
-    at any frequency (n_bins must be a power of two > n_functions).
+    at any frequency (n_bins must be a power of two > n_functions; see
+    :func:`_walsh_grid`).
     """
-    if n_bins & (n_bins - 1) or n_functions >= n_bins:
-        raise ValueError("need a power-of-two bin count larger than n_functions")
     masked = np.arange(1, n_functions + 1)[:, None] & np.arange(n_bins)[None, :]
     parity = np.zeros_like(masked)
     while masked.any():
         parity ^= masked & 1
         masked >>= 1
     return 1.0 - 2.0 * parity
-
-
-def _walsh_means(u: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per-function means via bin counts; table is the (L, m) Walsh grid."""
-    n_bins = table.shape[1]
-    bins = np.minimum((u * n_bins).astype(np.intp), n_bins - 1)
-    counts = np.bincount(bins, minlength=n_bins)
-    return table @ (counts / u.size)
 
 
 def _moment_matrix(phi_hat: np.ndarray, sizes: tuple[int, ...]) -> MomentMatrix:
@@ -339,7 +385,7 @@ def _moment_shift_cov(name, cfg, scheme, sigma_w, p, seed, threads, definition, 
         world = realize_world(scheme, rng)
         shifts, s_entries = [], []
         for j in range(k):
-            u = sample_uniform(world, j, n, rng)
+            u = _bin_rows(_bin_counts(world[j], n, rng), rng)
             phi = (u,) if p == 1 else (u, u * u)
             means = np.array([c.mean() for c in phi])
             centered = [c - mu for c, mu in zip(phi, means)]
@@ -404,35 +450,32 @@ def _simulate_null(cfg, seed: int, threads: int, lane: int, with_ci: bool):
     """Shared exchangeable-null simulation for the t/F/chi2/CI checks.
 
     Per replicate: realize a world with i.i.d. symmetric weights (the
-    exchangeable null, optimal weights uniform), sample K source datasets
-    and one target dataset, evaluate the orthonormal Walsh test functions,
-    and fit the weight regression.
+    exchangeable null, optimal weights uniform), draw the bin counts of K
+    source datasets and of one unperturbed target dataset, take the
+    orthonormal Walsh test-function means off the counts, and fit the weight
+    regression. Rows are built only for the CI's source means of u.
     """
     k = cfg.n_sources
-    n_funcs = cfg.n_functions
     n = cfg.n_ratio * cfg.m
     n0 = cfg.n0_ratio * cfg.m
     law = _weight_law(cfg.weight_law)
     scheme = PerturbationScheme(cfg.m, IndependentWeights((law,) * k))
     beta_star = np.full(k, 1.0 / k)
-    table = _walsh_table(n_funcs, cfg.m)
+    table_t = _walsh_table(cfg.n_functions, cfg.m).T
+    flat = np.ones(cfg.m)
+    sizes = (n0,) + (n,) * k
 
     def one(r):
         rng = substream(seed, lane, r)
         world = realize_world(scheme, rng)
-        phi_hat = np.empty((k + 1, n_funcs))
-        u0 = rng.random(n0)
-        phi_hat[0] = _walsh_means(u0, table)
-        u_sources = []
-        for j in range(k):
-            u = sample_uniform(world, j, n, rng)
-            u_sources.append(u)
-            phi_hat[j + 1] = _walsh_means(u, table)
-        mm = _moment_matrix(phi_hat, (n0,) + (n,) * k)
+        counts = np.stack([_bin_counts(flat, n0, rng)]
+                          + [_bin_counts(world[j], n, rng) for j in range(k)])
+        mm = _moment_matrix(counts @ table_t / np.array(sizes)[:, None], sizes)
         fit = fit_weights(mm)
         t_pivot = (fit.beta_hat[0] - beta_star[0]) / fit.se[0]
         out = [t_pivot, fit.f_stat, fit.rss]
         if with_ci:
+            u_sources = [_bin_rows(c, rng) for c in counts[1:]]
             pooled = np.concatenate(u_sources)
             phi0 = ScalarMoments(
                 name="identity",
@@ -586,7 +629,7 @@ def check_excess_risk(cfg: ExcessRiskConfig, seed: int, threads: int) -> CheckRe
         # sum_k beta_k X_k'X_k / n theta = sum_k beta_k X_k'y_k / n
         gram, moment = 0.0, 0.0
         for j in range(k):
-            u = sample_uniform(world, j, n, rng)
+            u = _bin_rows(_bin_counts(world[j], n, rng), rng)
             streams = sqrt12 * (split_uniform(u, cfg.dim_x + 1) - 0.5)
             x = np.column_stack([np.ones(n)] + [streams[i] for i in range(cfg.dim_x)])
             y = x @ theta_star + cfg.noise_sd * streams[cfg.dim_x]
@@ -616,6 +659,21 @@ def check_excess_risk(cfg: ExcessRiskConfig, seed: int, threads: int) -> CheckRe
     )
 
 
+def _event_bins(m: int, prob: float) -> np.ndarray:
+    """The bins b of a dyadic m whose rows u = (b + v) / m all have
+    x = split_uniform(u, 2)[0] < prob = 2^-j, and whose rows all miss it
+    otherwise.
+
+    Stream 0 of the split takes bits 0, 2, 4, ... of u (most significant
+    first), so x < 2^-j exactly when bits 0, 2, ..., 2j - 2 of u are zero.
+    For 2j - 1 <= log2(m) those bits lie in the bin index.
+    """
+    j = 1 - math.frexp(prob)[1]
+    top = m.bit_length() - 2  # bit 0 of u is bit log2(m) - 1 of the index
+    mask = sum(1 << (top - i) for i in range(0, 2 * j - 1, 2))
+    return np.flatnonzero((np.arange(m) & mask) == 0)
+
+
 def check_conditional_shift(
     cfg: ConditionalShiftConfig, seed: int, threads: int
 ) -> CheckResult:
@@ -625,7 +683,8 @@ def check_conditional_shift(
     Data law: (X, Y) from a bit-split of the perturbed uniform with X the
     first stream (uniform) and Y an independent scaled uniform, so the
     conditional variance of Y given any X-event is exactly y_sd^2 and dyadic
-    event probabilities align with the bin grid.
+    event probabilities align with the bin grid: the event is a set of bins
+    (:func:`_event_bins`), and only its rows are built and split.
     """
     t0 = time.perf_counter()
     n = cfg.n_ratio * cfg.m
@@ -639,6 +698,7 @@ def check_conditional_shift(
     ]
     sqrt_m = math.sqrt(cfg.m)
     sqrt12 = math.sqrt(12.0)
+    flat = np.ones(cfg.m)
     empirical = {}
     targets = {}
     ses = {}
@@ -647,20 +707,17 @@ def check_conditional_shift(
     for sub_idx, (label, sig, prob) in enumerate(subconfigs):
         scheme, sigma_w = _lognormal_scheme(cfg.m, sig, 1)
 
-        def one(r, _scheme=scheme, _prob=prob, _sub=sub_idx):
+        def one(r, _scheme=scheme, _event=_event_bins(cfg.m, prob), _sub=sub_idx):
             rng = substream(seed, _LANES["conditional_shift"], 10 * r + _sub)
             for attempt in range(20):
                 world = realize_world(_scheme, rng)
-                u_src = sample_uniform(world, 0, n, rng)
-                xs, ys_raw = split_uniform(u_src, 2)
-                u_tgt = rng.random(n0)
-                xt, yt_raw = split_uniform(u_tgt, 2)
-                in_src = xs < _prob
-                in_tgt = xt < _prob
-                if in_src.any() and in_tgt.any():
-                    ys = cfg.y_sd * sqrt12 * (ys_raw[in_src] - 0.5)
-                    yt = cfg.y_sd * sqrt12 * (yt_raw[in_tgt] - 0.5)
-                    return np.array([sqrt_m * (ys.mean() - yt.mean()), float(attempt)])
+                c_src = _bin_counts(world[0], n, rng)
+                c_tgt = _bin_counts(flat, n0, rng)
+                if c_src[_event].any() and c_tgt[_event].any():
+                    ys = split_uniform(_bin_rows(c_src, rng, _event), 2)[1]
+                    yt = split_uniform(_bin_rows(c_tgt, rng, _event), 2)[1]
+                    gap = cfg.y_sd * sqrt12 * (ys.mean() - yt.mean())
+                    return np.array([sqrt_m * gap, float(attempt)])
             raise RuntimeError("conditioning event empty in 20 consecutive draws")
 
         out = _replicate_map(one, cfg.replicates, threads, 2)

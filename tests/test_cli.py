@@ -767,7 +767,18 @@ class TestValidateCli:
           "null_laws: weight_law: unknown weight family 'weibull'"),
          ("ci_chi2", {"weight_law": ["uniform", -1.0, 1.8]},
           "ci_chi2: weight_law: uniform weight law needs 0 < lo <= hi"),
-         ("ci_chi2", {"level": 1.5}, "ci_chi2: level must be in (0, 1)")],
+         ("ci_chi2", {"level": 1.5}, "ci_chi2: level must be in (0, 1)"),
+         ("null_laws", {"m": 100},
+          "null_laws: m must be a power of two larger than n_functions (50), got 100"),
+         ("ci_chi2", {"m": 256, "n_functions": 256},
+          "ci_chi2: m must be a power of two larger than n_functions (256), got 256"),
+         ("conditional_shift", {"m": 100}, "conditional_shift: m must be a power of two, got 100"),
+         ("conditional_shift", {"prob": 0.3},
+          "conditional_shift: prob must be 2^-j with 2j + 1 <= log2(m) = 8, so that "
+          "x < prob and x < prob/2 are sets of bins; got 0.3"),
+         ("conditional_shift", {"m": 16, "prob": 0.125},
+          "conditional_shift: prob must be 2^-j with 2j + 1 <= log2(m) = 4, so that "
+          "x < prob and x < prob/2 are sets of bins; got 0.125")],
     )
     def test_bad_block_setting_exits_before_any_check(
         self, tmp_path, monkeypatch, capsys, block, setting, message

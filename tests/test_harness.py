@@ -64,10 +64,47 @@ def test_walsh_basis_orthonormal_zero_mean():
     table = H._walsh_table(31, 32)
     assert np.allclose(table @ table.T / 32, np.eye(31))
     assert np.allclose(table.mean(axis=1), 0.0)
+    # the grid rule is a settings rule of both Walsh checks
     with pytest.raises(ValueError):
-        H._walsh_table(32, 32)
+        H.NullLawsConfig(m=32, n_functions=32)
     with pytest.raises(ValueError):
-        H._walsh_table(10, 48)
+        H.CiChi2Config(m=48, n_functions=10)
+
+
+def test_count_sampler_has_the_law_of_sample_uniform():
+    # on one fixed world, per-replicate bin counts and row means from the
+    # harness sampler against those of sample_uniform's i.i.d. rows
+    from scipy import stats
+
+    m, n, replicates = 16, 200, 2000
+    scheme, _ = H._lognormal_scheme(m, 0.5, 1)
+    world = dl.realize_world(scheme, substream(3, 0))
+    counts = np.zeros((2, m), dtype=np.int64)
+    means = np.empty((2, replicates))
+    harness_rng, direct_rng = substream(3, 1), substream(3, 2)
+    for r in range(replicates):
+        c = H._bin_counts(world[0], n, harness_rng)
+        assert c.sum() == n
+        u = H._bin_rows(c, harness_rng)
+        assert np.array_equal(np.bincount((u * m).astype(int), minlength=m), c)
+        counts[0] += c
+        means[0, r] = u.mean()
+        v = dl.sample_uniform(world, 0, n, direct_rng)
+        hist = np.bincount((v * m).astype(int), minlength=m)
+        counts[1] += hist
+        means[1, r] = v.mean()
+    assert stats.chi2_contingency(counts).pvalue > 0.01
+    assert stats.ks_2samp(means[0], means[1]).pvalue > 0.01
+
+
+@pytest.mark.parametrize("m", [32, 128, 256])
+@pytest.mark.parametrize("prob", [0.5, 0.25])
+def test_event_bins_are_the_rows_with_x_below_prob(m, prob):
+    # random rows plus the first and the last double of every bin
+    edges = np.arange(m) / m
+    u = np.concatenate([substream(4, 0).random(20_000), edges, edges + (1 / m - 2.0**-53)])
+    in_event = np.isin((u * m).astype(int), H._event_bins(m, prob))
+    np.testing.assert_array_equal(in_event, split_uniform(u, 2)[0] < prob)
 
 
 def light_config(**kw):
@@ -180,7 +217,7 @@ def test_kron_cov_sampling_correction_uses_population_variances():
         rng = substream(5, H._LANES["kron_cov"], r)
         weights = dl.realize_world(scheme, rng)
         for j in range(2):
-            u = dl.sample_uniform(weights, j, n, rng)
+            u = H._bin_rows(H._bin_counts(weights[j], n, rng), rng)
             variances[r, j] = u.var(), (u * u).var()
     expected = cfg.m / n * variances.mean(axis=0).ravel()
     np.testing.assert_allclose(
@@ -205,7 +242,7 @@ def test_excess_risk_fit_matches_the_newton_erm_fit():
         weights = dl.realize_world(scheme, rng)
         datasets = []
         for j in range(k):
-            u = dl.sample_uniform(weights, j, n, rng)
+            u = H._bin_rows(H._bin_counts(weights[j], n, rng), rng)
             streams = np.sqrt(12.0) * (split_uniform(u, cfg.dim_x + 1) - 0.5)
             x = np.column_stack([np.ones(n), *streams[: cfg.dim_x]])
             datasets.append((x, x @ theta_star + cfg.noise_sd * streams[cfg.dim_x]))
