@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.special import stdtrit
+from scipy.special import chdtr, fdtr, smirnov, stdtr, stdtrit
 
 from . import analytic
 from .dlm import fit_weights, target_ci
@@ -44,6 +44,7 @@ from .perturb import (
     IndependentWeights,
     PerturbationScheme,
     WeightLaw,
+    _rows_in_bins,
     lognormal_law,
     realize_world,
 )
@@ -313,14 +314,12 @@ def _bin_rows(
     counts: np.ndarray, rng: np.random.Generator, bins: np.ndarray | None = None
 ) -> np.ndarray:
     """The rows (b + v) / m, v uniform on [0, 1), of ``counts[b]`` draws in
-    each bin b of ``bins`` (every bin by default), in bin order."""
+    each bin b of ``bins`` (every bin by default), in bin order, built by
+    ``perturb._rows_in_bins`` as ``perturb.sample_uniform`` builds them."""
     m = counts.size
     bins = np.arange(m) if bins is None else bins
     per_bin = counts[bins]
-    u = rng.random(int(per_bin.sum()))
-    u += np.repeat(bins, per_bin)
-    u /= m
-    return u
+    return _rows_in_bins(rng.random(int(per_bin.sum())), np.repeat(bins, per_bin), m)
 
 
 def _walsh_table(n_functions: int, n_bins: int) -> np.ndarray:
@@ -492,15 +491,215 @@ def _simulate_null(cfg, seed: int, threads: int, lane: int, with_ci: bool):
     return _replicate_map(one, cfg.replicates, threads, 4), n, n0
 
 
-def _kstest(sample: np.ndarray, law: str, *args):
-    """KS test of ``sample`` against the ``scipy.stats`` law ``law(*args)``.
+# The two-sided one-sample Kolmogorov-Smirnov test. The statistic and the
+# p-value P(D_n >= d) follow scipy.stats.ks_1samp and scipy.stats.kstwo.sf;
+# the p-value code below is ported from SciPy's scipy/stats/_ksstats.py
+# (Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers,
+# under SciPy's BSD-3-Clause license). Simard & L'Ecuyer (2011), "Computing the two-sided
+# Kolmogorov-Smirnov distribution", J. Stat. Softw. 39(11), choose the method
+# for each (n, d).
 
-    ``scipy.stats`` is imported here, not with the module: importing it takes
-    about a second, and no other subcommand than ``validate`` needs it.
+_KS_E128 = 128
+_KS_EP128 = np.ldexp(np.longdouble(1), _KS_E128)
+_KS_EM128 = np.ldexp(np.longdouble(1), -_KS_E128)
+_KS_MIN_LOG = -708
+# B_2j / (2j) / (2j - 1) for j = 8, ..., 1 (the Stirling series of log n!)
+_KS_STIRLING = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
+                -1.9175269175269175269e-3, 8.4175084175084175084e-4,
+                -5.952380952380952381e-4, 7.9365079365079365079e-4,
+                -2.7777777777777777778e-3, 8.3333333333333333333e-2]
+
+
+def _kstest(sample: np.ndarray, cdf) -> tuple[float, float]:
+    """Two-sided one-sample KS test of ``sample`` against the continuous law
+    with CDF ``cdf``: the statistic d = max(D+, D-) and P(D_n >= d).
+
+    The statistic is ``scipy.stats.kstest``'s, bit for bit. The p-value is
+    :func:`_ks_sf`: bit for bit ``scipy.stats.kstwo.sf`` for n > 140, and
+    within 1e-10 relative of it for n <= 140.
     """
-    from scipy import stats
+    x = np.sort(sample)
+    n = x.size
+    f = cdf(x)
+    d_plus = np.max(np.arange(1.0, n + 1) / n - f)
+    d_minus = np.max(f - np.arange(0.0, n) / n)
+    d = d_plus if d_plus > d_minus else d_minus
+    return float(d), _ks_sf(n, d)
 
-    return stats.kstest(sample, law, args=args)
+
+def _ks_sf(n: int, d: float) -> float:
+    """P(D_n >= d) for the two-sided KS statistic of n i.i.d. draws, by
+    scipy's choice of method for each (n, d), in this order:
+
+    - d >= 1: 0; nd <= 1/2: 1;
+    - nd <= 1 or nd >= n - 1: Ruben & Gambino's closed forms;
+    - d >= 1/2: 2 smirnov(n, d), exact, as D+ and D- cannot both reach d;
+    - n <= 140: the Durbin matrix up to nd^2 = 4, 2 smirnov(n, d) above;
+      scipy uses Pomeranz's recursion from nd^2 = 0.754693 to 4, and the
+      two exact methods agree there to 3e-11 relative;
+    - n > 140: 0 from nd^2 = 370, 2 smirnov(n, d) from nd^2 = 2.2, the
+      Durbin matrix where n <= 100000 and n d^1.5 <= 1.4, Pelz-Good
+      elsewhere.
+
+    Only 2 smirnov(n, d) below d = 1/2 (Miller's approximation), the 0 and
+    Pelz-Good are not exact.
+    """
+    d = np.float64(d)
+    if np.isnan(d):
+        return float(d)
+    if d >= 1.0:
+        return 0.0
+    t = n * d
+    if t <= 0.5:
+        return 1.0
+    if t <= 1.0:
+        if n <= 140:
+            cdf = np.prod(np.arange(1, n + 1) * (1.0 / n) * (2 * t - 1))
+        else:
+            cdf = np.exp(_log_nfactorial_div_n_pow_n(n) + n * np.log(2 * t - 1))
+        return _clip_prob(1.0 - cdf)
+    if t >= n - 1:
+        return _clip_prob(2 * (1.0 - d) ** n)
+    if d >= 0.5:
+        return _clip_prob(2 * smirnov(n, d))
+    nd2 = t * d
+    if n <= 140:
+        if nd2 > 4.0:
+            return _clip_prob(2 * smirnov(n, d))
+        return _clip_prob(1.0 - _durbin_cdf(n, d))
+    if nd2 >= 370.0:
+        return 0.0
+    if nd2 >= 2.2:
+        return _clip_prob(2 * smirnov(n, d))
+    if n <= 100000 and n * np.power(d, 1.5) <= 1.4:
+        return _clip_prob(1.0 - _durbin_cdf(n, d))
+    return _clip_prob(1.0 - _pelz_good_cdf(n, d))
+
+
+def _clip_prob(p) -> float:
+    return float(np.clip(p, 0.0, 1.0))
+
+
+def _log_nfactorial_div_n_pow_n(n: int):
+    """log(n! / n^n) by Stirling's series, with n log n taken out first."""
+    rn = 1.0 / n
+    return np.log(n) / 2 - n + np.log(2 * np.pi) / 2 + rn * np.polyval(_KS_STIRLING, rn / n)
+
+
+def _durbin_cdf(n: int, d):
+    """P(D_n <= d), exact, for 1/(2n) < d < 1: Durbin's (1968) matrix method
+    as Marsaglia, Tsang & Wang (2003), "Evaluating Kolmogorov's
+    distribution", J. Stat. Softw. 8(18), compute it. With nd = k - h,
+    0 <= h < 1, it is n!/n^n times the (k, k) entry of H^n for an
+    m x m matrix H, m = 2k - 1, powered by squaring with rescaling."""
+    nd = n * d
+    k = int(np.ceil(nd))
+    h = k - nd
+    m = 2 * k - 1
+
+    # v: first column and reversed last row of H; w[j] = 1/j!
+    intm = np.arange(1, m + 1)
+    v = 1.0 - h ** intm
+    w = np.empty(m)
+    fac = 1.0
+    for j in intm:
+        w[j - 1] = fac
+        fac /= j
+        v[j - 1] *= fac
+    tt = max(2 * h - 1.0, 0) ** m - 2 * h**m
+    v[-1] = (1.0 + tt) * fac
+    H = np.zeros([m, m])
+    for i in range(1, m):
+        H[i - 1:, i] = w[:m - i + 1]
+    H[:, 0] = v
+    H[-1, :] = np.flip(v, axis=0)
+
+    Hpwr = np.eye(m)
+    nn = n
+    expnt = 0  # Hpwr is scaled by 2^-expnt
+    Hexpnt = 0  # and H by 2^-Hexpnt
+    while nn > 0:
+        if nn % 2:
+            Hpwr = np.matmul(Hpwr, H)
+            expnt += Hexpnt
+        H = np.matmul(H, H)
+        Hexpnt *= 2
+        if np.abs(H[k - 1, k - 1]) > _KS_EP128:
+            H /= _KS_EP128
+            Hexpnt += _KS_E128
+        nn = nn // 2
+
+    p = Hpwr[k - 1, k - 1]
+    for i in range(1, n + 1):
+        p = i * p / n
+        if np.abs(p) < _KS_EM128:
+            p *= _KS_EP128
+            expnt -= _KS_E128
+    if expnt != 0:
+        p = np.ldexp(p, expnt)
+    return p
+
+
+def _pelz_good_cdf(n: int, d):
+    """P(D_n <= d) by Pelz & Good (1976), "Approximating the lower tail-areas
+    of the Kolmogorov-Smirnov one-sample statistic", JRSS B 38(2): the
+    Li-Chien/Korolyuk expansion K0(z) + K1(z)/sqrt(n) + K2(z)/n +
+    K3(z)/n^1.5, z = d sqrt(n), recast through Jacobi theta functions for
+    small z."""
+    z = np.sqrt(n) * d
+    zsquared, zthree, zfour, zsix = z**2, z**3, z**4, z**6
+
+    qlog = -np.pi**2 / 8 / zsquared
+    if qlog < _KS_MIN_LOG:  # z below about 0.0417
+        return 0.0
+    q = np.exp(qlog)
+
+    # coefficients of the terms of K1, K2 and K3
+    k1a = -zsquared
+    k1b = np.pi**2 / 4
+
+    k2a = 6 * zsix + 2 * zfour
+    k2b = (2 * zfour - 5 * zsquared) * np.pi**2 / 4
+    k2c = np.pi**4 * (1 - 2 * zsquared) / 16
+
+    k3d = np.pi**6 * (5 - 30 * zsquared) / 64
+    k3c = np.pi**4 * (-60 * zsquared + 212 * zfour) / 16
+    k3b = np.pi**2 * (135 * zfour - 96 * zsix) / 4
+    k3a = -30 * zsix - 90 * z**8
+
+    # Horner's scheme for sum c_i q^(i^2) over the odd i = 2k - 1
+    K0to3 = np.zeros(4)
+    maxk = int(np.ceil(16 * z / np.pi))
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        msquared, mfour, msix = m**2, m**4, m**6
+        qpower = np.power(q, 8 * k)
+        coeffs = np.array([1.0,
+                           k1a + k1b * msquared,
+                           k2a + k2b * msquared + k2c * mfour,
+                           k3a + k3b * msquared + k3c * mfour + k3d * msix])
+        K0to3 *= qpower
+        K0to3 += coeffs
+    K0to3 *= q
+    K0to3 *= np.sqrt(2 * np.pi)
+    K0to3 /= np.array([z, 6 * zfour, 72 * z**7, 6480 * z**10])
+
+    # the sums over all k of (pi^2 k^2) q^(k^2) in K2 and of
+    # (3 pi^2 k^2 z^2 - pi^4 k^4) q^(k^2) in K3
+    q = np.exp(-np.pi**2 / 2 / zsquared)
+    ks = np.arange(maxk, 0, -1)
+    ksquared = ks**2
+    sqrt3z = np.sqrt(3) * z
+    kspi = np.pi * ks
+    qpwers = q**ksquared
+    k2extra = np.sum(ksquared * qpwers)
+    k2extra *= np.pi**2 * np.sqrt(2 * np.pi) / (-36 * zthree)
+    K0to3[2] += k2extra
+    k3extra = np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ksquared * qpwers)
+    k3extra *= np.pi**2 * np.sqrt(2 * np.pi) / (216 * zsix)
+    K0to3[3] += k3extra
+    K0to3 /= np.power(n * 1.0, np.arange(4) / 2.0)
+    return sum(K0to3)
 
 
 def check_null_laws(cfg: NullLawsConfig, seed: int, threads: int) -> list[CheckResult]:
@@ -514,8 +713,8 @@ def check_null_laws(cfg: NullLawsConfig, seed: int, threads: int) -> list[CheckR
     crit = stdtrit(df, 0.975)
     size = float(np.mean(np.abs(t_vals) > crit))
     size_se = math.sqrt(0.05 * 0.95 / cfg.replicates)
-    ks_t = _kstest(t_vals, "t", df)
-    t_pass = bool(0.04 <= size <= 0.06 and ks_t.pvalue > 0.01)
+    ks_stat, ks_p = _kstest(t_vals, lambda x: stdtr(df, x))
+    t_pass = bool(0.04 <= size <= 0.06 and ks_p > 0.01)
     results = [
         CheckResult(
             name="t_null",
@@ -527,24 +726,23 @@ def check_null_laws(cfg: NullLawsConfig, seed: int, threads: int) -> list[CheckR
                 "KS test against t(L-K+1) at p > 0.01"
             ),
             target={"size": 0.05, "law": f"t({df})"},
-            empirical={"size": size, "ks_pvalue": float(ks_t.pvalue),
-                       "ks_stat": float(ks_t.statistic)},
+            empirical={"size": size, "ks_pvalue": ks_p, "ks_stat": ks_stat},
             mc_se={"size": size_se},
             details={"replicates": cfg.replicates, "m": cfg.m, "n": n, "n0": n0},
         )
     ]
-    ks_f = _kstest(f_vals, "f", cfg.n_sources - 1, df)
+    ks_stat, ks_p = _kstest(f_vals, lambda x: fdtr(cfg.n_sources - 1, df, x))
     results.append(
         CheckResult(
             name="f_null",
-            passed=bool(ks_f.pvalue > 0.01),
+            passed=bool(ks_p > 0.01),
             runtime_s=runtime,
             definition=(
                 "the uniform-weights F statistic under the exchangeable null "
                 "passes a KS test against F(K-1, L-K+1) at p > 0.01"
             ),
             target={"law": f"F({cfg.n_sources - 1}, {df})"},
-            empirical={"ks_pvalue": float(ks_f.pvalue), "ks_stat": float(ks_f.statistic)},
+            empirical={"ks_pvalue": ks_p, "ks_stat": ks_stat},
             mc_se={},
             details={"replicates": cfg.replicates},
         )
@@ -564,11 +762,11 @@ def check_ci_chi2(cfg: CiChi2Config, seed: int, threads: int) -> list[CheckResul
     sigma_eff = analytic.effective_row_cov(sigma_w, cfg.m, [n] * k, n0)
     scale = analytic.optimal_uniform_quadratic(sigma_eff) / cfg.m
     chi2_stats = data[:, 2] / scale
-    ks = _kstest(chi2_stats, "chi2", n_funcs)
+    ks_stat, ks_p = _kstest(chi2_stats, lambda x: chdtr(n_funcs, x))
     results = [
         CheckResult(
             name="chi2_residual",
-            passed=bool(ks.pvalue > 0.01),
+            passed=bool(ks_p > 0.01),
             runtime_s=runtime,
             definition=(
                 "L times the mean squared residual, divided by the "
@@ -576,7 +774,7 @@ def check_ci_chi2(cfg: CiChi2Config, seed: int, threads: int) -> list[CheckResul
                 "passes a KS test against chi2(L) at p > 0.01"
             ),
             target={"law": f"chi2({n_funcs})", "scale": scale},
-            empirical={"ks_pvalue": float(ks.pvalue), "ks_stat": float(ks.statistic),
+            empirical={"ks_pvalue": ks_p, "ks_stat": ks_stat,
                        "mean_stat_over_L": float(chi2_stats.mean() / n_funcs)},
             mc_se={},
             details={"replicates": cfg.replicates, "m": cfg.m, "n": n, "n0": n0,

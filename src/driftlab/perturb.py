@@ -407,7 +407,9 @@ def sample_uniform(weights: np.ndarray, k: int, n: int, rng: np.random.Generator
     value is uniform within the bin. Conditioned on the weights the draws
     are i.i.d. The bin of each draw r is ``searchsorted(cum, r, "right")``
     over the cumulative bin probabilities; :func:`_find_bins` computes
-    exactly that index with a guide table.
+    exactly that index with a guide table. Values are built by
+    :func:`_rows_in_bins`, so every one is < 1 and, for dyadic m, inside
+    its bin.
     """
     n_dists, m = weights.shape
     if not 0 <= k < n_dists:
@@ -418,10 +420,25 @@ def sample_uniform(weights: np.ndarray, k: int, n: int, rng: np.random.Generator
     cum = np.cumsum(w / w.sum())
     cum[-1] = 1.0
     bins = _find_bins(cum, rng.random(n))
-    u = rng.random(n)
-    u += bins
-    u /= m
-    return u
+    return _rows_in_bins(rng.random(n), bins, m)
+
+
+def _rows_in_bins(v: np.ndarray, bins: np.ndarray, m: int) -> np.ndarray:
+    """The values (b + v) / m of uniform draws v in [0, 1) in bins b of m,
+    computed in place on v, with b + v kept below b + 1.
+
+    b + v rounds up to b + 1 when 1 - v is at most half the spacing of
+    doubles below b + 1 (a tie rounds up: b + 1 is even there). That
+    spacing grows with b, so it can happen only if it happens for the
+    largest v in the top bin m - 1; only then are the sums clamped, and the
+    common case allocates nothing more.
+    """
+    clamp = v.size > 0 and (m - 1) + v.max() == m
+    v += bins
+    if clamp:
+        np.minimum(v, np.nextafter(bins + 1.0, 0.0), out=v)
+    v /= m
+    return v
 
 
 # more passes than this and a binary search is the cheaper lookup

@@ -97,6 +97,22 @@ def test_count_sampler_has_the_law_of_sample_uniform():
     assert stats.ks_2samp(means[0], means[1]).pvalue > 0.01
 
 
+@pytest.mark.parametrize("m", [3, 100, 512, 4096])
+def test_bin_rows_keep_the_top_draw_inside_its_bin(m):
+    class TopRandom:
+        def random(self, n):
+            return np.full(n, 1.0 - 2.0**-53)
+
+    counts = np.full(m, 2)
+    for bins in (None, np.arange(0, m, 3)):
+        u = H._bin_rows(counts, TopRandom(), bins)
+        b = np.repeat(np.arange(m) if bins is None else bins, 2)
+        assert np.all(u < 1.0)
+        assert np.all(u * m <= b + 1)
+        if m & (m - 1) == 0:
+            assert np.array_equal(np.floor(u * m), b)
+
+
 @pytest.mark.parametrize("m", [32, 128, 256])
 @pytest.mark.parametrize("prob", [0.5, 0.25])
 def test_event_bins_are_the_rows_with_x_below_prob(m, prob):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import stdtrit
+from scipy.special import chdtr, fdtr, stdtr, stdtrit
 
 import driftlab as dl
 from conftest import make_moments
+from driftlab import harness
 from driftlab.dlm import ContrastSpec, _f_sf, fit_weights, infer, target_ci
 from driftlab.moments import ScalarMoments
 from driftlab.perturb import _GUIDE_MAX_PASSES, WeightLaw, _find_bins
@@ -198,3 +199,75 @@ def test_gamma_ppf_equals_scipy_stats(shape, scale, q):
 def test_harness_t_critical_value_equals_scipy_stats():
     df = np.arange(1, 400)
     assert_bitwise(stdtrit(df, 0.975), stats.t.ppf(0.975, df))
+
+
+def assert_ks_pvalue(got, want, n):
+    """Bit for bit for n > 140; within 1e-10 relative for n <= 140, where
+    scipy's Pomeranz recursion stands in for the Durbin matrix."""
+    if n > 140:
+        assert_bitwise(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    law=st.sampled_from(["t", "f", "chi2"]),
+    n=st.integers(2, 3000),
+    df=st.integers(1, 60),
+    scale=st.sampled_from([1.0, 1.2, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kstest_equals_scipy_stats(law, n, df, scale, seed):
+    rng = np.random.default_rng(seed)
+    if law == "t":
+        args, cdf, x = (df,), (lambda v: stdtr(df, v)), rng.standard_t(df, n)
+    elif law == "f":
+        dfn = df % 5 + 1
+        args, cdf, x = (dfn, df), (lambda v: fdtr(dfn, df, v)), rng.f(dfn, df, n)
+    else:
+        args, cdf, x = (df,), (lambda v: chdtr(df, v)), rng.chisquare(df, n)
+    x *= scale
+    want = stats.kstest(x, law, args=args)
+    stat, pvalue = harness._kstest(x, cdf)
+    assert_bitwise(stat, want.statistic)
+    assert_ks_pvalue(pvalue, want.pvalue, n)
+
+
+KS_BRANCHES = [
+    # (n, d, the branch of harness._ks_sf that (n, d) takes)
+    (50, 1.0, "d >= 1"),
+    (10_000, 1.5, "d >= 1"),
+    (50, 0.01, "nd <= 1/2"),
+    (10_000, 0.0, "nd <= 1/2"),
+    (50, 0.015, "nd <= 1"),
+    (10_000, 8e-5, "nd <= 1"),
+    (50, 0.99, "nd >= n - 1"),
+    (200, 0.996, "nd >= n - 1"),
+    (50, 0.6, "smirnov"),  # d >= 1/2
+    (2000, 0.5, "smirnov"),  # d >= 1/2 comes before nd^2 >= 370
+    (100, 0.3, "smirnov"),  # n <= 140, nd^2 > 4
+    (10_000, 0.02, "smirnov"),  # n > 140, nd^2 >= 2.2
+    (50, 0.1, "durbin"),  # nd^2 = 0.5
+    (140, 0.16, "durbin"),  # nd^2 = 3.6, scipy's Pomeranz stretch
+    (99, (4 / 99) ** 0.5, "durbin"),  # nd^2 = 4
+    (10_000, 0.002, "durbin"),  # n > 140, n d^1.5 <= 1.4
+    (10_000, 0.01, "pelz_good"),  # the default null-law size
+    (10_000, 0.0123, "pelz_good"),
+    (200_000, 0.001, "pelz_good"),  # n > 100000
+    (10_000, 0.2, "nd^2 >= 370"),
+    (10_000, float("nan"), "nan"),
+]
+
+
+@pytest.mark.parametrize("n, d, branch", KS_BRANCHES)
+def test_ks_sf_equals_scipy_kstwo_on_every_branch(n, d, branch, monkeypatch):
+    taken = []
+    for name in ("_durbin_cdf", "_pelz_good_cdf", "smirnov"):
+        def spy(*args, _name=name, _fn=getattr(harness, name)):
+            taken.append(_name.strip("_").removesuffix("_cdf"))
+            return _fn(*args)
+        monkeypatch.setattr(harness, name, spy)
+    got = harness._ks_sf(n, d)
+    assert taken == ([branch] if branch in ("durbin", "pelz_good", "smirnov") else [])
+    assert_ks_pvalue(got, stats.kstwo.sf(d, n), n)

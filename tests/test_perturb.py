@@ -107,6 +107,23 @@ def test_two_bin_probability():
     assert abs(frac - 2 / 3) < 4 * se
 
 
+class TopRandom:
+    """A generator whose every uniform draw is 1 - 2**-53, the largest
+    double below 1."""
+
+    def random(self, n):
+        return np.full(n, 1.0 - 2.0**-53)
+
+
+@pytest.mark.parametrize("m", [3, 100, 512, 4096])
+def test_sample_uniform_keeps_the_top_draw_inside_its_bin(m):
+    # b + (1 - 2**-53) rounds to b + 1 for b >= 1; (511 + v) / 512 == 1.0
+    u = dl.sample_uniform(np.ones((1, m)), 0, 10, TopRandom())
+    assert np.all(u < 1.0)
+    if m & (m - 1) == 0:
+        assert np.all(np.floor(u * m) == m - 1)
+
+
 def test_sampling_is_deterministic_given_seed():
     law = dl.lognormal_law(0.0, 0.5)
     scheme = dl.PerturbationScheme(20, dl.IndependentWeights((law,)))
