@@ -828,8 +828,14 @@ def check_excess_risk(cfg: ExcessRiskConfig, seed: int, threads: int) -> CheckRe
         gram, moment = 0.0, 0.0
         for j in range(k):
             u = _bin_rows(_bin_counts(world[j], n, rng), rng)
-            streams = sqrt12 * (split_uniform(u, cfg.dim_x + 1) - 0.5)
-            x = np.column_stack([np.ones(n)] + [streams[i] for i in range(cfg.dim_x)])
+            # in place and into one buffer: fresh (5, n) temporaries per
+            # replicate can fault the trimmed top of the heap back in
+            streams = split_uniform(u, dim)
+            streams -= 0.5
+            streams *= sqrt12
+            x = np.empty((n, dim))
+            x[:, 0] = 1.0
+            x[:, 1:] = streams[: cfg.dim_x].T
             y = x @ theta_star + cfg.noise_sd * streams[cfg.dim_x]
             gram = gram + beta[j] * (x.T @ x) / n
             moment = moment + beta[j] * (x.T @ y) / n

@@ -132,8 +132,11 @@ def evaluate_moments(data: DatasetCollection, tests: TestFunctionSet) -> MomentM
     function that produced it. Row order never matters.
     """
     tests = tests.prepare(data)
-    per_dataset = []
-    for tbl in [data.target] + list(data.sources):
+    means = []
+
+    def evaluated(tbl):
+        # one dataset's (n, L) values at a time: the target's, then each
+        # source's as pooled_moments asks for it
         values = tests.evaluate(tbl)
         if not np.all(np.isfinite(values)):
             rows, cols = np.nonzero(~np.isfinite(values))
@@ -142,9 +145,12 @@ def evaluate_moments(data: DatasetCollection, tests: TestFunctionSet) -> MomentM
                 f"test function {fname!r} produced a non-finite value on "
                 f"dataset {tbl.name!r} at row {rows[0]}"
             )
-        per_dataset.append(values)
-    _, pooled = pooled_moments(per_dataset[1:])
-    phi_hat = np.vstack([values.mean(axis=0) for values in per_dataset])
+        means.append(values.mean(axis=0))
+        return values
+
+    evaluated(data.target)
+    _, pooled = pooled_moments(map(evaluated, data.sources))
+    phi_hat = np.vstack(means)
     return MomentMatrix(
         phi_hat=phi_hat,
         names=tests.names,

@@ -8,7 +8,6 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +123,14 @@ class DatasetCollection:
         return tuple(tbl.name for tbl in self.sources)
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell.strip())
+    except ValueError:
+        return False
+    return True
+
+
 def _type_column(raw: tuple[str, ...], colname: str, path: str, lines: list[int]) -> np.ndarray:
     """Type a raw string column: numeric iff every stripped cell parses as float."""
     try:
@@ -134,12 +141,7 @@ def _type_column(raw: tuple[str, ...], colname: str, path: str, lines: list[int]
         pass
     cells = [c.strip() for c in raw]
     distinct = set(cells)
-    bad = set()
-    for value in distinct:
-        try:
-            float(value)
-        except ValueError:
-            bad.add(value)
+    bad = {value for value in distinct if not _is_number(value)}
     if not bad:
         # the raw cells failed only on whitespace that str.strip() removes
         # but float() rejects, such as "\x1f"
@@ -166,41 +168,40 @@ def _ragged(path: str, line: int, want: int, got: int) -> IngestError:
     return IngestError(f"{path}: line {line}: expected {want} fields, got {got}")
 
 
-def _too_long(path: str, line: int, limit: int) -> IngestError:
-    # csv.reader's message, so that both record finders raise the same error
-    return IngestError(f"{path}: line {line}: field larger than field limit ({limit})")
+def _loadtxt_columns(text: str, path: str) -> dict | None:
+    """Typed columns of text without a ``"``, split and typed by ``np.loadtxt``.
 
-
-def _plain_records(text: str, path: str):
-    """Header, raw columns and body line numbers of text without a ``"``.
-
-    Every line is one record and every ``,`` ends a cell, so records come
-    from ``str.split``. Errors match ``_quoted_records`` on the same text.
+    Records are the lines ``_quoted_records`` would keep. A column is
+    float64 when its first cell is a number; other columns go through
+    ``_type_column``. Returns None, leaving the text to ``_quoted_records``,
+    where a line is over the field limit, or numpy or the typing refuses it:
+    a ragged row, a cell numpy cannot convert (``1_000``), a mixed column.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     numbers = [i for i, ln in enumerate(lines, 1) if ln.strip() and not ln.startswith("#")]
     records = [lines[i - 1] for i in numbers]
-    limit = csv.field_size_limit()
-    first = records[0].split(",") if records else []
-    if max(map(len, first), default=0) > limit:
-        raise _too_long(path, numbers[0], limit)
-    header = _header(first, path)
-    body, numbers = records[1:], numbers[1:]
-    width = len(header)
-    commas = list(map(str.count, body, repeat(",")))
-    if commas.count(width - 1) != len(body) or max(map(len, body), default=0) > limit:
-        # the first bad record decides; within one, a long cell comes first,
-        # as csv.reader meets it before the record's end
-        for line, record in zip(numbers, body):
-            cells = record.split(",")
-            if max(map(len, cells)) > limit:
-                raise _too_long(path, line, limit)
-            if len(cells) != width:
-                raise _ragged(path, line, width, len(cells))
-    cells = ",".join(body).split(",")
-    return header, [cells[j::width] for j in range(width)], numbers
+    if len(records) < 2 or max(map(len, records)) > csv.field_size_limit():
+        return None
+    first = records[1].split(",")
+    try:
+        header = _header(records[0].split(","), path)
+        if len(header) != len(first):
+            return None
+        kinds = [(f"c{j}", float if _is_number(c) else object) for j, c in enumerate(first)]
+        fields = np.loadtxt(
+            records[1:], dtype=kinds, delimiter=",", comments=None, ndmin=1, unpack=True
+        )
+        # unpack gives strided views into one record array; copy the floats out
+        return {
+            name: np.ascontiguousarray(col)
+            if col.dtype.kind == "f"
+            else _type_column(col, name, path, numbers[1:])
+            for name, col in zip(header, fields)
+        }
+    except ValueError:  # an IngestError from _header or _type_column too
+        return None
 
 
 def _quoted_records(text: str, path: str):
@@ -248,8 +249,13 @@ def read_csv_table(path: str | Path, name: str | None = None) -> Table:
     quoted cell holds line breaks; blank lines and lines starting with ``#``
     are skipped where a record would start, never inside a quoted cell. A
     cell may hold at most 131072 characters (``csv.field_size_limit()``).
-    Text without a ``"`` is split with ``str.split``, other text with
-    ``csv.reader``; both give the same table and the same errors.
+    numpy's C reader (``np.loadtxt``) splits and types text without a
+    ``"``; any text it refuses, and all other text, goes through
+    ``csv.reader``, which gives the same table and the same errors. The
+    two agree because numpy converts a number by stripping Unicode
+    whitespace and parsing the rest with ``PyOS_string_to_double``, the
+    parser ``float()`` calls; the cells it refuses (``1_000``, non-ASCII
+    digits) are left to ``csv.reader``.
 
     A column is numeric (float64) iff every cell, stripped of surrounding
     whitespace, parses with Python's ``float()``, so ``1_000``, ``inf`` and
@@ -268,15 +274,16 @@ def read_csv_table(path: str | Path, name: str | None = None) -> Table:
         raise IngestError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
     except FileNotFoundError:
         raise IngestError(f"{path}: file not found") from None
-    records = _quoted_records if '"' in text else _plain_records
-    header, raw_columns, numbers = records(text, str(path))
-    if not numbers:
-        raise IngestError(f"{path}: no data rows")
-    cols = {
-        colname: _type_column(raw, colname, str(path), numbers)
-        for colname, raw in zip(header, raw_columns)
-    }
-    return Table(name or path.stem, tuple(header), cols)
+    cols = None if '"' in text else _loadtxt_columns(text, str(path))
+    if cols is None:
+        header, raw_columns, numbers = _quoted_records(text, str(path))
+        if not numbers:
+            raise IngestError(f"{path}: no data rows")
+        cols = {
+            colname: _type_column(raw, colname, str(path), numbers)
+            for colname, raw in zip(header, raw_columns)
+        }
+    return Table(name or path.stem, tuple(cols), cols)
 
 
 @contextmanager

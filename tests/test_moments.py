@@ -63,8 +63,17 @@ def test_row_order_invariance(rng):
 def test_non_finite_value_names_everything():
     src = Table.from_arrays("weird", x=[1.0, -1.0, 2.0])
     tgt = Table.from_arrays("t", x=[1.0])
+    log_x = parse_test_functions(["expr:log(x)"])
     with pytest.raises(ValueError, match=r"expr:log\(x\).*'weird'.*row 1"):
-        evaluate_moments(collection([src], tgt), parse_test_functions(["expr:log(x)"]))
+        evaluate_moments(collection([src], tgt), log_x)
+    # the target is checked first, then the sources in order
+    bad_target = Table.from_arrays("t", x=[1.0, 2.0, -3.0])
+    with pytest.raises(ValueError, match=r"dataset 't' at row 2"):
+        evaluate_moments(collection([src], bad_target), log_x)
+    later = Table.from_arrays("later", x=[-1.0, 1.0])
+    fine = Table.from_arrays("fine", x=[1.0, 2.0])
+    with pytest.raises(ValueError, match=r"dataset 'weird' at row 1"):
+        evaluate_moments(collection([fine, src, later], tgt), log_x)
 
 
 def test_standardized_product_uses_pooled_constants():

@@ -1,4 +1,5 @@
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -198,9 +199,9 @@ def typed_records(find, text, path="t.csv"):
     return {c: tables._type_column(raw, c, path, numbers) for c, raw in zip(header, raw_columns)}
 
 
-def outcome(find, text):
+def outcome(find, text, path="t.csv"):
     try:
-        return typed_records(find, text)
+        return typed_records(find, text, path)
     except IngestError as exc:
         return str(exc)
 
@@ -240,30 +241,65 @@ def plain_tables(draw):
 @settings(max_examples=400, deadline=None)
 @given(text=st.one_of(st.text(alphabet=_PLAIN, max_size=80), plain_tables()))
 def test_both_record_finders_agree_on_quote_free_text(text):
-    plain = outcome(tables._plain_records, text)
+    # numpy's C reader either refuses the text or gives csv.reader's table
+    loaded = tables._loadtxt_columns(text, "t.csv")
     quoted = outcome(tables._quoted_records, text)
     if isinstance(quoted, str):
-        assert plain == quoted
-    else:
-        assert_same_columns(plain, quoted)
+        assert loaded is None
+    elif loaded is not None:
+        assert_same_columns(loaded, quoted)
 
 
 @pytest.mark.parametrize(
-    "find", [tables._plain_records, tables._quoted_records], ids=["split", "csv_reader"]
+    "text, loaded, want",
+    [
+        ("x\n1.5\x1c\n", True, {"x": [1.5]}),
+        ("x\n\xa01.5\n", True, {"x": [1.5]}),
+        ("x\n 2 \n", True, {"x": [2.0]}),
+        ("x\n1_000\n", False, {"x": [1000.0]}),
+        ("x\n\u0661\n", False, {"x": [1.0]}),
+        ("x,label\n1,a#b\n2,#c\n", True, {"x": [1.0, 2.0], "label": ["a#b", "#c"]}),
+        ("label\na\n \t\nb\n", True, {"label": ["a", "b"]}),
+        ("x\n1\nb\n", False, "line 3, column 'x': unparseable numeric cell 'b'"),
+        ("x\nb\n1\n", False, "line 2, column 'x': unparseable numeric cell 'b'"),
+    ],
+    ids=["x1c", "nbsp", "spaces", "underscore", "arabic_digit", "hash_in_cell",
+         "blank_line", "mixed_number_first", "mixed_label_first"],
 )
-def test_a_cell_over_the_field_limit_is_an_error_naming_its_line(find):
+def test_quote_free_edge_cases_read_the_same_on_both_paths(tmp_path, text, loaded, want):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (tables._loadtxt_columns(text, str(path)) is not None) == loaded
+    quoted = outcome(tables._quoted_records, text, str(path))
+    try:
+        have = read_csv_table(path).data
+    except IngestError as exc:
+        assert str(exc) == quoted == f"{path}: {want}"
+        return
+    assert_same_columns(have, quoted)
+    assert {name: col.tolist() for name, col in have.items()} == want
+
+
+@pytest.mark.parametrize("end", ["", '# a "quoted" comment\n'], ids=["quote_free", "csv_reader"])
+def test_a_cell_over_the_field_limit_is_an_error_naming_its_line(tmp_path, end):
+    path = tmp_path / "t.csv"
+
+    def read(text):
+        path.write_bytes((text + end).encode("utf-8"))
+        return read_csv_table(path)
+
     fits = "x" * csv.field_size_limit()
-    assert list(typed_records(find, f"a,b\n1,{fits}\n")["b"]) == [fits]
-    too_long = r"^t\.csv: line {}: field larger than field limit \(131072\)$"
+    assert list(read(f"a,b\n1,{fits}\n").column("b")) == [fits]
+    too_long = "^" + re.escape(str(path)) + r": line {}: field larger than field limit \(131072\)$"
     with pytest.raises(IngestError, match=too_long.format(1)):
-        typed_records(find, f"{fits}x,b\n1,2\n")
+        read(f"{fits}x,b\n1,2\n")
     with pytest.raises(IngestError, match=too_long.format(3)):
-        typed_records(find, f"a,b\n1,2\n3,{fits}x\n")
+        read(f"a,b\n1,2\n3,{fits}x\n")
     # in one record the long cell is reported before the ragged row
     with pytest.raises(IngestError, match=too_long.format(3)):
-        typed_records(find, f"# c\na,b\n1,{fits}x,2\n3\n")
+        read(f"# c\na,b\n1,{fits}x,2\n3\n")
     with pytest.raises(IngestError, match="line 3: expected 2 fields, got 1$"):
-        typed_records(find, f"a,b\n1,2\n3\n4,{fits}x\n")
+        read(f"a,b\n1,2\n3\n4,{fits}x\n")
 
 
 _NEAR_NUMBER_TEXT = st.text(alphabet=" \t\r\n#\",.a1e_-\x85", max_size=6)
@@ -318,7 +354,7 @@ def test_quote_free_files_never_reach_csv_reader(tmp_path, monkeypatch):
     def no_reader(*args, **kwargs):
         raise AssertionError("csv.reader used on a quote-free file")
 
-    monkeypatch.setattr(tables.csv, "reader", no_reader)
+    monkeypatch.setattr(tables, "_quoted_records", no_reader)
     for name in ["source_1", "source_2", "source_3", "source_4", "target"]:
         read_csv_table(FIXTURE / f"{name}.csv")
     panel = Table.from_arrays(
@@ -332,4 +368,5 @@ def test_quote_free_files_never_reach_csv_reader(tmp_path, monkeypatch):
     (tmp_path / "crlf.csv").write_bytes(text.replace(b"\n", b"\r\n") + b"\r\n# end\r\n")
     for name in ["panel", "crlf"]:
         back = read_csv_table(tmp_path / f"{name}.csv")
-        assert np.array_equal(back.column("x1"), panel.column("x1"))
+        assert back.column("x1").tobytes() == panel.column("x1").tobytes()
+        assert list(back.column("occupation")) == ["clerk", "miner", "nurse", "#", ""] * 10
