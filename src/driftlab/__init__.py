@@ -11,15 +11,14 @@ distributional limit law against brute-force Monte Carlo.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .dlm import (
-    ContrastSpec,
     DlmFit,
     TargetCI,
     closed_form_weights,
     fit_weights,
-    infer,
     minimize_quadratic_on_simplex,
-    r_squared,
     summarize,
     target_ci,
 )
@@ -41,7 +40,6 @@ from .moments import (
     evaluate_moments,
     fit_whitening,
     moments_from_arrays,
-    scalar_moments,
     whiten_moments,
 )
 from .perturb import (
@@ -56,7 +54,6 @@ from .perturb import (
     gamma_law,
     gaussian_target,
     lognormal_law,
-    multivariate_target,
     realize_world,
     sample_uniform,
     shift_target,
@@ -66,4 +63,10 @@ from .perturb import (
 from .tables import DatasetCollection, Table, read_csv_table
 from .testfuncs import TestFunctionSet, parse_test_functions
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing a name from a submodule also binds the submodule itself here;
+# those module objects are not part of the public surface
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

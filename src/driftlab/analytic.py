@@ -13,18 +13,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "relative_weight_moments",
     "scheme_sigma_w",
-    "uniform_var",
     "uniform_poly_cov",
     "effective_row_cov",
     "optimal_uniform_quadratic",
     "conditional_shift_var",
     "excess_risk_mean",
-    "quantized_normal_var",
 ]
 
 
@@ -86,10 +83,6 @@ def scheme_sigma_w(kind: str, **params) -> np.ndarray:
         cov[b:, b:] = (c * base_var[None, :]) @ c.T + np.diag(noise**2)
         return cov / np.outer(mean_all, mean_all)
     raise ValueError(f"unknown scheme kind {kind!r}")
-
-
-def uniform_var() -> float:
-    return 1.0 / 12.0
 
 
 def uniform_poly_cov() -> np.ndarray:
@@ -164,10 +157,3 @@ def excess_risk_mean(
     beta = np.asarray(beta, dtype=float)
     q = float(beta @ np.asarray(sigma_w, dtype=float) @ beta)
     return q * noise_var * dim
-
-
-def quantized_normal_var(bits: int) -> float:
-    """Variance of ndtri applied to the centered dyadic grid with 2^bits atoms."""
-    grid = (np.arange(1 << bits) + 0.5) / (1 << bits)
-    z = ndtri(grid)
-    return float(z @ z / z.size)

@@ -567,7 +567,7 @@ def cmd_erm(args) -> int:
         risk = erm_mod.ood_risk(fit, shift_scale=dlm_fit.shift_scale)
         report["ci"] = {"level": level, "intervals": ci}
         report["ood_risk"] = {
-            "mode": risk.mode,
+            "mode": "observational",
             "value": risk.value,
             "trace_term": risk.trace_term,
             "shift_scale": dlm_fit.shift_scale,

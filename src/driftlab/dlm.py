@@ -31,14 +31,10 @@ from .moments import MomentMatrix, ScalarMoments
 
 __all__ = [
     "DlmFit",
-    "ContrastSpec",
     "TargetCI",
-    "InferenceReport",
     "fit_weights",
     "closed_form_weights",
     "minimize_quadratic_on_simplex",
-    "infer",
-    "r_squared",
     "target_ci",
     "summarize",
     "fit_to_dict",
@@ -85,7 +81,6 @@ class DlmFit:
     f_pvalue: float | None = None
     r2: float = np.nan
     adj_r2: float = np.nan
-    cov_beta: np.ndarray | None = None  # (K-1, K-1)
     non_unique: bool = False
     notes: tuple[str, ...] = ()
 
@@ -101,25 +96,6 @@ class DlmFit:
 
 
 @dataclass(frozen=True)
-class ContrastSpec:
-    """p x (K-1) full-row-rank contrast matrix on the free weight coordinates."""
-
-    q: np.ndarray
-    q0: np.ndarray | None = None  # hypothesized contrast values (default 0)
-
-    def __post_init__(self):
-        q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "q", q)
-        if np.linalg.matrix_rank(q) != q.shape[0]:
-            raise ValueError("contrast matrix must have full row rank")
-        if self.q0 is not None:
-            q0 = np.asarray(self.q0, dtype=float).ravel()
-            if q0.size != q.shape[0]:
-                raise ValueError("q0 must have one entry per contrast row")
-            object.__setattr__(self, "q0", q0)
-
-
-@dataclass(frozen=True)
 class TargetCI:
     """Confidence interval for a target-distribution mean functional."""
 
@@ -129,25 +105,6 @@ class TargetCI:
     level: float
     variance_hat: float
     shift_scale: float  # mean squared residual of the fit
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.estimate - self.half_width, self.estimate + self.half_width)
-
-
-@dataclass(frozen=True)
-class InferenceReport:
-    names: tuple[str, ...]
-    estimates: np.ndarray
-    se: np.ndarray
-    t_stats: np.ndarray
-    p_values: np.ndarray
-    df: int
-    f_stat: float
-    f_pvalue: float
-    contrast_stat: float | None = None
-    contrast_pvalue: float | None = None
-    contrast_df: tuple[int, int] | None = None
 
 
 def _f_sf(x: float, dfn: int, dfd: int) -> float:
@@ -336,7 +293,7 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
     resid_unif = moments.phi_hat[0] - uniform @ moments.phi_hat[1:]
     rss_unif = float(resid_unif @ resid_unif)
 
-    se = t_stats = p_values = cov_beta = None
+    se = t_stats = p_values = None
     f_stat = f_pvalue = None
     r2 = adj_r2 = np.nan
     if mode == "sum_to_one":
@@ -397,7 +354,6 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
         f_pvalue=f_pvalue,
         r2=r2,
         adj_r2=adj_r2,
-        cov_beta=cov_beta,
         non_unique=non_unique,
         notes=tuple(notes),
     )
@@ -416,69 +372,6 @@ def closed_form_weights(moments: MomentMatrix) -> np.ndarray:
             + _name_collinear(phi, moments.source_names)
         )
     return x / (ones @ x)
-
-
-def infer(fit: DlmFit, contrast: ContrastSpec | None = None) -> InferenceReport:
-    """Per-coordinate t-tests, the uniform-weights F-test, and contrasts.
-
-    The per-coordinate null is "this dataset deserves weight zero"; the
-    F-test null is "all datasets are equally informative" (uniform weights).
-    A general contrast Q on the K-1 free coordinates is referred to
-    F(p, L-K+1) through the same covariance estimate.
-    """
-    if fit.mode != "sum_to_one":
-        raise ValueError("inference is only available for sum_to_one fits")
-    if fit.df < 1:
-        raise DegreesOfFreedomError("no residual degrees of freedom")
-    if fit.n_sources < 2:
-        raise ValueError("inference needs at least two datasets")
-    c_stat = c_p = None
-    c_df = None
-    if contrast is not None:
-        q = contrast.q
-        if q.shape[1] != fit.n_sources - 1:
-            raise ValueError("contrast width must be K-1")
-        q0 = contrast.q0 if contrast.q0 is not None else np.zeros(q.shape[0])
-        diff = q @ fit.beta_hat[:-1] - q0
-        qcq = q @ fit.cov_beta @ q.T
-        p = q.shape[0]
-        c_stat = float(diff @ np.linalg.solve(qcq, diff) / p)
-        c_p = _f_sf(c_stat, p, fit.df)
-        c_df = (p, fit.df)
-    return InferenceReport(
-        names=fit.source_names,
-        estimates=fit.beta_hat.copy(),
-        se=fit.se.copy(),
-        t_stats=fit.t_stats.copy(),
-        p_values=fit.p_values.copy(),
-        df=fit.df,
-        f_stat=fit.f_stat,
-        f_pvalue=fit.f_pvalue,
-        contrast_stat=c_stat,
-        contrast_pvalue=c_p,
-        contrast_df=c_df,
-    )
-
-
-def r_squared(fit: DlmFit, moments: MomentMatrix) -> tuple[float, float]:
-    """R^2 of the fitted weights against the uniform-weights baseline.
-
-    R^2 = 1 - RSS(beta_hat) / RSS(uniform); the adjusted version rescales
-    by L / (L - K + 1). A zero uniform RSS makes both undefined (NaN).
-    RSS(uniform) is the one ``fit_weights`` stored on the fit, computed from
-    the moments it was fitted on; ``moments`` itself is not read.
-    """
-    rss_unif = fit.rss_uniform
-    if rss_unif == 0.0:
-        warnings.warn(
-            "uniform-weight RSS is zero (uniform weights already interpolate); "
-            "R^2 is undefined",
-            stacklevel=2,
-        )
-        return float("nan"), float("nan")
-    r2 = 1.0 - fit.rss / rss_unif
-    adj = 1.0 - (1.0 - r2) * fit.n_functions / fit.df
-    return r2, adj
 
 
 def target_ci(

@@ -34,7 +34,6 @@ __all__ = [
     "ood_risk",
     "erm_ci",
     "importance_weights",
-    "validate_loss",
 ]
 
 
@@ -52,7 +51,8 @@ class LossSpec:
 
     loss(theta, X, y) -> (n,) per-row losses
     gradient(theta, X, y) -> (n, p) per-row gradients
-    hessian_mean(theta, X, y) -> (p, p) average Hessian over rows
+    hessian_mean(theta, X, y, w=None) -> (p, p) average Hessian over rows,
+        weighted by the per-row sample weights ``w`` when they are given
     """
 
     family: str
@@ -97,42 +97,6 @@ def logistic_loss() -> LossSpec:
     return LossSpec("logistic", loss, gradient, hessian_mean)
 
 
-def validate_loss(
-    spec: LossSpec,
-    theta: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    rel_tol: float = 1e-5,
-    step: float = 1e-6,
-) -> None:
-    """Check gradient and Hessian against central finite differences."""
-    theta = np.asarray(theta, dtype=float)
-    p = theta.size
-    grad = spec.gradient(theta, x, y).mean(axis=0)
-    fd_grad = np.empty(p)
-    for j in range(p):
-        e = np.zeros(p)
-        e[j] = step
-        fd_grad[j] = (
-            spec.loss(theta + e, x, y).mean() - spec.loss(theta - e, x, y).mean()
-        ) / (2 * step)
-    scale = np.maximum(np.abs(grad), 1.0)
-    if np.max(np.abs(grad - fd_grad) / scale) > rel_tol:
-        raise AssertionError("gradient does not match finite differences")
-    hess = spec.hessian_mean(theta, x, y)
-    fd_hess = np.empty((p, p))
-    for j in range(p):
-        e = np.zeros(p)
-        e[j] = step
-        fd_hess[:, j] = (
-            spec.gradient(theta + e, x, y).mean(axis=0)
-            - spec.gradient(theta - e, x, y).mean(axis=0)
-        ) / (2 * step)
-    scale = np.maximum(np.abs(hess), 1.0)
-    if np.max(np.abs(hess - fd_hess) / scale) > rel_tol:
-        raise AssertionError("hessian does not match finite differences")
-
-
 @dataclass(frozen=True)
 class ErmFit:
     theta_hat: np.ndarray
@@ -151,17 +115,15 @@ class OodRisk:
     """Mean excess target risk of the weighted fit.
 
     ``trace_term`` is Trace(H^{-1} V) with H the weighted mean Hessian and
-    V the pooled gradient covariance; ``quadratic_form`` is
-    beta' Sigma_W beta (simulation mode) or the plug-in residual scale
-    (observational mode). ``value`` is the mean excess risk itself,
-    (1/2) * quadratic_form * trace_term on the appropriate scale: the 1/2
-    is the second-order Taylor constant of the risk around its minimizer.
+    V the pooled gradient covariance; ``quadratic_form`` is the plug-in
+    residual scale of a moment-matching weight fit. ``value`` is the mean
+    excess risk itself, (1/2) * quadratic_form * trace_term: the 1/2 is the
+    second-order Taylor constant of the risk around its minimizer.
     """
 
     value: float
     trace_term: float
     quadratic_form: float
-    mode: str
 
 
 def design_matrix(
@@ -307,21 +269,20 @@ def fit_erm(
     spec: LossSpec,
     beta: np.ndarray,
     covariates: tuple[str, ...] | None = None,
-    intercept: bool = True,
 ) -> ErmFit:
-    """Weighted ERM on a dataset collection (numeric covariates + outcome)."""
+    """Weighted ERM on a dataset collection (numeric covariates + outcome),
+    with an intercept column in front of the covariates."""
     if data.outcome is None:
         raise ValueError("dataset collection declares no outcome column")
     covs = covariates or tuple(
         c for c in data.covariates if data.sources[0].is_numeric(c)
     )
     arrays = [
-        (design_matrix(tbl, covs, intercept), np.asarray(tbl.column(data.outcome), dtype=float))
+        (design_matrix(tbl, covs), np.asarray(tbl.column(data.outcome), dtype=float))
         for tbl in data.sources
     ]
     fit = fit_erm_arrays(arrays, spec, beta)
-    names = (("intercept",) if intercept else ()) + covs
-    return replace(fit, feature_names=names)
+    return replace(fit, feature_names=("intercept",) + covs)
 
 
 def fit_weighted_samples(
@@ -336,36 +297,21 @@ def fit_weighted_samples(
     )
 
 
-def ood_risk(
-    fit: ErmFit,
-    sigma_w: np.ndarray | None = None,
-    m: int | None = None,
-    shift_scale: float | None = None,
-) -> OodRisk:
+def ood_risk(fit: ErmFit, shift_scale: float) -> OodRisk:
     """Asymptotic mean excess risk of the weighted fit on the target.
 
-    Simulation mode (``sigma_w`` and ``m`` known): the quadratic form
-    beta' Sigma_W beta divided by m scales Trace(H^{-1} V). Observational
-    mode: the mean squared residual of a moment-matching weight fit
-    (``shift_scale``) substitutes for the unknown quadratic form over m.
+    The mean squared residual of a moment-matching weight fit
+    (``shift_scale``) stands in for the unknown shift magnitude
+    beta' Sigma_W beta / m, and scales Trace(H^{-1} V).
     """
     v = fit.influence_variance  # pooled Var of -H^{-1} grad
     h = fit.hessian_hat
     # Trace(H^{-1} Var(grad)) == Trace(H Var(influence))
     trace_term = float(np.trace(h @ v))
-    if sigma_w is not None:
-        if m is None:
-            raise ValueError("simulation mode needs the bin count m")
-        q = float(fit.weights_used @ np.asarray(sigma_w, float) @ fit.weights_used)
-        return OodRisk(value=0.5 * q * trace_term / m, trace_term=trace_term,
-                       quadratic_form=q, mode="simulation")
-    if shift_scale is None:
-        raise ValueError("need sigma_w (simulation) or shift_scale (observational)")
     return OodRisk(
         value=0.5 * float(shift_scale) * trace_term,
         trace_term=trace_term,
         quadratic_form=float(shift_scale),
-        mode="observational",
     )
 
 
@@ -391,26 +337,23 @@ class ImportanceWeightResult:
     clipped: bool
 
 
-def density_ratio_weights(p_target_given_x: np.ndarray, p_target: float) -> np.ndarray:
-    """Instance weights P(x | target) / P(x | source) via Bayes' rule."""
-    p = np.asarray(p_target_given_x, dtype=float)
-    prior_odds = p_target / (1.0 - p_target)
-    return (p / (1.0 - p)) / prior_odds
+# ridge on the classifier's coefficients, scaled by 1/n like the loss; it
+# keeps the fit finite when source and target rows are separable
+_L2_PENALTY = 1e-6
 
 
 def importance_weights(
     x_source: np.ndarray,
     x_target: np.ndarray,
     clip_quantile: float = 0.99,
-    l2_penalty: float = 1e-6,
 ) -> ImportanceWeightResult:
     """Per-sample density-ratio weights from a source-vs-target classifier.
 
-    A logistic regression distinguishes target rows from source rows on the
-    pooled covariates; the fitted odds, corrected by the prior odds, give
-    the density ratio. Weights above the ``clip_quantile`` quantile are
-    clipped (and the clipping reported). With ``l2_penalty = 0`` a separable
-    pooled sample raises an error.
+    A logistic regression with a small ridge (``_L2_PENALTY``) distinguishes
+    target rows from source rows on the pooled covariates; by Bayes' rule
+    the fitted odds, divided by the prior odds n_target / n_source, give the
+    density ratio P(x | target) / P(x | source). Weights above the
+    ``clip_quantile`` quantile are clipped (and the clipping reported).
     """
     x_source = np.atleast_2d(np.asarray(x_source, dtype=float))
     x_target = np.atleast_2d(np.asarray(x_target, dtype=float))
@@ -422,37 +365,28 @@ def importance_weights(
     base = logistic_loss()
 
     def loss(theta, xx, yy):
-        penalty = 0.5 * (l2_penalty / xx.shape[0]) * (theta @ theta)
+        penalty = 0.5 * (_L2_PENALTY / xx.shape[0]) * (theta @ theta)
         return base.loss(theta, xx, yy) + penalty
 
     def gradient(theta, xx, yy):
-        return base.gradient(theta, xx, yy) + (l2_penalty / xx.shape[0]) * theta[None, :]
+        return base.gradient(theta, xx, yy) + (_L2_PENALTY / xx.shape[0]) * theta[None, :]
 
     def hessian_mean(theta, xx, yy, w=None):
         return base.hessian_mean(theta, xx, yy, w) + (
-            l2_penalty / xx.shape[0]
+            _L2_PENALTY / xx.shape[0]
         ) * np.eye(theta.size)
 
     spec = LossSpec("logistic_l2", loss, gradient, hessian_mean)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error" if l2_penalty == 0.0 else "default")
-        try:
-            fit = fit_erm_arrays([(x, a)], spec, np.array([1.0]))
-        except (Warning, ConvergenceError) as exc:
-            raise SeparationError(
-                "source/target classifier did not converge (perfect separation "
-                "is likely); use a positive l2_penalty"
-            ) from exc
-    eta_all = x @ fit.theta_hat
-    if l2_penalty == 0.0 and eta_all[:n_s].max() < eta_all[n_s:].min():
-        # the fitted direction ranks every target row above every source row
+    try:
+        fit = fit_erm_arrays([(x, a)], spec, np.array([1.0]))
+    except ConvergenceError as exc:
         raise SeparationError(
-            "pooled covariates are perfectly separated between source and "
-            "target; density-ratio weights are undefined without "
-            "regularization (use a positive l2_penalty)"
-        )
-    p = expit(eta_all[:n_s])
-    raw = density_ratio_weights(p, n_t / (n_s + n_t))
+            "source/target classifier has a singular Hessian at its optimum "
+            "(perfect separation is likely)"
+        ) from exc
+    p = expit((x @ fit.theta_hat)[:n_s])
+    p_target = n_t / (n_s + n_t)
+    raw = (p / (1.0 - p)) / (p_target / (1.0 - p_target))
     threshold = float(np.quantile(raw, clip_quantile))
     clipped = raw > threshold
     w = np.minimum(raw, threshold)

@@ -30,7 +30,6 @@ __all__ = [
     "fit_whitening",
     "whiten_moments",
     "pooled_moments",
-    "scalar_moments",
     "inverse_sqrt",
 ]
 
@@ -187,16 +186,6 @@ def moments_from_arrays(
         source_names=tuple(f"source_{k + 1}" for k in range(len(source_values))),
         target_name="target",
         pooled_var=pooled,
-    )
-
-
-def scalar_moments(data: DatasetCollection, func, name: str | None = None) -> ScalarMoments:
-    """Per-source means and pooled variance of an arbitrary function."""
-    values = [func.evaluate(tbl) for tbl in data.sources]
-    return ScalarMoments(
-        name=name or getattr(func, "name", "phi0"),
-        source_means=np.array([float(np.mean(v)) for v in values]),
-        pooled_var=pooled_moments(values)[1],
     )
 
 

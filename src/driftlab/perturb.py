@@ -24,8 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaincinv, ndtr, ndtri
 
-from .rng import split_uniform
-
 _RESAMPLE_CAP = 100
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "gaussian_target",
     "exponential_target",
     "categorical_target",
-    "multivariate_target",
 ]
 
 
@@ -492,10 +489,9 @@ def shift_target(sigma_w: np.ndarray) -> np.ndarray:
 class TargetDistribution:
     """A data law written as a measurable transform of a uniform variable.
 
-    ``transform`` maps an array of uniforms in (0, 1) to data: shape (n,)
-    for scalar laws or (n, d) for multivariate ones. ``moments``, when
-    known, holds the declared (mean, variance) per coordinate so that the
-    transform can be validated against its intended law.
+    ``transform`` maps an array of n uniforms in (0, 1) to n values.
+    ``moments``, when known, is the one-element tuple ((mean, variance),)
+    of the declared law, so that the transform can be validated against it.
     """
 
     name: str
@@ -550,35 +546,6 @@ def categorical_target(
     return TargetDistribution(
         f"categorical({table.size} levels)",
         lambda u: table[np.minimum(np.searchsorted(cum, u, side="left"), last)],
-    )
-
-
-def multivariate_target(
-    parts: Sequence[TargetDistribution],
-    name: str | None = None,
-) -> TargetDistribution:
-    """Build a multivariate law from one uniform by digit interleaving.
-
-    The single uniform is split into ``len(parts)`` exactly independent
-    streams (disjoint mantissa bits) and each part's transform is applied to
-    its own stream, giving statistically independent coordinates. Dependent
-    coordinates require a user-supplied joint transform instead.
-    """
-    parts = tuple(parts)
-    if len(parts) < 2:
-        raise ValueError("need at least two parts")
-
-    def transform(u: np.ndarray) -> np.ndarray:
-        streams = split_uniform(u, len(parts))
-        return np.column_stack([p.transform(streams[i]) for i, p in enumerate(parts)])
-
-    moments = None
-    if all(p.moments is not None and len(p.moments) == 1 for p in parts):
-        moments = tuple(p.moments[0] for p in parts)
-    return TargetDistribution(
-        name or "paired(" + ", ".join(p.name for p in parts) + ")",
-        transform,
-        moments=moments,
     )
 
 

@@ -7,9 +7,7 @@ from scipy.optimize import minimize
 from conftest import make_moments
 from driftlab.dlm import fit_weights
 from driftlab.erm import (
-    SeparationError,
     _newton,
-    density_ratio_weights,
     design_matrix,
     erm_ci,
     fit_erm,
@@ -19,7 +17,6 @@ from driftlab.erm import (
     logistic_loss,
     ood_risk,
     squared_error_loss,
-    validate_loss,
 )
 from driftlab.tables import DatasetCollection, Table
 
@@ -28,6 +25,16 @@ def linear_data(rng, n, theta, noise=0.5):
     x = np.column_stack([np.ones(n), rng.normal(size=(n, len(theta) - 1))])
     y = x @ theta + noise * rng.normal(size=n)
     return x, y
+
+
+def central_difference(f, theta, step=1e-6):
+    """Central finite differences of f along each coordinate of theta."""
+    cols = []
+    for j in range(theta.size):
+        e = np.zeros(theta.size)
+        e[j] = step
+        cols.append((f(theta + e) - f(theta - e)) / (2 * step))
+    return np.stack(cols, axis=-1)
 
 
 @pytest.mark.parametrize("spec_factory", [squared_error_loss, logistic_loss])
@@ -41,7 +48,12 @@ def test_loss_derivatives_match_finite_differences(spec_factory, rng):
             else rng.integers(0, 2, size=1).astype(float)
         )
         theta = rng.normal(size=3)
-        validate_loss(spec, theta, x, y)
+        grad = spec.gradient(theta, x, y).mean(axis=0)
+        fd_grad = central_difference(lambda t: spec.loss(t, x, y).mean(), theta)
+        assert np.max(np.abs(grad - fd_grad) / np.maximum(np.abs(grad), 1.0)) <= 1e-5
+        hess = spec.hessian_mean(theta, x, y)
+        fd_hess = central_difference(lambda t: spec.gradient(t, x, y).mean(axis=0), theta)
+        assert np.max(np.abs(hess - fd_hess) / np.maximum(np.abs(hess), 1.0)) <= 1e-5
 
 
 def test_single_dataset_squared_equals_ols(rng):
@@ -173,15 +185,12 @@ def test_influence_variance_matches_per_row_influences(rng):
 def test_ood_risk_one_hot_identity(rng):
     x, y = linear_data(rng, 400, np.array([1.0, 2.0]))
     fit = fit_erm_arrays([(x, y)], squared_error_loss(), np.array([1.0]))
-    risk = ood_risk(fit, sigma_w=np.eye(1), m=100)
-    assert risk.quadratic_form == pytest.approx(1.0)
+    risk = ood_risk(fit, shift_scale=0.01)
+    assert risk.quadratic_form == 0.01
     trace = np.trace(fit.hessian_hat @ fit.influence_variance)
     assert risk.trace_term == pytest.approx(trace)
     # mean excess risk carries the 1/2 Taylor constant
-    assert risk.value == pytest.approx(0.5 * trace / 100)
-    obs = ood_risk(fit, shift_scale=0.01)
-    assert obs.mode == "observational"
-    assert obs.value == pytest.approx(0.5 * 0.01 * trace)
+    assert risk.value == pytest.approx(0.5 * 0.01 * trace)
 
 
 def test_ood_risk_simplex_quadratic_oracle():
@@ -205,7 +214,7 @@ def test_ood_risk_trace_term_matches_direct_computation(rng):
     )
     v = np.cov(grads.T, bias=True)
     expected = np.trace(np.linalg.solve(fit.hessian_hat, v))
-    risk = ood_risk(fit, sigma_w=np.eye(2), m=50)
+    risk = ood_risk(fit, shift_scale=1.0)
     assert risk.trace_term == pytest.approx(expected, rel=1e-10)
 
 
@@ -243,8 +252,15 @@ def test_erm_ci_intercept_only_hand_oracle(rng):
 
 
 def test_density_ratio_arithmetic():
-    w = density_ratio_weights(np.array([2 / 3]), 0.5)
-    assert w[0] == pytest.approx(2.0)
+    # with one binary covariate the classifier is saturated: it fits the
+    # share of target rows in each group, so by Bayes' rule the weight of a
+    # group is its target frequency over its source frequency
+    x_src = np.repeat([0.0, 1.0], [300, 100])[:, None]
+    x_tgt = np.repeat([0.0, 1.0], [100, 300])[:, None]
+    res = importance_weights(x_src, x_tgt)
+    assert not res.clipped
+    assert res.weights[:300] == pytest.approx(np.full(300, (1 / 4) / (3 / 4)), rel=1e-4)
+    assert res.weights[300:] == pytest.approx(np.full(100, (3 / 4) / (1 / 4)), rel=1e-4)
 
 
 def test_importance_weights_identical_distributions(rng):
@@ -261,13 +277,6 @@ def test_importance_weights_disjoint_supports_clip(rng):
         res = importance_weights(x_src, x_tgt)
     assert res.clipped
     assert res.weights.max() == pytest.approx(res.clip_threshold)
-
-
-def test_importance_weights_separation_error(rng):
-    x_src = rng.normal(loc=0.0, size=(200, 1))
-    x_tgt = rng.normal(loc=50.0, size=(200, 1))
-    with pytest.raises(SeparationError):
-        importance_weights(x_src, x_tgt, l2_penalty=0.0)
 
 
 def test_fit_weighted_samples_reweights(rng):

@@ -37,17 +37,12 @@ def test_analytic_sigma_w_independent_of_perturb_module():
 
 
 def test_analytic_uniform_moments():
-    assert analytic.uniform_var() == pytest.approx(1 / 12)
     cov = analytic.uniform_poly_cov()
     # direct numerical integration oracle
     u = (np.arange(200_000) + 0.5) / 200_000
     v = np.stack([u, u * u])
     oracle = np.cov(v, bias=True)
     assert np.allclose(cov, oracle, atol=1e-8)
-
-
-def test_quantized_normal_variance_close_to_one():
-    assert analytic.quantized_normal_var(16) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_effective_row_cov_structure():

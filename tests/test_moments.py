@@ -8,7 +8,6 @@ from driftlab.moments import (
     inverse_sqrt,
     moments_from_arrays,
     pooled_moments,
-    scalar_moments,
     whiten_moments,
 )
 from driftlab.rng import substream
@@ -208,17 +207,6 @@ def test_moments_from_arrays_matches_table_path(rng):
     mm_arrays = moments_from_arrays([x1[:, None], x2[:, None]], xt[:, None])
     assert np.allclose(mm_tables.phi_hat, mm_arrays.phi_hat)
     assert np.allclose(mm_tables.pooled_var, mm_arrays.pooled_var)
-
-
-def test_scalar_moments_helper(rng):
-    x = rng.normal(size=50)
-    data = collection(
-        [Table.from_arrays("s", x=x)], Table.from_arrays("t", x=x[:3])
-    )
-    fn = parse_test_functions(["column:x"]).functions[0]
-    sm = scalar_moments(data, fn)
-    assert sm.source_means[0] == pytest.approx(x.mean())
-    assert sm.pooled_var == pytest.approx(x.var())
 
 
 def test_expr_rejects_unsafe_syntax():

@@ -195,17 +195,6 @@ def test_transform_targets_reproduce_declared_moments():
         assert x.var() == pytest.approx(var, rel=0.05)
 
 
-def test_multivariate_target_independent_streams():
-    pair = dl.multivariate_target([dl.gaussian_target(), dl.uniform_target()])
-    u = substream(12, 1).random(200_000)
-    xy = pair.transform(u)
-    assert xy.shape == (200_000, 2)
-    corr = np.corrcoef(xy.T)[0, 1]
-    assert abs(corr) < 3 / np.sqrt(200_000) * 1.5
-    assert xy[:, 0].mean() == pytest.approx(0.0, abs=0.01)
-    assert xy[:, 1].var() == pytest.approx(1 / 12, rel=0.02)
-
-
 def test_split_uniform_streams_are_uniform_and_independent():
     u = substream(13, 1).random(100_000)
     s = split_uniform(u, 2)
