@@ -498,6 +498,13 @@ def cmd_erm(args) -> int:
     config, settings = _load_config(args.config, record(dict, _ERM_CONFIG))
     outcome = settings.get("outcome", "y")
     data = ingest(args.data, args.target, outcome)
+    if args.loss == "logistic":
+        for tbl in data.sources:
+            if not tbl.is_numeric(outcome) or not np.isin(tbl.column(outcome), (0, 1)).all():
+                raise UserError(
+                    f"--loss logistic needs a 0/1 outcome, but column {outcome!r} "
+                    f"of source {tbl.name!r} holds other values"
+                )
     spec = erm_mod.squared_error_loss() if args.loss == "squared" else erm_mod.logistic_loss()
     covariates = tuple(
         settings.get("covariates")
@@ -638,14 +645,15 @@ def cmd_diagnose(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _like(default, **keys):
+def _like(default, make=None, **keys):
     """The reader for values shaped like ``default``: integers, numbers and
     strings; a tuple as a list of as many entries, each read like the
     default's entry; and a settings dataclass as an object of its fields, each
-    read like its default unless ``keys`` names a reader for it."""
+    read like its default unless ``keys`` names a reader for it, passed to
+    ``make`` (the dataclass by default)."""
     if dataclasses.is_dataclass(default):
         fields = {f.name: _like(getattr(default, f.name)) for f in dataclasses.fields(default)}
-        return record(type(default), {**fields, **keys})
+        return record(make or type(default), {**fields, **keys})
     if not isinstance(default, tuple):
         return {int: integer, float: number, str: text}[type(default)]
     readers = [_like(entry) for entry in default]
@@ -658,7 +666,13 @@ def _like(default, **keys):
     return read
 
 
-_HARNESS_CONFIG = _like(HarnessConfig(), checks=list_of(one_of(*ALL_CHECKS)))
+# configs written when the harness had a thread pool may still pin "threads": 1
+_HARNESS_CONFIG = _like(
+    HarnessConfig(),
+    make=lambda threads=1, **settings: HarnessConfig(**settings),
+    checks=list_of(one_of(*ALL_CHECKS)),
+    threads=_reader("1 (replicates run serially)", lambda v: _integral(v) and v == 1),
+)
 
 
 def cmd_validate(args) -> int:

@@ -12,8 +12,8 @@ the empirical estimate is debiased); the corrections are reported and
 vanish in the large-n regime.
 
 Replicates draw from counter-keyed streams (seed, check lane, replicate
-index), so reports are bit-for-bit reproducible for a given config and
-thread count independent of scheduling.
+index), so reports are bit-for-bit reproducible for a given config, and
+each replicate can be rebuilt on its own.
 
 A dataset of n rows from a world's bin weights w is, by construction, a
 multinomial draw of the m bin counts plus a uniform draw inside each bin.
@@ -28,10 +28,8 @@ this is the law of ``perturb.sample_uniform``'s i.i.d. rows;
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import chdtr, fdtr, smirnov, stdtr, stdtrit
@@ -57,29 +55,6 @@ __all__ = [
     "run_harness",
     "ALL_CHECKS",
 ]
-
-ALL_CHECKS = (
-    "clt_cov",
-    "kron_cov",
-    "t_null",
-    "f_null",
-    "chi2_residual",
-    "ci_coverage",
-    "erm_excess_risk",
-    "conditional_shift",
-)
-
-# stream lanes per check family (lane 0 is reserved for world realization
-# in user-facing simulate runs)
-_LANES = {
-    "clt_cov": 11,
-    "kron_cov": 12,
-    "null_laws": 13,
-    "ci_chi2": 14,
-    "erm_excess_risk": 15,
-    "conditional_shift": 16,
-}
-
 
 @dataclass(frozen=True)
 class CltCovConfig:
@@ -193,10 +168,36 @@ class ConditionalShiftConfig:
 
 
 @dataclass(frozen=True)
+class _Family:
+    """A check function, where its settings and its streams come from, and the
+    results it reports. A new check is one entry in ``_FAMILIES``, plus its
+    settings class, its HarnessConfig field and its function."""
+
+    block: str  # the HarnessConfig field holding its settings
+    config: type  # that field's settings class
+    lane: int  # its substream lane; lane 0 is simulate's world realization
+    func: str  # a module global, looked up at each run so that a wrapper sees the call
+    results: tuple[str, ...]
+
+
+_FAMILIES = (
+    _Family("clt_cov", CltCovConfig, 11, "check_clt_cov", ("clt_cov",)),
+    _Family("kron_cov", KronCovConfig, 12, "check_kron_cov", ("kron_cov",)),
+    _Family("null_laws", NullLawsConfig, 13, "check_null_laws", ("t_null", "f_null")),
+    _Family("ci_chi2", CiChi2Config, 14, "check_ci_chi2", ("chi2_residual", "ci_coverage")),
+    _Family("erm_excess_risk", ExcessRiskConfig, 15, "check_excess_risk",
+            ("erm_excess_risk",)),
+    _Family("conditional_shift", ConditionalShiftConfig, 16, "check_conditional_shift",
+            ("conditional_shift",)),
+)
+ALL_CHECKS = tuple(name for family in _FAMILIES for name in family.results)
+_LANE_OF = {family.block: family.lane for family in _FAMILIES}
+
+
+@dataclass(frozen=True)
 class HarnessConfig:
     checks: tuple[str, ...] = ALL_CHECKS
     seed: int = 20240801
-    threads: int = 1
     clt_cov: CltCovConfig = field(default_factory=CltCovConfig)
     kron_cov: KronCovConfig = field(default_factory=KronCovConfig)
     null_laws: NullLawsConfig = field(default_factory=NullLawsConfig)
@@ -210,7 +211,7 @@ class HarnessConfig:
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ValueError(f"unknown checks requested: {sorted(unknown)}")
-        for name in (f.name for f in fields(self) if f.default_factory is not MISSING):
+        for name in (family.block for family in _FAMILIES):
             sub = getattr(self, name)
             if sub.replicates < 100:
                 raise ValueError(f"{name}: need at least 100 replicates")
@@ -243,7 +244,6 @@ class CheckResult:
 class HarnessReport:
     results: tuple[CheckResult, ...]
     seed: int
-    threads: int
 
     @property
     def all_passed(self) -> bool:
@@ -252,42 +252,16 @@ class HarnessReport:
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "threads": self.threads,
             "all_passed": self.all_passed,
             "results": [r.to_dict() for r in self.results],
         }
 
 
-def _thread_cap(requested: int) -> int:
-    cap = os.environ.get("DRIFTLAB_THREADS")
-    if cap is not None:
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            raise ValueError(f"DRIFTLAB_THREADS must be an integer, got {cap!r}") from None
-    return max(1, requested)
-
-
-def _replicate_map(fn, n_replicates: int, threads: int, width: int) -> np.ndarray:
-    """Evaluate fn(replicate_index) -> vector for all replicates.
-
-    Rows are keyed by replicate index, so the reduction is independent of
-    execution order and thread count.
-    """
+def _replicate_map(fn, n_replicates: int, width: int) -> np.ndarray:
+    """Row r is fn(r), the vector replicate r reports."""
     out = np.empty((n_replicates, width))
-
-    if threads <= 1:
-        for r in range(n_replicates):
-            out[r] = fn(r)
-        return out
-
-    def worker(block):
-        for r in block:
-            out[r] = fn(r)
-
-    blocks = np.array_split(np.arange(n_replicates), threads * 4)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(worker, [b for b in blocks if b.size]))
+    for r in range(n_replicates):
+        out[r] = fn(r)
     return out
 
 
@@ -364,7 +338,7 @@ def _lognormal_scheme(m: int, sigma: float, k: int):
     return PerturbationScheme(m, IndependentWeights(laws)), sigma_w
 
 
-def _moment_shift_cov(name, cfg, scheme, sigma_w, p, seed, threads, definition, **details):
+def _moment_shift_cov(name, cfg, scheme, sigma_w, p, seed, definition, **details):
     """Replicate covariance of the sqrt(m)-scaled shifts of the source means
     of phi = (u, ..., u^p) vs kron(sigma_w, Var(phi)).
 
@@ -380,7 +354,7 @@ def _moment_shift_cov(name, cfg, scheme, sigma_w, p, seed, threads, definition, 
     sqrt_m = math.sqrt(cfg.m)
 
     def one(r):
-        rng = substream(seed, _LANES[name], r)
+        rng = substream(seed, _LANE_OF[name], r)
         world = realize_world(scheme, rng)
         shifts, s_entries = [], []
         for j in range(k):
@@ -392,7 +366,7 @@ def _moment_shift_cov(name, cfg, scheme, sigma_w, p, seed, threads, definition, 
             s_entries.extend(np.mean(a * b) for a in centered for b in centered)
         return shifts + s_entries
 
-    data = _replicate_map(one, cfg.replicates, threads, k * p * (1 + p))
+    data = _replicate_map(one, cfg.replicates, k * p * (1 + p))
     cov, se = _cov_with_se(data[:, : k * p])
     correction = cfg.m * data[:, k * p :].mean(axis=0).reshape(k, p, p) / n
     cov_corrected = cov.copy()
@@ -414,11 +388,11 @@ def _moment_shift_cov(name, cfg, scheme, sigma_w, p, seed, threads, definition, 
     )
 
 
-def check_clt_cov(cfg: CltCovConfig, seed: int, threads: int) -> CheckResult:
+def check_clt_cov(cfg: CltCovConfig, seed: int) -> CheckResult:
     """Covariance of sqrt(m)-scaled moment shifts vs sigma_w * Var(phi)."""
     scheme, sigma_w = _lognormal_scheme(cfg.m, cfg.sigma, cfg.n_sources)
     return _moment_shift_cov(
-        "clt_cov", cfg, scheme, sigma_w, 1, seed, threads,
+        "clt_cov", cfg, scheme, sigma_w, 1, seed,
         "every entry of the replicate covariance of sqrt(m)*(mean_k - "
         "target mean), after subtracting the within-replicate sampling "
         "variance m*s^2/n from the diagonal, lies within 3 Monte Carlo "
@@ -426,7 +400,7 @@ def check_clt_cov(cfg: CltCovConfig, seed: int, threads: int) -> CheckResult:
     )
 
 
-def check_kron_cov(cfg: KronCovConfig, seed: int, threads: int) -> CheckResult:
+def check_kron_cov(cfg: KronCovConfig, seed: int) -> CheckResult:
     """Vector test functions: block covariance vs sigma_w (x) Var(phi)."""
     corr = ((1.0, cfg.copula_rho), (cfg.copula_rho, 1.0))
     laws = (lognormal_law(0.0, cfg.sigma),) * 2
@@ -435,7 +409,7 @@ def check_kron_cov(cfg: KronCovConfig, seed: int, threads: int) -> CheckResult:
         "lognormal_copula", sigmas=[cfg.sigma] * 2, corr=np.asarray(corr)
     )
     return _moment_shift_cov(
-        "kron_cov", cfg, scheme, sigma_w, 2, seed, threads,
+        "kron_cov", cfg, scheme, sigma_w, 2, seed,
         "every entry of the replicate covariance of the stacked "
         "sqrt(m)-scaled vector-moment shifts, after subtracting the "
         "within-replicate sampling covariance m*S/n on the within-dataset "
@@ -445,7 +419,7 @@ def check_kron_cov(cfg: KronCovConfig, seed: int, threads: int) -> CheckResult:
     )
 
 
-def _simulate_null(cfg, seed: int, threads: int, lane: int, with_ci: bool):
+def _simulate_null(cfg, seed: int, lane: int, with_ci: bool):
     """Shared exchangeable-null simulation for the t/F/chi2/CI checks.
 
     Per replicate: realize a world with i.i.d. symmetric weights (the
@@ -488,7 +462,7 @@ def _simulate_null(cfg, seed: int, threads: int, lane: int, with_ci: bool):
             out.append(0.0)
         return np.array(out)
 
-    return _replicate_map(one, cfg.replicates, threads, 4), n, n0
+    return _replicate_map(one, cfg.replicates, 4), n, n0
 
 
 # The two-sided one-sample Kolmogorov-Smirnov test. The statistic and the
@@ -702,10 +676,10 @@ def _pelz_good_cdf(n: int, d):
     return sum(K0to3)
 
 
-def check_null_laws(cfg: NullLawsConfig, seed: int, threads: int) -> list[CheckResult]:
+def check_null_laws(cfg: NullLawsConfig, seed: int) -> list[CheckResult]:
     """t and F statistics under the exchangeable null vs their exact laws."""
     t0 = time.perf_counter()
-    data, n, n0 = _simulate_null(cfg, seed, threads, _LANES["null_laws"], with_ci=False)
+    data, n, n0 = _simulate_null(cfg, seed, _LANE_OF["null_laws"], with_ci=False)
     df = cfg.n_functions - cfg.n_sources + 1
     t_vals, f_vals = data[:, 0], data[:, 1]
     runtime = time.perf_counter() - t0
@@ -750,10 +724,10 @@ def check_null_laws(cfg: NullLawsConfig, seed: int, threads: int) -> list[CheckR
     return results
 
 
-def check_ci_chi2(cfg: CiChi2Config, seed: int, threads: int) -> list[CheckResult]:
+def check_ci_chi2(cfg: CiChi2Config, seed: int) -> list[CheckResult]:
     """Residual chi-squared law and CI coverage in the many-functions regime."""
     t0 = time.perf_counter()
-    data, n, n0 = _simulate_null(cfg, seed, threads, _LANES["ci_chi2"], with_ci=True)
+    data, n, n0 = _simulate_null(cfg, seed, _LANE_OF["ci_chi2"], with_ci=True)
     runtime = time.perf_counter() - t0
     k = cfg.n_sources
     n_funcs = cfg.n_functions
@@ -801,7 +775,7 @@ def check_ci_chi2(cfg: CiChi2Config, seed: int, threads: int) -> list[CheckResul
     return results
 
 
-def check_excess_risk(cfg: ExcessRiskConfig, seed: int, threads: int) -> CheckResult:
+def check_excess_risk(cfg: ExcessRiskConfig, seed: int) -> CheckResult:
     """Mean of m * excess target risk of the weighted squared-error fit vs
     half the weight quadratic form times Trace(H^{-1} V).
 
@@ -821,7 +795,7 @@ def check_excess_risk(cfg: ExcessRiskConfig, seed: int, threads: int) -> CheckRe
     sqrt12 = math.sqrt(12.0)
 
     def one(r):
-        rng = substream(seed, _LANES["erm_excess_risk"], r)
+        rng = substream(seed, _LANE_OF["erm_excess_risk"], r)
         world = realize_world(scheme, rng)
         # the weighted squared-error fit solves its normal equations,
         # sum_k beta_k X_k'X_k / n theta = sum_k beta_k X_k'y_k / n
@@ -843,7 +817,7 @@ def check_excess_risk(cfg: ExcessRiskConfig, seed: int, threads: int) -> CheckRe
         # M = E[x x'] = I for this construction, so excess = |diff|^2
         return np.array([cfg.m * float(diff @ diff)])
 
-    data = _replicate_map(one, cfg.replicates, threads, 1)
+    data = _replicate_map(one, cfg.replicates, 1)
     mean = float(data.mean())
     se = float(data.std(ddof=1) / math.sqrt(cfg.replicates))
     rel_err = abs(mean - target) / target
@@ -878,9 +852,7 @@ def _event_bins(m: int, prob: float) -> np.ndarray:
     return np.flatnonzero((np.arange(m) & mask) == 0)
 
 
-def check_conditional_shift(
-    cfg: ConditionalShiftConfig, seed: int, threads: int
-) -> CheckResult:
+def check_conditional_shift(cfg: ConditionalShiftConfig, seed: int) -> CheckResult:
     """Conditional-mean shifts scale with shift strength and inversely with
     the conditioning probability.
 
@@ -912,7 +884,7 @@ def check_conditional_shift(
         scheme, sigma_w = _lognormal_scheme(cfg.m, sig, 1)
 
         def one(r, _scheme=scheme, _event=_event_bins(cfg.m, prob), _sub=sub_idx):
-            rng = substream(seed, _LANES["conditional_shift"], 10 * r + _sub)
+            rng = substream(seed, _LANE_OF["conditional_shift"], 10 * r + _sub)
             for attempt in range(20):
                 world = realize_world(_scheme, rng)
                 c_src = _bin_counts(world[0], n, rng)
@@ -924,7 +896,7 @@ def check_conditional_shift(
                     return np.array([sqrt_m * gap, float(attempt)])
             raise RuntimeError("conditioning event empty in 20 consecutive draws")
 
-        out = _replicate_map(one, cfg.replicates, threads, 2)
+        out = _replicate_map(one, cfg.replicates, 2)
         data = out[:, 0]
         centered = data - data.mean()
         empirical[label] = float(centered @ centered / (cfg.replicates - 1))
@@ -967,27 +939,12 @@ def check_conditional_shift(
 
 
 def run_harness(config: HarnessConfig) -> HarnessReport:
-    threads = _thread_cap(config.threads)
+    """Run each family that reports a requested check, serially and in table
+    order, and keep the requested results."""
     results: list[CheckResult] = []
-    requested = list(config.checks)
-
-    if "clt_cov" in requested:
-        results.append(check_clt_cov(config.clt_cov, config.seed, threads))
-    if "kron_cov" in requested:
-        results.append(check_kron_cov(config.kron_cov, config.seed, threads))
-    if "t_null" in requested or "f_null" in requested:
-        pair = check_null_laws(config.null_laws, config.seed, threads)
-        results.extend(r for r in pair if r.name in requested)
-    if "chi2_residual" in requested or "ci_coverage" in requested:
-        pair = check_ci_chi2(config.ci_chi2, config.seed, threads)
-        results.extend(r for r in pair if r.name in requested)
-    if "erm_excess_risk" in requested:
-        results.append(check_excess_risk(config.erm_excess_risk, config.seed, threads))
-    if "conditional_shift" in requested:
-        results.append(
-            check_conditional_shift(config.conditional_shift, config.seed, threads)
-        )
-    order = {name: i for i, name in enumerate(ALL_CHECKS)}
-    results.sort(key=lambda r: order[r.name])
-    return HarnessReport(results=tuple(results), seed=config.seed, threads=threads)
-
+    for family in _FAMILIES:
+        if set(family.results) & set(config.checks):
+            out = globals()[family.func](getattr(config, family.block), config.seed)
+            results.extend(r for r in (out if isinstance(out, list) else [out])
+                           if r.name in config.checks)
+    return HarnessReport(results=tuple(results), seed=config.seed)

@@ -101,7 +101,7 @@ def test_criterion_2_rss_identity(problems):
 def test_criterion_3_moment_shift_covariance():
     t0 = time.perf_counter()
     result = H.check_clt_cov(
-        H.CltCovConfig(replicates=5000, m=200, n_ratio=50), seed=SEED, threads=1
+        H.CltCovConfig(replicates=5000, m=200, n_ratio=50), seed=SEED
     )
     elapsed = time.perf_counter() - t0
     dev = np.abs(
@@ -119,7 +119,7 @@ def test_criterion_3_moment_shift_covariance():
 def test_criterion_4_null_t_and_f_laws():
     t0 = time.perf_counter()
     pair = H.check_null_laws(
-        H.NullLawsConfig(replicates=10_000), seed=SEED, threads=1
+        H.NullLawsConfig(replicates=10_000), seed=SEED
     )
     elapsed = time.perf_counter() - t0
     t_res = next(r for r in pair if r.name == "t_null")
@@ -134,7 +134,7 @@ def test_criterion_4_null_t_and_f_laws():
 
 
 def test_criterion_5_chi2_identity_and_coverage():
-    pair = H.check_ci_chi2(H.CiChi2Config(replicates=2000), seed=SEED, threads=1)
+    pair = H.check_ci_chi2(H.CiChi2Config(replicates=2000), seed=SEED)
     chi2_res = next(r for r in pair if r.name == "chi2_residual")
     ci_res = next(r for r in pair if r.name == "ci_coverage")
     report(
@@ -148,7 +148,7 @@ def test_criterion_5_chi2_identity_and_coverage():
 def test_criterion_6_mean_excess_risk():
     t0 = time.perf_counter()
     result = H.check_excess_risk(
-        H.ExcessRiskConfig(replicates=2000), seed=SEED, threads=1
+        H.ExcessRiskConfig(replicates=2000), seed=SEED
     )
     elapsed = time.perf_counter() - t0
     report(
@@ -162,7 +162,7 @@ def test_criterion_6_mean_excess_risk():
 
 def test_criterion_7_conditional_shift_scaling():
     result = H.check_conditional_shift(
-        H.ConditionalShiftConfig(replicates=4000), seed=SEED, threads=1
+        H.ConditionalShiftConfig(replicates=4000), seed=SEED
     )
     report(
         7,

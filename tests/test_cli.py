@@ -677,6 +677,37 @@ class TestErmCli:
         theta = payload["theta_hat"]
         assert all(a <= t <= b for a, t, b in zip(lo, theta, hi))
 
+    def test_logistic_loss_rejects_an_outcome_that_is_not_0_or_1(self, tmp_path, capsys):
+        out = tmp_path / "logit.json"
+        rc = cli.run(["erm", "--data", *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
+                      "--target", str(FIXTURE / "target.csv"), "--loss", "logistic",
+                      "--weights", "uniform",
+                      "--config", write(tmp_path / "cfg.json", '{"outcome": "income"}'),
+                      "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "driftlab: error: --loss logistic needs a 0/1 outcome, but column 'income' "
+            "of source 'source_1' holds other values"
+        ]
+        assert not out.exists()
+
+    def test_logistic_loss_fits_a_0_1_outcome(self, tmp_path):
+        rng = np.random.default_rng(1)
+        paths = []
+        for name, loc in (("s1", 0.0), ("s2", 0.5)):
+            x = rng.normal(loc=loc, size=300)
+            y = (rng.random(300) < 1 / (1 + np.exp(-x))).astype(int)
+            paths.append(write(tmp_path / f"{name}.csv",
+                               "x,y\n" + "\n".join(f"{a},{b}" for a, b in zip(x, y))))
+        tgt = write(tmp_path / "t.csv", "x\n" + "\n".join(str(v) for v in rng.normal(size=200)))
+        out = tmp_path / "logit.json"
+        rc = cli.run(["erm", "--data", *paths, "--target", tgt, "--loss", "logistic",
+                      "--weights", "uniform", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())["erm"]
+        assert payload["loss"] == "logistic" and payload["converged"] is True
+        assert len(payload["theta_hat"]) == 2
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -746,20 +777,11 @@ class TestValidateCli:
                 name="clt_cov", passed=False, runtime_s=0.0, definition="x",
                 target={}, empirical={}, mc_se={},
             )
-            return harness.HarnessReport(results=(result,), seed=0, threads=1)
+            return harness.HarnessReport(results=(result,), seed=0)
 
         monkeypatch.setattr(cli, "run_harness", fake_run)
         rc = cli.run(["validate", "--out", str(tmp_path / "v.json")])
         assert rc == 2
-
-    def test_non_integer_thread_env_is_user_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DRIFTLAB_THREADS", "abc")
-        rc = cli.run(["validate", "--out", str(tmp_path / "v.json")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "DRIFTLAB_THREADS must be an integer, got 'abc'" in err
-        assert "invalid literal" not in err
-        assert not (tmp_path / "v.json").exists()
 
     @pytest.mark.parametrize(
         "block, setting, message",
@@ -794,14 +816,42 @@ class TestValidateCli:
         assert f"{cfg}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "v.json").exists()
 
-    @pytest.mark.parametrize("key", ["threads", "seed"])
-    def test_non_integer_config_setting_is_user_error(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize(
+        "key, message",
+        [("threads", "threads must be 1 (replicates run serially), got 'x'"),
+         ("seed", "seed must be an integer, got 'x'")],
+        ids=["threads", "seed"],
+    )
+    def test_non_integer_config_setting_is_user_error(self, tmp_path, capsys, key, message):
         cfg = write(tmp_path / "val.json", json.dumps({key: "x"}))
         rc = cli.run(["validate", "--config", cfg, "--out", str(tmp_path / "v.json")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"{cfg}: {key} must be an integer, got 'x'" in err
+        assert f"{cfg}: {message}" in err
         assert "invalid literal" not in err
+
+    @pytest.mark.parametrize("threads", [2, 0, True])
+    def test_threads_other_than_1_exits_before_any_check(
+        self, tmp_path, monkeypatch, capsys, threads
+    ):
+        monkeypatch.setattr(cli, "run_harness", lambda config: pytest.fail("a check ran"))
+        cfg = write(tmp_path / "val.json", json.dumps({"threads": threads}))
+        rc = cli.run(["validate", "--config", cfg, "--out", str(tmp_path / "v.json")])
+        assert rc == 1
+        assert (f"{cfg}: threads must be 1 (replicates run serially), got {threads!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "v.json").exists()
+
+    def test_threads_1_runs_and_is_echoed(self, tmp_path):
+        config = {"seed": 3, "threads": 1, "checks": ["clt_cov"],
+                  "clt_cov": {"replicates": 100, "m": 16, "n_ratio": 10}}
+        cfg = write(tmp_path / "val.json", json.dumps(config))
+        rc = cli.run(["validate", "--config", cfg, "--out", str(tmp_path / "v.json")])
+        assert rc == 0
+        payload = json.loads((tmp_path / "v.json").read_text())
+        assert payload["config"] == config
+        assert payload["config_hash"] == cli.config_hash(config)
+        assert "threads" not in payload["report"]
 
 
 class TestCliSurface:

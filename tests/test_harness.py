@@ -159,20 +159,9 @@ def test_harness_bitwise_reproducible():
     assert strip_runtime(a) == strip_runtime(b)
 
 
-def test_threaded_run_matches_serial():
-    config = light_config(checks=("clt_cov",))
-    serial = H.run_harness(config)
-    threaded = H.run_harness(light_config(checks=("clt_cov",), threads=4))
-    assert (
-        serial.results[0].empirical["cov_corrected"]
-        == threaded.results[0].empirical["cov_corrected"]
-    )
-
-
-def test_results_do_not_depend_on_the_thread_count(monkeypatch):
-    # every check through the pooled branch of _replicate_map and through the
-    # serial one
-    monkeypatch.delenv("DRIFTLAB_THREADS", raising=False)
+def test_results_do_not_depend_on_the_thread_count():
+    # every check family, run twice from the check table, and a request for
+    # one result of a two-result family
     small = dict(
         clt_cov=H.CltCovConfig(replicates=100, m=32, n_ratio=10),
         kron_cov=H.KronCovConfig(replicates=100, m=32, n_ratio=10),
@@ -183,29 +172,41 @@ def test_results_do_not_depend_on_the_thread_count(monkeypatch):
         conditional_shift=H.ConditionalShiftConfig(replicates=100, m=32, n_ratio=10,
                                                    n0_ratio=10),
     )
-    payloads = []
-    for threads in (1, 2):
-        report = H.run_harness(light_config(threads=threads, **small))
-        assert report.threads == threads
-        payload = report.to_dict()
-        payload.pop("threads")
-        for result in payload["results"]:
+
+    def payload(**kw):
+        out = H.run_harness(light_config(**small, **kw)).to_dict()
+        for result in out["results"]:
             result.pop("runtime_s")
-        payloads.append(payload)
-    assert [r["name"] for r in payloads[0]["results"]] == list(H.ALL_CHECKS)
-    assert payloads[0] == payloads[1]
+        return out
+
+    first = payload()
+    assert [r["name"] for r in first["results"]] == list(H.ALL_CHECKS)
+    assert payload() == first
+    for name in ("f_null", "ci_coverage"):
+        only = payload(checks=(name,))
+        assert only["results"] == [r for r in first["results"] if r["name"] == name]
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("DRIFTLAB_THREADS", "2")
-    assert H._thread_cap(8) == 2
-    monkeypatch.delenv("DRIFTLAB_THREADS")
-    assert H._thread_cap(3) == 3
+def test_run_harness_calls_the_module_global_check(monkeypatch):
+    # perfbench's tracer times a check by replacing its module global, so
+    # run_harness must look each check up by name when it runs
+    calls = []
+    original = H.check_clt_cov
+
+    def spy(cfg, seed):
+        calls.append(cfg.replicates)
+        return original(cfg, seed)
+
+    monkeypatch.setattr(H, "check_clt_cov", spy)
+    config = light_config(checks=("clt_cov",), clt_cov=H.CltCovConfig(replicates=100, m=32))
+    report = H.run_harness(config)
+    assert calls == [100]
+    assert [r.name for r in report.results] == ["clt_cov"]
 
 
 def test_mc_se_shrinks_with_replicates():
-    small = H.check_clt_cov(H.CltCovConfig(replicates=400, m=64, n_ratio=20), seed=7, threads=1)
-    big = H.check_clt_cov(H.CltCovConfig(replicates=1600, m=64, n_ratio=20), seed=7, threads=1)
+    small = H.check_clt_cov(H.CltCovConfig(replicates=400, m=64, n_ratio=20), seed=7)
+    big = H.check_clt_cov(H.CltCovConfig(replicates=1600, m=64, n_ratio=20), seed=7)
     se_small = np.asarray(small.mc_se["cov"])
     se_big = np.asarray(big.mc_se["cov"])
     ratio = se_small / se_big
@@ -218,14 +219,14 @@ def test_kron_cov_sampling_correction_uses_population_variances():
     # the diagonal correction is m/n times the mean population variance
     # (divide by n) of u and of u^2
     cfg = H.KronCovConfig(replicates=100, m=16, n_ratio=10)
-    result = H.check_kron_cov(cfg, seed=5, threads=1)
+    result = H.check_kron_cov(cfg, seed=5)
     n = cfg.n_ratio * cfg.m
     law = dl.lognormal_law(0.0, cfg.sigma)
     corr = ((1.0, cfg.copula_rho), (cfg.copula_rho, 1.0))
     scheme = dl.PerturbationScheme(cfg.m, dl.GaussianCopulaWeights((law, law), corr))
     variances = np.empty((cfg.replicates, 2, 2))
     for r in range(cfg.replicates):
-        rng = substream(5, H._LANES["kron_cov"], r)
+        rng = substream(5, H._LANE_OF["kron_cov"], r)
         weights = dl.realize_world(scheme, rng)
         for j in range(2):
             u = H._bin_rows(H._bin_counts(weights[j], n, rng), rng)
@@ -243,13 +244,13 @@ def test_excess_risk_fit_matches_the_newton_erm_fit():
     # the check solves the weighted normal equations; rebuild every
     # replicate's datasets and fit them with erm's Newton solver instead
     cfg = H.ExcessRiskConfig(replicates=20, m=64, n_ratio=10)
-    result = H.check_excess_risk(cfg, seed=5, threads=1)
+    result = H.check_excess_risk(cfg, seed=5)
     n, k = cfg.n_ratio * cfg.m, cfg.n_sources
     scheme, _ = H._lognormal_scheme(cfg.m, cfg.sigma, k)
     theta_star = np.array([1.0, 2.0, -1.0, 0.5, -0.25])[: cfg.dim_x + 1]
     excess = []
     for r in range(cfg.replicates):
-        rng = substream(5, H._LANES["erm_excess_risk"], r)
+        rng = substream(5, H._LANE_OF["erm_excess_risk"], r)
         weights = dl.realize_world(scheme, rng)
         datasets = []
         for j in range(k):
