@@ -34,7 +34,7 @@ from .diagnostics import (
     standardized_shift_stats,
 )
 from .harness import ALL_CHECKS, HarnessConfig, run_harness
-from .moments import evaluate_moments, fit_whitening, whiten_moments
+from .moments import MomentMatrix, evaluate_moments, fit_whitening, whiten_moments
 from .perturb import (
     GaussianCopulaWeights,
     IndependentWeights,
@@ -151,6 +151,8 @@ def _integral(value) -> bool:
 number = _reader("a finite number",
                  lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, float)
 integer = _reader("an integer", _integral, int)
+nonnegative = _reader("a finite number >= 0",
+                      lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max, float)
 count = _reader("an integer >= 1", lambda v: _integral(v) and v >= 1, int)
 # a confidence level lies in the open unit interval, a quantile in the closed one
 open_unit = _reader("a number in (0, 1)", lambda v: type(v) in (int, float) and 0 < v < 1, float)
@@ -432,27 +434,19 @@ _FIT_CONFIG = {
 }
 
 
-def _fit_pipeline(data_paths, target, config, mode, whiten):
-    """``config`` holds the fit keys, already read."""
-    data = ingest(data_paths, target, config.get("outcome"))
-    declarations = config.get("test_functions")
+def cmd_fit(args) -> int:
+    config, settings = _load_config(args.config, record(dict, _FIT_CONFIG))
+    data = ingest(args.data, args.target, settings.get("outcome"))
+    declarations = settings.get("test_functions")
     if not declarations:
         declarations = [f"column:{c}" for c in data.covariates if data.target.is_numeric(c)]
         if not declarations:
             raise UserError("no numeric covariates available as default test functions")
-    tests = parse_test_functions(declarations, data)
-    moments = evaluate_moments(data, tests)
-    mode = mode or config.get("mode", "sum_to_one")
-    if whiten or config.get("whiten", False):
-        transform = fit_whitening(moments, ridge=config.get("ridge", 0.0))
+    moments = evaluate_moments(data, parse_test_functions(declarations, data))
+    if args.whiten or settings.get("whiten", False):
+        transform = fit_whitening(moments, ridge=settings.get("ridge", 0.0))
         moments = whiten_moments(moments, transform)
-    fit = dlm_mod.fit_weights(moments, mode=mode)
-    return data, moments, fit
-
-
-def cmd_fit(args) -> int:
-    config, settings = _load_config(args.config, record(dict, _FIT_CONFIG))
-    data, moments, fit = _fit_pipeline(args.data, args.target, settings, args.mode, args.whiten)
+    fit = dlm_mod.fit_weights(moments, mode=args.mode or settings.get("mode", "sum_to_one"))
     label = settings.get("data_label", "data")
     base = str(args.out)
     for suffix in (".txt", ".json"):
@@ -461,7 +455,14 @@ def cmd_fit(args) -> int:
     payload = _stamp(
         {**config, "argv": {"data": args.data, "target": args.target,
                             "mode": fit.mode, "whiten": fit.whitened}},
-        {"fit": dlm_mod.fit_to_dict(fit), "test_functions": list(moments.names)},
+        {"fit": dlm_mod.fit_to_dict(fit), "test_functions": list(moments.names),
+         # what diagnose reads instead of the data; of the pooled covariance
+         # only the diagonal, all that standardized_shift_stats reads, so the
+         # report grows with L and not with L^2
+         "moments": {"names": moments.names, "source_names": moments.source_names,
+                     "target_name": moments.target_name, "sizes": moments.sizes,
+                     "phi_hat": moments.phi_hat, "whitened": moments.whitened,
+                     "pooled_var_diag": np.diag(moments.pooled_var)}},
     )
     atomic_write(base + ".json", _encode(payload) + "\n")
     if fit.mode == "sum_to_one":
@@ -594,42 +595,39 @@ def cmd_erm(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# a fit report stores the fit keys and the command line that ran them
-_STORED_FIT = {
-    **_FIT_CONFIG,
-    "argv": record(dict, {"data": list_of(text), "target": text, "mode": _MODE, "whiten": flag}),
-}
+_MOMENTS = record(
+    lambda phi_hat, pooled_var_diag, **keys: MomentMatrix(
+        phi_hat=np.array(phi_hat), pooled_var=np.diag(pooled_var_diag), **keys),
+    {"names": list_of(text), "source_names": list_of(text), "target_name": text,
+     "sizes": list_of(count), "phi_hat": list_of(list_of(number)), "whitened": flag,
+     "pooled_var_diag": list_of(nonnegative)},
+    ("names", "source_names", "target_name", "sizes", "phi_hat", "whitened", "pooled_var_diag"),
+)
 
 
-def _stored_fit(report: dict, path: str) -> dict:
-    """The fit keys and argv in a fit report's config, read; other stored keys
-    are skipped, so the reports of older versions still read."""
-    stored = _object(report.get("config", {}), "config")
-    return _read({k: v for k, v in stored.items() if k in _STORED_FIT}, "config", _STORED_FIT)
+def _fit_report(report: dict, path: str):
+    """The moment matrix a fit report's weights were fitted on, and their mode."""
+    if "moments" not in report:
+        raise UserError("no moments block; re-run fit to write one")
+    fit = _object(report.get("fit"), "fit")
+    return _MOMENTS(report["moments"], "moments"), _MODE(fit.get("mode"), "fit.mode")
 
 
 def cmd_diagnose(args) -> int:
-    payload, settings = _load_config(args.fit, _stored_fit)
-    argv = settings.get("argv", {})
-    data_paths = args.data or argv.get("data")
-    target_path = args.target or argv.get("target")
-    if not data_paths or not target_path:
-        raise UserError("fit report does not record data paths; pass --data/--target")
-    data, moments, fit = _fit_pipeline(
-        data_paths, target_path, settings, argv.get("mode"), argv.get("whiten", False)
-    )
+    payload, (moments, mode) = _load_config(args.fit, _fit_report)
+    fit = dlm_mod.fit_weights(moments, mode=mode)
 
     bundle = residual_qq(fit)
     stats_all = {}
-    for k in range(data.n_sources):
+    for k, source in enumerate(moments.source_names):
         per = standardized_shift_stats(moments, k)
-        stats_all.update({f"{data.sources[k].name}|{name}": v for name, v in per.items()})
+        stats_all.update({f"{source}|{name}": v for name, v in per.items()})
     bundle = DiagnosticBundle(
         residual_points=bundle.residual_points,
         residual_mean=bundle.residual_mean,
         qq_points=bundle.qq_points,
         qq_defined=bundle.qq_defined,
-        scatter_blocks=pairwise_scatter(moments) if data.n_sources >= 2 and moments.n_functions >= 10 else (),
+        scatter_blocks=pairwise_scatter(moments) if moments.n_sources >= 2 and moments.n_functions >= 10 else (),
         shift_stats=stats_all,
     )
     plot_id, x, y, label = zip(*bundle_rows(bundle))
@@ -726,8 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="emit residual/QQ/scatter diagnostic data")
     p.add_argument("--fit", required=True, help="fit report JSON")
-    p.add_argument("--data", nargs="+", default=None)
-    p.add_argument("--target", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_diagnose)
 

@@ -226,8 +226,7 @@ def _min_norm_on_face(g, beta, tol):
     ones = np.ones(len(support))
     # directions in null(G_S) that keep the sum-to-one constraint
     proj = null - np.outer(ones, ones @ null) / len(support)
-    qmat, _ = np.linalg.qr(proj)
-    keep = [j for j in range(qmat.shape[1]) if np.linalg.norm(proj[:, j]) > 1e-12]
+    keep = [j for j in range(proj.shape[1]) if np.linalg.norm(proj[:, j]) > 1e-12]
     if not keep:
         return beta
     basis, _ = np.linalg.qr(proj[:, keep])

@@ -57,8 +57,13 @@ class MomentMatrix:
     def __post_init__(self):
         if not np.all(np.isfinite(self.phi_hat)):
             raise ValueError("phi_hat entries must be finite")
-        if self.phi_hat.shape[1] != len(self.names):
+        if self.phi_hat.ndim != 2 or self.phi_hat.shape[1] != len(self.names):
             raise ValueError("phi_hat width must match number of functions")
+        if not 1 < len(self.phi_hat) == len(self.sizes) == len(self.source_names) + 1:
+            raise ValueError("phi_hat must have one row per size: the target's, then "
+                             "each source's, of at least one")
+        if self.pooled_var is not None and self.pooled_var.shape != (len(self.names),) * 2:
+            raise ValueError("pooled_var must be L x L")
 
     @property
     def n_sources(self) -> int:

@@ -1,8 +1,8 @@
-"""Deterministic random-number streams for reproducible parallel simulation.
+"""Deterministic random-number streams for reproducible simulation.
 
 Every unit of simulation work (a realized world, a sampled dataset, a Monte
 Carlo replicate) draws from its own counter-keyed Philox stream, so results
-are bit-for-bit reproducible regardless of execution order or thread count.
+are bit-for-bit reproducible and any replicate can be rebuilt on its own.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
 
     ``lane`` separates purposes (world realization, dataset sampling, harness
     checks, ...) and ``index`` separates replicates within a purpose. The
-    mapping is pure: replicate ``index`` can be regenerated in isolation,
-    which is what makes parallel reductions order-independent.
+    mapping is pure, so any replicate can be rebuilt on its own from its
+    ``index``.
     """
     if lane < 0 or index < 0:
         raise ValueError("lane and index must be nonnegative")

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from driftlab import cli
-from driftlab.tables import IngestError, read_csv_table
+from driftlab.diagnostics import (
+    DiagnosticBundle,
+    bundle_rows,
+    pairwise_scatter,
+    residual_qq,
+    standardized_shift_stats,
+)
+from driftlab.dlm import fit_weights
+from driftlab.moments import evaluate_moments, fit_whitening, whiten_moments
+from driftlab.tables import IngestError, Table, read_csv_table, write_csv_table
+from driftlab.testfuncs import parse_test_functions
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_panel"
 SMALL_SIM = {
@@ -225,7 +236,7 @@ def full_configs(tmp_path_factory):
         "erm": (FULL_ERM, lambda cfg, out: ["erm", "--data", s1, s2, "--target", tgt,
                                             "--config", cfg, "--out", f"{out}/e.json"], ()),
         "diagnose": (report, lambda cfg, out: ["diagnose", "--fit", cfg,
-                                               "--out", f"{out}/d.csv"], ("config",)),
+                                               "--out", f"{out}/d.csv"], ("moments",)),
         "validate": (FULL_VALIDATE, lambda cfg, out: ["validate", "--config", cfg,
                                                       "--out", f"{out}/v.json"], ()),
     }
@@ -728,24 +739,23 @@ class TestErmCli:
         assert not (tmp_path / "e.json").exists()
 
 
+def fit_fixture(out, *flags, data_dir=FIXTURE, config=FIXTURE / "fit_config.json"):
+    """Fit the fixture panel in ``data_dir``; return the report's path."""
+    rc = cli.run(["fit", "--data", *[str(data_dir / f"source_{k}.csv") for k in range(1, 5)],
+                  "--target", str(data_dir / "target.csv"),
+                  "--config", str(config), *flags, "--out", str(out)])
+    assert rc == 0
+    return out.with_suffix(".json")
+
+
+def diagnose(report, out) -> int:
+    return cli.run(["diagnose", "--fit", str(report), "--out", str(out)])
+
+
 class TestDiagnoseCli:
     def test_diagnose_from_fit_report(self, tmp_path):
-        out = tmp_path / "report"
-        cli.run(
-            [
-                "fit",
-                "--data",
-                *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
-                "--target",
-                str(FIXTURE / "target.csv"),
-                "--config",
-                str(FIXTURE / "fit_config.json"),
-                "--out",
-                str(out),
-            ]
-        )
-        rc = cli.run(["diagnose", "--fit", str(tmp_path / "report.json"),
-                      "--out", str(tmp_path / "diag.csv")])
+        report = fit_fixture(tmp_path / "report")
+        rc = diagnose(report, tmp_path / "diag.csv")
         assert rc == 0
         lines = (tmp_path / "diag.csv").read_text().splitlines()
         assert lines[0].startswith("# driftlab")
@@ -755,6 +765,79 @@ class TestDiagnoseCli:
         assert "residual_vs_fitted" in kinds
         assert "moment_scatter" in kinds
         assert "shift_stat" in kinds
+
+    @pytest.mark.parametrize("flags", [(), ("--whiten",), ("--mode", "simplex")],
+                             ids=["fixture", "whiten", "simplex"])
+    def test_bundle_equals_the_one_built_from_the_data(self, tmp_path, flags):
+        config = json.loads((FIXTURE / "fit_config.json").read_text())
+        if "--whiten" in flags:
+            # every occupation level's indicator would make the pooled covariance singular
+            config["test_functions"][-1:] = ["indicator:occupation=clerk",
+                                             "indicator:occupation=miner"]
+        cfg = write(tmp_path / "fit_config.json", json.dumps(config))
+        report = fit_fixture(tmp_path / "report", *flags, config=cfg)
+        assert diagnose(report, tmp_path / "diag.csv") == 0
+        # reference: the moments recomputed from the CSVs, as fit computes them
+        data = cli.ingest([str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
+                          str(FIXTURE / "target.csv"), "income")
+        moments = evaluate_moments(data, parse_test_functions(config["test_functions"], data))
+        if "--whiten" in flags:
+            moments = whiten_moments(moments, fit_whitening(moments))
+        fit = fit_weights(moments, mode="simplex" if "simplex" in flags else "sum_to_one")
+        qq = residual_qq(fit)
+        stats = {f"{source}|{name}": v
+                 for k, source in enumerate(data.source_names())
+                 for name, v in standardized_shift_stats(moments, k).items()}
+        bundle = DiagnosticBundle(qq.residual_points, qq.residual_mean, qq.qq_points,
+                                  qq.qq_defined, pairwise_scatter(moments), stats)
+        plot_id, x, y, label = zip(*bundle_rows(bundle))
+        table = Table.from_arrays("diagnostics", plot_id=plot_id, x=x, y=y, label=label)
+        chash = json.loads(report.read_text())["config_hash"]
+        write_csv_table(table, tmp_path / "ref.csv", f"driftlab {cli.__version__} config={chash}")
+        assert (tmp_path / "diag.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_describes_the_fit_after_the_data_change(self, tmp_path):
+        data_dir = shutil.copytree(FIXTURE, tmp_path / "data")
+        report = fit_fixture(tmp_path / "report", data_dir=data_dir)
+        # the stamp line, the header and the first 698 rows
+        lines = (data_dir / "source_1.csv").read_text().splitlines(keepends=True)
+        (data_dir / "source_1.csv").write_text("".join(lines[:700]))
+        assert diagnose(report, tmp_path / "diag.csv") == 0
+        rows = read_csv_table(tmp_path / "diag.csv")
+        residuals = rows.column("y")[np.asarray(rows.column("plot_id")) == "residual_vs_fitted"]
+        assert residuals.tolist() == json.loads(report.read_text())["fit"]["residuals"]
+
+    def test_opens_no_csv(self, tmp_path, monkeypatch):
+        report = fit_fixture(tmp_path / "report")
+        monkeypatch.setattr(cli, "read_csv_table", lambda *a: pytest.fail("a CSV was opened"))
+        assert diagnose(report, tmp_path / "diag.csv") == 0
+
+    @pytest.mark.parametrize("key, edit, message", [
+        (None, lambda r: r.pop("moments"), "no moments block; re-run fit to write one"),
+        ("sizes", lambda s: s.__setitem__(0, 0.5),
+         "moments.sizes[0] must be an integer >= 1, got 0.5"),
+        ("pooled_var_diag", lambda v: v.__setitem__(0, -1.0),
+         "moments.pooled_var_diag[0] must be a finite number >= 0, got -1.0"),
+        ("sizes", list.pop, "moments: phi_hat must have one row per size"),
+        ("pooled_var_diag", list.pop, "moments: pooled_var must be L x L"),
+    ], ids=["no_moments", "fractional_size", "negative_variance", "sizes_short", "diag_short"])
+    def test_bad_report_exits_1_naming_the_file(self, tmp_path, capsys, key, edit, message):
+        report = fit_fixture(tmp_path / "report")
+        payload = json.loads(report.read_text())
+        edit(payload if key is None else payload["moments"][key])
+        report.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert diagnose(report, tmp_path / "diag.csv") == 1
+        err = capsys.readouterr().err
+        assert f"driftlab: error: {report}: {message}" in err
+        assert not (tmp_path / "diag.csv").exists()
+
+    def test_data_flag_is_gone(self, tmp_path):
+        report = fit_fixture(tmp_path / "report")
+        rc = cli.run(["diagnose", "--fit", str(report), "--data", "x.csv",
+                      "--out", str(tmp_path / "diag.csv")])
+        assert rc == 1
+        assert not (tmp_path / "diag.csv").exists()
 
 
 class TestValidateCli:

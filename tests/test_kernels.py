@@ -14,7 +14,7 @@ from conftest import make_moments
 from driftlab import harness
 from driftlab.dlm import _f_sf, fit_weights, target_ci
 from driftlab.moments import ScalarMoments
-from driftlab.perturb import _GUIDE_MAX_PASSES, WeightLaw, _find_bins
+from driftlab.perturb import WeightLaw
 from driftlab.rng import split_uniform, substream
 
 
@@ -88,53 +88,6 @@ def cumulative(w):
     cum = np.cumsum(w / w.sum())
     cum[-1] = 1.0
     return cum
-
-
-def probes(cum, rng, n):
-    """Random draws plus every cum value and its float neighbours in [0, 1)."""
-    edges = np.concatenate(
-        [cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), [0.0, np.nextafter(1.0, 0.0)]]
-    )
-    edges = edges[(edges >= 0.0) & (edges < 1.0)]
-    return np.concatenate([rng.random(n), edges])
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    m=st.integers(2, 600),
-    law=st.sampled_from(["uniform", "lognormal_0.5", "lognormal_3", "spike"]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_find_bins_matches_searchsorted(m, law, seed):
-    rng = np.random.default_rng(seed)
-    if law == "uniform":
-        w = rng.uniform(0.2, 1.8, m)
-    elif law == "spike":
-        w = np.full(m, 1e-9)
-        w[rng.integers(0, m)] = 1.0
-    else:
-        w = rng.lognormal(0.0, float(law.split("_")[1]), m)
-    cum = cumulative(w)
-    r = probes(cum, rng, 2000)
-    assert np.array_equal(_find_bins(cum, r), np.searchsorted(cum, r, side="right"))
-
-
-@pytest.mark.parametrize(
-    "w, guided",
-    [
-        (np.array([1.0, 1.0]), True),
-        (np.array([1.0, 3.0]), True),
-        (np.full(512, 1.0), True),
-        (np.geomspace(1.0, 1e-12, 64), False),
-    ],
-)
-def test_find_bins_edges_and_both_paths(w, guided):
-    cum = cumulative(w)
-    g = 1 << (2 * cum.size - 1).bit_length()
-    start = np.searchsorted(cum, np.arange(g + 1) / g, side="right")
-    assert (np.diff(start).max() <= _GUIDE_MAX_PASSES) == guided
-    r = probes(cum, np.random.default_rng(5), 5000)
-    assert np.array_equal(_find_bins(cum, r), np.searchsorted(cum, r, side="right"))
 
 
 def test_sample_uniform_matches_searchsorted_definition():
