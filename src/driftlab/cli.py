@@ -595,7 +595,7 @@ def cmd_erm(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_MOMENTS = record(
+_MOMENT_BLOCK = record(
     lambda phi_hat, pooled_var_diag, **keys: MomentMatrix(
         phi_hat=np.array(phi_hat), pooled_var=np.diag(pooled_var_diag), **keys),
     {"names": list_of(text), "source_names": list_of(text), "target_name": text,
@@ -605,17 +605,33 @@ _MOMENTS = record(
 )
 
 
+def _moments(value, path: str) -> MomentMatrix:
+    """The moments block read as a MomentMatrix; a ``phi_hat`` row that is
+    not as long as ``names`` is named before numpy sees the ragged list."""
+    block = _object(value, path)
+    names, rows = block.get("names"), block.get("phi_hat")
+    if isinstance(names, list) and isinstance(rows, list):
+        for i, row in enumerate(rows):
+            if isinstance(row, list) and len(row) != len(names):
+                raise UserError(f"{_join(path, 'phi_hat')}[{i}] must be a list of "
+                                f"{len(names)} numbers, got {len(row)} entries")
+    return _MOMENT_BLOCK(value, path)
+
+
 def _fit_report(report: dict, path: str):
     """The moment matrix a fit report's weights were fitted on, and their mode."""
     if "moments" not in report:
         raise UserError("no moments block; re-run fit to write one")
     fit = _object(report.get("fit"), "fit")
-    return _MOMENTS(report["moments"], "moments"), _MODE(fit.get("mode"), "fit.mode")
+    return _moments(report["moments"], "moments"), _MODE(fit.get("mode"), "fit.mode")
 
 
 def cmd_diagnose(args) -> int:
     payload, (moments, mode) = _load_config(args.fit, _fit_report)
-    fit = dlm_mod.fit_weights(moments, mode=mode)
+    try:
+        fit = dlm_mod.fit_weights(moments, mode=mode)
+    except (dlm_mod.DegreesOfFreedomError, dlm_mod.CollinearDatasetsError) as exc:
+        raise UserError(f"{args.fit}: {exc}") from None
 
     bundle = residual_qq(fit)
     stats_all = {}

@@ -328,31 +328,168 @@ def _quoted(cell: str, first: bool) -> str:
     return cell
 
 
-def _cells(col: np.ndarray, first: bool, end: str):
-    """A column's cells as written, each followed by ``end``."""
-    if col.dtype.kind == "f":
-        return map(("{:.17g}" + end).format, col.tolist())
+# 5**k for k in [0, 27]: 10**k = 5**k * 2**k, and 5**27 < 2**63
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+_U = np.uint64  # every integer operand is uint64: numpy 1.x turns uint64 with int64 into float64
+
+
+def _scaled(m, e, exp10):
+    """floor(m * 2**e * 10**(16 - exp10)), and whether it rounds up (half to even).
+
+    ``m`` < 2**53; the product m * 5**k is formed exactly as a 128-bit
+    (hi, lo) pair from 32-bit halves, then shifted by e + k.
+    """
+    k = 16 - exp10
+    p = _POW5[k]
+    m1, m0 = m >> _U(32), m & _U(0xFFFFFFFF)
+    p1, p0 = p >> _U(32), p & _U(0xFFFFFFFF)
+    mid = m1 * p0 + m0 * p1  # < 2**53 + 2**63
+    low = m0 * p0
+    lo = low + (mid << _U(32))
+    hi = m1 * p1 + (mid >> _U(32)) + (lo < low)
+    shift = e + k
+    s = np.clip(-shift, 1, 63).astype(np.uint64)
+    q = (hi << (_U(64) - s)) | (lo >> s)
+    rest, half = lo & ((_U(1) << s) - _U(1)), _U(1) << (s - _U(1))
+    up = (rest > half) | (rest == half) & (q & _U(1)).astype(bool)
+    exact = shift >= 0  # an integer times 2**shift: shift left, nothing to round
+    q = np.where(exact, lo << np.clip(shift, 0, 63).astype(np.uint64), q)
+    return q, up & ~exact
+
+
+def _digits(a: np.ndarray):
+    """The 17 significant digits of each ``a`` in [1e-4, 1e16), correctly
+    rounded (half to even) as ``"{:.17g}"`` rounds them, and the decimal
+    exponent E of the leading one."""
+    frac, e = np.frexp(a)
+    m = (frac * 2.0**53).astype(np.uint64)
+    e = e.astype(np.int64) - 53
+    exp10 = np.floor(np.log10(a)).astype(np.int64)
+    q, up = _scaled(m, e, exp10)
+    # log10 can be one off next to a power of ten
+    off = np.flatnonzero((q < _U(10**16)) | (q >= _U(10**17)))
+    if off.size:
+        exp10[off] += np.where(q[off] >= _U(10**17), 1, -1)
+        q[off], up[off] = _scaled(m[off], e[off], exp10[off])
+    # q + up never reaches 10**17: no double lies within half a unit of the
+    # 17th digit below a power of ten from 1e-3 to 1e16
+    d = q + up
+    top = d // _U(10**9)
+    v = np.stack([top, d - top * _U(10**9)], axis=1)  # two 9-digit halves, < 2**32
+    digits = np.empty((len(a), 2, 9), np.uint8)
+    for i in range(8, -1, -1):
+        q = (v * _U(0xCCCCCCCD)) >> _U(35)  # v // 10 for v < 2**32
+        digits[:, :, i] = v - q * _U(10)
+        v = q
+    return digits.reshape(len(a), 18)[:, 1:], exp10
+
+
+def _float_slot(col: np.ndarray, end: str):
+    """The width of a float column's slot and the function that fills a chunk
+    of it: each cell as ``"{:.17g}".format`` writes it, then ``end``.
+
+    Finite x with 1e-4 <= |x| < 1e16 is written in plain form from
+    ``_digits``; every other float (±0, nan, ±inf, the exponent form) by
+    ``"{:.17g}".format``.
+    """
+    col = col.astype(np.float64)
+    # A slot holds the sign, "0.000" (for E < 0), 18 places for the digits
+    # and the "." after the integer part (for E >= 0), and ``end``. Its bytes,
+    # and which are kept, depend only on the sign, the exponent E in [-4, 15]
+    # and the index of the last digit written, so they are tabulated over
+    # those, at row (sign * 20 + E + 4) * 17 + last.
+    sign, exp10, last = (
+        g.reshape(-1, 1) for g in np.meshgrid([0, 1], range(-4, 16), range(17), indexing="ij")
+    )
+    place = np.arange(25) - 6  # a digit place, or the prefix below 0
+    point = np.where(exp10 >= 0, exp10 + 1, 99)  # the place of the "."; none for E < 0
+    digit = (place >= 0) & (place < 18)
+    # a place after the "." holds the digit before it, so a cell's kept bytes
+    # form a few runs, which mat[keep] copies fastest
+    here = (digit & (place < point)).astype(np.uint8)
+    after = (digit & (place > point)).astype(np.uint8)
+    fixed = np.frombuffer(b"-0.000" + bytes(18) + end.encode(), np.uint8) + np.where(
+        place == point, ord("."), 0
+    ).astype(np.uint8)
+    kept = np.select(
+        [place == -6, place < -3, place < 0, place < 18],
+        [sign == 1, exp10 < 0, place + 4 < -exp10,
+         place <= last + ((exp10 >= 0) & (last > exp10))],
+        True,
+    )
+    width = len(place)  # fits the longest "{:.17g}" text, 24 bytes, and end
+
+    def fill(rows, mat, keep):
+        x = col[rows]
+        a = np.abs(x)
+        fast = (a >= 1e-4) & (a < 1e16)  # false for nan
+        digits, exp10 = _digits(np.where(fast, a, 1.0))
+        # the last digit written: the last nonzero one, or the last before the point
+        last = np.maximum(16 - np.argmax(digits[:, ::-1] != 0, axis=1), exp10)
+        row = (np.signbit(x) * 20 + exp10 + 4) * 17 + last
+        ext = np.zeros((len(x), width + 1), np.uint8)
+        ext[:, 7:24] = digits + ord("0")
+        mat[:] = (np.take(here, row, axis=0) * ext[:, 1:] + np.take(after, row, axis=0) * ext[:, :-1]
+                  + np.take(fixed, row, axis=0))
+        keep[:] = np.take(kept, row, axis=0)
+        for i in np.flatnonzero(~fast):
+            text = ("{:.17g}" + end).format(x[i]).encode()
+            mat[i, : len(text)] = np.frombuffer(text, np.uint8)
+            keep[i] = np.arange(width) < len(text)
+
+    return width, fill
+
+
+def _label_slot(col: np.ndarray, first: bool, end: str):
+    """The width of a categorical column's slot and the function that fills
+    a chunk of it: each cell as written, then ``end``."""
     labels = col.tolist()
     # quoting is decided once per distinct label, not once per cell
-    written = {label: _quoted(str(label), first) + end for label in set(labels)}
-    return map(written.__getitem__, labels)
+    index = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+    codes = np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+    written = [(_quoted(str(label), first) + end).encode() for label in index]
+    width = max(map(len, written), default=0)
+    texts = np.zeros((len(written), width), np.uint8)
+    for i, text in enumerate(written):
+        texts[i, : len(text)] = np.frombuffer(text, np.uint8)
+    kept = np.arange(width) < np.array([len(text) for text in written]).reshape(-1, 1)
+
+    def fill(rows, mat, keep):
+        mat[:] = texts[codes[rows]]
+        keep[:] = kept[codes[rows]]
+
+    return width, fill
+
+
+_CHUNK = 8192
 
 
 def write_csv_table(table: Table, path: str | Path, comment: str) -> None:
-    """Write a table as CSV atomically, floats at 17 significant digits.
+    """Write a table as CSV atomically, each float as ``"{:.17g}".format`` writes it.
 
     ``comment`` becomes the first line, ``# <comment>``, which
     ``read_csv_table`` skips. Cells are quoted as ``_quoted`` says, so
     ``read_csv_table`` reads every table back as written, categorical
-    labels stripped. Rows are streamed, never built as one string.
+    labels stripped. Rows go out in chunks of 8192, each built as one byte
+    matrix and a mask of the bytes kept. A chunk's floats in the range
+    1e-4 <= |x| < 1e16, where ``"{:.17g}"`` gives the plain form, are
+    formatted together by an exact integer kernel; ±0, nan, ±inf and the
+    other floats one at a time.
     """
-    # the last column's cells carry the line end, so each row is one join
     last = len(table.columns) - 1
-    cells = [
-        _cells(table.data[c], j == 0, "\n" if j == last else "")
-        for j, c in enumerate(table.columns)
-    ]
+    slots, width = [], 0
+    for j, c in enumerate(table.columns):
+        col, end = table.data[c], "\n" if j == last else ","
+        size, fill = _float_slot(col, end) if col.dtype.kind == "f" else _label_slot(col, j == 0, end)
+        slots.append((slice(width, width + size), fill))
+        width += size
     with atomic_open(path) as fh:
         fh.write(f"# {comment}\n")
         fh.write(",".join(_quoted(c, j == 0) for j, c in enumerate(table.columns)) + "\n")
-        fh.writelines(map(",".join, zip(*cells)))
+        for start in range(0, table.n_rows, _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            n = min(_CHUNK, table.n_rows - start)
+            mat, keep = np.empty((n, width), np.uint8), np.empty((n, width), bool)
+            for at, fill in slots:
+                fill(rows, mat[:, at], keep[:, at])
+            fh.write(mat[keep].tobytes().decode("utf-8"))

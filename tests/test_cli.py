@@ -752,6 +752,13 @@ def diagnose(report, out) -> int:
     return cli.run(["diagnose", "--fit", str(report), "--out", str(out)])
 
 
+def _keep_functions(moments, n):
+    """A moments block cut down to its first ``n`` test functions."""
+    moments["names"] = moments["names"][:n]
+    moments["phi_hat"] = [row[:n] for row in moments["phi_hat"]]
+    moments["pooled_var_diag"] = moments["pooled_var_diag"][:n]
+
+
 class TestDiagnoseCli:
     def test_diagnose_from_fit_report(self, tmp_path):
         report = fit_fixture(tmp_path / "report")
@@ -820,7 +827,14 @@ class TestDiagnoseCli:
          "moments.pooled_var_diag[0] must be a finite number >= 0, got -1.0"),
         ("sizes", list.pop, "moments: phi_hat must have one row per size"),
         ("pooled_var_diag", list.pop, "moments: pooled_var must be L x L"),
-    ], ids=["no_moments", "fractional_size", "negative_variance", "sizes_short", "diag_short"])
+        ("phi_hat", lambda rows: rows[2].pop(),
+         "moments.phi_hat[2] must be a list of 20 numbers, got 19 entries"),
+        (None, lambda r: _keep_functions(r["moments"], 2),
+         "need at least as many test functions as datasets (L=2 < K=4)"),
+        ("phi_hat", lambda rows: rows.__setitem__(2, list(rows[1])),
+         "dataset moment deviations are collinear: 'source_1' ~ 'source_2'"),
+    ], ids=["no_moments", "fractional_size", "negative_variance", "sizes_short", "diag_short",
+            "ragged_phi_hat", "fewer_functions_than_sources", "identical_sources"])
     def test_bad_report_exits_1_naming_the_file(self, tmp_path, capsys, key, edit, message):
         report = fit_fixture(tmp_path / "report")
         payload = json.loads(report.read_text())

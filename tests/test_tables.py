@@ -191,6 +191,86 @@ def test_writer_quotes_only_cells_that_need_it(tmp_path):
     assert list(back.column("b")) == ["#b", "", "", "p q", "y"]
 
 
+def per_cell_csv(table, comment):
+    """The text ``write_csv_table`` must give, built one cell at a time:
+    each float by ``"{:.17g}".format``, each label by ``tables._quoted``."""
+    last = len(table.columns) - 1
+
+    def cells(col, first, end):
+        if col.dtype.kind == "f":
+            return [("{:.17g}" + end).format(v) for v in col.tolist()]
+        return [tables._quoted(str(label), first) + end for label in col.tolist()]
+
+    columns = [cells(table.data[c], j == 0, "\n" if j == last else "")
+               for j, c in enumerate(table.columns)]
+    header = ",".join(tables._quoted(c, j == 0) for j, c in enumerate(table.columns))
+    return f"# {comment}\n{header}\n" + "".join(map(",".join, zip(*columns)))
+
+
+def written_floats(path, values):
+    """The cells ``write_csv_table`` writes for ``values`` as one float column."""
+    write_csv_table(Table("t", ("x",), {"x": np.asarray(values, dtype=np.float64)}), path, "c")
+    return path.read_text(encoding="utf-8").split("\n")[2:-1]
+
+
+def format_17g(values):
+    return ["{:.17g}".format(v) for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=40))
+def test_floats_are_written_as_format_17g_writes_them(tmp_path_factory, values):
+    # st.floats() draws nan, ±inf, ±0 and subnormals too
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    assert written_floats(path, values) == format_17g(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_float_bit_patterns_are_written_as_format_17g_writes_them(tmp_path_factory, bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    assert written_floats(path, values) == format_17g(values)
+
+
+def _half_way_floats():
+    """Floats whose 17-digit rounding is an exact tie, with exponents 15 down
+    to -4: x = h / 2**(k+1) with h odd puts x * 10**k half-way between
+    integers. h and h + 2 round in opposite directions under half to even."""
+    for k in range(1, 21):
+        for c in (1, 2, 3):
+            h = (c * 10**16 * 2 ** (k + 1) // 10**k + 1) | 1  # x >= c * 10**(16-k)
+            yield from (v / 2 ** (k + 1) for v in (h, h + 2) if v < 2**53)
+
+
+def test_edge_floats_are_written_as_format_17g_writes_them(tmp_path):
+    points = [0.0, 1e-4, 1e16, 2.0**53, 1234567890123456.75]
+    points += [float(f"1e{e}") for e in range(-5, 18)]
+    points += list(_half_way_floats())
+    values = np.array(points)
+    values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+    values = np.concatenate([values, -values])
+    assert written_floats(tmp_path / "t.csv", values) == format_17g(values)
+
+
+@pytest.mark.parametrize("n_rows", [8191, 8192, 8193])
+def test_chunked_tables_equal_the_per_cell_writer(tmp_path, n_rows):
+    # rows go out in chunks of 8192: one short of a chunk, one chunk, one over
+    rng = np.random.default_rng(n_rows)
+    labels = np.array(["#lead", "naïve", "a,b", 'say "hi"', " ", "plain", "日本"], dtype=object)
+    x = rng.normal(size=n_rows) * 10.0 ** rng.uniform(-6, 18, n_rows)
+    x[rng.integers(0, n_rows, 30)] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324], 30)
+    table = Table.from_arrays(
+        "t",
+        label=rng.choice(labels, n_rows),
+        x=x,
+        kind=rng.choice(np.array(["café", "b", "", "c\nd"], dtype=object), n_rows),
+        y=-rng.uniform(size=n_rows),
+    )
+    write_csv_table(table, tmp_path / "t.csv", "stamp")
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == per_cell_csv(table, "stamp")
+
+
 def typed_records(find, text, path="t.csv"):
     """The columns ``read_csv_table`` builds from ``find``'s records."""
     header, raw_columns, numbers = find(text, path)
