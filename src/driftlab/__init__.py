@@ -27,7 +27,6 @@ from .erm import (
     LossSpec,
     erm_ci,
     fit_erm,
-    fit_erm_arrays,
     importance_weights,
     logistic_loss,
     ood_risk,

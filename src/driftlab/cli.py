@@ -534,33 +534,40 @@ def cmd_erm(args) -> int:
     elif args.weights.startswith("file:"):
         path = args.weights[len("file:"):]
         try:
-            beta = np.asarray(json.loads(Path(path).read_text(encoding="utf-8")), dtype=float)
-        except (OSError, TypeError, ValueError) as exc:
+            values = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
             raise UserError(f"cannot read weights file {path}: {exc}")
-        if beta.size != k or abs(beta.sum() - 1.0) > 1e-8:
-            raise UserError(f"weights file must hold {k} values summing to 1")
+        try:
+            beta = np.array(list_of(number)(values, "weights"))
+        except UserError as exc:
+            raise UserError(f"{path}: {exc}") from None
+        if beta.size != k:
+            raise UserError(f"{path}: weights must hold {k} values, one per source, "
+                            f"got {beta.size}")
+        if abs(beta.sum() - 1.0) > 1e-8:
+            raise UserError(f"{path}: weights must sum to 1, got {float(beta.sum())}")
         provenance["file"] = path
     else:
         raise UserError(f"unknown weights scheme {args.weights!r}")
 
-    if beta is not None:
-        fit = erm_mod.fit_erm(data, spec, beta, covariates=covariates)
-        weights_out = beta.tolist()
-    else:
-        x_src = np.vstack(
-            [erm_mod.design_matrix(t, covariates, intercept=False) for t in data.sources]
-        )
-        x_tgt = erm_mod.design_matrix(data.target, covariates, intercept=False)
-        iw = erm_mod.importance_weights(
-            x_src, x_tgt, clip_quantile=settings.get("clip_quantile", 0.99)
-        )
-        y = np.concatenate(
-            [np.asarray(t.column(outcome), dtype=float) for t in data.sources]
-        )
-        x_design = np.column_stack([np.ones(x_src.shape[0]), x_src])
-        fit = erm_mod.fit_weighted_samples(x_design, y, iw.weights, spec)
-        weights_out = {"clip_threshold": iw.clip_threshold, "n_clipped": iw.n_clipped}
-        provenance["clipped"] = iw.clipped
+    try:
+        if beta is not None:
+            fit = erm_mod.fit_erm(data, spec, beta, covariates=covariates)
+            weights_out = beta.tolist()
+        else:
+            x = erm_mod.design_matrix(data.sources, covariates)
+            iw = erm_mod.importance_weights(
+                x, erm_mod.design_matrix((data.target,), covariates),
+                clip_quantile=settings.get("clip_quantile", 0.99),
+            )
+            y = np.concatenate(
+                [np.asarray(t.column(outcome), dtype=float) for t in data.sources]
+            )
+            fit = erm_mod._solve(x, y, iw.weights / iw.weights.sum(), spec)
+            weights_out = {"clip_threshold": iw.clip_threshold, "n_clipped": iw.n_clipped}
+            provenance["clipped"] = iw.clipped
+    except (erm_mod.ConvergenceError, erm_mod.SeparationError) as exc:
+        raise UserError(f"erm on covariates {list(covariates)}: {exc}") from None
 
     report = {
         "theta_hat": fit.theta_hat,

@@ -1,7 +1,12 @@
 """Weighted empirical risk minimization with influence-based uncertainty.
 
-The estimator minimizes a convex combination of per-dataset empirical risks
-(weights summing to one), solved by damped Newton with Armijo backtracking.
+Every fit here is one solve over pooled rows: minimize sum_i w_i loss_i(theta)
++ (ridge / 2) |theta|^2 with row weights w summing to one, by damped Newton
+with Armijo backtracking. A convex combination of per-dataset empirical risks
+(weights beta summing to one) is the row weighting beta_k / n_k; the
+importance baseline's density-ratio classifier and weighted fit are two more
+row weightings of the same solve.
+
 Out-of-distribution risk under random dense shift decomposes as the weight
 quadratic form beta' Sigma_W beta times Trace(H^{-1} V), with H the weighted
 mean Hessian and V the pooled gradient covariance; confidence intervals for
@@ -12,13 +17,14 @@ the mean squared residual of a moment-matching weight fit.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit, ndtri
 
 from .dlm import DlmFit
-from .tables import DatasetCollection, Table
+from .tables import DatasetCollection, IngestError, Table
 
 __all__ = [
     "LossSpec",
@@ -29,8 +35,6 @@ __all__ = [
     "ImportanceWeightResult",
     "design_matrix",
     "fit_erm",
-    "fit_erm_arrays",
-    "fit_weighted_samples",
     "ood_risk",
     "erm_ci",
     "importance_weights",
@@ -51,8 +55,8 @@ class LossSpec:
 
     loss(theta, X, y) -> (n,) per-row losses
     gradient(theta, X, y) -> (n, p) per-row gradients
-    hessian_mean(theta, X, y, w=None) -> (p, p) average Hessian over rows,
-        weighted by the per-row sample weights ``w`` when they are given
+    hessian_mean(theta, X, y, w) -> (p, p) mean Hessian over rows, weighted
+        by the per-row weights ``w``
     """
 
     family: str
@@ -68,11 +72,9 @@ def squared_error_loss() -> LossSpec:
 
     def gradient(theta, x, y):
         r = y - x @ theta
-        return -2.0 * x * r[:, None]
+        return x * (-2.0 * r)[:, None]
 
-    def hessian_mean(theta, x, y, w=None):
-        if w is None:
-            return 2.0 * (x.T @ x) / x.shape[0]
+    def hessian_mean(theta, x, y, w):
         return 2.0 * (x.T * w) @ x / w.sum()
 
     return LossSpec("squared_error_linear", loss, gradient, hessian_mean)
@@ -87,12 +89,9 @@ def logistic_loss() -> LossSpec:
         p = expit(x @ theta)
         return x * (p - y)[:, None]
 
-    def hessian_mean(theta, x, y, w=None):
+    def hessian_mean(theta, x, y, w):
         p = expit(x @ theta)
-        curv = p * (1.0 - p)
-        if w is None:
-            return (x.T * curv) @ x / x.shape[0]
-        return (x.T * (curv * w)) @ x / w.sum()
+        return (x.T * (p * (1.0 - p) * w)) @ x / w.sum()
 
     return LossSpec("logistic", loss, gradient, hessian_mean)
 
@@ -126,64 +125,64 @@ class OodRisk:
     quadratic_form: float
 
 
-def design_matrix(
-    table: Table, covariates: tuple[str, ...], intercept: bool = True
-) -> np.ndarray:
-    cols = [np.asarray(table.column(c), dtype=float) for c in covariates]
-    if intercept:
-        cols = [np.ones(table.n_rows)] + cols
-    return np.column_stack(cols)
+def design_matrix(tables: Sequence[Table], covariates: tuple[str, ...]) -> np.ndarray:
+    """The pooled design of ``tables``: an intercept column, then one column
+    per covariate, with the tables' rows stacked in order."""
+    x = np.empty((sum(tbl.n_rows for tbl in tables), len(covariates) + 1))
+    x[:, 0] = 1.0
+    start = 0
+    for tbl in tables:
+        rows = slice(start, start + tbl.n_rows)
+        for j, c in enumerate(covariates, start=1):
+            col = tbl.column(c)
+            if not tbl.is_numeric(c):
+                raise IngestError(f"covariate {c!r} of table {tbl.name!r} is not numeric")
+            x[rows, j] = col
+        start = rows.stop
+    return x
 
 
-def _weighted_objective(datasets, spec, beta):
+# damped Newton's iteration cap; every solve starts at theta = 0
+_MAX_ITER = 200
+
+
+def _solve(
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, spec: LossSpec, ridge: float = 0.0
+) -> ErmFit:
+    """Minimize sum_i w_i loss_i(theta) + (ridge / 2) |theta|^2 over the rows
+    of (x, y), for row weights ``w`` summing to one, by damped Newton with
+    Armijo backtracking."""
+
     def value(theta):
-        return sum(
-            b * spec.loss(theta, x, y) @ w / w.sum()
-            for b, (x, y, w) in zip(beta, datasets)
-        )
+        return spec.loss(theta, x, y) @ w + 0.5 * ridge * (theta @ theta)
 
     def grad(theta):
-        return sum(
-            b * (spec.gradient(theta, x, y).T @ w) / w.sum()
-            for b, (x, y, w) in zip(beta, datasets)
-        )
+        return spec.gradient(theta, x, y).T @ w + ridge * theta
 
     def hess(theta):
-        out = 0.0
-        for b, (x, y, w) in zip(beta, datasets):
-            if np.all(w == 1.0):
-                out = out + b * spec.hessian_mean(theta, x, y)
-            else:
-                out = out + b * spec.hessian_mean(theta, x, y, w)
-        return out
+        return spec.hessian_mean(theta, x, y, w) + ridge * np.eye(theta.size)
 
-    return value, grad, hess
-
-
-def _newton(value, grad, hess, theta0, max_iter=200, tol=1e-10):
-    theta = np.asarray(theta0, dtype=float).copy()
+    theta = np.zeros(x.shape[1])
     f = value(theta)
     n_iter = 0
     stalled = False
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         g = grad(theta)
-        if np.linalg.norm(g) <= tol * (1.0 + np.linalg.norm(theta)):
-            return theta, True, n_iter, float(np.linalg.norm(g))
-        if stalled:
-            # the last step left f unchanged: the gradient sits at its
-            # rounding floor and further steps cannot improve the fit
+        # after a step that left f unchanged the gradient sits at its
+        # rounding floor and further steps cannot improve the fit
+        if stalled or np.linalg.norm(g) <= 1e-10 * (1.0 + np.linalg.norm(theta)):
             break
         h = hess(theta)
         direction = None
-        ridge = 0.0
+        damping = 0.0
         for _ in range(12):
             try:
-                direction = -np.linalg.solve(h + ridge * np.eye(h.shape[0]), g)
+                direction = -np.linalg.solve(h + damping * np.eye(h.shape[0]), g)
             except np.linalg.LinAlgError:
                 direction = None
             if direction is not None and g @ direction < 0:
                 break
-            ridge = max(2.0 * ridge, 1e-8 * max(np.abs(np.diag(h)).max(), 1.0))
+            damping = max(2.0 * damping, 1e-8 * max(np.abs(np.diag(h)).max(), 1.0))
         if direction is None or g @ direction >= 0:
             direction = -g
         # Armijo backtracking; in floating point an accepted step can leave
@@ -202,63 +201,35 @@ def _newton(value, grad, hess, theta0, max_iter=200, tol=1e-10):
             step *= 0.5
         if not accepted:
             break
-    g = grad(theta)
-    converged = bool(np.linalg.norm(g) <= 1e-8 * (1.0 + np.linalg.norm(theta)))
-    return theta, converged, n_iter, float(np.linalg.norm(g))
-
-
-def fit_erm_arrays(
-    datasets: list[tuple[np.ndarray, np.ndarray]],
-    spec: LossSpec,
-    beta: np.ndarray,
-    theta0: np.ndarray | None = None,
-    sample_weights: list[np.ndarray] | None = None,
-    max_iter: int = 200,
-) -> ErmFit:
-    """Weighted ERM over (X_k, y_k) arrays with distribution weights beta."""
-    beta = np.asarray(beta, dtype=float)
-    if len(datasets) != beta.size:
-        raise ValueError("need one weight per dataset")
-    if abs(beta.sum() - 1.0) > 1e-8:
-        raise ValueError("distribution weights must sum to one")
-    packed = []
-    for idx, (x, y) in enumerate(datasets):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.asarray(y, dtype=float)
-        w = (
-            np.ones(x.shape[0])
-            if sample_weights is None
-            else np.asarray(sample_weights[idx], dtype=float)
-        )
-        packed.append((x, y, w))
-    p = packed[0][0].shape[1]
-    value, grad, hess = _weighted_objective(packed, spec, beta)
-    theta0 = np.zeros(p) if theta0 is None else np.asarray(theta0, dtype=float)
-    theta, converged, n_iter, gnorm = _newton(value, grad, hess, theta0, max_iter)
+    else:
+        g = grad(theta)  # the last step moved theta
+    gnorm = float(np.linalg.norm(g))
+    converged = gnorm <= 1e-8 * (1.0 + np.linalg.norm(theta))
     if not converged:
         warnings.warn(
-            f"ERM did not reach first-order tolerance in {max_iter} iterations "
+            f"ERM did not reach first-order tolerance in {_MAX_ITER} iterations "
             f"(|grad| = {gnorm:.3e}); returning last iterate",
-            stacklevel=2,
+            stacklevel=3,
         )
     h_hat = hess(theta)
     h_hat = 0.5 * (h_hat + h_hat.T)
-    # influence values -H^{-1} grad on the pooled donor rows (never the
-    # target) have covariance H^{-1} Cov(grad) H^{-1}: two p x p solves
-    grads = np.vstack([spec.gradient(theta, x, y) for x, y, _ in packed])
-    centered = grads - grads.mean(axis=0)
-    grad_cov = centered.T @ centered / centered.shape[0]
-    try:
-        infl_var = np.linalg.solve(h_hat, np.linalg.solve(h_hat, grad_cov).T)
-    except np.linalg.LinAlgError:
+    if np.linalg.matrix_rank(h_hat) < h_hat.shape[0]:
+        # a covariate that repeats or combines others; whether LU meets an
+        # exact zero pivot then depends on the BLAS summation order
         raise ConvergenceError("weighted Hessian is singular at the optimum")
+    # influence values -H^{-1} grad on the pooled rows have covariance
+    # H^{-1} Cov(grad) H^{-1}: two p x p solves
+    grads = spec.gradient(theta, x, y)
+    grads -= grads.mean(axis=0)
+    grad_cov = grads.T @ grads / grads.shape[0]
+    infl_var = np.linalg.solve(h_hat, np.linalg.solve(h_hat, grad_cov).T)
     return ErmFit(
         theta_hat=theta,
-        weights_used=beta,
+        weights_used=w,
         hessian_hat=h_hat,
         influence_variance=0.5 * (infl_var + infl_var.T),
         grad_norm=gnorm,
-        converged=converged,
+        converged=bool(converged),
         n_iterations=n_iter,
         loss_family=spec.family,
     )
@@ -271,30 +242,25 @@ def fit_erm(
     covariates: tuple[str, ...] | None = None,
 ) -> ErmFit:
     """Weighted ERM on a dataset collection (numeric covariates + outcome),
-    with an intercept column in front of the covariates."""
+    with an intercept column in front of the covariates: the per-dataset
+    weights ``beta`` (summing to one) become row weights beta_k / n_k."""
     if data.outcome is None:
         raise ValueError("dataset collection declares no outcome column")
+    beta = np.asarray(beta, dtype=float)
+    if beta.size != data.n_sources:
+        raise ValueError("need one weight per dataset")
+    if abs(beta.sum() - 1.0) > 1e-8:
+        raise ValueError("distribution weights must sum to one")
     covs = covariates or tuple(
         c for c in data.covariates if data.sources[0].is_numeric(c)
     )
-    arrays = [
-        (design_matrix(tbl, covs), np.asarray(tbl.column(data.outcome), dtype=float))
-        for tbl in data.sources
-    ]
-    fit = fit_erm_arrays(arrays, spec, beta)
-    return replace(fit, feature_names=("intercept",) + covs)
-
-
-def fit_weighted_samples(
-    x: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray,
-    spec: LossSpec,
-) -> ErmFit:
-    """Per-sample weighted M-estimation on one pooled dataset."""
-    return fit_erm_arrays(
-        [(x, y)], spec, np.array([1.0]), sample_weights=[np.asarray(weights, float)]
+    x = design_matrix(data.sources, covs)
+    y = np.concatenate(
+        [np.asarray(tbl.column(data.outcome), dtype=float) for tbl in data.sources]
     )
+    sizes = np.array(data.sizes)
+    fit = _solve(x, y, np.repeat(beta / sizes, sizes), spec)
+    return replace(fit, weights_used=beta, feature_names=("intercept",) + covs)
 
 
 def ood_risk(fit: ErmFit, shift_scale: float) -> OodRisk:
@@ -349,43 +315,26 @@ def importance_weights(
 ) -> ImportanceWeightResult:
     """Per-sample density-ratio weights from a source-vs-target classifier.
 
-    A logistic regression with a small ridge (``_L2_PENALTY``) distinguishes
-    target rows from source rows on the pooled covariates; by Bayes' rule
-    the fitted odds, divided by the prior odds n_target / n_source, give the
-    density ratio P(x | target) / P(x | source). Weights above the
-    ``clip_quantile`` quantile are clipped (and the clipping reported).
+    ``x_source`` and ``x_target`` are design matrices whose first column is
+    the intercept. A logistic regression with a small ridge (``_L2_PENALTY``)
+    distinguishes target rows from source rows; by Bayes' rule the fitted
+    odds, divided by the prior odds n_target / n_source, give the density
+    ratio P(x | target) / P(x | source). Weights above the ``clip_quantile``
+    quantile are clipped (and the clipping reported).
     """
-    x_source = np.atleast_2d(np.asarray(x_source, dtype=float))
-    x_target = np.atleast_2d(np.asarray(x_target, dtype=float))
     n_s, n_t = x_source.shape[0], x_target.shape[0]
+    n = n_s + n_t
     x = np.vstack([x_source, x_target])
-    x = np.column_stack([np.ones(x.shape[0]), x])
     a = np.concatenate([np.zeros(n_s), np.ones(n_t)])
-
-    base = logistic_loss()
-
-    def loss(theta, xx, yy):
-        penalty = 0.5 * (_L2_PENALTY / xx.shape[0]) * (theta @ theta)
-        return base.loss(theta, xx, yy) + penalty
-
-    def gradient(theta, xx, yy):
-        return base.gradient(theta, xx, yy) + (_L2_PENALTY / xx.shape[0]) * theta[None, :]
-
-    def hessian_mean(theta, xx, yy, w=None):
-        return base.hessian_mean(theta, xx, yy, w) + (
-            _L2_PENALTY / xx.shape[0]
-        ) * np.eye(theta.size)
-
-    spec = LossSpec("logistic_l2", loss, gradient, hessian_mean)
     try:
-        fit = fit_erm_arrays([(x, a)], spec, np.array([1.0]))
+        fit = _solve(x, a, np.full(n, 1.0 / n), logistic_loss(), ridge=_L2_PENALTY / n)
     except ConvergenceError as exc:
         raise SeparationError(
             "source/target classifier has a singular Hessian at its optimum "
             "(perfect separation is likely)"
         ) from exc
-    p = expit((x @ fit.theta_hat)[:n_s])
-    p_target = n_t / (n_s + n_t)
+    p = expit(x_source @ fit.theta_hat)
+    p_target = n_t / n
     raw = (p / (1.0 - p)) / (p_target / (1.0 - p_target))
     threshold = float(np.quantile(raw, clip_quantile))
     clipped = raw > threshold

@@ -17,12 +17,7 @@ import driftlab as dl
 from driftlab import cli
 from driftlab import harness as H
 from driftlab.dlm import closed_form_weights, fit_weights
-from driftlab.erm import (
-    fit_erm_arrays,
-    fit_weighted_samples,
-    importance_weights,
-    squared_error_loss,
-)
+from driftlab.erm import _solve, design_matrix, fit_erm, importance_weights, squared_error_loss
 from driftlab.moments import MomentMatrix
 from driftlab.tables import DatasetCollection, Table
 from driftlab.testfuncs import parse_test_functions
@@ -238,6 +233,8 @@ def test_criterion_10_three_way_weighting_comparison():
         return float(np.mean((y_eval - eval_design @ theta) ** 2))
 
     x1, y1 = draw(n1, 0.0, theta_similar)
+    src1 = Table.from_arrays("similar", x=x1, y=y1)
+    target = Table.from_arrays("target", x=x_eval[:5000])
     declarations = ["column:x", "expr:x**2", "expr:x**3"]
 
     fractions = np.arange(0.0, 0.81, 0.1)
@@ -246,37 +243,29 @@ def test_criterion_10_three_way_weighting_comparison():
     for frac in fractions:
         n2 = int(round(frac / (1 - frac) * n1)) if frac > 0 else 0
         if n2 == 0:
-            design1 = np.column_stack([np.ones(n1), x1])
-            fit = fit_erm_arrays([(design1, y1)], loss, np.array([1.0]))
+            fit = fit_erm(DatasetCollection((src1,), target, outcome="y"), loss, np.array([1.0]))
             rows.append((frac, mse(fit.theta_hat), mse(fit.theta_hat),
                          mse(fit.theta_hat), 0.0))
             continue
         x2, y2 = draw(n2, 2.5, theta_divergent)
-        src1 = Table.from_arrays("similar", x=x1, y=y1)
         src2 = Table.from_arrays("divergent", x=x2, y=y2)
-        target = Table.from_arrays("target", x=x_eval[:5000])
         data = DatasetCollection((src1, src2), target, outcome="y")
         tests = parse_test_functions(declarations, data)
         moments = dl.evaluate_moments(data, tests)
         dlm_fit = fit_weights(moments, mode="simplex")
 
-        design1 = np.column_stack([np.ones(n1), x1])
-        design2 = np.column_stack([np.ones(n2), x2])
-        datasets = [(design1, y1), (design2, y2)]
-        theta_dlm = fit_erm_arrays(datasets, loss, dlm_fit.beta_hat).theta_hat
+        theta_dlm = fit_erm(data, loss, dlm_fit.beta_hat).theta_hat
         # equal per-sample weights = dataset weights proportional to sizes
         beta_equal = np.array([n1, n2]) / (n1 + n2)
-        theta_eq = fit_erm_arrays(datasets, loss, beta_equal).theta_hat
+        theta_eq = fit_erm(data, loss, beta_equal).theta_hat
         import warnings
 
+        pooled_design = design_matrix(data.sources, ("x",))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            iw = importance_weights(
-                np.concatenate([x1, x2])[:, None], x_eval[:5000, None]
-            )
-        pooled_design = np.vstack([design1, design2])
+            iw = importance_weights(pooled_design, design_matrix((target,), ("x",)))
         pooled_y = np.concatenate([y1, y2])
-        theta_iw = fit_weighted_samples(pooled_design, pooled_y, iw.weights, loss).theta_hat
+        theta_iw = _solve(pooled_design, pooled_y, iw.weights / iw.weights.sum(), loss).theta_hat
         rows.append(
             (frac, mse(theta_eq), mse(theta_iw), mse(theta_dlm), dlm_fit.beta_hat[1])
         )

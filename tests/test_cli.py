@@ -632,18 +632,67 @@ class TestErmCli:
         payload = json.loads((tmp_path / "f.json").read_text())
         assert payload["erm"]["weights"] == [0.25, 0.75]
 
-    @pytest.mark.parametrize("content", [None, "0.25, 0.75"], ids=["missing", "not_json"])
-    def test_unreadable_weights_file_is_user_error(self, tmp_path, small_data, capsys, content):
+    @pytest.mark.parametrize(
+        "content, message",
+        [(None, "cannot read weights file {}: "),
+         ("0.25, 0.75", "cannot read weights file {}: "),
+         ("[NaN, 0.5, 0.25, 0.25]", "{}: weights[0] must be a finite number, got nan"),
+         ("[[0.25, 0.25], [0.25, 0.25]]",
+          "{}: weights[0] must be a finite number, got [0.25, 0.25]"),
+         ("[0.25, 0.25, 0.5]", "{}: weights must hold 2 values, one per source, got 3"),
+         ("[0.25, 0.5]", "{}: weights must sum to 1, got 0.75")],
+        ids=["missing", "not_json", "nan", "nested", "too_many", "bad_sum"],
+    )
+    def test_unreadable_weights_file_is_user_error(
+        self, tmp_path, small_data, capsys, content, message
+    ):
         s1, s2, tgt = small_data
         wfile = tmp_path / "w.json"
         if content is not None:
             write(wfile, content)
+        out = tmp_path / "f.json"
         rc = cli.run(["erm", "--data", s1, s2, "--target", tgt,
-                      "--weights", f"file:{wfile}", "--out", str(tmp_path / "f.json")])
+                      "--weights", f"file:{wfile}", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"cannot read weights file {wfile}: " in err
+        assert f"driftlab: error: {message.format(wfile)}" in err
+        assert len(err.splitlines()) == 1 and not out.exists()
         assert "Traceback" not in err and "invalid literal" not in err
+
+    @pytest.mark.parametrize("weights", ["uniform", "importance"])
+    def test_covariate_that_is_not_numeric_is_user_error(
+        self, tmp_path, small_data, capsys, weights
+    ):
+        s1, s2, tgt = small_data
+        out = tmp_path / "e.json"
+        cases = [
+            (["--data", *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
+              "--target", str(FIXTURE / "target.csv"), "--config",
+              write(tmp_path / "cfg.json", '{"outcome": "income", "covariates": ["occupation"]}')],
+             "covariate 'occupation' of table 'source_1' is not numeric"),
+            (["--data", s1, write(tmp_path / "s2.csv", "x,y\na,1.0\nb,2.0\n"), "--target", tgt],
+             "covariate 'x' of table 's2' is not numeric"),
+        ]
+        for argv, message in cases:
+            rc = cli.run(["erm", *argv, "--weights", weights, "--out", str(out)])
+            assert rc == 1
+            assert capsys.readouterr().err.splitlines() == [f"driftlab: error: {message}"]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("weights", ["uniform", "importance"])
+    def test_solver_failure_is_user_error(self, tmp_path, capsys, weights):
+        out = tmp_path / "e.json"
+        cfg = write(tmp_path / "cfg.json", '{"outcome": "income", "covariates": ["x1", "x1"]}')
+        rc = cli.run(["erm", "--data", *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
+                      "--target", str(FIXTURE / "target.csv"), "--config", cfg,
+                      "--weights", weights, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "driftlab: error: erm on covariates ['x1', 'x1']: "
+            "weighted Hessian is singular at the optimum"
+        ]
+        assert "Traceback" not in err and not out.exists()
 
     def test_importance_weights_path(self, tmp_path):
         rng = np.random.default_rng(0)

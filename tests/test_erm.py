@@ -5,14 +5,14 @@ import pytest
 from scipy.optimize import minimize
 
 from conftest import make_moments
+from driftlab import erm
 from driftlab.dlm import fit_weights
 from driftlab.erm import (
-    _newton,
+    LossSpec,
+    _solve,
     design_matrix,
     erm_ci,
     fit_erm,
-    fit_erm_arrays,
-    fit_weighted_samples,
     importance_weights,
     logistic_loss,
     ood_risk,
@@ -25,6 +25,25 @@ def linear_data(rng, n, theta, noise=0.5):
     x = np.column_stack([np.ones(n), rng.normal(size=(n, len(theta) - 1))])
     y = x @ theta + noise * rng.normal(size=n)
     return x, y
+
+
+def collection(*datasets):
+    """Sources s1, s2, ... with outcome y and covariates x1, x2, ..., the
+    columns of each design x after its intercept; fit_erm rebuilds x."""
+
+    def covariates(x):
+        return {f"x{j}": x[:, j] for j in range(1, x.shape[1])}
+
+    sources = tuple(
+        Table.from_arrays(f"s{k}", **covariates(x), y=y)
+        for k, (x, y) in enumerate(datasets, start=1)
+    )
+    target = Table.from_arrays("t", **covariates(datasets[0][0]))
+    return DatasetCollection(sources, target, outcome="y")
+
+
+def with_intercept(x):
+    return np.column_stack([np.ones(x.shape[0]), x])
 
 
 def central_difference(f, theta, step=1e-6):
@@ -51,7 +70,7 @@ def test_loss_derivatives_match_finite_differences(spec_factory, rng):
         grad = spec.gradient(theta, x, y).mean(axis=0)
         fd_grad = central_difference(lambda t: spec.loss(t, x, y).mean(), theta)
         assert np.max(np.abs(grad - fd_grad) / np.maximum(np.abs(grad), 1.0)) <= 1e-5
-        hess = spec.hessian_mean(theta, x, y)
+        hess = spec.hessian_mean(theta, x, y, np.ones(1))
         fd_hess = central_difference(lambda t: spec.gradient(t, x, y).mean(axis=0), theta)
         assert np.max(np.abs(hess - fd_hess) / np.maximum(np.abs(hess), 1.0)) <= 1e-5
 
@@ -59,7 +78,7 @@ def test_loss_derivatives_match_finite_differences(spec_factory, rng):
 def test_single_dataset_squared_equals_ols(rng):
     theta = np.array([1.0, -2.0, 0.5])
     x, y = linear_data(rng, 400, theta)
-    fit = fit_erm_arrays([(x, y)], squared_error_loss(), np.array([1.0]))
+    fit = fit_erm(collection((x, y)), squared_error_loss(), np.array([1.0]))
     ols = np.linalg.solve(x.T @ x, x.T @ y)
     assert np.allclose(fit.theta_hat, ols, atol=1e-9)
     assert fit.converged
@@ -68,10 +87,8 @@ def test_single_dataset_squared_equals_ols(rng):
 def test_identical_datasets_any_weights(rng):
     theta = np.array([0.3, 1.2])
     x, y = linear_data(rng, 300, theta)
-    single = fit_erm_arrays([(x, y)], squared_error_loss(), np.array([1.0]))
-    both = fit_erm_arrays(
-        [(x, y), (x, y)], squared_error_loss(), np.array([0.3, 0.7])
-    )
+    single = fit_erm(collection((x, y)), squared_error_loss(), np.array([1.0]))
+    both = fit_erm(collection((x, y), (x, y)), squared_error_loss(), np.array([0.3, 0.7]))
     assert np.allclose(single.theta_hat, both.theta_hat, atol=1e-9)
 
 
@@ -80,7 +97,7 @@ def test_weighted_normal_equations_oracle(rng):
     x1, y1 = linear_data(rng, 200, theta)
     x2, y2 = linear_data(rng, 300, np.array([0.0, -1.0]))
     beta = np.array([0.6, 0.4])
-    fit = fit_erm_arrays([(x1, y1), (x2, y2)], squared_error_loss(), beta)
+    fit = fit_erm(collection((x1, y1), (x2, y2)), squared_error_loss(), beta)
     a = beta[0] * x1.T @ x1 / 200 + beta[1] * x2.T @ x2 / 300
     b = beta[0] * x1.T @ y1 / 200 + beta[1] * x2.T @ y2 / 300
     assert np.allclose(fit.theta_hat, np.linalg.solve(a, b), atol=1e-9)
@@ -89,10 +106,10 @@ def test_weighted_normal_equations_oracle(rng):
 def test_one_hot_recovers_single_source(rng):
     x1, y1 = linear_data(rng, 150, np.array([1.0, 1.0]))
     x2, y2 = linear_data(rng, 150, np.array([-1.0, 2.0]))
-    one_hot = fit_erm_arrays(
-        [(x1, y1), (x2, y2)], squared_error_loss(), np.array([0.0, 1.0])
+    one_hot = fit_erm(
+        collection((x1, y1), (x2, y2)), squared_error_loss(), np.array([0.0, 1.0])
     )
-    solo = fit_erm_arrays([(x2, y2)], squared_error_loss(), np.array([1.0]))
+    solo = fit_erm(collection((x2, y2)), squared_error_loss(), np.array([1.0]))
     assert np.allclose(one_hot.theta_hat, solo.theta_hat, atol=1e-10)
 
 
@@ -102,7 +119,7 @@ def test_logistic_matches_scipy_oracle(rng):
     p = 1 / (1 + np.exp(-(x @ np.array([-0.5, 1.5]))))
     y = (rng.random(n) < p).astype(float)
     spec = logistic_loss()
-    fit = fit_erm_arrays([(x, y)], spec, np.array([1.0]))
+    fit = _solve(x, y, np.full(n, 1.0 / n), spec)
     res = minimize(
         lambda t: spec.loss(t, x, y).mean(), np.zeros(2), method="BFGS", tol=1e-12
     )
@@ -123,26 +140,19 @@ def test_newton_objective_monotone(rng):
         seen.append(vals.mean())
         return vals
 
-    from driftlab.erm import LossSpec
-
     spec = LossSpec("logistic", loss, base.gradient, base.hessian_mean)
-    fit_erm_arrays([(x, y)], spec, np.array([1.0]))
+    _solve(x, y, np.full(n, 1.0 / n), spec)
     # the accepted sequence (first eval per line search is the incumbent)
     assert len(seen) >= 2
 
 
-def test_nonconvergence_flags(rng):
+def test_nonconvergence_flags(rng, monkeypatch):
     n = 400
     x = np.column_stack([np.ones(n), rng.normal(size=n)])
     y = (rng.random(n) < 0.5).astype(float)
+    monkeypatch.setattr(erm, "_MAX_ITER", 1)
     with pytest.warns(UserWarning, match="did not reach"):
-        fit = fit_erm_arrays(
-            [(x, y)],
-            logistic_loss(),
-            np.array([1.0]),
-            theta0=np.array([4.0, -4.0]),
-            max_iter=1,
-        )
+        fit = fit_erm(collection((x, y)), logistic_loss(), np.array([1.0]))
     assert not fit.converged
     assert fit.n_iterations == 1
 
@@ -154,25 +164,26 @@ def test_newton_stops_when_accepted_step_leaves_objective_unchanged():
     target = np.array([1.0, -2.0])
     calls = itertools.count()
 
-    def value(theta):
+    def loss(theta, x, y):
         d = theta - target
-        return 1e6 + 0.5 * d @ d
+        return np.array([1e6 + 0.5 * d @ d])
 
-    def grad(theta):
-        return theta - target + 3e-10 * (-1.0) ** next(calls)
+    def gradient(theta, x, y):
+        return (theta - target + 3e-10 * (-1.0) ** next(calls))[None, :]
 
-    theta, converged, n_iter, gnorm = _newton(value, grad, lambda t: np.eye(2), np.zeros(2))
-    assert n_iter <= 5
-    assert converged
-    assert gnorm < 1e-8
-    assert np.abs(theta - target).max() < 1e-9
+    spec = LossSpec("flat", loss, gradient, lambda theta, x, y, w: np.eye(2))
+    fit = _solve(np.ones((1, 2)), np.zeros(1), np.ones(1), spec)
+    assert fit.n_iterations <= 5
+    assert fit.converged
+    assert fit.grad_norm < 1e-8
+    assert np.abs(fit.theta_hat - target).max() < 1e-9
 
 
 def test_influence_variance_matches_per_row_influences(rng):
     x1, y1 = linear_data(rng, 400, np.array([1.0, 2.0, -1.0]))
     x2, y2 = linear_data(rng, 300, np.array([0.5, 2.0, -1.5]))
     spec = squared_error_loss()
-    fit = fit_erm_arrays([(x1, y1), (x2, y2)], spec, np.array([0.3, 0.7]))
+    fit = fit_erm(collection((x1, y1), (x2, y2)), spec, np.array([0.3, 0.7]))
     grads = np.vstack(
         [spec.gradient(fit.theta_hat, x1, y1), spec.gradient(fit.theta_hat, x2, y2)]
     )
@@ -184,7 +195,7 @@ def test_influence_variance_matches_per_row_influences(rng):
 
 def test_ood_risk_one_hot_identity(rng):
     x, y = linear_data(rng, 400, np.array([1.0, 2.0]))
-    fit = fit_erm_arrays([(x, y)], squared_error_loss(), np.array([1.0]))
+    fit = fit_erm(collection((x, y)), squared_error_loss(), np.array([1.0]))
     risk = ood_risk(fit, shift_scale=0.01)
     assert risk.quadratic_form == 0.01
     trace = np.trace(fit.hessian_hat @ fit.influence_variance)
@@ -207,7 +218,7 @@ def test_ood_risk_trace_term_matches_direct_computation(rng):
     x1, y1 = linear_data(rng, 300, np.array([1.0, 2.0]))
     x2, y2 = linear_data(rng, 300, np.array([1.0, 2.0]))
     beta = np.array([0.5, 0.5])
-    fit = fit_erm_arrays([(x1, y1), (x2, y2)], squared_error_loss(), beta)
+    fit = fit_erm(collection((x1, y1), (x2, y2)), squared_error_loss(), beta)
     spec = squared_error_loss()
     grads = np.vstack(
         [spec.gradient(fit.theta_hat, x1, y1), spec.gradient(fit.theta_hat, x2, y2)]
@@ -223,7 +234,7 @@ def test_erm_ci_zero_residual_dlm(rng):
     phi[0] = phi[1]
     dlm_fit = fit_weights(make_moments(phi))
     x, y = linear_data(rng, 200, np.array([1.0, 2.0]))
-    fit = fit_erm_arrays([(x, y), (x, y)], squared_error_loss(), dlm_fit.beta_hat)
+    fit = fit_erm(collection((x, y), (x, y)), squared_error_loss(), dlm_fit.beta_hat)
     ci = erm_ci(fit, dlm_fit)
     assert np.allclose(ci[:, 0], ci[:, 1])
 
@@ -232,10 +243,9 @@ def test_erm_ci_intercept_only_hand_oracle(rng):
     # theta = weighted mean of y; influence = y - theta; width from pooled var
     y1 = rng.normal(1.0, 1.0, size=400)
     y2 = rng.normal(2.0, 1.0, size=600)
-    x1 = np.ones((400, 1))
-    x2 = np.ones((600, 1))
     beta = np.array([0.3, 0.7])
-    fit = fit_erm_arrays([(x1, y1), (x2, y2)], squared_error_loss(), beta)
+    w = np.repeat(beta / [400, 600], [400, 600])
+    fit = _solve(np.ones((1000, 1)), np.concatenate([y1, y2]), w, squared_error_loss())
     assert fit.theta_hat[0] == pytest.approx(0.3 * y1.mean() + 0.7 * y2.mean())
     pooled = np.concatenate([y1, y2])
     infl_var = np.var(pooled - fit.theta_hat[0])
@@ -255,8 +265,8 @@ def test_density_ratio_arithmetic():
     # with one binary covariate the classifier is saturated: it fits the
     # share of target rows in each group, so by Bayes' rule the weight of a
     # group is its target frequency over its source frequency
-    x_src = np.repeat([0.0, 1.0], [300, 100])[:, None]
-    x_tgt = np.repeat([0.0, 1.0], [100, 300])[:, None]
+    x_src = with_intercept(np.repeat([0.0, 1.0], [300, 100])[:, None])
+    x_tgt = with_intercept(np.repeat([0.0, 1.0], [100, 300])[:, None])
     res = importance_weights(x_src, x_tgt)
     assert not res.clipped
     assert res.weights[:300] == pytest.approx(np.full(300, (1 / 4) / (3 / 4)), rel=1e-4)
@@ -264,27 +274,27 @@ def test_density_ratio_arithmetic():
 
 
 def test_importance_weights_identical_distributions(rng):
-    x = rng.normal(size=(10_000, 2))
+    x = with_intercept(rng.normal(size=(10_000, 2)))
     res = importance_weights(x[:5000], x[5000:])
     assert 0.9 <= np.median(res.weights) <= 1.1
     assert res.weights.min() > 0
 
 
 def test_importance_weights_disjoint_supports_clip(rng):
-    x_src = rng.normal(loc=0.0, size=(500, 1))
-    x_tgt = rng.normal(loc=8.0, size=(500, 1))
+    x_src = with_intercept(rng.normal(loc=0.0, size=(500, 1)))
+    x_tgt = with_intercept(rng.normal(loc=8.0, size=(500, 1)))
     with pytest.warns(UserWarning, match="clipped"):
         res = importance_weights(x_src, x_tgt)
     assert res.clipped
     assert res.weights.max() == pytest.approx(res.clip_threshold)
 
 
-def test_fit_weighted_samples_reweights(rng):
+def test_row_weights_reweight(rng):
     x, y = linear_data(rng, 500, np.array([0.0, 1.0]))
     w = np.ones(500)
     w[:250] = 1e-9  # effectively drop the first half
-    fit = fit_weighted_samples(x, y, w, squared_error_loss())
-    sub = fit_erm_arrays([(x[250:], y[250:])], squared_error_loss(), np.array([1.0]))
+    fit = _solve(x, y, w / w.sum(), squared_error_loss())
+    sub = _solve(x[250:], y[250:], np.full(250, 1 / 250), squared_error_loss())
     assert np.allclose(fit.theta_hat, sub.theta_hat, atol=1e-5)
 
 
@@ -305,8 +315,7 @@ def test_fit_erm_from_tables(rng):
 
 
 def test_design_matrix_orders_columns():
-    tbl = Table.from_arrays("s", b=[1.0, 2.0], a=[3.0, 4.0])
-    x = design_matrix(tbl, ("a", "b"))
-    assert x.shape == (2, 3)
-    assert np.allclose(x[:, 0], 1.0)
-    assert np.allclose(x[:, 1], [3.0, 4.0])
+    first = Table.from_arrays("s1", b=[5.0, 6.0], a=[1.0, 2.0])
+    second = Table.from_arrays("s2", a=[3.0], b=[7.0])
+    x = design_matrix((first, second), ("a", "b"))
+    assert np.array_equal(x, [[1.0, 1.0, 5.0], [1.0, 2.0, 6.0], [1.0, 3.0, 7.0]])

@@ -6,7 +6,7 @@ import pytest
 import driftlab as dl
 from driftlab import analytic, cli
 from driftlab import harness as H
-from driftlab.erm import fit_erm_arrays, squared_error_loss
+from driftlab.erm import _solve, squared_error_loss
 from driftlab.rng import split_uniform, substream
 
 
@@ -252,13 +252,16 @@ def test_excess_risk_fit_matches_the_newton_erm_fit():
     for r in range(cfg.replicates):
         rng = substream(5, H._LANE_OF["erm_excess_risk"], r)
         weights = dl.realize_world(scheme, rng)
-        datasets = []
+        xs, ys = [], []
         for j in range(k):
             u = H._bin_rows(H._bin_counts(weights[j], n, rng), rng)
             streams = np.sqrt(12.0) * (split_uniform(u, cfg.dim_x + 1) - 0.5)
             x = np.column_stack([np.ones(n), *streams[: cfg.dim_x]])
-            datasets.append((x, x @ theta_star + cfg.noise_sd * streams[cfg.dim_x]))
-        fit = fit_erm_arrays(datasets, squared_error_loss(), np.full(k, 1.0 / k))
+            xs.append(x)
+            ys.append(x @ theta_star + cfg.noise_sd * streams[cfg.dim_x])
+        # uniform dataset weights 1/k over k datasets of n rows each
+        fit = _solve(np.vstack(xs), np.concatenate(ys), np.full(k * n, 1.0 / (k * n)),
+                     squared_error_loss())
         diff = fit.theta_hat - theta_star
         excess.append(cfg.m * diff @ diff)
     np.testing.assert_allclose(result.empirical["mean_excess"], np.mean(excess), rtol=1e-9)
