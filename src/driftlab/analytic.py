@@ -57,11 +57,12 @@ def scheme_sigma_w(kind: str, **params) -> np.ndarray:
         corr = np.asarray(params["corr"], dtype=float)
         return np.exp(np.outer(sig, sig) * corr) - 1.0
     if kind == "random_walk":
-        mean, var, _ = relative_weight_moments(*params["base"])
-        k = params["k"]
+        # w_k = w_0 times k independent mean-one factors with E f^2 = exp(s^2),
+        # so E[w_i w_j] = E[w_0^2] exp(min(i, j) s^2)
+        rel0 = relative_weight_moments(*params["base"])[2]
+        idx = np.arange(params["k"])
         s2 = params["innovation_sd"] ** 2
-        idx = np.arange(k)
-        return (var + s2 * np.minimum.outer(idx, idx)) / mean**2
+        return (1.0 + rel0) * np.exp(s2 * np.minimum.outer(idx, idx)) - 1.0
     if kind == "mixture":
         means = []
         variances = []
@@ -80,7 +81,11 @@ def scheme_sigma_w(kind: str, **params) -> np.ndarray:
         cov[:b, :b] = np.diag(base_var)
         cov[b:, :b] = c * base_var[None, :]
         cov[:b, b:] = cov[b:, :b].T
-        cov[b:, b:] = (c * base_var[None, :]) @ c.T + np.diag(noise**2)
+        # derived d is (c_d . base) g_d with g_d independent, E g_d = 1 and
+        # E g_d^2 = exp(s_d^2), so only its variance gains the noise term
+        mixed = (c * base_var[None, :]) @ c.T
+        second_moment = np.diag(mixed) + (c @ base_mean) ** 2
+        cov[b:, b:] = mixed + np.diag(second_moment * np.expm1(noise**2))
         return cov / np.outer(mean_all, mean_all)
     raise ValueError(f"unknown scheme kind {kind!r}")
 

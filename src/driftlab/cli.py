@@ -27,7 +27,6 @@ from . import __version__
 from . import dlm as dlm_mod
 from . import erm as erm_mod
 from .diagnostics import (
-    DiagnosticBundle,
     bundle_rows,
     pairwise_scatter,
     residual_qq,
@@ -565,8 +564,8 @@ def cmd_erm(args) -> int:
             )
             fit = erm_mod._solve(x, y, iw.weights / iw.weights.sum(), spec)
             weights_out = {"clip_threshold": iw.clip_threshold, "n_clipped": iw.n_clipped}
-            provenance["clipped"] = iw.clipped
-    except (erm_mod.ConvergenceError, erm_mod.SeparationError) as exc:
+            provenance["clipped"] = iw.n_clipped > 0
+    except erm_mod.ConvergenceError as exc:
         raise UserError(f"erm on covariates {list(covariates)}: {exc}") from None
 
     report = {
@@ -640,17 +639,14 @@ def cmd_diagnose(args) -> int:
     except (dlm_mod.DegreesOfFreedomError, dlm_mod.CollinearDatasetsError) as exc:
         raise UserError(f"{args.fit}: {exc}") from None
 
-    bundle = residual_qq(fit)
     stats_all = {}
     for k, source in enumerate(moments.source_names):
         per = standardized_shift_stats(moments, k)
         stats_all.update({f"{source}|{name}": v for name, v in per.items()})
-    bundle = DiagnosticBundle(
-        residual_points=bundle.residual_points,
-        residual_mean=bundle.residual_mean,
-        qq_points=bundle.qq_points,
-        qq_defined=bundle.qq_defined,
-        scatter_blocks=pairwise_scatter(moments) if moments.n_sources >= 2 and moments.n_functions >= 10 else (),
+    scatter = moments.n_sources >= 2 and moments.n_functions >= 10
+    bundle = dataclasses.replace(
+        residual_qq(fit),
+        scatter_blocks=pairwise_scatter(moments) if scatter else (),
         shift_stats=stats_all,
     )
     plot_id, x, y, label = zip(*bundle_rows(bundle))

@@ -45,10 +45,6 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-class SeparationError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class LossSpec:
     """Twice-differentiable per-row loss with gradient and mean Hessian.
@@ -99,7 +95,6 @@ def logistic_loss() -> LossSpec:
 @dataclass(frozen=True)
 class ErmFit:
     theta_hat: np.ndarray
-    weights_used: np.ndarray
     hessian_hat: np.ndarray  # weighted mean Hessian at theta_hat
     influence_variance: np.ndarray  # pooled covariance of the influence values
     grad_norm: float
@@ -225,7 +220,6 @@ def _solve(
     infl_var = np.linalg.solve(h_hat, np.linalg.solve(h_hat, grad_cov).T)
     return ErmFit(
         theta_hat=theta,
-        weights_used=w,
         hessian_hat=h_hat,
         influence_variance=0.5 * (infl_var + infl_var.T),
         grad_norm=gnorm,
@@ -260,7 +254,7 @@ def fit_erm(
     )
     sizes = np.array(data.sizes)
     fit = _solve(x, y, np.repeat(beta / sizes, sizes), spec)
-    return replace(fit, weights_used=beta, feature_names=("intercept",) + covs)
+    return replace(fit, feature_names=("intercept",) + covs)
 
 
 def ood_risk(fit: ErmFit, shift_scale: float) -> OodRisk:
@@ -300,7 +294,6 @@ class ImportanceWeightResult:
     weights: np.ndarray  # one per source row, strictly positive
     clip_threshold: float
     n_clipped: int
-    clipped: bool
 
 
 # ridge on the classifier's coefficients, scaled by 1/n like the loss; it
@@ -326,13 +319,7 @@ def importance_weights(
     n = n_s + n_t
     x = np.vstack([x_source, x_target])
     a = np.concatenate([np.zeros(n_s), np.ones(n_t)])
-    try:
-        fit = _solve(x, a, np.full(n, 1.0 / n), logistic_loss(), ridge=_L2_PENALTY / n)
-    except ConvergenceError as exc:
-        raise SeparationError(
-            "source/target classifier has a singular Hessian at its optimum "
-            "(perfect separation is likely)"
-        ) from exc
+    fit = _solve(x, a, np.full(n, 1.0 / n), logistic_loss(), ridge=_L2_PENALTY / n)
     p = expit(x_source @ fit.theta_hat)
     p_target = n_t / n
     raw = (p / (1.0 - p)) / (p_target / (1.0 - p_target))
@@ -346,9 +333,4 @@ def importance_weights(
             f"({threshold:.4g}); {n_clipped} weights affected",
             stacklevel=2,
         )
-    return ImportanceWeightResult(
-        weights=w,
-        clip_threshold=threshold,
-        n_clipped=n_clipped,
-        clipped=bool(n_clipped),
-    )
+    return ImportanceWeightResult(weights=w, clip_threshold=threshold, n_clipped=n_clipped)

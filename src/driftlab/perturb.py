@@ -24,8 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaincinv, ndtr, ndtri
 
-_RESAMPLE_CAP = 100
-
 __all__ = [
     "WeightLaw",
     "lognormal_law",
@@ -45,10 +43,6 @@ __all__ = [
     "exponential_target",
     "categorical_target",
 ]
-
-
-class PerturbError(ValueError):
-    """Raised when a weight scheme cannot produce valid (positive) weights."""
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +78,14 @@ class WeightLaw:
                 raise ValueError("uniform weight law needs 0 < lo <= hi")
         else:
             raise ValueError(f"unknown weight family {self.family!r}")
+        try:
+            in_range = math.isfinite(self.var) and 0.0 < self.mean**2 < math.inf
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ValueError(
+                f"{self.family} weight law's mean or variance is beyond the float range"
+            )
 
     @property
     def mean(self) -> float:
@@ -238,8 +240,13 @@ def _copula_rel_cov(law_i: WeightLaw, law_j: WeightLaw, rho: float) -> float:
 
 @dataclass(frozen=True)
 class RandomWalkWeights:
-    """Time-ordered distributions: each weight is the previous one plus
-    an independent mean-zero Gaussian innovation (per bin)."""
+    """Time-ordered distributions: each weight is the previous one times an
+    independent mean-one lognormal factor exp(eps - s^2/2), eps ~ N(0, s^2)
+    with s = ``innovation_sd`` (per bin), so every weight stays positive.
+
+    With r0 = Var(W^0)/E[W^0]^2 the steps give
+    sigma_w[i, j] = (1 + r0) exp(min(i, j) s^2) - 1.
+    """
 
     base: WeightLaw
     innovation_sd: float
@@ -255,42 +262,29 @@ class RandomWalkWeights:
         return np.full(self.n_dists, self.base.mean)
 
     def sigma_w(self) -> np.ndarray:
-        k = self.n_dists
-        idx = np.arange(k)
-        steps = np.minimum.outer(idx, idx).astype(float)
-        cov = self.base.var + self.innovation_sd**2 * steps
-        return cov / self.base.mean**2
+        idx = np.arange(self.n_dists)
+        steps = np.minimum.outer(idx, idx)
+        rel0 = self.base.var / self.base.mean**2
+        return (1.0 + rel0) * np.exp(self.innovation_sd**2 * steps) - 1.0
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        w = np.empty((self.n_dists, m))
-        w[0] = self.base.draw(rng, m)
-        for k in range(1, self.n_dists):
-            w[k] = w[k - 1] + rng.normal(0.0, self.innovation_sd, size=m)
-        bad = np.where((w <= 0).any(axis=0))[0]
-        for _ in range(_RESAMPLE_CAP):
-            if bad.size == 0:
-                break
-            w[0, bad] = self.base.draw(rng, bad.size)
-            for k in range(1, self.n_dists):
-                w[k, bad] = w[k - 1, bad] + rng.normal(
-                    0.0, self.innovation_sd, size=bad.size
-                )
-            bad = bad[(w[:, bad] <= 0).any(axis=0)]
-        if bad.size:
-            raise PerturbError(
-                "nonpositive weights persisted after "
-                f"{_RESAMPLE_CAP} resampling rounds; reduce innovation_sd"
-            )
-        return w
+        s = self.innovation_sd
+        w0 = self.base.draw(rng, m)
+        factors = np.exp(s * rng.standard_normal((self.n_dists - 1, m)) - 0.5 * s * s)
+        return np.cumprod(np.vstack([w0, factors]), axis=0)
 
 
 @dataclass(frozen=True)
 class MixtureWeights:
-    """Some distributions are noisy convex-ish combinations of base ones.
+    """Some distributions are noisy nonnegative combinations of base ones.
 
-    ``coefficients[d][b]`` weights base ``b`` in derived distribution ``d``;
-    each derived weight adds independent N(0, noise_sd[d]^2) noise. The
-    resulting sigma_w follows from bilinearity of covariance.
+    ``coefficients[d][b] >= 0`` weights base ``b`` in derived distribution
+    ``d``, and each row has a positive entry. The combination is multiplied
+    by an independent mean-one lognormal factor exp(eta - s^2/2),
+    eta ~ N(0, s^2) with s = ``noise_sd[d]``, so every weight stays
+    positive. With C the coefficients, V the diagonal base covariance and mu
+    the base means, the covariance has base block V, cross block C V and
+    derived block C V C^T + diag(((C V C^T)_dd + (C mu)_d^2)(exp(s_d^2) - 1)).
     """
 
     base_laws: tuple[WeightLaw, ...]
@@ -302,6 +296,10 @@ class MixtureWeights:
         for row in self.coefficients:
             if len(row) != b:
                 raise ValueError("each coefficient row must have one entry per base law")
+            if min(row, default=0.0) < 0 or max(row, default=0.0) <= 0:
+                raise ValueError(
+                    "mixture coefficients must be >= 0 with a positive entry in each row"
+                )
         if len(self.noise_sd) != len(self.coefficients):
             raise ValueError("need one noise_sd per derived distribution")
         if any(s < 0 for s in self.noise_sd):
@@ -321,38 +319,21 @@ class MixtureWeights:
         d = len(self.coefficients)
         base_var = np.array([law.var for law in self.base_laws])
         c = np.asarray(self.coefficients, dtype=float)  # (d, b)
+        means = self.mean_w()
         cov = np.zeros((b + d, b + d))
         cov[:b, :b] = np.diag(base_var)
         cov[b:, :b] = c * base_var[None, :]
         cov[:b, b:] = cov[b:, :b].T
-        cov[b:, b:] = (c * base_var[None, :]) @ c.T + np.diag(
-            np.asarray(self.noise_sd) ** 2
-        )
-        means = self.mean_w()
-        if np.any(means <= 0):
-            raise ValueError("derived mixture weights must have positive mean")
+        cvc = (c * base_var[None, :]) @ c.T
+        noise = (np.diag(cvc) + means[b:] ** 2) * np.expm1(np.asarray(self.noise_sd) ** 2)
+        cov[b:, b:] = cvc + np.diag(noise)
         return cov / np.outer(means, means)
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         base = np.stack([law.draw(rng, m) for law in self.base_laws])
-        c = np.asarray(self.coefficients, dtype=float)
-        derived = c @ base
-        for d_idx in range(derived.shape[0]):
-            derived[d_idx] += rng.normal(0.0, self.noise_sd[d_idx], size=m)
-            bad = np.where(derived[d_idx] <= 0)[0]
-            for _ in range(_RESAMPLE_CAP):
-                if bad.size == 0:
-                    break
-                derived[d_idx, bad] = c[d_idx] @ base[:, bad] + rng.normal(
-                    0.0, self.noise_sd[d_idx], size=bad.size
-                )
-                bad = bad[derived[d_idx, bad] <= 0]
-            if bad.size:
-                raise PerturbError(
-                    "nonpositive weight realized in mixture component "
-                    f"{d_idx} after {_RESAMPLE_CAP} resampling rounds; "
-                    "reduce noise_sd"
-                )
+        s = np.asarray(self.noise_sd, dtype=float)[:, None]
+        factors = np.exp(s * rng.standard_normal((s.shape[0], m)) - 0.5 * s * s)
+        derived = np.asarray(self.coefficients, dtype=float) @ base * factors
         return np.concatenate([base, derived], axis=0)
 
 
@@ -365,8 +346,8 @@ class MixtureWeights:
 class PerturbationScheme:
     """Generative recipe for one realized set of perturbed distributions.
 
-    The weight law's ``sigma_w`` is checked once, here: it must be symmetric
-    and positive semidefinite.
+    The weight law's ``sigma_w`` is checked once, here: it must be finite,
+    symmetric and positive semidefinite.
     """
 
     m: int
@@ -375,7 +356,10 @@ class PerturbationScheme:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("need at least m = 2 bins")
-        sigma_w = self.weight_law.sigma_w()
+        with np.errstate(over="ignore"):
+            sigma_w = self.weight_law.sigma_w()
+        if not np.isfinite(sigma_w).all():
+            raise ValueError("the weight scheme's sigma_w overflows the float range")
         if not np.allclose(sigma_w, sigma_w.T):
             raise ValueError("sigma_w must be symmetric")
         if np.linalg.eigvalsh(sigma_w).min() < -1e-8:

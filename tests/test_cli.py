@@ -598,13 +598,25 @@ class TestSimulate:
                 {"scheme": {"kind": "random_walk",
                             "base": {"family": "uniform", "lo": 0.5, "hi": 1.5},
                             "innovation_sd": 100, "k": 200}},
-                "driftlab: error: nonpositive weights persisted",
+                "sim.json: the weight scheme's sigma_w overflows the float range",
+            ),
+            (
+                {"scheme": {"kind": "independent",
+                            "laws": [{"family": "lognormal", "mu": 0.0, "sigma": 30}]}},
+                "sim.json: scheme.laws[0]: lognormal weight law's mean or variance is beyond "
+                "the float range",
+            ),
+            (
+                {"scheme": {"kind": "independent",
+                            "laws": [{"family": "lognormal", "mu": 400, "sigma": 0.5}]}},
+                "sim.json: scheme.laws[0]: lognormal weight law's mean or variance is beyond "
+                "the float range",
             ),
         ],
         ids=["missing_key", "non_integer", "fractional_m", "sd_not_a_number", "sd_negative",
              "rate_zero", "law_sigma_not_a_number", "column_not_an_object", "duplicate_column",
              "unknown_column_key", "n_k_zero", "probs_length", "ragged_corr",
-             "weights_stay_nonpositive"],
+             "walk_sigma_w_overflows", "law_variance_overflows", "law_mean_overflows"],
     )
     def test_bad_config_value_is_user_error(self, tmp_path, capsys, change, message):
         cfg = write(tmp_path / "sim.json", json.dumps({**SMALL_SIM, **change}))

@@ -28,10 +28,24 @@ def test_analytic_sigma_w_independent_of_perturb_module():
     )
     assert np.allclose(scheme.weight_law.sigma_w(), target)
 
-    walk = dl.RandomWalkWeights(dl.uniform_law(0.5, 1.5), 0.03, 3)
-    scheme = dl.PerturbationScheme(16, walk)
+    for sd, k in [(0.03, 3), (0.3, 4)]:
+        walk = dl.RandomWalkWeights(dl.uniform_law(0.5, 1.5), sd, k)
+        scheme = dl.PerturbationScheme(16, walk)
+        target = analytic.scheme_sigma_w(
+            "random_walk", base=("uniform", 0.5, 1.5), innovation_sd=sd, k=k
+        )
+        assert np.allclose(scheme.weight_law.sigma_w(), target)
+
+    # two bases, one derived row on each, with large noise factors
+    mix = dl.MixtureWeights(
+        (dl.uniform_law(0.9, 1.1), law), ((1.0, 0.0), (0.7, 0.3)), (0.6, 0.4)
+    )
+    scheme = dl.PerturbationScheme(16, mix)
     target = analytic.scheme_sigma_w(
-        "random_walk", base=("uniform", 0.5, 1.5), innovation_sd=0.03, k=3
+        "mixture",
+        base_laws=[("uniform", 0.9, 1.1), ("lognormal", 0.1, 0.4)],
+        coefficients=[[1.0, 0.0], [0.7, 0.3]],
+        noise_sd=[0.6, 0.4],
     )
     assert np.allclose(scheme.weight_law.sigma_w(), target)
 

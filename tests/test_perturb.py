@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 
 import driftlab as dl
-from driftlab.perturb import PerturbError, check_regime
+from driftlab import analytic
+from driftlab.perturb import check_regime
 from driftlab.rng import split_uniform, substream
 
 LOGNORMAL_REL_VAR = math.exp(0.25) - 1.0  # Var(W)/E[W]^2 for sigma = 0.5
@@ -56,39 +57,91 @@ def test_mixture_sigma_w_bilinearity():
 
 def test_misconfigured_schemes_error():
     law = dl.uniform_law(0.9, 1.1)
-    bad = dl.MixtureWeights((law,), ((0.0,),), (1.0,))
-    with pytest.raises(ValueError):
-        bad.sigma_w()  # zero derived mean is rejected up front
-    # a mixture whose derived component has negative mean almost never
-    # realizes positive: the reject-and-resample cap must trip instead of
-    # looping forever. A scheme rejects that law up front, through its
-    # sigma_w, so the law draws on its own.
-    nasty = dl.MixtureWeights((law,), ((-1.0,),), (0.5,))
-    with pytest.raises(ValueError, match="positive mean"):
-        dl.PerturbationScheme(2000, nasty)
-    with pytest.raises(PerturbError):
-        nasty.draw(substream(5, 0), 2000)
-
-
-def test_mixture_resampling_repairs_rare_negatives():
-    law = dl.uniform_law(0.9, 1.1)
-    mix = dl.MixtureWeights((law,), ((1.0,),), (0.4,))
-    weights = dl.realize_world(dl.PerturbationScheme(2000, mix), substream(6, 0))
-    assert weights.min() > 0
+    for row in [(0.0, 0.0), (1.0, -0.5)]:
+        with pytest.raises(ValueError, match="coefficients must be >= 0 with a positive entry"):
+            dl.MixtureWeights((law, law), (row,), (0.5,))
+    # laws whose mean or variance leave the float range: exp(900), exp(2 * 400)
+    for make in [lambda: dl.lognormal_law(0.0, 30.0), lambda: dl.lognormal_law(400.0, 0.5),
+                 lambda: dl.gamma_law(1e200, 1e200)]:
+        with pytest.raises(ValueError, match="beyond the float range"):
+            make()
+    # exp(199 * 100**2) overflows
+    walk = dl.RandomWalkWeights(dl.uniform_law(0.5, 1.5), 100.0, 200)
+    with pytest.raises(ValueError, match="sigma_w overflows the float range"):
+        dl.PerturbationScheme(16, walk)
 
 
 def test_random_walk_sigma_w():
     base = dl.uniform_law(0.5, 1.5)
     walk = dl.RandomWalkWeights(base, 0.05, 3)
     sw = walk.sigma_w()
-    v, mu = base.var, base.mean
-    assert sw[0, 0] == pytest.approx(v / mu**2)
-    assert sw[2, 2] == pytest.approx((v + 2 * 0.05**2) / mu**2)
-    assert sw[0, 2] == pytest.approx(v / mu**2)
+    r0 = base.var / base.mean**2
+    assert sw[0, 0] == pytest.approx(r0)
+    assert sw[2, 2] == pytest.approx((1 + r0) * np.exp(2 * 0.05**2) - 1)
+    assert sw[0, 2] == pytest.approx(r0)
+    assert sw[1, 2] == pytest.approx((1 + r0) * np.exp(0.05**2) - 1)
     w = walk.draw(substream(4, 99), 200_000)
     assert w.min() > 0
     mc = np.cov(w) / np.outer(w.mean(axis=1), w.mean(axis=1))
     assert np.allclose(mc, sw, atol=5e-3)
+
+
+def _relative_cov_with_se(w):
+    """Each entry Cov(W_i, W_j) / (E W_i E W_j) of the draws ``w`` (K, n),
+    and its Monte Carlo standard error from the entry's influence values
+    x_i x_j - (1 + r_ij)(x_i + x_j - 1), with x = W / E W."""
+    k, n = w.shape
+    x = w / w.mean(axis=1, keepdims=True)
+    rel = x @ x.T / n - 1.0
+    se = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            infl = x[i] * x[j] - (1.0 + rel[i, j]) * (x[i] + x[j] - 1.0)
+            se[i, j] = se[j, i] = infl.std() / np.sqrt(n)
+    return rel, se
+
+
+# (weight law, analytic.scheme_sigma_w kind and parameters) per scheme kind
+# the CLI accepts; the walk and the mixture are at parameters where additive
+# steps would go nonpositive in a sizable share of bins
+_GAMMA = dl.gamma_law(4.0, 0.25)
+SCHEME_KINDS = {
+    "independent": (
+        dl.IndependentWeights((dl.uniform_law(0.5, 1.5), _GAMMA)),
+        ("independent", {"laws": [("uniform", 0.5, 1.5), ("gamma", 4.0, 0.25)]}),
+    ),
+    # analytic has no quadrature for general marginals, so it matches the
+    # diagonal only; the drawn off-diagonal entry is checked below
+    "gaussian_copula": (
+        dl.GaussianCopulaWeights((dl.lognormal_law(0.0, 0.5), _GAMMA), ((1.0, 0.5), (0.5, 1.0))),
+        ("independent", {"laws": [("lognormal", 0.0, 0.5), ("gamma", 4.0, 0.25)]}),
+    ),
+    "random_walk": (
+        dl.RandomWalkWeights(dl.uniform_law(0.5, 1.5), 0.3, 4),
+        ("random_walk", {"base": ("uniform", 0.5, 1.5), "innovation_sd": 0.3, "k": 4}),
+    ),
+    "mixture": (
+        dl.MixtureWeights((dl.uniform_law(0.9, 1.1), _GAMMA), ((1.0, 0.0), (0.7, 0.3)), (0.6, 0.4)),
+        ("mixture", {"base_laws": [("uniform", 0.9, 1.1), ("gamma", 4.0, 0.25)],
+                     "coefficients": [[1.0, 0.0], [0.7, 0.3]], "noise_sd": [0.6, 0.4]}),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_every_scheme_kind_draws_its_sigma_w(kind):
+    # seed and draw count fixed before the first run: 400k bins from
+    # substream(31, 99); every entry must lie within 3 Monte Carlo SEs
+    law, (analytic_kind, params) = SCHEME_KINDS[kind]
+    sigma_w = dl.PerturbationScheme(16, law).weight_law.sigma_w()
+    target = analytic.scheme_sigma_w(analytic_kind, **params)
+    if kind == "gaussian_copula":
+        sigma_w, target = np.diag(sigma_w), np.diag(target)
+    np.testing.assert_allclose(sigma_w, target, rtol=0, atol=1e-12)
+    w = law.draw(substream(31, 99), 400_000)
+    assert w.min() > 0
+    rel, se = _relative_cov_with_se(w)
+    assert np.all(np.abs(rel - law.sigma_w()) < 3 * se), (rel - law.sigma_w()) / se
 
 
 def test_unperturbed_sampling_is_uniform():
