@@ -26,12 +26,7 @@ from scipy.special import ndtri
 from . import __version__
 from . import dlm as dlm_mod
 from . import erm as erm_mod
-from .diagnostics import (
-    bundle_rows,
-    pairwise_scatter,
-    residual_qq,
-    standardized_shift_stats,
-)
+from .diagnostics import diagnostic_rows
 from .harness import ALL_CHECKS, HarnessConfig, run_harness
 from .moments import MomentMatrix, evaluate_moments, fit_whitening, whiten_moments
 from .perturb import (
@@ -456,7 +451,7 @@ def cmd_fit(args) -> int:
                             "mode": fit.mode, "whiten": fit.whitened}},
         {"fit": dlm_mod.fit_to_dict(fit), "test_functions": list(moments.names),
          # what diagnose reads instead of the data; of the pooled covariance
-         # only the diagonal, all that standardized_shift_stats reads, so the
+         # only the diagonal, all that diagnostics.shift_rows reads, so the
          # report grows with L and not with L^2
          "moments": {"names": moments.names, "source_names": moments.source_names,
                      "target_name": moments.target_name, "sizes": moments.sizes,
@@ -638,18 +633,7 @@ def cmd_diagnose(args) -> int:
         fit = dlm_mod.fit_weights(moments, mode=mode)
     except (dlm_mod.DegreesOfFreedomError, dlm_mod.CollinearDatasetsError) as exc:
         raise UserError(f"{args.fit}: {exc}") from None
-
-    stats_all = {}
-    for k, source in enumerate(moments.source_names):
-        per = standardized_shift_stats(moments, k)
-        stats_all.update({f"{source}|{name}": v for name, v in per.items()})
-    scatter = moments.n_sources >= 2 and moments.n_functions >= 10
-    bundle = dataclasses.replace(
-        residual_qq(fit),
-        scatter_blocks=pairwise_scatter(moments) if scatter else (),
-        shift_stats=stats_all,
-    )
-    plot_id, x, y, label = zip(*bundle_rows(bundle))
+    plot_id, x, y, label = zip(*diagnostic_rows(fit, moments))
     table = Table.from_arrays("diagnostics", plot_id=plot_id, x=x, y=y, label=label)
     chash = payload.get("config_hash", config_hash(payload.get("config", {})))
     write_csv_table(table, args.out, _stamp_comment(chash))

@@ -1,15 +1,24 @@
-"""Model-fit diagnostics: residual and QQ data, moment scatter, shift stats.
+"""Model-fit diagnostics as tidy (plot_id, x, y, label) rows.
 
-Everything here is a pure function of a fit and/or a moment matrix and emits
-plain point data (no plotting): each figure is a list of (x, y) pairs plus a
-few summary numbers, and the whole bundle flattens to a tidy table with
-columns (plot_id, x, y, label) for any front-end to render.
+Each diagnostic is a pure function of a weight fit or a moment matrix that
+returns plain point data (no plotting) for any front-end to render:
+
+- ``residual_vs_fitted``: a test function's fitted value (the weighted
+  source mean) and its residual;
+- ``qq_normal``: the normal quantile at (i - 0.5) / L and the i-th smallest
+  residual standardized by the residual standard error;
+- ``moment_scatter``: for the ordered source pair labelled ``a|b``, the mean
+  gaps of source a and of source b to the target, one point per function;
+- ``moment_scatter_slope``: that scatter's regression slope of b on a, which
+  estimates sigma_w[a, b] / sigma_w[a, a], and its R^2;
+- ``shift_stat``: the standardized source-minus-target gap labelled
+  ``source|function``, and 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -17,150 +26,81 @@ from scipy.special import ndtri
 from .dlm import DlmFit
 from .moments import MomentMatrix
 
-__all__ = [
-    "DiagnosticBundle",
-    "ScatterBlock",
-    "residual_qq",
-    "pairwise_scatter",
-    "standardized_shift_stats",
-    "bundle_rows",
-]
+__all__ = ["residual_rows", "scatter_rows", "shift_rows", "diagnostic_rows"]
+
+Row = tuple[str, float, float, str]
 
 
-@dataclass(frozen=True)
-class ScatterBlock:
-    """Centered moment pairs for one ordered dataset pair.
+def residual_rows(fit: DlmFit) -> list[Row]:
+    """Residual-vs-fitted points, then the normal QQ points of the residuals.
 
-    The regression slope of the second coordinate on the first estimates the
-    ratio of distributional covariances sigma_w[k, k'] / sigma_w[k, k].
-    """
-
-    pair: tuple[str, str]
-    points: np.ndarray  # (L, 2)
-    slope: float
-    r2: float
-
-
-@dataclass(frozen=True)
-class DiagnosticBundle:
-    residual_points: np.ndarray | None = None  # (L, 2): fitted value, residual
-    residual_mean: float | None = None
-    qq_points: np.ndarray | None = None  # (L, 2): theoretical, ordered standardized
-    qq_defined: bool = True
-    scatter_blocks: tuple[ScatterBlock, ...] = ()
-    shift_stats: dict = field(default_factory=dict)  # name -> stat, per dataset
-
-
-def residual_qq(fit: DlmFit) -> DiagnosticBundle:
-    """Residual-vs-fitted points and the normal QQ data of a weight fit.
-
-    Residuals are standardized by the residual standard error; QQ positions
-    are the normal quantiles at (i - 0.5) / L. The residual mean is reported
-    rather than assumed zero because the fit is constrained. With a zero
-    residual variance the QQ data is undefined and flagged.
+    At a zero residual variance the standardized residuals are undefined and
+    there are no QQ rows.
     """
     # fitted value per function: weighted source mean = target mean - residual
-    fitted_vals = fit.target_means - fit.residuals
-    resid_pts = np.column_stack([fitted_vals, fit.residuals])
-    if fit.sigma2_hat <= 0.0:
-        return DiagnosticBundle(
-            residual_points=resid_pts,
-            residual_mean=float(fit.residuals.mean()),
-            qq_points=None,
-            qq_defined=False,
-        )
-    std = fit.residuals / np.sqrt(fit.sigma2_hat)
-    n_funcs = std.size
-    theo = ndtri((np.arange(1, n_funcs + 1) - 0.5) / n_funcs)
-    qq = np.column_stack([theo, np.sort(std)])
-    return DiagnosticBundle(
-        residual_points=resid_pts,
-        residual_mean=float(fit.residuals.mean()),
-        qq_points=qq,
-        qq_defined=True,
-    )
+    fitted = fit.target_means - fit.residuals
+    rows = [("residual_vs_fitted", float(x), float(y), "")
+            for x, y in zip(fitted, fit.residuals)]
+    if fit.sigma2_hat > 0.0:
+        n_funcs = fit.residuals.size
+        theo = ndtri((np.arange(1, n_funcs + 1) - 0.5) / n_funcs)
+        std = np.sort(fit.residuals / np.sqrt(fit.sigma2_hat))
+        rows += [("qq_normal", float(x), float(y), "") for x, y in zip(theo, std)]
+    return rows
 
 
-def pairwise_scatter(moments: MomentMatrix) -> tuple[ScatterBlock, ...]:
-    """Centered moment scatter for every ordered source pair.
-
-    Point l for pair (k, k') is (mean_k - mean_target, mean_k' - mean_target)
-    of function l; a simple regression per pair gives the slope and R^2.
+def scatter_rows(moments: MomentMatrix) -> list[Row]:
+    """Centered moment scatter for every ordered source pair, each pair's
+    points followed by its slope and R^2; none unless K >= 2 and L >= 10,
+    below which a scatter shows too little.
     """
-    if moments.n_sources < 2:
-        raise ValueError("need at least two source datasets")
-    if moments.n_functions < 10:
-        raise ValueError("need at least 10 test functions for a meaningful scatter")
-    dev = moments.phi_hat[1:] - moments.phi_hat[0][None, :]  # (K, L)
-    blocks = []
+    if moments.n_sources < 2 or moments.n_functions < 10:
+        return []
+    dev = moments.phi_hat[1:] - moments.phi_hat[0]  # (K, L)
     names = moments.source_names
-    for i in range(moments.n_sources):
-        for j in range(moments.n_sources):
-            if i == j:
-                continue
-            x, y = dev[i], dev[j]
-            xc = x - x.mean()
-            yc = y - y.mean()
-            sxx = float(xc @ xc)
-            slope = float(xc @ yc / sxx) if sxx > 0 else float("nan")
-            syy = float(yc @ yc)
-            r2 = float((xc @ yc) ** 2 / (sxx * syy)) if sxx > 0 and syy > 0 else float("nan")
-            blocks.append(
-                ScatterBlock(
-                    pair=(names[i], names[j]),
-                    points=np.column_stack([x, y]),
-                    slope=slope,
-                    r2=r2,
-                )
-            )
-    return tuple(blocks)
+    rows: list[Row] = []
+    for i, j in itertools.permutations(range(moments.n_sources), 2):
+        x, y = dev[i], dev[j]
+        xc = x - x.mean()
+        yc = y - y.mean()
+        sxx = float(xc @ xc)
+        syy = float(yc @ yc)
+        slope = float(xc @ yc / sxx) if sxx > 0 else float("nan")
+        r2 = float((xc @ yc) ** 2 / (sxx * syy)) if sxx > 0 and syy > 0 else float("nan")
+        label = f"{names[i]}|{names[j]}"
+        rows += [("moment_scatter", float(a), float(b), label) for a, b in zip(x, y)]
+        rows.append(("moment_scatter_slope", slope, r2, label))
+    return rows
 
 
-def standardized_shift_stats(mm: MomentMatrix, k: int) -> dict:
-    """Two-sample standardized statistics between source k and the target.
+def shift_rows(moments: MomentMatrix) -> list[Row]:
+    """Two-sample standardized statistics of each source against the target.
 
     For each function: (1/n_k + 1/n_0)^{-1/2} times the source-minus-target
     mean gap over the pooled standard deviation. Functions with zero pooled
     standard deviation are skipped with a warning. Under the dense-shift
     model these follow a common-inflation normal across functions.
     """
-    if not 0 <= k < mm.n_sources:
-        raise IndexError(f"source index {k} out of range")
-    n_0, n_k = mm.sizes[0], mm.sizes[1 + k]
-    prefactor = (1.0 / n_k + 1.0 / n_0) ** -0.5
-    out = {}
-    skipped = []
-    for idx, name in enumerate(mm.names):
-        sd = np.sqrt(mm.pooled_var[idx, idx])
-        if sd == 0.0:
-            skipped.append(name)
-            continue
-        gap = mm.phi_hat[1 + k, idx] - mm.phi_hat[0, idx]
-        out[name] = float(prefactor * gap / sd)
+    sd = np.sqrt(np.diag(moments.pooled_var))
+    keep = sd != 0.0
+    skipped = [name for name, kept in zip(moments.names, keep) if not kept]
     if skipped:
         warnings.warn(
             f"skipped {len(skipped)} test function(s) with zero pooled "
             f"standard deviation: {skipped[:5]}",
             stacklevel=2,
         )
-    return out
-
-
-def bundle_rows(bundle: DiagnosticBundle) -> list[tuple]:
-    """Flatten a bundle into tidy (plot_id, x, y, label) rows."""
-    rows: list[tuple] = []
-    if bundle.residual_points is not None:
-        for x, y in bundle.residual_points:
-            rows.append(("residual_vs_fitted", float(x), float(y), ""))
-    if bundle.qq_points is not None:
-        for x, y in bundle.qq_points:
-            rows.append(("qq_normal", float(x), float(y), ""))
-    for block in bundle.scatter_blocks:
-        label = f"{block.pair[0]}|{block.pair[1]}"
-        for x, y in block.points:
-            rows.append(("moment_scatter", float(x), float(y), label))
-        rows.append(("moment_scatter_slope", block.slope, block.r2, label))
-    for name, stat in bundle.shift_stats.items():
-        rows.append(("shift_stat", float(stat), 0.0, name))
+    names = [name for name, kept in zip(moments.names, keep) if kept]
+    n_0 = moments.sizes[0]
+    rows: list[Row] = []
+    for source, n_k, phi in zip(moments.source_names, moments.sizes[1:], moments.phi_hat[1:]):
+        prefactor = (1.0 / n_k + 1.0 / n_0) ** -0.5
+        stats = prefactor * (phi[keep] - moments.phi_hat[0, keep]) / sd[keep]
+        rows += [("shift_stat", float(s), 0.0, f"{source}|{name}")
+                 for name, s in zip(names, stats)]
     return rows
 
+
+def diagnostic_rows(fit: DlmFit, moments: MomentMatrix) -> list[Row]:
+    """Every diagnostic of ``fit``, the weight fit of ``moments``, in order."""
+    return residual_rows(fit) + scatter_rows(moments) + shift_rows(moments)

@@ -64,6 +64,13 @@ class MomentMatrix:
                              "each source's, of at least one")
         if self.pooled_var is not None and self.pooled_var.shape != (len(self.names),) * 2:
             raise ValueError("pooled_var must be L x L")
+        # a repeated name would make two rows of every per-name output alike
+        for kind, names, note in (("test function", self.names, ""),
+                                  ("source", self.source_names,
+                                   "; sources are named by their file stem")):
+            if len(set(names)) < len(names):
+                repeat = next(n for i, n in enumerate(names) if n in names[:i])
+                raise ValueError(f"{kind} names must be distinct, but {repeat!r} repeats{note}")
 
     @property
     def n_sources(self) -> int:

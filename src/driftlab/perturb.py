@@ -176,12 +176,12 @@ class GaussianCopulaWeights:
         # row lengths first: numpy cannot shape a ragged matrix
         if len(self.copula_corr) != k or any(len(row) != k for row in self.copula_corr):
             raise ValueError(f"copula_corr must be K x K with K = {k} laws")
-        c = np.asarray(self.copula_corr, dtype=float)
+        c = self._corr()
         if not np.allclose(c, c.T):
             raise ValueError("copula_corr must be symmetric")
         if not np.allclose(np.diag(c), 1.0):
             raise ValueError("copula_corr must have unit diagonal")
-        if np.linalg.eigvalsh(c).min() < -1e-10:
+        if not (np.linalg.eigvalsh(c) >= -1e-10).all():
             raise ValueError("copula_corr must be positive semidefinite")
 
     @property
@@ -189,7 +189,8 @@ class GaussianCopulaWeights:
         return len(self.laws)
 
     def _corr(self) -> np.ndarray:
-        return np.asarray(self.copula_corr, dtype=float)
+        # K x K even at K = 0, which PerturbationScheme rejects
+        return np.asarray(self.copula_corr, dtype=float).reshape(self.n_dists, self.n_dists)
 
     def mean_w(self) -> np.ndarray:
         return np.array([law.mean for law in self.laws])
@@ -292,6 +293,9 @@ class MixtureWeights:
     noise_sd: tuple[float, ...]
 
     def __post_init__(self):
+        if not self.coefficients:
+            raise ValueError("coefficients must hold at least one row, one per derived "
+                             "distribution")
         b = len(self.base_laws)
         for row in self.coefficients:
             if len(row) != b:
@@ -346,8 +350,9 @@ class MixtureWeights:
 class PerturbationScheme:
     """Generative recipe for one realized set of perturbed distributions.
 
-    The weight law's ``sigma_w`` is checked once, here: it must be finite,
-    symmetric and positive semidefinite.
+    The weight law must describe at least one dataset, and its ``sigma_w``
+    is checked once, here: it must be finite, symmetric and positive
+    semidefinite.
     """
 
     m: int
@@ -356,6 +361,8 @@ class PerturbationScheme:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("need at least m = 2 bins")
+        if self.n_dists < 1:
+            raise ValueError("the weight scheme needs at least one law: it has no datasets")
         with np.errstate(over="ignore"):
             sigma_w = self.weight_law.sigma_w()
         if not np.isfinite(sigma_w).all():

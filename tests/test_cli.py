@@ -16,13 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from driftlab import cli
-from driftlab.diagnostics import (
-    DiagnosticBundle,
-    bundle_rows,
-    pairwise_scatter,
-    residual_qq,
-    standardized_shift_stats,
-)
+from driftlab.diagnostics import diagnostic_rows
 from driftlab.dlm import fit_weights
 from driftlab.moments import evaluate_moments, fit_whitening, whiten_moments
 from driftlab.tables import IngestError, Table, read_csv_table, write_csv_table
@@ -161,6 +155,27 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "has no column 'nope'" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["fit"], ["erm", "--weights", "dlm"]],
+                             ids=["fit", "erm_dlm"])
+    def test_sources_with_one_file_stem_are_user_error(
+        self, tmp_path, small_data, capsys, command
+    ):
+        # both would be named 'source', so their rows could not be told apart
+        s1, s2, tgt = small_data
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        a = shutil.copy(s1, tmp_path / "a" / "source.csv")
+        b = shutil.copy(s2, tmp_path / "b" / "source.csv")
+        cfg = write(tmp_path / "cfg.json", '{"outcome": "y"}')
+        out = tmp_path / "out"
+        rc = cli.run([*command, "--data", str(a), str(b), "--target", tgt, "--config", cfg,
+                      "--out", str(out / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert ("driftlab: error: source names must be distinct, but 'source' repeats; "
+                "sources are named by their file stem") in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "erm"])
     def test_seed_is_not_a_fit_or_erm_key(self, tmp_path, small_data, capsys, command):
@@ -612,11 +627,30 @@ class TestSimulate:
                 "sim.json: scheme.laws[0]: lognormal weight law's mean or variance is beyond "
                 "the float range",
             ),
+            (
+                {"scheme": {"kind": "mixture", "base_laws": [SMALL_SIM["scheme"]["laws"][0]] * 2,
+                            "coefficients": [], "noise_sd": []}},
+                "sim.json: scheme: coefficients must hold at least one row",
+            ),
+            (
+                {"scheme": {"kind": "independent", "laws": []}},
+                "sim.json: the weight scheme needs at least one law: it has no datasets",
+            ),
+            (
+                {"scheme": {"kind": "mixture", "base_laws": [], "coefficients": [],
+                            "noise_sd": []}},
+                "sim.json: scheme: coefficients must hold at least one row",
+            ),
+            (
+                {"scheme": {"kind": "gaussian_copula", "laws": [], "corr": []}},
+                "sim.json: the weight scheme needs at least one law: it has no datasets",
+            ),
         ],
         ids=["missing_key", "non_integer", "fractional_m", "sd_not_a_number", "sd_negative",
              "rate_zero", "law_sigma_not_a_number", "column_not_an_object", "duplicate_column",
              "unknown_column_key", "n_k_zero", "probs_length", "ragged_corr",
-             "walk_sigma_w_overflows", "law_variance_overflows", "law_mean_overflows"],
+             "walk_sigma_w_overflows", "law_variance_overflows", "law_mean_overflows",
+             "mixture_no_coefficients", "no_laws", "mixture_no_laws", "copula_no_laws"],
     )
     def test_bad_config_value_is_user_error(self, tmp_path, capsys, change, message):
         cfg = write(tmp_path / "sim.json", json.dumps({**SMALL_SIM, **change}))
@@ -852,13 +886,7 @@ class TestDiagnoseCli:
         if "--whiten" in flags:
             moments = whiten_moments(moments, fit_whitening(moments))
         fit = fit_weights(moments, mode="simplex" if "simplex" in flags else "sum_to_one")
-        qq = residual_qq(fit)
-        stats = {f"{source}|{name}": v
-                 for k, source in enumerate(data.source_names())
-                 for name, v in standardized_shift_stats(moments, k).items()}
-        bundle = DiagnosticBundle(qq.residual_points, qq.residual_mean, qq.qq_points,
-                                  qq.qq_defined, pairwise_scatter(moments), stats)
-        plot_id, x, y, label = zip(*bundle_rows(bundle))
+        plot_id, x, y, label = zip(*diagnostic_rows(fit, moments))
         table = Table.from_arrays("diagnostics", plot_id=plot_id, x=x, y=y, label=label)
         chash = json.loads(report.read_text())["config_hash"]
         write_csv_table(table, tmp_path / "ref.csv", f"driftlab {cli.__version__} config={chash}")
@@ -894,8 +922,14 @@ class TestDiagnoseCli:
          "need at least as many test functions as datasets (L=2 < K=4)"),
         ("phi_hat", lambda rows: rows.__setitem__(2, list(rows[1])),
          "dataset moment deviations are collinear: 'source_1' ~ 'source_2'"),
+        ("names", lambda names: names.__setitem__(3, names[1]),
+         "moments: test function names must be distinct, but 'column:x2' repeats"),
+        ("source_names", lambda names: names.__setitem__(2, names[0]),
+         "moments: source names must be distinct, but 'source_1' repeats; sources are "
+         "named by their file stem"),
     ], ids=["no_moments", "fractional_size", "negative_variance", "sizes_short", "diag_short",
-            "ragged_phi_hat", "fewer_functions_than_sources", "identical_sources"])
+            "ragged_phi_hat", "fewer_functions_than_sources", "identical_sources",
+            "repeated_function_name", "repeated_source_name"])
     def test_bad_report_exits_1_naming_the_file(self, tmp_path, capsys, key, edit, message):
         report = fit_fixture(tmp_path / "report")
         payload = json.loads(report.read_text())
