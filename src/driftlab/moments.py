@@ -142,7 +142,6 @@ def evaluate_moments(data: DatasetCollection, tests: TestFunctionSet) -> MomentM
     non-finite function value is an error naming the dataset, row, and
     function that produced it. Row order never matters.
     """
-    tests = tests.prepare(data)
     means = []
 
     def evaluated(tbl):
@@ -151,7 +150,7 @@ def evaluate_moments(data: DatasetCollection, tests: TestFunctionSet) -> MomentM
         values = tests.evaluate(tbl)
         if not np.all(np.isfinite(values)):
             rows, cols = np.nonzero(~np.isfinite(values))
-            fname = tests.functions[cols[0]].name
+            fname = tests.names[cols[0]]
             raise ValueError(
                 f"test function {fname!r} produced a non-finite value on "
                 f"dataset {tbl.name!r} at row {rows[0]}"

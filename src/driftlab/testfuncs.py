@@ -12,184 +12,94 @@ Functions are declared as compact strings (usable directly in config files):
     auto_indicators:<col>            expands to one indicator per category
                                      observed in the source datasets
 
-Standardization constants are frozen against a DatasetCollection by
-``TestFunctionSet.prepare`` before any evaluation, so the same function is
-applied to every dataset.
+``parse_test_functions(declarations, data)`` resolves each declaration once,
+against the collection it will run on: every column it reads is checked in
+each source and the target, and standardization constants and auto_indicators
+levels are frozen from the pooled sources. Each function is then one closure
+from a Table to float64 values; a bad declaration is a ValueError naming it.
 """
 
 from __future__ import annotations
 
 import ast
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .moments import pooled_moments
 from .tables import DatasetCollection, Table
 
-__all__ = ["TestFunction", "TestFunctionSet", "parse_test_functions"]
+__all__ = ["TestFunctionSet", "parse_test_functions"]
 
 _EXPR_FUNCS = {"log": np.log, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    name: str
-    kind: str  # column | indicator | product | expr
-    spec: tuple = ()
-    constants: tuple | None = None  # standardization constants once prepared
-
-    def needs_preparation(self) -> bool:
-        return self.kind == "product" and self.spec[2] and self.constants is None
-
-    def evaluate(self, table: Table) -> np.ndarray:
-        if self.kind == "column":
-            return np.asarray(table.column(self.spec[0]), dtype=float)
-        if self.kind == "indicator":
-            col, value = self.spec
-            arr = table.column(col)
-            if arr.dtype.kind == "f":
-                return (arr == float(value)).astype(float)
-            return (arr == value).astype(float)
-        if self.kind == "product":
-            a, b, standardized = self.spec
-            va = np.asarray(table.column(a), dtype=float)
-            vb = np.asarray(table.column(b), dtype=float)
-            if standardized:
-                if self.constants is None:
-                    raise RuntimeError(
-                        f"standardized product {self.name!r} used before prepare()"
-                    )
-                ma, sa, mb, sb = self.constants
-                return ((va - ma) / sa) * ((vb - mb) / sb)
-            return va * vb
-        env = {c: np.asarray(table.column(c), dtype=float) for c in self.spec[1]}
-        return np.asarray(self.spec[0](env), dtype=float)
+# every node an expr: tree may hold: arithmetic on numbers, columns and _EXPR_FUNCS calls
+_EXPR_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name, ast.Call,
+               ast.Load, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd)
 
 
 @dataclass(frozen=True)
 class TestFunctionSet:
-    """L uniquely named scalar functions of the covariates."""
+    """L named scalar functions of the covariates, each a Table -> (n_rows,) map."""
 
-    functions: tuple[TestFunction, ...]
-
-    def __post_init__(self):
-        names = [f.name for f in self.functions]
-        if len(set(names)) != len(names):
-            raise ValueError("test function names must be unique")
+    names: tuple[str, ...]
+    functions: tuple[Callable[[Table], np.ndarray], ...]
 
     def __len__(self) -> int:
-        return len(self.functions)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.functions)
-
-    def prepare(self, data: DatasetCollection) -> "TestFunctionSet":
-        """Freeze pooled-data standardization constants; resolve nothing else."""
-        prepared = []
-        for f in self.functions:
-            if f.needs_preparation():
-                a, b, _ = f.spec
-                ma, va = pooled_moments(tbl.column(a) for tbl in data.sources)
-                mb, vb = pooled_moments(tbl.column(b) for tbl in data.sources)
-                if va == 0.0 or vb == 0.0:
-                    raise ValueError(
-                        f"cannot standardize {f.name!r}: column with zero pooled variance"
-                    )
-                f = replace(f, constants=(ma, np.sqrt(va), mb, np.sqrt(vb)))
-            prepared.append(f)
-        return TestFunctionSet(tuple(prepared))
+        return len(self.names)
 
     def evaluate(self, table: Table) -> np.ndarray:
         """Function values, shape (n_rows, L)."""
-        return np.column_stack([f.evaluate(table) for f in self.functions])
+        return np.column_stack([f(table) for f in self.functions])
 
 
-def _compile_expr(src: str) -> tuple:
-    """Compile a restricted arithmetic expression to (callable, columns)."""
-    tree = ast.parse(src, mode="eval")
-    names: set[str] = set()
+def _check_columns(data: DatasetCollection, cols, numeric: bool = True) -> None:
+    """Every source and the target have each column, numeric if asked."""
+    for col in cols:
+        for tbl in (*data.sources, data.target):
+            if col not in tbl.columns:
+                raise ValueError(f"table {tbl.name!r} has no column {col!r}")
+            if numeric and not tbl.is_numeric(col):
+                raise ValueError(f"column {col!r} of table {tbl.name!r} is not numeric")
 
-    def check(node):
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+def _compile_expr(src: str, data: DatasetCollection) -> Callable:
+    """Compile a restricted arithmetic expression over numeric columns of ``data``."""
+    try:
+        with warnings.catch_warnings():
+            # a SyntaxWarning (an invalid escape, "2(x)") is then a SyntaxError, not a printed line
+            warnings.simplefilter("error")
+            tree = ast.parse(src, mode="eval")
+            code = compile(tree, "<test-function>", "eval")
+    except SyntaxError as exc:
+        raise ValueError(f"invalid expression: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("expression is nested too deeply") from None
+    nodes = list(ast.walk(tree))
+    for node in nodes:
+        if not isinstance(node, _EXPR_NODES) or (
+            isinstance(node, ast.Constant) and not isinstance(node.value, (int, float))
         ):
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            check(node.operand)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            pass
-        elif isinstance(node, ast.Name):
-            if node.id in _EXPR_FUNCS:
-                raise ValueError(f"{node.id} must be called, not referenced")
-            names.add(node.id)
-        elif isinstance(node, ast.Call):
-            if not (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCS):
-                raise ValueError("only log/exp/sqrt/abs calls are allowed")
-            if len(node.args) != 1 or node.keywords:
-                raise ValueError(f"{node.func.id} takes exactly one argument")
-            check(node.args[0])
-        else:
-            raise ValueError(f"unsupported syntax in expression: {ast.dump(node)}")
+            raise ValueError(f"unsupported syntax in expression: {type(node).__name__}")
+    calls = [n for n in nodes if isinstance(n, ast.Call)]
+    for call in calls:
+        if not (isinstance(call.func, ast.Name) and call.func.id in _EXPR_FUNCS
+                and len(call.args) == 1 and not call.keywords):
+            raise ValueError("calls must be one of log(x), exp(x), sqrt(x), abs(x)")
+    called = {id(call.func) for call in calls}
+    cols = sorted({n.id for n in nodes if isinstance(n, ast.Name) and id(n) not in called})
+    if set(cols) & _EXPR_FUNCS.keys():
+        raise ValueError("log, exp, sqrt and abs must be called, not referenced")
+    if not cols:
+        raise ValueError("expression reads no column")
+    _check_columns(data, cols)
 
-    check(tree)
-    code = compile(tree, "<test-function>", "eval")
-    cols = tuple(sorted(names))
+    def fn(tbl):
+        env = {c: tbl.column(c) for c in cols}
+        return np.asarray(eval(code, {"__builtins__": {}, **_EXPR_FUNCS}, env), dtype=float)
 
-    def fn(env):
-        return eval(code, {"__builtins__": {}, **_EXPR_FUNCS}, dict(env))
-
-    return fn, cols
-
-
-def parse_one(decl: str) -> TestFunction:
-    if decl.startswith("column:"):
-        col = decl[len("column:"):]
-        if not col:
-            raise ValueError("column: form needs a column name")
-        return TestFunction(decl, "column", (col,))
-    if decl.startswith("indicator:"):
-        body = decl[len("indicator:"):]
-        if "=" not in body:
-            raise ValueError("indicator form is indicator:<col>=<value>")
-        col, value = body.split("=", 1)
-        return TestFunction(decl, "indicator", (col, value))
-    if decl.startswith("product:"):
-        body = decl[len("product:"):]
-        standardized = False
-        if body.endswith(":standardized"):
-            standardized = True
-            body = body[: -len(":standardized")]
-        if "*" not in body:
-            raise ValueError("product form is product:<colA>*<colB>[:standardized]")
-        a, b = body.split("*", 1)
-        return TestFunction(decl, "product", (a, b, standardized))
-    if decl.startswith("expr:"):
-        src = decl[len("expr:"):]
-        fn, cols = _compile_expr(src)
-        return TestFunction(decl, "expr", (fn, cols))
-    raise ValueError(f"unrecognized test function declaration {decl!r}")
-
-
-def parse_test_functions(
-    declarations: list[str], data: DatasetCollection | None = None
-) -> TestFunctionSet:
-    """Parse declaration strings; auto_indicators needs the data collection."""
-    funcs: list[TestFunction] = []
-    for decl in declarations:
-        if decl.startswith("auto_indicators:"):
-            if data is None:
-                raise ValueError("auto_indicators requires the dataset collection")
-            col = decl[len("auto_indicators:"):]
-            funcs.extend(_expand_auto_indicators(col, data))
-        else:
-            funcs.append(parse_one(decl))
-    return TestFunctionSet(tuple(funcs))
+    return fn
 
 
 def _levels(arr: np.ndarray) -> set[str]:
@@ -198,17 +108,67 @@ def _levels(arr: np.ndarray) -> set[str]:
     return {str(v) for v in set(values.tolist())}
 
 
-def _expand_auto_indicators(col: str, data: DatasetCollection) -> list[TestFunction]:
-    source_cats = set().union(*(_levels(tbl.column(col)) for tbl in data.sources))
-    target_cats = _levels(data.target.column(col))
-    only_target = sorted(target_cats - source_cats)
-    if only_target:
-        warnings.warn(
-            f"auto_indicators:{col}: categories {only_target} appear only in the "
-            "target and are skipped (zero pooled variance)",
-            stacklevel=3,
-        )
-    out = []
-    for cat in sorted(source_cats):
-        out.append(parse_one(f"indicator:{col}={cat}"))
-    return out
+def _indicator(data: DatasetCollection, col: str, value: str) -> Callable:
+    _check_columns(data, [col], numeric=False)
+    numeric = any(tbl.is_numeric(col) for tbl in (*data.sources, data.target))
+    try:  # a numeric column's cells are compared with the value as a number
+        number = float(value) if numeric else None
+    except ValueError:
+        raise ValueError(f"column {col!r} is numeric, but {value!r} is not a number") from None
+    return lambda tbl: (tbl.column(col) == (number if tbl.is_numeric(col) else value)).astype(float)
+
+
+def _resolve(decl: str, data: DatasetCollection) -> list[tuple[str, Callable]]:
+    """The (name, function) pairs one declaration stands for."""
+    form, _, body = decl.partition(":")
+    if form == "column":
+        if not body:
+            raise ValueError("column: form needs a column name")
+        _check_columns(data, [body])
+        return [(decl, lambda tbl: tbl.column(body))]
+    if form == "indicator":
+        col, eq, value = body.partition("=")
+        if not eq:
+            raise ValueError("indicator form is indicator:<col>=<value>")
+        return [(decl, _indicator(data, col, value))]
+    if form == "product":
+        standardized = body.endswith(":standardized")
+        a, star, b = body.removesuffix(":standardized").partition("*")
+        if not star:
+            raise ValueError("product form is product:<colA>*<colB>[:standardized]")
+        _check_columns(data, [a, b])
+        if not standardized:
+            return [(decl, lambda tbl: tbl.column(a) * tbl.column(b))]
+        ma, va = pooled_moments(tbl.column(a) for tbl in data.sources)
+        mb, vb = pooled_moments(tbl.column(b) for tbl in data.sources)
+        if va == 0.0 or vb == 0.0:
+            raise ValueError("cannot standardize a column with zero pooled variance")
+        sa, sb = np.sqrt(va), np.sqrt(vb)
+        return [(decl, lambda tbl: ((tbl.column(a) - ma) / sa) * ((tbl.column(b) - mb) / sb))]
+    if form == "expr":
+        return [(decl, _compile_expr(body, data))]
+    if form == "auto_indicators":
+        _check_columns(data, [body], numeric=False)
+        source_cats = set().union(*(_levels(tbl.column(body)) for tbl in data.sources))
+        only_target = sorted(_levels(data.target.column(body)) - source_cats)
+        if only_target:
+            warnings.warn(
+                f"{decl}: {len(only_target)} categories appear only in the target and "
+                f"are skipped (zero pooled variance): {only_target[:5]}",
+                stacklevel=3,
+            )
+        return [(f"indicator:{body}={cat}", _indicator(data, body, cat))
+                for cat in sorted(source_cats)]
+    raise ValueError("unrecognized form; expected column:, indicator:, product:, "
+                     "expr: or auto_indicators:")
+
+
+def parse_test_functions(declarations: list[str], data: DatasetCollection) -> TestFunctionSet:
+    """Resolve each declaration against ``data``; an error names the declaration."""
+    pairs = []
+    for decl in declarations:
+        try:
+            pairs += _resolve(decl, data)
+        except ValueError as exc:
+            raise ValueError(f"test function {decl!r}: {exc}") from None
+    return TestFunctionSet(tuple(n for n, _ in pairs), tuple(f for _, f in pairs))

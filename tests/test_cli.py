@@ -481,6 +481,62 @@ class TestFit:
         assert set(modes.values()) == {0o644}, modes
 
 
+BAD_FIT_DECLARATIONS = {
+    "expr_dangling_operator": ("expr:x1+", "invalid expression: invalid syntax"),
+    "expr_empty": ("expr:", "invalid expression: invalid syntax"),
+    "expr_two_names": ("expr:x1 x2", "invalid expression: invalid syntax"),
+    "expr_null_byte": ("expr:x1\x00", "invalid expression: source code string cannot "
+                                       "contain null bytes"),
+    "expr_too_deep": ("expr:" + "-" * 3000 + "x1", "expression is nested too deeply"),
+    "expr_no_column": ("expr:2", "expression reads no column"),
+    # a SyntaxWarning would print a second stderr line
+    "expr_call_on_a_number": ("expr:2(x1)", "invalid expression: 'int' object is not "
+                                            "callable; perhaps you missed a comma?"),
+    "column_categorical": ("column:occupation",
+                           "column 'occupation' of table 'source_1' is not numeric"),
+    "product_categorical": ("product:x1*occupation",
+                            "column 'occupation' of table 'source_1' is not numeric"),
+    "standardized_categorical": ("product:x1*occupation:standardized",
+                                 "column 'occupation' of table 'source_1' is not numeric"),
+    "expr_categorical": ("expr:occupation*2",
+                         "column 'occupation' of table 'source_1' is not numeric"),
+    "indicator_not_a_number": ("indicator:x1=abc",
+                               "column 'x1' is numeric, but 'abc' is not a number"),
+    "column_missing": ("column:nope", "table 'source_1' has no column 'nope'"),
+}
+
+
+class TestFitDeclarations:
+    def fit(self, tmp_path, declarations):
+        cfg = write(tmp_path / "cfg.json",
+                    json.dumps({"outcome": "income", "test_functions": declarations}))
+        return cli.run(["fit", "--data", *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
+                        "--target", str(FIXTURE / "target.csv"), "--config", cfg,
+                        "--out", str(tmp_path / "out" / "r")])
+
+    @pytest.mark.parametrize("case", sorted(BAD_FIT_DECLARATIONS))
+    def test_bad_declaration_exits_1_with_one_line_naming_it(self, tmp_path, capsys, case):
+        declaration, reason = BAD_FIT_DECLARATIONS[case]
+        assert self.fit(tmp_path, ["column:x1", declaration, "column:x2"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"driftlab: error: test function {declaration!r}: {reason}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_declaration_is_named(self, tmp_path, capsys):
+        assert self.fit(tmp_path, ["column:x1", "column:x2", "column:x1"]) == 1
+        assert capsys.readouterr().err == ("driftlab: error: test function names must be "
+                                           "distinct, but 'column:x1' repeats\n")
+
+    def test_target_only_levels_warning_is_capped(self, tmp_path):
+        # x3 sits on a 2^-10 grid: the target holds 900 values no source has
+        with pytest.warns(UserWarning) as record:
+            assert self.fit(tmp_path, ["auto_indicators:x3"]) == 0
+        (message,) = [str(w.message) for w in record if "auto_indicators" in str(w.message)]
+        assert message.startswith("auto_indicators:x3: 900 categories appear only in the "
+                                  "target and are skipped (zero pooled variance): ['0.00")
+        assert message.count("'") == 10
+
+
 class TestSimulate:
     def test_simulate_outputs_and_determinism(self, tmp_path):
         cfg = write(

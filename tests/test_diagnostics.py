@@ -138,7 +138,7 @@ def test_shift_stats_identical_datasets_zero():
     src = Table.from_arrays("s", x=x)
     tgt = Table.from_arrays("t", x=x)
     data = DatasetCollection((src,), tgt)
-    stats_map = shift_stats(evaluate_moments(data, parse_test_functions(["column:x"])))
+    stats_map = shift_stats(evaluate_moments(data, parse_test_functions(["column:x"], data)))
     assert stats_map["s|column:x"] == pytest.approx(0.0, abs=1e-14)
 
 
@@ -151,7 +151,7 @@ def test_shift_stats_prefactor_algebra():
     src = Table.from_arrays("s", x=base + delta)
     tgt = Table.from_arrays("t", x=base)
     data = DatasetCollection((src,), tgt)
-    stats_map = shift_stats(evaluate_moments(data, parse_test_functions(["column:x"])))
+    stats_map = shift_stats(evaluate_moments(data, parse_test_functions(["column:x"], data)))
     assert stats_map["s|column:x"] == pytest.approx(delta * np.sqrt(n / 2))
 
 
@@ -161,7 +161,7 @@ def test_shift_stats_skip_zero_sd():
     data = DatasetCollection((src,), tgt)
     with pytest.warns(UserWarning, match="zero pooled"):
         stats_map = shift_stats(
-            evaluate_moments(data, parse_test_functions(["column:x", "column:y"]))
+            evaluate_moments(data, parse_test_functions(["column:x", "column:y"], data))
         )
     assert "s|column:x" not in stats_map
     assert "s|column:y" in stats_map

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import driftlab as dl
 from driftlab.moments import (
@@ -23,7 +27,7 @@ def test_single_dataset_two_point_example():
     src = Table.from_arrays("s1", x=[0.0, 1.0])
     tgt = Table.from_arrays("t", x=[0.5, 0.5])
     data = collection([src], tgt)
-    mm = evaluate_moments(data, parse_test_functions(["column:x"]))
+    mm = evaluate_moments(data, parse_test_functions(["column:x"], data))
     assert mm.phi_hat[1, 0] == pytest.approx(0.5)
     assert mm.pooled_var[0, 0] == pytest.approx(0.25)  # population convention
 
@@ -32,7 +36,8 @@ def test_two_dataset_pooled_variance_weighted_formula():
     s1 = Table.from_arrays("s1", x=[0.0, 0.0])
     s2 = Table.from_arrays("s2", x=[1.0, 1.0])
     tgt = Table.from_arrays("t", x=[0.5])
-    mm = evaluate_moments(collection([s1, s2], tgt), parse_test_functions(["column:x"]))
+    data = collection([s1, s2], tgt)
+    mm = evaluate_moments(data, parse_test_functions(["column:x"], data))
     # pooled mean 0.5; pooled second moment 0.5 -> variance 0.25
     assert mm.pooled_var[0, 0] == pytest.approx(0.25)
 
@@ -40,7 +45,8 @@ def test_two_dataset_pooled_variance_weighted_formula():
 def test_indicator_means_are_category_proportions():
     src = Table.from_arrays("s1", occ=np.array(["a", "b", "a", "a"], dtype=object))
     tgt = Table.from_arrays("t", occ=np.array(["b", "b"], dtype=object))
-    mm = evaluate_moments(collection([src], tgt), parse_test_functions(["indicator:occ=a"]))
+    data = collection([src], tgt)
+    mm = evaluate_moments(data, parse_test_functions(["indicator:occ=a"], data))
     assert mm.phi_hat[1, 0] == pytest.approx(3 / 4)
     assert mm.phi_hat[0, 0] == pytest.approx(0.0)
 
@@ -49,12 +55,12 @@ def test_row_order_invariance(rng):
     x = rng.normal(size=40)
     y = rng.normal(size=40)
     perm = rng.permutation(40)
-    tests = parse_test_functions(["column:x", "product:x*y", "expr:x**2 + y"])
+    decls = ["column:x", "product:x*y", "product:x*y:standardized", "expr:x**2 + y"]
     tgt = Table.from_arrays("t", x=[0.0], y=[0.0])
-    a = evaluate_moments(collection([Table.from_arrays("s", x=x, y=y)], tgt), tests)
-    b = evaluate_moments(
-        collection([Table.from_arrays("s", x=x[perm], y=y[perm])], tgt), tests
-    )
+    a_data = collection([Table.from_arrays("s", x=x, y=y)], tgt)
+    b_data = collection([Table.from_arrays("s", x=x[perm], y=y[perm])], tgt)
+    a = evaluate_moments(a_data, parse_test_functions(decls, a_data))
+    b = evaluate_moments(b_data, parse_test_functions(decls, b_data))
     assert np.allclose(a.phi_hat, b.phi_hat)
     assert np.allclose(a.pooled_var, b.pooled_var)
 
@@ -62,17 +68,20 @@ def test_row_order_invariance(rng):
 def test_non_finite_value_names_everything():
     src = Table.from_arrays("weird", x=[1.0, -1.0, 2.0])
     tgt = Table.from_arrays("t", x=[1.0])
-    log_x = parse_test_functions(["expr:log(x)"])
+
+    def log_x_moments(data):
+        return evaluate_moments(data, parse_test_functions(["expr:log(x)"], data))
+
     with pytest.raises(ValueError, match=r"expr:log\(x\).*'weird'.*row 1"):
-        evaluate_moments(collection([src], tgt), log_x)
+        log_x_moments(collection([src], tgt))
     # the target is checked first, then the sources in order
     bad_target = Table.from_arrays("t", x=[1.0, 2.0, -3.0])
     with pytest.raises(ValueError, match=r"dataset 't' at row 2"):
-        evaluate_moments(collection([src], bad_target), log_x)
+        log_x_moments(collection([src], bad_target))
     later = Table.from_arrays("later", x=[-1.0, 1.0])
     fine = Table.from_arrays("fine", x=[1.0, 2.0])
     with pytest.raises(ValueError, match=r"dataset 'weird' at row 1"):
-        evaluate_moments(collection([fine, src, later], tgt), log_x)
+        log_x_moments(collection([fine, src, later], tgt))
 
 
 def test_standardized_product_uses_pooled_constants():
@@ -81,8 +90,8 @@ def test_standardized_product_uses_pooled_constants():
     b = rng.normal(-1.0, 0.5, size=500)
     src = Table.from_arrays("s", a=a, b=b)
     tgt = Table.from_arrays("t", a=a[:10], b=b[:10])
-    tests = parse_test_functions(["product:a*b:standardized"])
-    mm = evaluate_moments(collection([src], tgt), tests)
+    data = collection([src], tgt)
+    mm = evaluate_moments(data, parse_test_functions(["product:a*b:standardized"], data))
     za = (a - a.mean()) / a.std()
     zb = (b - b.mean()) / b.std()
     assert mm.phi_hat[1, 0] == pytest.approx(np.mean(za * zb))
@@ -140,8 +149,7 @@ def test_whitening_empirical_gives_identity_covariance(rng):
     src = Table.from_arrays("s", a=mixed[:, 0], b=mixed[:, 1], c=mixed[:, 2])
     tgt = Table.from_arrays("t", a=mixed[:5, 0], b=mixed[:5, 1], c=mixed[:5, 2])
     data = collection([src], tgt)
-    tests = parse_test_functions(["column:a", "column:b", "column:c"])
-    mm = evaluate_moments(data, tests)
+    mm = evaluate_moments(data, parse_test_functions(["column:a", "column:b", "column:c"], data))
     mm_white = whiten_moments(mm, fit_whitening(mm))
     assert mm_white.whitened
     assert np.allclose(mm_white.pooled_var, np.eye(3), atol=1e-6)
@@ -152,9 +160,8 @@ def test_whitening_empirical_gives_identity_covariance(rng):
 def test_whiten_moments_rejects_a_transform_of_the_wrong_size(rng):
     src = Table.from_arrays("s", a=rng.normal(size=20), b=rng.normal(size=20))
     tgt = Table.from_arrays("t", a=[0.0], b=[1.0])
-    mm = evaluate_moments(
-        collection([src], tgt), parse_test_functions(["column:a", "column:b"])
-    )
+    data = collection([src], tgt)
+    mm = evaluate_moments(data, parse_test_functions(["column:a", "column:b"], data))
     with pytest.raises(ValueError, match="L x L"):
         whiten_moments(mm, np.eye(3))
 
@@ -203,23 +210,65 @@ def test_moments_from_arrays_matches_table_path(rng):
         [Table.from_arrays("s1", x=x1), Table.from_arrays("s2", x=x2)],
         Table.from_arrays("t", x=xt),
     )
-    mm_tables = evaluate_moments(tables, parse_test_functions(["column:x"]))
+    mm_tables = evaluate_moments(tables, parse_test_functions(["column:x"], tables))
     mm_arrays = moments_from_arrays([x1[:, None], x2[:, None]], xt[:, None])
     assert np.allclose(mm_tables.phi_hat, mm_arrays.phi_hat)
     assert np.allclose(mm_tables.pooled_var, mm_arrays.pooled_var)
 
 
+def xy_data():
+    """Numeric x, y and categorical cat in one source and the target."""
+    cat = np.array(["a", "b", "a"], dtype=object)
+    return collection([Table.from_arrays("s", x=[1.0, 2.0, 4.0], y=[0.5, 0.0, 1.0], cat=cat)],
+                      Table.from_arrays("t", x=[1.0, 3.0, 5.0], y=[0.0, 1.0, 2.0], cat=cat))
+
+
 def test_expr_rejects_unsafe_syntax():
-    with pytest.raises(ValueError):
-        parse_test_functions(["expr:__import__('os')"])
-    with pytest.raises(ValueError):
-        parse_test_functions(["expr:x.attr"])
+    for bad in ["expr:__import__('os')", "expr:x.attr", "expr:sqrt + x", "expr:log(x, y)"]:
+        with pytest.raises(ValueError, match=re.escape(f"test function {bad!r}: ")):
+            parse_test_functions([bad], xy_data())
 
 
 def test_parse_errors():
-    for bad in ["column:", "indicator:xy", "product:xy", "nonsense:x"]:
-        with pytest.raises(ValueError):
-            parse_test_functions([bad])
+    # each is a ValueError that names the declaration, raised at parse time
+    for bad, reason in [
+        ("column:", "column: form needs a column name"),
+        ("indicator:xy", "indicator form is indicator:<col>=<value>"),
+        ("product:xy", "product form is product:<colA>*<colB>[:standardized]"),
+        ("nonsense:x", "unrecognized form"),
+        ("indicator:nope=a", "table 's' has no column 'nope'"),
+        ("indicator:x=abc", "column 'x' is numeric, but 'abc' is not a number"),
+        ("auto_indicators:nope", "table 's' has no column 'nope'"),
+        ("product:x*cat:standardized", "column 'cat' of table 's' is not numeric"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"test function {bad!r}: {reason}")):
+            parse_test_functions(["column:x", bad], xy_data())
+
+
+def test_columns_are_checked_in_the_target_too():
+    data = collection([Table.from_arrays("s", x=[1.0, 2.0], z=[1.0, 2.0])],
+                      Table.from_arrays("t", x=[1.0], z=np.array(["q"], dtype=object)))
+    with pytest.raises(ValueError, match="column 'z' of table 't' is not numeric"):
+        parse_test_functions(["expr:x*z"], data)
+
+
+def test_standardizing_a_constant_column_is_an_error_naming_it():
+    data = collection([Table.from_arrays("s", x=[1.0, 1.0], y=[0.0, 1.0])],
+                      Table.from_arrays("t", x=[1.0], y=[0.5]))
+    with pytest.raises(ValueError, match=r"'product:x\*y:standardized': cannot standardize"):
+        parse_test_functions(["product:x*y:standardized"], data)
+
+
+@settings(max_examples=300, deadline=None)
+@example("-" * 3000 + "x")
+@example("'\\d' + x")
+@example("x\x00")
+@given(st.one_of(st.text(), st.text(alphabet="xy12.e+-*/() ,logsqrtab_'\\")))
+def test_any_expr_text_parses_or_is_a_value_error(text):
+    try:
+        parse_test_functions([f"expr:{text}"], xy_data())
+    except ValueError:
+        pass
 
 
 def test_pooled_moments_equal_those_of_the_concatenated_rows(rng):
