@@ -18,7 +18,6 @@ from .dlm import (
     TargetCI,
     closed_form_weights,
     fit_weights,
-    minimize_quadratic_on_simplex,
     summarize,
     target_ci,
 )

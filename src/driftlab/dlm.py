@@ -7,15 +7,18 @@ i.i.d. Gaussian rows, so the constrained least-squares fit admits the same
 small-sample t and F laws as an ordinary linear model, with L - K + 1
 degrees of freedom (L test functions, K source datasets).
 
-Two equivalent solvers are kept deliberately: the reparametrized
-least-squares path (dataset K as reference, solved by QR) used for fitting,
-and the closed form
+Both fit modes rest on one solve: the least squares of the design
+reparametrized with dataset K as reference, by ``np.linalg.lstsq``. Its rank
+is the one rule for a degenerate fit. ``sum_to_one`` raises
+CollinearDatasetsError below rank K - 1; ``simplex`` runs the solve on each
+active support S and, below rank |S| - 1 on the last, returns the
+minimum-norm optimum flagged non-unique. The closed form
 
     beta = (Phi' Phi)^{-1} 1 / (1' (Phi' Phi)^{-1} 1),
 
-where Phi's columns are the source-minus-target mean deviations, used for
-cross-checking. Both must agree to high accuracy on well-conditioned
-problems, and the residual sum of squares satisfies
+where Phi's columns are the source-minus-target mean deviations, is kept
+deliberately as a cross-check. Both must agree to high accuracy on
+well-conditioned problems, and the residual sum of squares satisfies
 RSS = 1 / (1' (Phi' Phi)^{-1} 1).
 """
 
@@ -34,7 +37,6 @@ __all__ = [
     "TargetCI",
     "fit_weights",
     "closed_form_weights",
-    "minimize_quadratic_on_simplex",
     "target_ci",
     "summarize",
     "fit_to_dict",
@@ -122,7 +124,9 @@ def _build_deviations(moments: MomentMatrix) -> np.ndarray:
     return (moments.phi_hat[1:] - phi0[None, :]).T
 
 
-def _name_collinear(phi: np.ndarray, names: tuple[str, ...]) -> str:
+def _collinear(phi: np.ndarray, names: tuple[str, ...]) -> CollinearDatasetsError:
+    """The error for a rank-deficient Phi, naming the pairs of sources that
+    are collinear."""
     k = phi.shape[1]
     centered = phi - phi.mean(axis=0)
     norms = np.linalg.norm(centered, axis=0)
@@ -134,110 +138,71 @@ def _name_collinear(phi: np.ndarray, names: tuple[str, ...]) -> str:
         for j in range(i + 1, k)
         if abs(corr[i, j]) > 1.0 - 1e-8
     ]
-    return "; ".join(pairs) if pairs else "rank-deficient design"
+    return CollinearDatasetsError("dataset moment deviations are collinear: "
+                                  + ("; ".join(pairs) if pairs else "rank-deficient design"))
 
 
-def minimize_quadratic_on_simplex(
-    g: np.ndarray, tol: float = 1e-12
-) -> tuple[np.ndarray, bool]:
-    """Minimize beta' G beta over the probability simplex (G PSD).
+def _sum_to_one(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Minimize |Phi beta|^2 subject to sum(beta) = 1, the last column the reference.
 
-    Primal active-set method: on a support S the equality-constrained
-    minimizer is G_S^{-1} 1 normalized to sum one; variables are dropped
-    when a line step hits zero and added back when their KKT multiplier is
-    violated. Returns (beta, non_unique); when the restricted system is
-    singular the minimum-norm solution on the optimal face is returned and
-    flagged.
+    The free weights are the least squares of -Phi_K on the (L, K-1) design
+    Phi_j - Phi_K. Returns the weights, the design and its rank; below K - 1
+    the minimizer is not unique and lstsq gives the free weights of least norm.
     """
-    g = np.asarray(g, dtype=float)
-    k = g.shape[0]
-    if g.shape != (k, k):
-        raise ValueError("G must be square")
-    if k == 1:
-        return np.array([1.0]), False
-    scale = max(float(np.abs(g).max()), 1.0)
+    design = phi[:, :-1] - phi[:, -1:]
+    free, _, rank, _ = np.linalg.lstsq(design, -phi[:, -1], rcond=None)
+    return np.append(free, 1.0 - free.sum()), design, int(rank)
+
+
+def _simplex_weights(phi: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Minimize |Phi beta|^2 over the probability simplex; returns (beta, non_unique).
+
+    Primal active set: on a support S the candidate is _sum_to_one(Phi_S); a
+    variable is dropped when the line step toward it hits zero and added back
+    when its KKT multiplier is violated. If the final support's design is rank
+    deficient, the optimum is not unique: the least-norm b with Phi_S b =
+    Phi beta and sum(b) = 1 is returned when it is nonnegative, and flagged.
+    """
+    k = phi.shape[1]
+    # with a unit largest column (|Phi' Phi|.max() = 1) the tolerances below and
+    # the rank cutoff on [Phi_S; 1'] do not depend on the units of the test functions
+    norm = np.sqrt((phi * phi).sum(axis=0).max())
+    phi = phi / norm if norm > 0.0 else phi
     beta = np.full(k, 1.0 / k)
     support = list(range(k))
-    non_unique = False
-
-    def restricted_solution(idx):
-        nonlocal non_unique
-        sub = g[np.ix_(idx, idx)]
-        ones = np.ones(len(idx))
-        if np.abs(sub).max() <= tol * scale:
-            non_unique = True
-            return ones / len(idx)
-        vals = np.linalg.eigvalsh(sub)
-        if vals.min() <= 1e-12 * max(vals.max(), tol * scale):
-            non_unique = True
-            x, *_ = np.linalg.lstsq(sub, ones, rcond=None)
-            if abs(x.sum()) < 1e-14:
-                return ones / len(idx)
-        else:
-            x = np.linalg.solve(sub, ones)
-        return x / x.sum()
-
     for _ in range(50 * k + 50):
         cand = np.zeros(k)
-        cand[support] = restricted_solution(support)
+        cand[support], _, rank = _sum_to_one(phi[:, support])
         if cand[support].min() >= -1e-12:
             beta = np.clip(cand, 0.0, None)
             beta /= beta.sum()
-            grad = 2.0 * g @ beta
+            grad = 2.0 * phi.T @ (phi @ beta)
             lam = float(np.mean(grad[support]))
             outside = [i for i in range(k) if i not in support]
             if not outside:
                 break
-            viol = [(grad[i] - lam, i) for i in outside]
-            worst, idx = min(viol)
-            if worst >= -1e-10 * scale:
+            worst, idx = min((grad[i] - lam, i) for i in outside)
+            if worst >= -1e-10:
                 break
             support.append(idx)
             support.sort()
         else:
-            # step from the current feasible point until a coordinate hits 0
-            step = 1.0
-            drop = None
-            for i in support:
-                if cand[i] < beta[i]:
-                    alpha = beta[i] / (beta[i] - cand[i])
-                    if alpha < step:
-                        step = alpha
-                        drop = i
-            beta = beta + step * (cand - beta)
-            beta = np.clip(beta, 0.0, None)
-            if drop is not None:
-                beta[drop] = 0.0
-                support.remove(drop)
+            # step from the feasible beta toward cand until a coordinate hits 0
+            step, drop = min((beta[i] / (beta[i] - cand[i]), i)
+                             for i in support if cand[i] < beta[i])
+            beta = np.clip(beta + step * (cand - beta), 0.0, None)
+            beta[drop] = 0.0
+            support.remove(drop)
             beta /= beta.sum()
+    non_unique = rank < len(support) - 1
     if non_unique:
-        beta = _min_norm_on_face(g, beta, tol)
+        face = np.vstack([phi[:, support], np.ones(len(support))])
+        least, *_ = np.linalg.lstsq(face, np.append(phi @ beta, 1.0), rcond=None)
+        if least.min() >= -1e-12:
+            beta = np.zeros(k)
+            beta[support] = np.clip(least, 0.0, None)
+            beta /= beta.sum()
     return beta, non_unique
-
-
-def _min_norm_on_face(g, beta, tol):
-    """Project to the minimum-norm point of the optimal face, if feasible."""
-    support = np.where(beta > 0)[0]
-    sub = g[np.ix_(support, support)]
-    vals, vecs = np.linalg.eigh(sub)
-    null = vecs[:, vals <= tol * max(vals.max(), 1.0)]
-    if null.size == 0:
-        return beta
-    ones = np.ones(len(support))
-    # directions in null(G_S) that keep the sum-to-one constraint
-    proj = null - np.outer(ones, ones @ null) / len(support)
-    keep = [j for j in range(proj.shape[1]) if np.linalg.norm(proj[:, j]) > 1e-12]
-    if not keep:
-        return beta
-    basis, _ = np.linalg.qr(proj[:, keep])
-    delta = -basis @ (basis.T @ beta[support])
-    cand = beta[support] + delta
-    if cand.min() < -1e-12:
-        return beta
-    out = np.zeros_like(beta)
-    out[support] = np.clip(cand, 0.0, None)
-    out /= out.sum()
-    return out
 
 
 def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
@@ -265,24 +230,14 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
         notes.append("df = 1 (L == K): low-power fit")
 
     phi = _build_deviations(moments)  # (L, K)
-    design = phi[:, : k - 1] - phi[:, [k - 1]] if k > 1 else np.zeros((n_funcs, 0))
-    target_vec = -phi[:, k - 1] if k > 1 else np.zeros(n_funcs)
-
+    beta, design, rank = _sum_to_one(phi)
     non_unique = False
-    if k == 1:
-        beta = np.array([1.0])
-    elif mode == "sum_to_one":
-        sol, _, rank, _ = np.linalg.lstsq(design, target_vec, rcond=None)
-        if rank < k - 1:
-            raise CollinearDatasetsError(
-                "dataset moment deviations are collinear: "
-                + _name_collinear(phi, moments.source_names)
-            )
-        beta = np.append(sol, 1.0 - sol.sum())
-    else:
-        beta, non_unique = minimize_quadratic_on_simplex(phi.T @ phi)
+    if mode == "simplex":
+        beta, non_unique = _simplex_weights(phi)
         if non_unique:
             notes.append("simplex optimum non-unique; returned minimum-norm solution")
+    elif rank < k - 1:
+        raise _collinear(phi, moments.source_names)
 
     residuals = moments.phi_hat[0] - beta @ moments.phi_hat[1:]
     rss = float(residuals @ residuals)
@@ -306,10 +261,7 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
             try:
                 cov_beta = np.linalg.inv(gram) * sigma2
             except np.linalg.LinAlgError:
-                raise CollinearDatasetsError(
-                    "dataset moment deviations are collinear: "
-                    + _name_collinear(phi, moments.source_names)
-                )
+                raise _collinear(phi, moments.source_names)
             se_free = np.sqrt(np.diag(cov_beta))
             se_ref = float(np.sqrt(np.ones(k - 1) @ cov_beta @ np.ones(k - 1)))
             se = np.append(se_free, se_ref)
@@ -366,10 +318,7 @@ def closed_form_weights(moments: MomentMatrix) -> np.ndarray:
     try:
         x = np.linalg.solve(gram, ones)
     except np.linalg.LinAlgError:
-        raise CollinearDatasetsError(
-            "dataset moment deviations are collinear: "
-            + _name_collinear(phi, moments.source_names)
-        )
+        raise _collinear(phi, moments.source_names)
     return x / (ones @ x)
 
 

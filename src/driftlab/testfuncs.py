@@ -8,7 +8,9 @@ Functions are declared as compact strings (usable directly in config files):
     product:<a>*<b>:standardized     product of the two columns after
                                      centering/scaling on pooled source data
     expr:<arithmetic>                arithmetic over numeric columns
-                                     (+ - * / **, log, exp, sqrt, abs)
+                                     (+ - * / **, log, exp, sqrt, abs);
+                                     its numbers are float64, as the
+                                     columns are
     auto_indicators:<col>            expands to one indicator per category
                                      observed in the source datasets
 
@@ -50,8 +52,9 @@ class TestFunctionSet:
         return len(self.names)
 
     def evaluate(self, table: Table) -> np.ndarray:
-        """Function values, shape (n_rows, L)."""
-        return np.column_stack([f(table) for f in self.functions])
+        """Function values, shape (n_rows, L); evaluate_moments reports a non-finite one."""
+        with np.errstate(all="ignore"):
+            return np.column_stack([f(table) for f in self.functions])
 
 
 def _check_columns(data: DatasetCollection, cols, numeric: bool = True) -> None:
@@ -94,6 +97,11 @@ def _compile_expr(src: str, data: DatasetCollection) -> Callable:
     if not cols:
         raise ValueError("expression reads no column")
     _check_columns(data, cols)
+    try:  # numbers are float64, as the columns are: 10**400 is inf, not a Python int
+        code = code.replace(co_consts=tuple(
+            np.float64(c) if isinstance(c, (int, float)) else c for c in code.co_consts))
+    except OverflowError:
+        raise ValueError("a number in the expression is too large for a float64") from None
 
     def fn(tbl):
         env = {c: tbl.column(c) for c in cols}

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -503,6 +504,8 @@ BAD_FIT_DECLARATIONS = {
     "indicator_not_a_number": ("indicator:x1=abc",
                                "column 'x1' is numeric, but 'abc' is not a number"),
     "column_missing": ("column:nope", "table 'source_1' has no column 'nope'"),
+    "expr_number_beyond_float64": ("expr:x1+1" + "0" * 400,
+                                   "a number in the expression is too large for a float64"),
 }
 
 
@@ -521,6 +524,20 @@ class TestFitDeclarations:
         err = capsys.readouterr().err
         assert err == f"driftlab: error: test function {declaration!r}: {reason}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("declaration", ["expr:log(x1)", "expr:x1+10**400",
+                                             "expr:x1*2**5000", "expr:x1+1/0"])
+    def test_non_finite_values_exit_1_with_one_line(self, tmp_path, capsys, declaration):
+        # numbers are float64, so 10**400 is inf rather than an OverflowError, and
+        # numpy's RuntimeWarning would print a line before the error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.fit(tmp_path, ["column:x1", declaration, "column:x2"]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"driftlab: error: test function {declaration!r} produced a "
+                              "non-finite value on dataset ")
+        assert err.count("\n") == 1
 
     def test_repeated_declaration_is_named(self, tmp_path, capsys):
         assert self.fit(tmp_path, ["column:x1", "column:x2", "column:x1"]) == 1
@@ -1111,17 +1128,19 @@ class TestCliSurface:
         assert cli.run(["frobnicate"]) == 1
 
     def test_no_subcommand_imports_scipy_stats(self, tmp_path):
-        # scipy.stats takes about a second to import; validate's KS tests
-        # run on scipy.special, so no subcommand needs it. validate may
-        # exit 2 on a gate that fails by chance at these replicate counts.
+        # scipy.stats takes about a second to import and scipy.optimize about
+        # a quarter; validate's KS tests run on scipy.special and the weight
+        # fits on numpy, so no subcommand needs them or scipy.linalg. validate
+        # may exit 2 on a gate that fails by chance at these replicate counts.
         script = (
             "import json, sys\n"
             "from driftlab import cli\n"
-            "seen = ['scipy.stats' in sys.modules]\n"
+            "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.linalg')\n"
+            "seen = [[m for m in heavy if m in sys.modules]]\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    if cli.run(argv) not in (0, 2):\n"
             "        sys.exit(f'failed: {argv}')\n"
-            "    seen.append('scipy.stats' in sys.modules)\n"
+            "    seen.append([m for m in heavy if m in sys.modules])\n"
             "print(json.dumps(seen))\n"
         )
         data = ["--data", *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
@@ -1150,7 +1169,7 @@ class TestCliSurface:
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [False] * (1 + len(runs))
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[]] * (1 + len(runs))
         report = json.loads((tmp_path / "v.json").read_text())["report"]
         assert [r["name"] for r in report["results"]] == ["t_null", "f_null", "chi2_residual"]
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,11 @@ def random_problem(rng, k, n_funcs, scale=1.0):
 
 def test_single_dataset_weight_is_one(rng):
     mm = random_problem(rng, 1, 5)
-    fit = fit_weights(mm)
-    assert fit.beta_hat == pytest.approx([1.0])
-    assert fit.df == 5
+    for mode in ("sum_to_one", "simplex"):
+        fit = fit_weights(mm, mode=mode)
+        assert fit.beta_hat.tolist() == [1.0]
+        assert fit.df == 5
+        assert not fit.non_unique
 
 
 def test_exact_interpolation(rng):
@@ -153,6 +157,77 @@ def test_simplex_duplicate_datasets_min_norm_flagged(rng):
     fit = fit_weights(make_moments(phi), mode="simplex")
     assert fit.non_unique
     assert fit.beta_hat == pytest.approx([0.5, 0.5], abs=1e-10)
+
+
+def test_simplex_identical_pair_beside_a_distinct_source_splits_equally(rng):
+    a, b = rng.normal(size=(2, 12))
+    target = 0.4 * a + 0.6 * b + rng.normal(scale=0.01, size=12)
+    fit = fit_weights(make_moments([target, a, a, b]), mode="simplex")
+    assert fit.non_unique
+    assert fit.beta_hat[0] == pytest.approx(fit.beta_hat[1], abs=1e-12)
+    assert fit.beta_hat == pytest.approx([0.2, 0.2, 0.6], abs=0.05)
+
+
+def test_simplex_zero_deviations_give_uniform_flagged():
+    fit = fit_weights(make_moments(np.ones((4, 6))), mode="simplex")
+    assert fit.non_unique
+    assert fit.beta_hat == pytest.approx(np.full(3, 1 / 3), abs=1e-15)
+
+
+def simplex_problems(seed, count):
+    """Random (L, K) deviation matrices, K <= 6 and L <= 20, at scales 1e-6 to
+    10, half of them with one source duplicated."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(2, 7))
+        phi = rng.normal(size=(int(rng.integers(k + 1, 21)), k))
+        if rng.random() < 0.5:
+            i, j = rng.choice(k, size=2, replace=False)
+            phi[:, j] = phi[:, i]
+        yield phi * 10.0 ** rng.choice([-6, -5, -3, 0, 1])
+
+
+def simplex_oracle(phi):
+    """Least |Phi b|^2 over the simplex, by solving the sum-to-one KKT system
+    on every support. A nonnegative solution, normalized, is feasible, so its
+    value bounds the optimum from above; on the support of an optimum with
+    affinely independent columns it attains it."""
+    k = phi.shape[1]
+    unit = phi / np.abs(phi).max()  # the minimizer does not depend on the scale
+    gram = unit.T @ unit
+    best = np.inf
+    for size in range(1, k + 1):
+        for support in map(list, itertools.combinations(range(k), size)):
+            kkt = np.ones((size + 1, size + 1))
+            kkt[:size, :size] = 2.0 * gram[np.ix_(support, support)]
+            kkt[size, size] = 0.0
+            try:
+                b = np.linalg.solve(kkt, np.eye(size + 1)[size])[:size]
+            except np.linalg.LinAlgError:
+                continue
+            if b.min() >= -1e-12:
+                full = np.zeros(k)
+                full[support] = np.clip(b, 0.0, None) / np.clip(b, 0.0, None).sum()
+                best = min(best, float(np.sum((phi @ full) ** 2)))
+    return best
+
+
+def test_simplex_matches_the_subset_enumeration_oracle():
+    for phi in simplex_problems(seed=5, count=400):
+        fit = fit_weights(make_moments(np.vstack([np.zeros(len(phi)), phi.T])),
+                          mode="simplex")
+        assert fit.beta_hat.min() >= 0.0
+        assert fit.rss == pytest.approx(simplex_oracle(phi), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e-3, 1e3])
+def test_simplex_weights_do_not_depend_on_the_scale(factor):
+    for phi in simplex_problems(seed=6, count=200):
+        phi_hat = np.vstack([np.zeros(len(phi)), phi.T])
+        fit = fit_weights(make_moments(phi_hat), mode="simplex")
+        scaled = fit_weights(make_moments(factor * phi_hat), mode="simplex")
+        assert scaled.beta_hat == pytest.approx(fit.beta_hat, abs=1e-9)
+        assert scaled.non_unique == fit.non_unique
 
 
 def test_collinearity_error_names_datasets(rng):

@@ -206,10 +206,10 @@ def test_ood_risk_one_hot_identity(rng):
 
 def test_ood_risk_simplex_quadratic_oracle():
     # minimizing b' diag(1,4) b on the simplex: b = (0.8, 0.2), value 0.8
-    from driftlab.dlm import minimize_quadratic_on_simplex
+    from driftlab.dlm import _simplex_weights
 
     sigma = np.diag([1.0, 4.0])
-    beta, _ = minimize_quadratic_on_simplex(sigma)
+    beta, _ = _simplex_weights(np.diag([1.0, 2.0]))  # Phi' Phi = sigma
     assert beta == pytest.approx([0.8, 0.2])
     assert beta @ sigma @ beta == pytest.approx(0.8)
 
