@@ -34,7 +34,6 @@ from .erm import (
 from .harness import HarnessConfig, HarnessReport, run_harness
 from .moments import (
     MomentMatrix,
-    ScalarMoments,
     evaluate_moments,
     fit_whitening,
     moments_from_arrays,

@@ -433,7 +433,7 @@ def cmd_fit(args) -> int:
     data = ingest(args.data, args.target, settings.get("outcome"))
     declarations = settings.get("test_functions")
     if not declarations:
-        declarations = [f"column:{c}" for c in data.covariates if data.target.is_numeric(c)]
+        declarations = [f"column:{c}" for c in data.numeric_covariates]
         if not declarations:
             raise UserError("no numeric covariates available as default test functions")
     moments = evaluate_moments(data, parse_test_functions(declarations, data))
@@ -493,18 +493,16 @@ def cmd_erm(args) -> int:
     config, settings = _load_config(args.config, record(dict, _ERM_CONFIG))
     outcome = settings.get("outcome", "y")
     data = ingest(args.data, args.target, outcome)
+    erm_mod.outcome_vector(data)  # a bad cell is an error before any weight fit can warn
     if args.loss == "logistic":
         for tbl in data.sources:
-            if not tbl.is_numeric(outcome) or not np.isin(tbl.column(outcome), (0, 1)).all():
+            if not np.isin(tbl.column(outcome), (0, 1)).all():
                 raise UserError(
                     f"--loss logistic needs a 0/1 outcome, but column {outcome!r} "
                     f"of source {tbl.name!r} holds other values"
                 )
     spec = erm_mod.squared_error_loss() if args.loss == "squared" else erm_mod.logistic_loss()
-    covariates = tuple(
-        settings.get("covariates")
-        or [c for c in data.covariates if data.target.is_numeric(c)]
-    )
+    covariates = tuple(settings.get("covariates") or data.numeric_covariates)
     level = settings.get("level", 0.95)
     k = data.n_sources
 
@@ -554,9 +552,7 @@ def cmd_erm(args) -> int:
                 x, erm_mod.design_matrix((data.target,), covariates),
                 clip_quantile=settings.get("clip_quantile", 0.99),
             )
-            y = np.concatenate(
-                [np.asarray(t.column(outcome), dtype=float) for t in data.sources]
-            )
+            y = erm_mod.outcome_vector(data)
             fit = erm_mod._solve(x, y, iw.weights / iw.weights.sum(), spec)
             weights_out = {"clip_threshold": iw.clip_threshold, "n_clipped": iw.n_clipped}
             provenance["clipped"] = iw.n_clipped > 0

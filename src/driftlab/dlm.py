@@ -20,6 +20,9 @@ where Phi's columns are the source-minus-target mean deviations, is kept
 deliberately as a cross-check. Both must agree to high accuracy on
 well-conditioned problems, and the residual sum of squares satisfies
 RSS = 1 / (1' (Phi' Phi)^{-1} 1).
+
+``target_ci`` is the one interval formula, beta_hat . (source means) +-
+z * sqrt(pooled variance) * sqrt(RSS / L); ``erm.erm_ci`` calls it too.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import fdtrc, ndtri, stdtr
 
-from .moments import MomentMatrix, ScalarMoments
+from .moments import MomentMatrix
 
 __all__ = [
     "DlmFit",
@@ -101,12 +104,9 @@ class DlmFit:
 class TargetCI:
     """Confidence interval for a target-distribution mean functional."""
 
-    phi0_name: str
     estimate: float
     half_width: float
     level: float
-    variance_hat: float
-    shift_scale: float  # mean squared residual of the fit
 
 
 def _f_sf(x: float, dfn: int, dfd: int) -> float:
@@ -323,45 +323,25 @@ def closed_form_weights(moments: MomentMatrix) -> np.ndarray:
 
 
 def target_ci(
-    fit: DlmFit,
-    moments: MomentMatrix,
-    phi0: str | ScalarMoments,
-    level: float = 0.95,
+    fit: DlmFit, source_means: np.ndarray, pooled_var: float, level: float = 0.95
 ) -> TargetCI:
-    """Confidence interval for the target-distribution mean of phi0.
+    """Confidence interval for the target-distribution mean of a function,
+    from its mean on each source and its variance over the pooled source rows.
 
     Center is the weighted combination of the source means; the half-width
-    is z * sqrt(pooled variance of phi0) * sqrt(mean squared residual of
-    the fit), the residual scale serving as the plug-in estimate of the
-    squared shift magnitude.
+    is z * sqrt(pooled_var) * sqrt(fit.shift_scale), the mean squared
+    residual serving as the plug-in estimate of the squared shift magnitude.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    if isinstance(phi0, str):
-        if phi0 not in moments.names:
-            raise KeyError(f"{phi0!r} is not a declared test function")
-        if moments.pooled_var is None:
-            raise ValueError("moments carry no pooled covariance")
-        idx = moments.names.index(phi0)
-        source_means = moments.phi_hat[1:, idx]
-        var_hat = float(moments.pooled_var[idx, idx])
-        name = phi0
-    else:
-        source_means = np.asarray(phi0.source_means, dtype=float)
-        var_hat = float(phi0.pooled_var)
-        name = phi0.name
+    source_means = np.asarray(source_means, dtype=float)
     if source_means.size != fit.n_sources:
-        raise ValueError("phi0 needs one mean per source dataset")
-    estimate = float(fit.beta_hat @ source_means)
+        raise ValueError("need one mean per source dataset")
     z = ndtri(0.5 + level / 2.0)
-    half = float(z * np.sqrt(var_hat) * np.sqrt(fit.shift_scale))
     return TargetCI(
-        phi0_name=name,
-        estimate=estimate,
-        half_width=half,
+        estimate=float(fit.beta_hat @ source_means),
+        half_width=float(z * np.sqrt(pooled_var) * np.sqrt(fit.shift_scale)),
         level=level,
-        variance_hat=var_hat,
-        shift_scale=fit.shift_scale,
     )
 
 

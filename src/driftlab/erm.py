@@ -9,9 +9,9 @@ row weightings of the same solve.
 
 Out-of-distribution risk under random dense shift decomposes as the weight
 quadratic form beta' Sigma_W beta times Trace(H^{-1} V), with H the weighted
-mean Hessian and V the pooled gradient covariance; confidence intervals for
-the target parameters combine the pooled influence-function variance with
-the mean squared residual of a moment-matching weight fit.
+mean Hessian and V the pooled gradient covariance. Coordinate j's confidence
+interval is ``dlm.target_ci`` of its influence function theta_j + psi_j,
+psi = -H^{-1} grad loss per row, whose weighted mean is zero at the optimum.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit, ndtri
+from scipy.special import expit
 
-from .dlm import DlmFit
+from .dlm import DlmFit, target_ci
 from .tables import DatasetCollection, IngestError, Table
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "OodRisk",
     "ImportanceWeightResult",
     "design_matrix",
+    "outcome_vector",
     "fit_erm",
     "ood_risk",
     "erm_ci",
@@ -102,6 +103,7 @@ class ErmFit:
     n_iterations: int
     loss_family: str
     feature_names: tuple[str, ...] = ()
+    source_influence_means: np.ndarray | None = None  # (K, p); set by fit_erm only
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,18 @@ class OodRisk:
     quadratic_form: float
 
 
+def _finite_column(tbl: Table, col: str, role: str) -> np.ndarray:
+    """Column ``col`` of ``tbl``, which must hold only finite numbers."""
+    values = tbl.column(col)
+    if not tbl.is_numeric(col):
+        raise IngestError(f"{role} {col!r} of table {tbl.name!r} is not numeric")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise IngestError(f"{role} {col!r} holds a non-finite value on dataset "
+                          f"{tbl.name!r} at row {bad[0]}")
+    return values
+
+
 def design_matrix(tables: Sequence[Table], covariates: tuple[str, ...]) -> np.ndarray:
     """The pooled design of ``tables``: an intercept column, then one column
     per covariate, with the tables' rows stacked in order."""
@@ -129,12 +143,16 @@ def design_matrix(tables: Sequence[Table], covariates: tuple[str, ...]) -> np.nd
     for tbl in tables:
         rows = slice(start, start + tbl.n_rows)
         for j, c in enumerate(covariates, start=1):
-            col = tbl.column(c)
-            if not tbl.is_numeric(c):
-                raise IngestError(f"covariate {c!r} of table {tbl.name!r} is not numeric")
-            x[rows, j] = col
+            x[rows, j] = _finite_column(tbl, c, "covariate")
         start = rows.stop
     return x
+
+
+def outcome_vector(data: DatasetCollection) -> np.ndarray:
+    """The sources' outcomes, in the row order of ``design_matrix(data.sources, ...)``."""
+    if data.outcome is None:
+        raise ValueError("dataset collection declares no outcome column")
+    return np.concatenate([_finite_column(t, data.outcome, "outcome") for t in data.sources])
 
 
 # damped Newton's iteration cap; every solve starts at theta = 0
@@ -237,24 +255,22 @@ def fit_erm(
 ) -> ErmFit:
     """Weighted ERM on a dataset collection (numeric covariates + outcome),
     with an intercept column in front of the covariates: the per-dataset
-    weights ``beta`` (summing to one) become row weights beta_k / n_k."""
-    if data.outcome is None:
-        raise ValueError("dataset collection declares no outcome column")
+    weights ``beta`` (summing to one) become row weights beta_k / n_k.
+    The covariates default to ``data.numeric_covariates``."""
     beta = np.asarray(beta, dtype=float)
     if beta.size != data.n_sources:
         raise ValueError("need one weight per dataset")
     if abs(beta.sum() - 1.0) > 1e-8:
         raise ValueError("distribution weights must sum to one")
-    covs = covariates or tuple(
-        c for c in data.covariates if data.sources[0].is_numeric(c)
-    )
+    covs = covariates or data.numeric_covariates
     x = design_matrix(data.sources, covs)
-    y = np.concatenate(
-        [np.asarray(tbl.column(data.outcome), dtype=float) for tbl in data.sources]
-    )
+    y = outcome_vector(data)
     sizes = np.array(data.sizes)
     fit = _solve(x, y, np.repeat(beta / sizes, sizes), spec)
-    return replace(fit, feature_names=("intercept",) + covs)
+    # per-source means of the influence values -H^{-1} grad, which erm_ci reads
+    grad_sums = np.add.reduceat(spec.gradient(fit.theta_hat, x, y), np.cumsum(sizes) - sizes)
+    psi_means = -np.linalg.solve(fit.hessian_hat, (grad_sums / sizes[:, None]).T).T
+    return replace(fit, feature_names=("intercept",) + covs, source_influence_means=psi_means)
 
 
 def ood_risk(fit: ErmFit, shift_scale: float) -> OodRisk:
@@ -276,17 +292,15 @@ def ood_risk(fit: ErmFit, shift_scale: float) -> OodRisk:
 
 
 def erm_ci(fit: ErmFit, dlm_fit: DlmFit, level: float = 0.95) -> np.ndarray:
-    """Per-coordinate confidence intervals for the target parameters.
-
-    Width combines the pooled influence variance with the mean squared
-    residual of the weight fit; returns an array of (lower, upper) rows.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    z = ndtri(0.5 + level / 2.0)
-    sd = np.sqrt(np.diag(fit.influence_variance))
-    half = z * sd * np.sqrt(dlm_fit.shift_scale)
-    return np.column_stack([fit.theta_hat - half, fit.theta_hat + half])
+    """Per-coordinate (lower, upper) confidence intervals for the target
+    parameters: row j is ``target_ci`` of the influence function theta_j + psi_j
+    under ``dlm_fit``, from the per-source influence means ``fit_erm`` records."""
+    if fit.source_influence_means is None:
+        raise ValueError("erm_ci needs the per-source influence means that fit_erm "
+                         "records; a fit solved on pooled rows has none")
+    cis = [target_ci(dlm_fit, theta + means, var, level) for theta, means, var in zip(
+        fit.theta_hat, fit.source_influence_means.T, np.diag(fit.influence_variance))]
+    return np.array([(ci.estimate - ci.half_width, ci.estimate + ci.half_width) for ci in cis])
 
 
 @dataclass(frozen=True)

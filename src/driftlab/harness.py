@@ -36,7 +36,7 @@ from scipy.special import chdtr, fdtr, smirnov, stdtr, stdtrit
 
 from . import analytic
 from .dlm import fit_weights, target_ci
-from .moments import MomentMatrix, ScalarMoments
+from .moments import MomentMatrix
 from .perturb import (
     GaussianCopulaWeights,
     IndependentWeights,
@@ -449,13 +449,8 @@ def _simulate_null(cfg, seed: int, lane: int, with_ci: bool):
         out = [t_pivot, fit.f_stat, fit.rss]
         if with_ci:
             u_sources = [_bin_rows(c, rng) for c in counts[1:]]
-            pooled = np.concatenate(u_sources)
-            phi0 = ScalarMoments(
-                name="identity",
-                source_means=np.array([u.mean() for u in u_sources]),
-                pooled_var=float(pooled.var()),
-            )
-            ci = target_ci(fit, mm, phi0, level=cfg.level)
+            ci = target_ci(fit, np.array([u.mean() for u in u_sources]),
+                           np.concatenate(u_sources).var(), level=cfg.level)
             covered = abs(ci.estimate - 0.5) <= ci.half_width
             out.append(1.0 if covered else 0.0)
         else:

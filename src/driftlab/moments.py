@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MomentMatrix",
-    "ScalarMoments",
     "evaluate_moments",
     "moments_from_arrays",
     "fit_whitening",
@@ -90,15 +89,6 @@ class MomentMatrix:
         off = corr[~np.eye(self.n_functions, dtype=bool)]
         off = off[np.isfinite(off)]
         return float(np.max(np.abs(off))) if off.size else 0.0
-
-
-@dataclass(frozen=True)
-class ScalarMoments:
-    """Per-source means and pooled variance of a single function."""
-
-    name: str
-    source_means: np.ndarray  # (K,)
-    pooled_var: float
 
 
 def pooled_moments(arrays):

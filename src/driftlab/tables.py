@@ -112,6 +112,11 @@ class DatasetCollection:
         return tuple(c for c in self.target.columns if c != self.outcome)
 
     @property
+    def numeric_covariates(self) -> tuple[str, ...]:
+        """Covariates numeric in the target: erm's and fit's default columns."""
+        return tuple(c for c in self.covariates if self.target.is_numeric(c))
+
+    @property
     def n_sources(self) -> int:
         return len(self.sources)
 

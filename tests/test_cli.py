@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from driftlab import cli
+from driftlab import cli, erm
 from driftlab.diagnostics import diagnostic_rows
 from driftlab.dlm import fit_weights
 from driftlab.moments import evaluate_moments, fit_whitening, whiten_moments
@@ -812,6 +812,67 @@ class TestErmCli:
             "weighted Hessian is singular at the optimum"
         ]
         assert "Traceback" not in err and not out.exists()
+
+    @staticmethod
+    def fixture_with_cell(tmp_path, file, column, row, value):
+        """A copy of the fixture whose ``file`` holds ``value`` in ``column`` at
+        data row ``row``; returns the erm argv of its sources and target."""
+        for src in FIXTURE.glob("*.csv"):
+            lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+            if src.name == file:
+                header = lines[1].rstrip("\n").split(",")
+                cells = lines[2 + row].rstrip("\n").split(",")
+                cells[header.index(column)] = value
+                lines[2 + row] = ",".join(cells) + "\n"
+            (tmp_path / src.name).write_text("".join(lines), encoding="utf-8")
+        return ["--data", *[str(tmp_path / f"source_{k}.csv") for k in range(1, 5)],
+                "--target", str(tmp_path / "target.csv")]
+
+    @pytest.mark.parametrize(
+        "weights, file, column, value",
+        [(w, "source_1.csv", "income", v)
+         for w in ("uniform", "dlm", "importance", "file") for v in ("nan", "inf")]
+        + [(w, "source_2.csv", "x3", "nan") for w in ("uniform", "importance")]
+        + [("importance", "target.csv", "x1", "-inf")],
+    )
+    def test_non_finite_cell_exits_1_with_one_line_naming_it(
+        self, tmp_path, capsys, weights, file, column, value
+    ):
+        # such cells are numbers to ingest; erm, which would fit them, refuses
+        argv = self.fixture_with_cell(tmp_path, file, column, 7, value)
+        if weights == "file":
+            weights = f"file:{write(tmp_path / 'w.json', '[0.25, 0.25, 0.25, 0.25]')}"
+        out = tmp_path / "e.json"
+        cfg = write(tmp_path / "cfg.json", '{"outcome": "income"}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            rc = cli.run(["erm", *argv, "--config", cfg, "--weights", weights,
+                          "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        role = "outcome" if column == "income" else "covariate"
+        assert capsys.readouterr().err.splitlines() == [
+            f"driftlab: error: {role} {column!r} holds a non-finite value on dataset "
+            f"{file[:-4]!r} at row 7"
+        ]
+
+    def test_default_covariates_are_the_library_default(self, tmp_path):
+        # z is numeric in the sources and text in the target, so neither erm
+        # nor fit_erm takes it as a default covariate
+        rng = np.random.default_rng(3)
+        paths = []
+        for name in ("s1", "s2"):
+            x, z = rng.normal(size=50), rng.normal(size=50)
+            paths.append(write(tmp_path / f"{name}.csv", "x,z,y\n" + "".join(
+                f"{a},{b},{2 * a + b}\n" for a, b in zip(x, z))))
+        tgt = write(tmp_path / "t.csv", "x,z\n1.0,a\n2.0,b\n")
+        out = tmp_path / "e.json"
+        assert cli.run(["erm", "--data", *paths, "--target", tgt, "--weights", "uniform",
+                        "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["erm"]
+        fit = erm.fit_erm(cli.ingest(paths, tgt, "y"), erm.squared_error_loss(),
+                          np.array([0.5, 0.5]))
+        assert report["feature_names"] == list(fit.feature_names) == ["intercept", "x"]
+        assert report["theta_hat"] == fit.theta_hat.tolist()
 
     def test_importance_weights_path(self, tmp_path):
         rng = np.random.default_rng(0)

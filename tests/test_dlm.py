@@ -15,7 +15,6 @@ from driftlab.dlm import (
     summarize,
     target_ci,
 )
-from driftlab.moments import ScalarMoments
 
 
 def random_problem(rng, k, n_funcs, scale=1.0):
@@ -315,8 +314,7 @@ def test_target_ci_zero_residuals(rng):
     phi[0] = phi[2]
     mm = make_moments(phi)
     fit = fit_weights(mm)
-    phi0 = ScalarMoments("phi0", np.array([1.0, 2.0]), pooled_var=4.0)
-    ci = target_ci(fit, mm, phi0, level=0.95)
+    ci = target_ci(fit, np.array([1.0, 2.0]), 4.0, level=0.95)
     assert ci.half_width == pytest.approx(0.0, abs=1e-12)
     assert ci.estimate == pytest.approx(fit.beta_hat @ np.array([1.0, 2.0]))
 
@@ -324,25 +322,26 @@ def test_target_ci_zero_residuals(rng):
 def test_target_ci_constant_function(rng):
     mm = random_problem(rng, 2, 10)
     fit = fit_weights(mm)
-    phi0 = ScalarMoments("const", np.array([3.0, 3.0]), pooled_var=0.0)
-    ci = target_ci(fit, mm, phi0)
+    ci = target_ci(fit, np.array([3.0, 3.0]), 0.0)
     assert ci.half_width == 0.0
     assert ci.estimate == pytest.approx(3.0)
-    assert ci.shift_scale == pytest.approx(fit.rss / fit.n_functions)
+    assert fit.shift_scale == pytest.approx(fit.rss / fit.n_functions)
 
 
-def test_target_ci_by_name(rng):
+def test_target_ci_normal_oracle(rng):
+    # a declared function's target mean, from its source means and pooled variance
     phi_hat = rng.normal(size=(3, 12))
     pooled = np.eye(12)
-    mm = make_moments(phi_hat, pooled=pooled)
-    fit = fit_weights(mm)
-    ci = target_ci(fit, mm, "f3", level=0.9)
+    fit = fit_weights(make_moments(phi_hat, pooled=pooled))
+    ci = target_ci(fit, phi_hat[1:, 3], pooled[3, 3], level=0.9)
     center = fit.beta_hat @ phi_hat[1:, 3]
     assert ci.estimate == pytest.approx(center)
     z = stats.norm.ppf(0.95)
     assert ci.half_width == pytest.approx(z * np.sqrt(fit.rss / 12))
-    with pytest.raises(ValueError):
-        target_ci(fit, mm, "f3", level=1.5)
+    with pytest.raises(ValueError, match="level"):
+        target_ci(fit, phi_hat[1:, 3], pooled[3, 3], level=1.5)
+    with pytest.raises(ValueError, match="one mean per source"):
+        target_ci(fit, phi_hat[:, 3], pooled[3, 3])
 
 
 def test_duplicated_function_with_whitening_keeps_beta(rng):

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.optimize import minimize
 
 from conftest import make_moments
 from driftlab import erm
-from driftlab.dlm import fit_weights
+from driftlab.dlm import fit_weights, target_ci
 from driftlab.erm import (
     LossSpec,
     _solve,
@@ -18,7 +19,11 @@ from driftlab.erm import (
     ood_risk,
     squared_error_loss,
 )
-from driftlab.tables import DatasetCollection, Table
+from driftlab.moments import evaluate_moments
+from driftlab.tables import DatasetCollection, Table, read_csv_table
+from driftlab.testfuncs import parse_test_functions
+
+FIXTURE = Path(__file__).parent / "data" / "fixture_panel"
 
 
 def linear_data(rng, n, theta, noise=0.5):
@@ -240,25 +245,71 @@ def test_erm_ci_zero_residual_dlm(rng):
 
 
 def test_erm_ci_intercept_only_hand_oracle(rng):
-    # theta = weighted mean of y; influence = y - theta; width from pooled var
+    # theta = weighted mean of y; influence = y - theta, so source k's mean
+    # influence is ybar_k - theta; width from pooled var
     y1 = rng.normal(1.0, 1.0, size=400)
     y2 = rng.normal(2.0, 1.0, size=600)
-    beta = np.array([0.3, 0.7])
-    w = np.repeat(beta / [400, 600], [400, 600])
-    fit = _solve(np.ones((1000, 1)), np.concatenate([y1, y2]), w, squared_error_loss())
-    assert fit.theta_hat[0] == pytest.approx(0.3 * y1.mean() + 0.7 * y2.mean())
+    # one-column tables: the outcome is the target's only column, so there
+    # are no covariates and the design is the intercept
+    data = DatasetCollection(
+        (Table.from_arrays("s1", y=y1), Table.from_arrays("s2", y=y2)),
+        Table.from_arrays("t", y=np.zeros(1)),
+        outcome="y",
+    )
+    fit = fit_erm(data, squared_error_loss(), np.array([0.3, 0.7]))
+    assert fit.feature_names == ("intercept",)
+    theta = fit.theta_hat[0]
+    assert theta == pytest.approx(0.3 * y1.mean() + 0.7 * y2.mean())
     pooled = np.concatenate([y1, y2])
-    infl_var = np.var(pooled - fit.theta_hat[0])
+    infl_var = np.var(pooled - theta)
     assert fit.influence_variance[0, 0] == pytest.approx(infl_var, rel=1e-10)
+    assert fit.source_influence_means[:, 0] == pytest.approx(
+        [y1.mean() - theta, y2.mean() - theta], rel=0, abs=1e-14)
 
     mm = make_moments(rng.normal(size=(3, 10)))
     dlm_fit = fit_weights(mm)
     ci = erm_ci(fit, dlm_fit, level=0.95)
-    half = (ci[0, 1] - ci[0, 0]) / 2
+    center, half = ci[0].mean(), (ci[0, 1] - ci[0, 0]) / 2
+    assert center == pytest.approx(dlm_fit.beta_hat @ [y1.mean(), y2.mean()], rel=1e-12)
     from scipy.stats import norm
 
     expected = norm.ppf(0.975) * np.sqrt(infl_var) * np.sqrt(dlm_fit.rss / 10)
     assert half == pytest.approx(expected, rel=1e-10)
+
+
+def fixture_data():
+    sources = tuple(read_csv_table(FIXTURE / f"source_{k}.csv") for k in range(1, 5))
+    return DatasetCollection(sources, read_csv_table(FIXTURE / "target.csv"), outcome="income")
+
+
+@pytest.mark.parametrize("mode", ["sum_to_one", "simplex"])
+def test_erm_ci_is_target_ci_of_the_influence_function(mode):
+    # the weighted first-order condition sum_k beta_k mean_k(grad) = 0 puts
+    # each interval's center at theta_hat_j
+    data = fixture_data()
+    covs = data.numeric_covariates
+    tests = parse_test_functions([f"column:{c}" for c in covs] + [f"expr:{c}**2" for c in covs],
+                                 data)
+    dlm_fit = fit_weights(evaluate_moments(data, tests), mode=mode)
+    fit = fit_erm(data, squared_error_loss(), dlm_fit.beta_hat)
+    ci = erm_ci(fit, dlm_fit, level=0.9)
+    assert ci.shape == (5, 2)
+    assert ci.mean(axis=1) == pytest.approx(fit.theta_hat, rel=1e-10, abs=0)
+    for j, row in enumerate(ci):
+        direct = target_ci(dlm_fit, fit.theta_hat[j] + fit.source_influence_means[:, j],
+                           fit.influence_variance[j, j], level=0.9)
+        assert row.tolist() == [direct.estimate - direct.half_width,
+                                direct.estimate + direct.half_width]
+
+
+def test_erm_ci_needs_the_per_source_influence_means(rng):
+    # a pooled-rows solve, as on the importance path, knows no sources
+    x, y = linear_data(rng, 200, np.array([1.0, 2.0]))
+    fit = _solve(x, y, np.full(200, 1.0 / 200), squared_error_loss())
+    assert fit.source_influence_means is None
+    dlm_fit = fit_weights(make_moments(rng.normal(size=(3, 10))))
+    with pytest.raises(ValueError, match="per-source influence means"):
+        erm_ci(fit, dlm_fit)
 
 
 def test_density_ratio_arithmetic():

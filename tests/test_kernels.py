@@ -13,7 +13,6 @@ import driftlab as dl
 from conftest import make_moments
 from driftlab import harness
 from driftlab.dlm import _f_sf, fit_weights, target_ci
-from driftlab.moments import ScalarMoments
 from driftlab.perturb import WeightLaw
 from driftlab.rng import split_uniform, substream
 
@@ -115,8 +114,7 @@ def test_dlm_pvalues_equal_scipy_stats(k, extra, seed):
     assert_bitwise(fit.p_values, 2.0 * stats.t.sf(np.abs(fit.t_stats), fit.df))
     assert_bitwise(fit.f_pvalue, float(stats.f.sf(fit.f_stat, k - 1, fit.df)))
     level = float(rng.uniform(0.5, 0.999))
-    phi0 = ScalarMoments(name="phi0", source_means=rng.normal(size=k), pooled_var=1.0)
-    ci = target_ci(fit, mm, phi0, level=level)
+    ci = target_ci(fit, rng.normal(size=k), 1.0, level=level)
     z = stats.norm.ppf(0.5 + level / 2.0)
     assert_bitwise(ci.half_width, float(z * np.sqrt(1.0) * np.sqrt(fit.rss / n_funcs)))
 
