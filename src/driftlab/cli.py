@@ -11,13 +11,14 @@ atomic (temp file + rename).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import hashlib
 import json
 import logging
 import math
 import sys
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from . import __version__
 from . import dlm as dlm_mod
 from . import erm as erm_mod
 from .diagnostics import diagnostic_rows
-from .harness import ALL_CHECKS, HarnessConfig, run_harness
+from .harness import _FAMILIES, ALL_CHECKS, HarnessConfig, run_harness
 from .moments import MomentMatrix, evaluate_moments, fit_whitening, whiten_moments
 from .perturb import (
     GaussianCopulaWeights,
@@ -493,7 +494,12 @@ def cmd_erm(args) -> int:
     config, settings = _load_config(args.config, record(dict, _ERM_CONFIG))
     outcome = settings.get("outcome", "y")
     data = ingest(args.data, args.target, outcome)
-    erm_mod.outcome_vector(data)  # a bad cell is an error before any weight fit can warn
+    covariates = tuple(settings.get("covariates") or data.numeric_covariates)
+    # a bad cell is an error before any weight fit can warn
+    erm_mod.outcome_vector(data)
+    for tbl in data.sources:
+        for c in covariates:
+            erm_mod._finite_column(tbl, c, "covariate")
     if args.loss == "logistic":
         for tbl in data.sources:
             if not np.isin(tbl.column(outcome), (0, 1)).all():
@@ -502,7 +508,6 @@ def cmd_erm(args) -> int:
                     f"of source {tbl.name!r} holds other values"
                 )
     spec = erm_mod.squared_error_loss() if args.loss == "squared" else erm_mod.logistic_loss()
-    covariates = tuple(settings.get("covariates") or data.numeric_covariates)
     level = settings.get("level", 0.95)
     k = data.n_sources
 
@@ -642,33 +647,14 @@ def cmd_diagnose(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _like(default, make=None, **keys):
-    """The reader for values shaped like ``default``: integers, numbers and
-    strings; a tuple as a list of as many entries, each read like the
-    default's entry; and a settings dataclass as an object of its fields, each
-    read like its default unless ``keys`` names a reader for it, passed to
-    ``make`` (the dataclass by default)."""
-    if dataclasses.is_dataclass(default):
-        fields = {f.name: _like(getattr(default, f.name)) for f in dataclasses.fields(default)}
-        return record(make or type(default), {**fields, **keys})
-    if not isinstance(default, tuple):
-        return {int: integer, float: number, str: text}[type(default)]
-    readers = [_like(entry) for entry in default]
-
-    def read(value, path: str) -> tuple:
-        if not isinstance(value, list) or len(value) != len(readers):
-            raise _bad(path, f"a list of {len(readers)} entries", value)
-        return tuple(r(v, f"{path}[{i}]") for i, (r, v) in enumerate(zip(readers, value)))
-
-    return read
-
-
-# configs written when the harness had a thread pool may still pin "threads": 1
-_HARNESS_CONFIG = _like(
-    HarnessConfig(),
-    make=lambda threads=1, **settings: HarnessConfig(**settings),
-    checks=list_of(one_of(*ALL_CHECKS)),
-    threads=_reader("1 (replicates run serially)", lambda v: _integral(v) and v == 1),
+# configs written when the harness had a thread pool may still pin "threads": 1;
+# a settings block's keys size its check's simulation, each an integer >= 1
+_HARNESS_CONFIG = record(
+    lambda threads=1, **settings: HarnessConfig(**settings),
+    {"checks": list_of(one_of(*ALL_CHECKS)), "seed": integer,
+     "threads": _reader("1 (replicates run serially)", lambda v: _integral(v) and v == 1),
+     **{family.block: record(family.config, {f.name: count for f in fields(family.config)})
+        for family in _FAMILIES}},
 )
 
 
@@ -744,11 +730,16 @@ def run(argv: list[str]) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(name)s: %(message)s",
     )
+    # a warning is one stderr line, as an error is; library callers keep Python's format
+    python_format = warnings.formatwarning
+    warnings.formatwarning = lambda message, *where: f"driftlab: warning: {message}\n"
     try:
         return args.func(args)
     except (UserError, IngestError, ValueError) as exc:
         print(f"driftlab: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = python_format
 
 
 def main() -> None:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.special import chdtr, fdtr, smirnov, stdtr, stdtrit
@@ -56,13 +57,27 @@ __all__ = [
     "ALL_CHECKS",
 ]
 
+# The law each check tests and its pass rule, fixed: the gates' bands were
+# tuned at these, and a definition text that names one reads it from here.
+_WEIGHT_SD = 0.5  # lognormal weight sd of clt_cov, kron_cov and conditional_shift
+_COPULA_RHO = 0.6
+# i.i.d. weights of null_laws and ci_chi2; symmetric bin weights converge to
+# the limiting t/F laws much faster in m than skewed ones
+_NULL_WEIGHT_LAW = ("uniform", 0.2, 1.8)
+_CI_LEVEL = 0.95
+_ERM_WEIGHT_SD = 0.8
+_ERM_DIM_X = 2
+_ERM_NOISE_SD = 0.5
+_ERM_REL_TOL = 0.10
+_EVENT_PROB = 0.5  # conditional_shift's base P(A)
+
+
 @dataclass(frozen=True)
 class CltCovConfig:
     replicates: int = 5000
     m: int = 200
     n_ratio: int = 50
     n_sources: int = 2
-    sigma: float = 0.5  # lognormal weight sd
 
 
 @dataclass(frozen=True)
@@ -70,46 +85,33 @@ class KronCovConfig:
     replicates: int = 3000
     m: int = 200
     n_ratio: int = 50
-    sigma: float = 0.5
-    copula_rho: float = 0.6
 
 
 def _power_of_two(m: int) -> bool:
     return m > 0 and m & (m - 1) == 0
 
 
-def _walsh_grid(m: int, n_functions: int) -> None:
-    """The Walsh functions 1..n_functions are constant on the m bins only
-    for a power-of-two m larger than n_functions."""
-    if not _power_of_two(m) or n_functions >= m:
-        raise ValueError(
-            f"m must be a power of two larger than n_functions ({n_functions}), got {m}"
-        )
-
-
-def _weight_law(spec: tuple) -> WeightLaw:
-    """The marginal law a settings block's ``weight_law`` (family, a, b) names."""
-    try:
-        return WeightLaw(*spec)
-    except ValueError as exc:
-        raise ValueError(f"weight_law: {exc}") from None
+def _weight_fit_rules(cfg, min_sources: int) -> tuple:
+    """A weight fit needs L >= K, and the Walsh functions 1..L are constant
+    on the m bins only for a power-of-two m larger than L."""
+    return (
+        ("n_sources", cfg.n_sources >= min_sources, f"at least {min_sources}"),
+        ("n_functions", cfg.n_functions >= cfg.n_sources,
+         f"at least n_sources ({cfg.n_sources})"),
+        ("m", _power_of_two(cfg.m) and cfg.m > cfg.n_functions,
+         f"a power of two larger than n_functions ({cfg.n_functions})"),
+    )
 
 
 @dataclass(frozen=True)
 class NullLawsConfig:
-    # dyadic bin count for the Walsh test functions; symmetric bin weights
-    # converge to the limiting t/F laws much faster in m than skewed ones
+    # dyadic bin count for the Walsh test functions
     replicates: int = 10_000
     m: int = 512
     n_ratio: int = 50
     n0_ratio: int = 50
     n_sources: int = 3
     n_functions: int = 50
-    weight_law: tuple = ("uniform", 0.2, 1.8)
-
-    def __post_init__(self):
-        _walsh_grid(self.m, self.n_functions)
-        _weight_law(self.weight_law)
 
 
 @dataclass(frozen=True)
@@ -120,14 +122,6 @@ class CiChi2Config:
     n0_ratio: int = 100
     n_sources: int = 2
     n_functions: int = 500
-    weight_law: tuple = ("uniform", 0.2, 1.8)
-    level: float = 0.95
-
-    def __post_init__(self):
-        _walsh_grid(self.m, self.n_functions)
-        _weight_law(self.weight_law)
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -138,10 +132,6 @@ class ExcessRiskConfig:
     m: int = 512
     n_ratio: int = 50
     n_sources: int = 2
-    sigma: float = 0.8
-    dim_x: int = 2
-    noise_sd: float = 0.5
-    rel_tol: float = 0.10
 
 
 @dataclass(frozen=True)
@@ -150,21 +140,6 @@ class ConditionalShiftConfig:
     m: int = 256
     n_ratio: int = 50
     n0_ratio: int = 50
-    sigma: float = 0.5
-    prob: float = 0.5
-    y_sd: float = 1.0
-
-    def __post_init__(self):
-        if not _power_of_two(self.m):
-            raise ValueError(f"m must be a power of two, got {self.m}")
-        mantissa, exponent = math.frexp(self.prob)
-        j = 1 - exponent  # prob = 2^-j when the mantissa is 1/2
-        if mantissa != 0.5 or j < 0 or 2 * j + 1 > self.m.bit_length() - 1:
-            raise ValueError(
-                "prob must be 2^-j with 2j + 1 <= log2(m) = "
-                f"{self.m.bit_length() - 1}, so that x < prob and x < prob/2 are "
-                f"sets of bins; got {self.prob}"
-            )
 
 
 @dataclass(frozen=True)
@@ -178,17 +153,25 @@ class _Family:
     lane: int  # its substream lane; lane 0 is simulate's world realization
     func: str  # a module global, looked up at each run so that a wrapper sees the call
     results: tuple[str, ...]
+    # (key, holds, what it must be) for the rules its sizes meet beyond
+    # replicates >= 100 and m >= 2
+    rules: Callable = lambda cfg: ()
 
 
 _FAMILIES = (
     _Family("clt_cov", CltCovConfig, 11, "check_clt_cov", ("clt_cov",)),
     _Family("kron_cov", KronCovConfig, 12, "check_kron_cov", ("kron_cov",)),
-    _Family("null_laws", NullLawsConfig, 13, "check_null_laws", ("t_null", "f_null")),
-    _Family("ci_chi2", CiChi2Config, 14, "check_ci_chi2", ("chi2_residual", "ci_coverage")),
+    # F(K - 1, L - K + 1) needs K >= 2
+    _Family("null_laws", NullLawsConfig, 13, "check_null_laws", ("t_null", "f_null"),
+            lambda cfg: _weight_fit_rules(cfg, 2)),
+    _Family("ci_chi2", CiChi2Config, 14, "check_ci_chi2", ("chi2_residual", "ci_coverage"),
+            lambda cfg: _weight_fit_rules(cfg, 1)),
     _Family("erm_excess_risk", ExcessRiskConfig, 15, "check_excess_risk",
             ("erm_excess_risk",)),
+    # both events x < _EVENT_PROB and x < _EVENT_PROB / 2 are sets of bins
     _Family("conditional_shift", ConditionalShiftConfig, 16, "check_conditional_shift",
-            ("conditional_shift",)),
+            ("conditional_shift",),
+            lambda cfg: (("m", _power_of_two(cfg.m) and cfg.m >= 8, "a power of two >= 8"),)),
 )
 ALL_CHECKS = tuple(name for family in _FAMILIES for name in family.results)
 _LANE_OF = {family.block: family.lane for family in _FAMILIES}
@@ -211,10 +194,12 @@ class HarnessConfig:
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ValueError(f"unknown checks requested: {sorted(unknown)}")
-        for name in (family.block for family in _FAMILIES):
-            sub = getattr(self, name)
-            if sub.replicates < 100:
-                raise ValueError(f"{name}: need at least 100 replicates")
+        for family in _FAMILIES:
+            name, sub = family.block, getattr(self, family.block)
+            for key, holds, what in (("replicates", sub.replicates >= 100, "at least 100"),
+                                     ("m", sub.m >= 2, "at least 2"), *family.rules(sub)):
+                if not holds:
+                    raise ValueError(f"{name}.{key} must be {what}, got {getattr(sub, key)}")
             if sub.n_ratio < 10:
                 import warnings
 
@@ -303,7 +288,7 @@ def _walsh_table(n_functions: int, n_bins: int) -> np.ndarray:
     mean for every index >= 1, and is constant on each of the n_bins cells,
     so the binned reweighting acts on it without any within-bin attenuation
     at any frequency (n_bins must be a power of two > n_functions; see
-    :func:`_walsh_grid`).
+    :func:`_weight_fit_rules`).
     """
     masked = np.arange(1, n_functions + 1)[:, None] & np.arange(n_bins)[None, :]
     parity = np.zeros_like(masked)
@@ -390,7 +375,7 @@ def _moment_shift_cov(name, cfg, scheme, sigma_w, p, seed, definition, **details
 
 def check_clt_cov(cfg: CltCovConfig, seed: int) -> CheckResult:
     """Covariance of sqrt(m)-scaled moment shifts vs sigma_w * Var(phi)."""
-    scheme, sigma_w = _lognormal_scheme(cfg.m, cfg.sigma, cfg.n_sources)
+    scheme, sigma_w = _lognormal_scheme(cfg.m, _WEIGHT_SD, cfg.n_sources)
     return _moment_shift_cov(
         "clt_cov", cfg, scheme, sigma_w, 1, seed,
         "every entry of the replicate covariance of sqrt(m)*(mean_k - "
@@ -402,11 +387,11 @@ def check_clt_cov(cfg: CltCovConfig, seed: int) -> CheckResult:
 
 def check_kron_cov(cfg: KronCovConfig, seed: int) -> CheckResult:
     """Vector test functions: block covariance vs sigma_w (x) Var(phi)."""
-    corr = ((1.0, cfg.copula_rho), (cfg.copula_rho, 1.0))
-    laws = (lognormal_law(0.0, cfg.sigma),) * 2
+    corr = ((1.0, _COPULA_RHO), (_COPULA_RHO, 1.0))
+    laws = (lognormal_law(0.0, _WEIGHT_SD),) * 2
     scheme = PerturbationScheme(cfg.m, GaussianCopulaWeights(laws, corr))
     sigma_w = analytic.scheme_sigma_w(
-        "lognormal_copula", sigmas=[cfg.sigma] * 2, corr=np.asarray(corr)
+        "lognormal_copula", sigmas=[_WEIGHT_SD] * 2, corr=np.asarray(corr)
     )
     return _moment_shift_cov(
         "kron_cov", cfg, scheme, sigma_w, 2, seed,
@@ -415,7 +400,7 @@ def check_kron_cov(cfg: KronCovConfig, seed: int) -> CheckResult:
         "within-replicate sampling covariance m*S/n on the within-dataset "
         "blocks, lies within 3 Monte Carlo standard errors of "
         "kron(sigma_w, Var(phi))",
-        copula_rho=cfg.copula_rho,
+        copula_rho=_COPULA_RHO,
     )
 
 
@@ -431,7 +416,7 @@ def _simulate_null(cfg, seed: int, lane: int, with_ci: bool):
     k = cfg.n_sources
     n = cfg.n_ratio * cfg.m
     n0 = cfg.n0_ratio * cfg.m
-    law = _weight_law(cfg.weight_law)
+    law = WeightLaw(*_NULL_WEIGHT_LAW)
     scheme = PerturbationScheme(cfg.m, IndependentWeights((law,) * k))
     beta_star = np.full(k, 1.0 / k)
     table_t = _walsh_table(cfg.n_functions, cfg.m).T
@@ -450,7 +435,7 @@ def _simulate_null(cfg, seed: int, lane: int, with_ci: bool):
         if with_ci:
             u_sources = [_bin_rows(c, rng) for c in counts[1:]]
             ci = target_ci(fit, np.array([u.mean() for u in u_sources]),
-                           np.concatenate(u_sources).var(), level=cfg.level)
+                           np.concatenate(u_sources).var(), level=_CI_LEVEL)
             covered = abs(ci.estimate - 0.5) <= ci.half_width
             out.append(1.0 if covered else 0.0)
         else:
@@ -727,7 +712,7 @@ def check_ci_chi2(cfg: CiChi2Config, seed: int) -> list[CheckResult]:
     k = cfg.n_sources
     n_funcs = cfg.n_functions
 
-    sigma_w = analytic.scheme_sigma_w("independent", laws=[tuple(cfg.weight_law)] * k)
+    sigma_w = analytic.scheme_sigma_w("independent", laws=[_NULL_WEIGHT_LAW] * k)
     sigma_eff = analytic.effective_row_cov(sigma_w, cfg.m, [n] * k, n0)
     scale = analytic.optimal_uniform_quadratic(sigma_eff) / cfg.m
     chi2_stats = data[:, 2] / scale
@@ -751,17 +736,17 @@ def check_ci_chi2(cfg: CiChi2Config, seed: int) -> list[CheckResult]:
         )
     ]
     coverage = float(data[:, 3].mean())
-    cov_se = math.sqrt(cfg.level * (1 - cfg.level) / cfg.replicates)
+    cov_se = math.sqrt(_CI_LEVEL * (1 - _CI_LEVEL) / cfg.replicates)
     results.append(
         CheckResult(
             name="ci_coverage",
             passed=bool(0.93 <= coverage <= 0.97),
             runtime_s=runtime,
             definition=(
-                "empirical coverage of the level-0.95 target-mean interval "
+                f"empirical coverage of the level-{_CI_LEVEL} target-mean interval "
                 "lies in [0.93, 0.97]"
             ),
-            target={"coverage": cfg.level},
+            target={"coverage": _CI_LEVEL},
             empirical={"coverage": coverage},
             mc_se={"coverage": cov_se},
             details={"replicates": cfg.replicates, "L": n_funcs},
@@ -782,11 +767,11 @@ def check_excess_risk(cfg: ExcessRiskConfig, seed: int) -> CheckResult:
     t0 = time.perf_counter()
     k = cfg.n_sources
     n = cfg.n_ratio * cfg.m
-    dim = cfg.dim_x + 1
+    dim = _ERM_DIM_X + 1
     theta_star = np.array([1.0, 2.0, -1.0, 0.5, -0.25])[:dim]
     beta = np.full(k, 1.0 / k)
-    scheme, sigma_w = _lognormal_scheme(cfg.m, cfg.sigma, k)
-    target = analytic.excess_risk_mean(beta, sigma_w, dim, cfg.noise_sd**2)
+    scheme, sigma_w = _lognormal_scheme(cfg.m, _ERM_WEIGHT_SD, k)
+    target = analytic.excess_risk_mean(beta, sigma_w, dim, _ERM_NOISE_SD**2)
     sqrt12 = math.sqrt(12.0)
 
     def one(r):
@@ -804,8 +789,8 @@ def check_excess_risk(cfg: ExcessRiskConfig, seed: int) -> CheckResult:
             streams *= sqrt12
             x = np.empty((n, dim))
             x[:, 0] = 1.0
-            x[:, 1:] = streams[: cfg.dim_x].T
-            y = x @ theta_star + cfg.noise_sd * streams[cfg.dim_x]
+            x[:, 1:] = streams[:_ERM_DIM_X].T
+            y = x @ theta_star + _ERM_NOISE_SD * streams[_ERM_DIM_X]
             gram = gram + beta[j] * (x.T @ x) / n
             moment = moment + beta[j] * (x.T @ y) / n
         diff = np.linalg.solve(gram, moment) - theta_star
@@ -818,11 +803,11 @@ def check_excess_risk(cfg: ExcessRiskConfig, seed: int) -> CheckResult:
     rel_err = abs(mean - target) / target
     return CheckResult(
         name="erm_excess_risk",
-        passed=bool(rel_err < cfg.rel_tol),
+        passed=bool(rel_err < _ERM_REL_TOL),
         runtime_s=time.perf_counter() - t0,
         definition=(
             "the Monte Carlo mean of m times the excess target risk of the "
-            "weighted squared-error fit is within 10% relative of "
+            f"weighted squared-error fit is within {_ERM_REL_TOL:.0%} relative of "
             "(1/2) beta' sigma_w beta * Trace(H^{-1} V)"
         ),
         target={"mean_excess": target},
@@ -852,20 +837,20 @@ def check_conditional_shift(cfg: ConditionalShiftConfig, seed: int) -> CheckResu
     the conditioning probability.
 
     Data law: (X, Y) from a bit-split of the perturbed uniform with X the
-    first stream (uniform) and Y an independent scaled uniform, so the
-    conditional variance of Y given any X-event is exactly y_sd^2 and dyadic
+    first stream (uniform) and Y an independent unit-variance scaled uniform,
+    so the conditional variance of Y given any X-event is exactly 1 and dyadic
     event probabilities align with the bin grid: the event is a set of bins
     (:func:`_event_bins`), and only its rows are built and split.
     """
     t0 = time.perf_counter()
     n = cfg.n_ratio * cfg.m
     n0 = cfg.n0_ratio * cfg.m
-    v_base = math.exp(cfg.sigma**2) - 1.0
+    v_base = math.exp(_WEIGHT_SD**2) - 1.0
     sigma_doubled = math.sqrt(math.log(2.0 * v_base + 1.0))
     subconfigs = [
-        ("base", cfg.sigma, cfg.prob),
-        ("half_prob", cfg.sigma, cfg.prob / 2.0),
-        ("double_sigma", sigma_doubled, cfg.prob),
+        ("base", _WEIGHT_SD, _EVENT_PROB),
+        ("half_prob", _WEIGHT_SD, _EVENT_PROB / 2.0),
+        ("double_sigma", sigma_doubled, _EVENT_PROB),
     ]
     sqrt_m = math.sqrt(cfg.m)
     sqrt12 = math.sqrt(12.0)
@@ -887,7 +872,7 @@ def check_conditional_shift(cfg: ConditionalShiftConfig, seed: int) -> CheckResu
                 if c_src[_event].any() and c_tgt[_event].any():
                     ys = split_uniform(_bin_rows(c_src, rng, _event), 2)[1]
                     yt = split_uniform(_bin_rows(c_tgt, rng, _event), 2)[1]
-                    gap = cfg.y_sd * sqrt12 * (ys.mean() - yt.mean())
+                    gap = sqrt12 * (ys.mean() - yt.mean())
                     return np.array([sqrt_m * gap, float(attempt)])
             raise RuntimeError("conditioning event empty in 20 consecutive draws")
 
@@ -897,7 +882,7 @@ def check_conditional_shift(cfg: ConditionalShiftConfig, seed: int) -> CheckResu
         empirical[label] = float(centered @ centered / (cfg.replicates - 1))
         ses[label] = float((centered**2).std(ddof=1) / math.sqrt(cfg.replicates))
         targets[label] = analytic.conditional_shift_var(
-            sigma_w[0, 0], cfg.y_sd**2, prob, cfg.m, n, n0
+            sigma_w[0, 0], 1.0, prob, cfg.m, n, n0
         )
         resampled[label] = int(out[:, 1].sum())
 

@@ -227,8 +227,8 @@ FULL_VALIDATE = {
     "checks": ["clt_cov"],
     "seed": 3,
     "threads": 1,
-    "clt_cov": {"replicates": 100, "m": 16, "n_ratio": 10, "n_sources": 2, "sigma": 0.5},
-    "null_laws": {"weight_law": ["uniform", 0.2, 1.8]},
+    "clt_cov": {"replicates": 100, "m": 16, "n_ratio": 10, "n_sources": 2},
+    "null_laws": {"n_sources": 3, "n_functions": 50},
 }
 FULL_NAMES = [*(f"simulate_{s}" for s in FULL_SCHEMES), "fit", "erm", "diagnose", "validate"]
 WRONG_VALUES = ("text", ["text"], {"key": 1}, True, None, 0.5)
@@ -855,6 +855,48 @@ class TestErmCli:
             f"{file[:-4]!r} at row 7"
         ]
 
+    def test_non_finite_covariate_exits_before_the_weight_fit_warns(self, tmp_path, capsys):
+        # L == K test functions make the dlm fit warn; x3 is a covariate
+        # that no test function reads
+        argv = self.fixture_with_cell(tmp_path, "source_2.csv", "x3", 7, "nan")
+        cfg = write(tmp_path / "cfg.json", json.dumps({
+            "outcome": "income",
+            "test_functions": ["column:x1", "column:x2", "column:x4", "expr:x1*x2"]}))
+        out = tmp_path / "e.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            rc = cli.run(["erm", *argv, "--config", cfg, "--weights", "dlm",
+                          "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "driftlab: error: covariate 'x3' holds a non-finite value on dataset "
+            "'source_2' at row 7"
+        ]
+
+    def test_warning_is_one_stderr_line(self, tmp_path):
+        # four covariates and four sources: the dlm fit has L == K and warns.
+        # pytest records warnings, so the run prints from a fresh interpreter,
+        # which then checks that Python's format is back.
+        script = (
+            "import sys, warnings\n"
+            "from driftlab import cli\n"
+            "python_format = warnings.formatwarning\n"
+            "rc = cli.run(sys.argv[1:])\n"
+            "print(rc, warnings.formatwarning is python_format)\n"
+        )
+        argv = ["erm", "--data", *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
+                "--target", str(FIXTURE / "target.csv"),
+                "--config", write(tmp_path / "cfg.json", '{"outcome": "income"}'),
+                "--weights", "dlm", "--out", str(tmp_path / "e.json")]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.stdout.splitlines()[-1] == "0 True"
+        assert proc.stderr.splitlines() == [
+            "driftlab: warning: L == K leaves a single degree of freedom; inference will "
+            "have very low power"
+        ]
+
     def test_default_covariates_are_the_library_default(self, tmp_path):
         # z is numeric in the sources and text in the target, so neither erm
         # nor fit_erm takes it as a default covariate
@@ -1111,22 +1153,24 @@ class TestValidateCli:
 
     @pytest.mark.parametrize(
         "block, setting, message",
-        [("null_laws", {"weight_law": ["weibull", 0.2, 1.8]},
-          "null_laws: weight_law: unknown weight family 'weibull'"),
-         ("ci_chi2", {"weight_law": ["uniform", -1.0, 1.8]},
-          "ci_chi2: weight_law: uniform weight law needs 0 < lo <= hi"),
-         ("ci_chi2", {"level": 1.5}, "ci_chi2: level must be in (0, 1)"),
-         ("null_laws", {"m": 100},
-          "null_laws: m must be a power of two larger than n_functions (50), got 100"),
+        [("null_laws", {"m": 100},
+          "null_laws.m must be a power of two larger than n_functions (50), got 100"),
          ("ci_chi2", {"m": 256, "n_functions": 256},
-          "ci_chi2: m must be a power of two larger than n_functions (256), got 256"),
-         ("conditional_shift", {"m": 100}, "conditional_shift: m must be a power of two, got 100"),
-         ("conditional_shift", {"prob": 0.3},
-          "conditional_shift: prob must be 2^-j with 2j + 1 <= log2(m) = 8, so that "
-          "x < prob and x < prob/2 are sets of bins; got 0.3"),
-         ("conditional_shift", {"m": 16, "prob": 0.125},
-          "conditional_shift: prob must be 2^-j with 2j + 1 <= log2(m) = 4, so that "
-          "x < prob and x < prob/2 are sets of bins; got 0.125")],
+          "ci_chi2.m must be a power of two larger than n_functions (256), got 256"),
+         ("ci_chi2", {"n0_ratio": 0}, "ci_chi2.n0_ratio must be an integer >= 1, got 0"),
+         ("null_laws", {"n_sources": 1}, "null_laws.n_sources must be at least 2, got 1"),
+         ("ci_chi2", {"n_functions": 1, "n_sources": 2},
+          "ci_chi2.n_functions must be at least n_sources (2), got 1"),
+         ("conditional_shift", {"m": 100},
+          "conditional_shift.m must be a power of two >= 8, got 100"),
+         ("conditional_shift", {"m": 4}, "conditional_shift.m must be a power of two >= 8, got 4"),
+         ("kron_cov", {"m": 1}, "kron_cov.m must be at least 2, got 1"),
+         ("clt_cov", {"n_ratio": 0}, "clt_cov.n_ratio must be an integer >= 1, got 0"),
+         ("clt_cov", {"n_sources": 0}, "clt_cov.n_sources must be an integer >= 1, got 0"),
+         ("null_laws", {"n_functions": 2, "n_sources": 3},
+          "null_laws.n_functions must be at least n_sources (3), got 2"),
+         ("erm_excess_risk", {"replicates": 99},
+          "erm_excess_risk.replicates must be at least 100, got 99")],
     )
     def test_bad_block_setting_exits_before_any_check(
         self, tmp_path, monkeypatch, capsys, block, setting, message
@@ -1135,11 +1179,40 @@ class TestValidateCli:
         cfg = write(tmp_path / "val.json", json.dumps({
             "checks": ["clt_cov", "t_null", "ci_coverage"],
             "clt_cov": {"replicates": 400, "m": 100},
-            block: {**setting, "replicates": 100},
+            block: {"replicates": 100, **setting},
         }))
         rc = cli.run(["validate", "--config", cfg, "--out", str(tmp_path / "v.json")])
         assert rc == 1
-        assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"driftlab: error: {cfg}: {message}\n"
+        assert not (tmp_path / "v.json").exists()
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [("clt_cov", "sigma", 0.5),
+         ("kron_cov", "sigma", 0.5),
+         ("erm_excess_risk", "sigma", 0.8),
+         ("conditional_shift", "sigma", 0.5),
+         ("kron_cov", "copula_rho", 0.6),
+         ("null_laws", "weight_law", ["uniform", 0.2, 1.8]),
+         ("ci_chi2", "weight_law", ["uniform", 0.2, 1.8]),
+         ("ci_chi2", "level", 0.95),
+         ("erm_excess_risk", "dim_x", 2),
+         ("erm_excess_risk", "noise_sd", 0.5),
+         ("erm_excess_risk", "rel_tol", 0.1),
+         ("conditional_shift", "prob", 0.5),
+         ("conditional_shift", "y_sd", 1.0)],
+    )
+    def test_law_and_pass_rule_are_not_settings(
+        self, tmp_path, monkeypatch, capsys, block, key, value
+    ):
+        # a block sizes its check's simulation; the law it tests and its pass
+        # rule are fixed, even at their own values
+        monkeypatch.setattr(cli, "run_harness", lambda config: pytest.fail("a check ran"))
+        cfg = write(tmp_path / "val.json", json.dumps({block: {"replicates": 100, key: value}}))
+        rc = cli.run(["validate", "--config", cfg, "--out", str(tmp_path / "v.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"driftlab: error: {cfg}: {block} has unknown keys [{key!r}]\n")
         assert not (tmp_path / "v.json").exists()
 
     @pytest.mark.parametrize(

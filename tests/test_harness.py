@@ -74,10 +74,10 @@ def test_walsh_basis_orthonormal_zero_mean():
     assert np.allclose(table @ table.T / 32, np.eye(31))
     assert np.allclose(table.mean(axis=1), 0.0)
     # the grid rule is a settings rule of both Walsh checks
-    with pytest.raises(ValueError):
-        H.NullLawsConfig(m=32, n_functions=32)
-    with pytest.raises(ValueError):
-        H.CiChi2Config(m=48, n_functions=10)
+    with pytest.raises(ValueError, match="null_laws.m must be a power of two"):
+        H.HarnessConfig(null_laws=H.NullLawsConfig(m=32, n_functions=32))
+    with pytest.raises(ValueError, match="ci_chi2.m must be a power of two"):
+        H.HarnessConfig(ci_chi2=H.CiChi2Config(m=48, n_functions=10))
 
 
 def test_count_sampler_has_the_law_of_sample_uniform():
@@ -235,8 +235,8 @@ def test_kron_cov_sampling_correction_uses_population_variances():
     cfg = H.KronCovConfig(replicates=100, m=16, n_ratio=10)
     result = H.check_kron_cov(cfg, seed=5)
     n = cfg.n_ratio * cfg.m
-    law = dl.lognormal_law(0.0, cfg.sigma)
-    corr = ((1.0, cfg.copula_rho), (cfg.copula_rho, 1.0))
+    law = dl.lognormal_law(0.0, H._WEIGHT_SD)
+    corr = ((1.0, H._COPULA_RHO), (H._COPULA_RHO, 1.0))
     scheme = dl.PerturbationScheme(cfg.m, dl.GaussianCopulaWeights((law, law), corr))
     variances = np.empty((cfg.replicates, 2, 2))
     for r in range(cfg.replicates):
@@ -260,8 +260,9 @@ def test_excess_risk_fit_matches_the_newton_erm_fit():
     cfg = H.ExcessRiskConfig(replicates=20, m=64, n_ratio=10)
     result = H.check_excess_risk(cfg, seed=5)
     n, k = cfg.n_ratio * cfg.m, cfg.n_sources
-    scheme, _ = H._lognormal_scheme(cfg.m, cfg.sigma, k)
-    theta_star = np.array([1.0, 2.0, -1.0, 0.5, -0.25])[: cfg.dim_x + 1]
+    dim_x = H._ERM_DIM_X
+    scheme, _ = H._lognormal_scheme(cfg.m, H._ERM_WEIGHT_SD, k)
+    theta_star = np.array([1.0, 2.0, -1.0, 0.5, -0.25])[: dim_x + 1]
     excess = []
     for r in range(cfg.replicates):
         rng = substream(5, H._LANE_OF["erm_excess_risk"], r)
@@ -269,10 +270,10 @@ def test_excess_risk_fit_matches_the_newton_erm_fit():
         xs, ys = [], []
         for j in range(k):
             u = H._bin_rows(H._bin_counts(weights[j], n, rng), rng)
-            streams = np.sqrt(12.0) * (split_uniform(u, cfg.dim_x + 1) - 0.5)
-            x = np.column_stack([np.ones(n), *streams[: cfg.dim_x]])
+            streams = np.sqrt(12.0) * (split_uniform(u, dim_x + 1) - 0.5)
+            x = np.column_stack([np.ones(n), *streams[:dim_x]])
             xs.append(x)
-            ys.append(x @ theta_star + cfg.noise_sd * streams[cfg.dim_x])
+            ys.append(x @ theta_star + H._ERM_NOISE_SD * streams[dim_x])
         # uniform dataset weights 1/k over k datasets of n rows each
         fit = _solve(np.vstack(xs), np.concatenate(ys), np.full(k * n, 1.0 / (k * n)),
                      squared_error_loss())

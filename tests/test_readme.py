@@ -1,5 +1,8 @@
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from driftlab import harness
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -12,3 +15,18 @@ def test_library_quick_start_runs(capsys):
     out = capsys.readouterr().out
     assert "Coefficients:" in out
     assert re.findall(r"^(?:PASS|FAIL) (\w+)$", out, re.M) == ["clt_cov", "f_null"]
+
+
+def test_validate_table_lists_every_settings_field():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### validate config"):text.index("## Library quick start")]
+    header, _, *rows = [line for line in section.splitlines() if line.startswith("| ")]
+    keys = [cell.strip(" `") for cell in header.strip("|").split("|")][1:]
+    table = {}
+    for row in rows:
+        block, *cells = [cell.strip(" `") for cell in row.strip("|").split("|")]
+        table[block] = {key: int(cell) for key, cell in zip(keys, cells) if cell}
+    assert table == {
+        family.block: {f.name: f.default for f in fields(family.config)}
+        for family in harness._FAMILIES
+    }
