@@ -83,7 +83,8 @@ def main():
     rc = cli.run(
         ["simulate", "--config", str(FIXTURE / "sim_config.json"), "--out", str(FIXTURE)]
     )
-    assert rc == 0, "simulate failed"
+    if rc != 0:
+        raise SystemExit(f"simulate failed with exit code {rc}")
     rc = cli.run(
         [
             "fit",
@@ -97,7 +98,8 @@ def main():
             str(FIXTURE / "golden"),
         ]
     )
-    assert rc == 0, "fit failed"
+    if rc != 0:
+        raise SystemExit(f"fit failed with exit code {rc}")
     (FIXTURE / "golden.txt").rename(FIXTURE / "expected_summary.txt")
     (FIXTURE / "golden.json").unlink()
     print(f"fixture written to {FIXTURE}")

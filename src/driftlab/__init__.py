@@ -45,7 +45,6 @@ from .perturb import (
     MixtureWeights,
     PerturbationScheme,
     RandomWalkWeights,
-    TargetDistribution,
     categorical_target,
     exponential_target,
     gamma_law,

@@ -20,6 +20,7 @@ import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -36,7 +37,6 @@ from .perturb import (
     MixtureWeights,
     PerturbationScheme,
     RandomWalkWeights,
-    TargetDistribution,
     categorical_target,
     check_regime,
     exponential_target,
@@ -54,6 +54,7 @@ from .tables import (
     IngestError,
     Table,
     atomic_write,
+    finite_column,
     read_csv_table,
     write_csv_table,
 )
@@ -310,7 +311,7 @@ _COLUMN_LAW = variant("dist", {
 })
 
 
-def _column(value, path: str) -> tuple[str, TargetDistribution]:
+def _column(value, path: str) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
     """One ``columns`` entry as (column name, the law its values follow)."""
     spec = dict(_object(value, path))
     return text(spec.pop("name", None), _join(path, "name")), _COLUMN_LAW(spec, path)
@@ -337,7 +338,7 @@ def _simulation(m, scheme, n_k, n_0, columns, seed=0, outcome=None):
     if outcome is not None:
         # the outcome is linear in the numeric columns; a categorical law draws strings
         numeric = [name for name, law in columns
-                   if law.transform(np.full(1, 0.5)).dtype.kind == "f"]
+                   if law(np.full(1, 0.5)).dtype.kind == "f"]
         keys = {"name": text, "intercept": number, "noise_sd": number,
                 "coef": record(dict, dict.fromkeys(numeric, number))}
         outcome = {"intercept": 0.0, "coef": {}, "noise_sd": 0.0,
@@ -361,7 +362,7 @@ def _build_table(name, u, columns, outcome):
     """Deal ``u`` into one stream per column (plus one for the outcome noise)
     and draw each column through its law."""
     streams = split_uniform(u, len(columns) + (outcome is not None))
-    data = {col: target.transform(stream) for (col, target), stream in zip(columns, streams)}
+    data = {col: law(stream) for (col, law), stream in zip(columns, streams)}
     if outcome is not None:
         y = np.full(u.shape, outcome["intercept"])
         for col, coef in outcome["coef"].items():
@@ -442,14 +443,13 @@ def cmd_fit(args) -> int:
         transform = fit_whitening(moments, ridge=settings.get("ridge", 0.0))
         moments = whiten_moments(moments, transform)
     fit = dlm_mod.fit_weights(moments, mode=args.mode or settings.get("mode", "sum_to_one"))
-    label = settings.get("data_label", "data")
     base = str(args.out)
     for suffix in (".txt", ".json"):
         if base.endswith(suffix):
             base = base[: -len(suffix)]
     payload = _stamp(
         {**config, "argv": {"data": args.data, "target": args.target,
-                            "mode": fit.mode, "whiten": fit.whitened}},
+                            "mode": fit.mode, "whiten": moments.whitened}},
         {"fit": dlm_mod.fit_to_dict(fit), "test_functions": list(moments.names),
          # what diagnose reads instead of the data; of the pooled covariance
          # only the diagonal, all that diagnostics.shift_rows reads, so the
@@ -460,17 +460,7 @@ def cmd_fit(args) -> int:
                      "pooled_var_diag": np.diag(moments.pooled_var)}},
     )
     atomic_write(base + ".json", _encode(payload) + "\n")
-    if fit.mode == "sum_to_one":
-        text = dlm_mod.summarize(fit, data_label=label)
-    else:
-        rows = "\n".join(
-            f"  {name}: {w:.7f}" for name, w in zip(fit.source_names, fit.beta_hat)
-        )
-        text = (
-            f"Simplex weight fit: {fit.target_name} ~ "
-            + " + ".join(fit.source_names)
-            + f"\n{rows}\nRSS {fit.rss:.6g} on {fit.df} degrees of freedom\n"
-        )
+    text = dlm_mod.summarize(fit, data_label=settings.get("data_label", "data"))
     atomic_write(base + ".txt", text)
     sys.stdout.write(text)
     return 0
@@ -499,7 +489,7 @@ def cmd_erm(args) -> int:
     erm_mod.outcome_vector(data)
     for tbl in data.sources:
         for c in covariates:
-            erm_mod._finite_column(tbl, c, "covariate")
+            finite_column(tbl, c, "covariate")
     if args.loss == "logistic":
         for tbl in data.sources:
             if not np.isin(tbl.column(outcome), (0, 1)).all():
@@ -634,7 +624,7 @@ def cmd_diagnose(args) -> int:
         fit = dlm_mod.fit_weights(moments, mode=mode)
     except (dlm_mod.DegreesOfFreedomError, dlm_mod.CollinearDatasetsError) as exc:
         raise UserError(f"{args.fit}: {exc}") from None
-    plot_id, x, y, label = zip(*diagnostic_rows(fit, moments))
+    plot_id, x, y, label = zip(*diagnostic_rows(fit))
     table = Table.from_arrays("diagnostics", plot_id=plot_id, x=x, y=y, label=label)
     chash = payload.get("config_hash", config_hash(payload.get("config", {})))
     write_csv_table(table, args.out, _stamp_comment(chash))

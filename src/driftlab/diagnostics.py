@@ -38,7 +38,7 @@ def residual_rows(fit: DlmFit) -> list[Row]:
     there are no QQ rows.
     """
     # fitted value per function: weighted source mean = target mean - residual
-    fitted = fit.target_means - fit.residuals
+    fitted = fit.moments.phi_hat[0] - fit.residuals
     rows = [("residual_vs_fitted", float(x), float(y), "")
             for x, y in zip(fitted, fit.residuals)]
     if fit.sigma2_hat > 0.0:
@@ -101,6 +101,6 @@ def shift_rows(moments: MomentMatrix) -> list[Row]:
     return rows
 
 
-def diagnostic_rows(fit: DlmFit, moments: MomentMatrix) -> list[Row]:
-    """Every diagnostic of ``fit``, the weight fit of ``moments``, in order."""
-    return residual_rows(fit) + scatter_rows(moments) + shift_rows(moments)
+def diagnostic_rows(fit: DlmFit) -> list[Row]:
+    """Every diagnostic of ``fit`` and the moments it was fitted on, in order."""
+    return residual_rows(fit) + scatter_rows(fit.moments) + shift_rows(fit.moments)

@@ -66,19 +66,13 @@ class DlmFit:
 
     beta_hat: np.ndarray  # (K,)
     mode: str  # "sum_to_one" | "simplex"
-    reference: int  # index of the reference dataset in the reparametrization
     residuals: np.ndarray  # (L,)
     rss: float
     rss_uniform: float
     sigma2_hat: float
     df: int
     design: np.ndarray  # (L, K-1) reparametrized feature matrix
-    target_means: np.ndarray  # (L,) target-dataset test-function means
-    source_names: tuple[str, ...]
-    target_name: str
-    n_functions: int
-    whitened: bool
-    max_offdiag_corr: float | None
+    moments: MomentMatrix  # the moments the weights were fitted on
     se: np.ndarray | None = None  # (K,)
     t_stats: np.ndarray | None = None
     p_values: np.ndarray | None = None
@@ -92,6 +86,10 @@ class DlmFit:
     @property
     def n_sources(self) -> int:
         return self.beta_hat.size
+
+    @property
+    def n_functions(self) -> int:
+        return self.moments.n_functions
 
     @property
     def shift_scale(self) -> float:
@@ -285,19 +283,13 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
     return DlmFit(
         beta_hat=beta,
         mode=mode,
-        reference=k - 1,
         residuals=residuals,
         rss=rss,
         rss_uniform=rss_unif,
         sigma2_hat=sigma2,
         df=df,
         design=design,
-        target_means=moments.phi_hat[0].copy(),
-        source_names=moments.source_names,
-        target_name=moments.target_name,
-        n_functions=n_funcs,
-        whitened=moments.whitened,
-        max_offdiag_corr=moments.max_offdiag_correlation(),
+        moments=moments,
         se=se,
         t_stats=t_stats,
         p_values=p_values,
@@ -381,19 +373,24 @@ def _fmt(x: float, spec: str) -> str:
 
 
 def summarize(fit: DlmFit, data_label: str = "data") -> str:
-    """Render the linear-model style text summary.
+    """Render the fit's text summary.
 
-    Layout: Call, five-number residual summary, coefficient table with
-    significance codes, residual standard error with degrees of freedom,
-    R-squared pair, and the uniform-weights F-test line.
+    A sum_to_one fit gets the linear-model style layout: Call, five-number
+    residual summary, coefficient table with significance codes, residual
+    standard error with degrees of freedom, R-squared pair, and the
+    uniform-weights F-test line. A simplex fit, which carries no inference,
+    gets its formula, one weight per source and the RSS line.
     """
-    if fit.mode != "sum_to_one":
-        raise ValueError("summaries require a sum_to_one fit with inference")
+    names = fit.moments.source_names
+    formula = f"{fit.moments.target_name} ~ " + " + ".join(names)
+    if fit.mode == "simplex":
+        rows = "".join(f"  {name}: {w:.7f}\n" for name, w in zip(names, fit.beta_hat))
+        return (f"Simplex weight fit: {formula}\n{rows}"
+                f"RSS {fit.rss:.6g} on {fit.df} degrees of freedom\n")
     lines: list[str] = []
-    formula = f"{fit.target_name} ~ " + " + ".join(fit.source_names)
     call = (
         f"dlm(formula = {formula}, test.function = phi[{fit.n_functions}], "
-        f"data = {data_label}, whitening = {'TRUE' if fit.whitened else 'FALSE'})"
+        f"data = {data_label}, whitening = {'TRUE' if fit.moments.whitened else 'FALSE'})"
     )
     lines.append("Call:")
     lines.extend(_wrap_call(call, 72))
@@ -407,7 +404,7 @@ def summarize(fit: DlmFit, data_label: str = "data") -> str:
     lines.append("".join(c.rjust(width) for c in cells))
     lines.append("")
     lines.append("Coefficients:")
-    name_w = max(len(n) for n in fit.source_names)
+    name_w = max(len(n) for n in names)
     header = (
         " " * name_w
         + "   Estimate"
@@ -417,7 +414,7 @@ def summarize(fit: DlmFit, data_label: str = "data") -> str:
         + "    "
     )
     lines.append(header)
-    for i, name in enumerate(fit.source_names):
+    for i, name in enumerate(names):
         est = _fmt(fit.beta_hat[i], ".7f").rjust(11)
         se = _fmt(fit.se[i], ".7f").rjust(11)
         t = _fmt(fit.t_stats[i], ".3f").rjust(8)
@@ -466,8 +463,8 @@ def fit_to_dict(fit: DlmFit) -> dict:
     """JSON-ready twin of the text summary (full numeric precision)."""
     return {
         "mode": fit.mode,
-        "source_names": list(fit.source_names),
-        "target_name": fit.target_name,
+        "source_names": list(fit.moments.source_names),
+        "target_name": fit.moments.target_name,
         "beta_hat": fit.beta_hat.tolist(),
         "se": None if fit.se is None else fit.se.tolist(),
         "t_stats": None if fit.t_stats is None else fit.t_stats.tolist(),
@@ -482,9 +479,9 @@ def fit_to_dict(fit: DlmFit) -> dict:
         "f_pvalue": fit.f_pvalue,
         "residuals": fit.residuals.tolist(),
         "n_functions": fit.n_functions,
-        "reference": fit.reference,
-        "whitened": fit.whitened,
-        "max_offdiag_corr": fit.max_offdiag_corr,
+        "reference": fit.n_sources - 1,
+        "whitened": fit.moments.whitened,
+        "max_offdiag_corr": fit.moments.max_offdiag_correlation(),
         "non_unique": fit.non_unique,
         "notes": list(fit.notes),
     }

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dlm import DlmFit, target_ci
-from .tables import DatasetCollection, IngestError, Table
+from .tables import DatasetCollection, Table, finite_column
 
 __all__ = [
     "LossSpec",
@@ -122,18 +122,6 @@ class OodRisk:
     quadratic_form: float
 
 
-def _finite_column(tbl: Table, col: str, role: str) -> np.ndarray:
-    """Column ``col`` of ``tbl``, which must hold only finite numbers."""
-    values = tbl.column(col)
-    if not tbl.is_numeric(col):
-        raise IngestError(f"{role} {col!r} of table {tbl.name!r} is not numeric")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise IngestError(f"{role} {col!r} holds a non-finite value on dataset "
-                          f"{tbl.name!r} at row {bad[0]}")
-    return values
-
-
 def design_matrix(tables: Sequence[Table], covariates: tuple[str, ...]) -> np.ndarray:
     """The pooled design of ``tables``: an intercept column, then one column
     per covariate, with the tables' rows stacked in order."""
@@ -143,7 +131,7 @@ def design_matrix(tables: Sequence[Table], covariates: tuple[str, ...]) -> np.nd
     for tbl in tables:
         rows = slice(start, start + tbl.n_rows)
         for j, c in enumerate(covariates, start=1):
-            x[rows, j] = _finite_column(tbl, c, "covariate")
+            x[rows, j] = finite_column(tbl, c, "covariate")
         start = rows.stop
     return x
 
@@ -152,7 +140,7 @@ def outcome_vector(data: DatasetCollection) -> np.ndarray:
     """The sources' outcomes, in the row order of ``design_matrix(data.sources, ...)``."""
     if data.outcome is None:
         raise ValueError("dataset collection declares no outcome column")
-    return np.concatenate([_finite_column(t, data.outcome, "outcome") for t in data.sources])
+    return np.concatenate([finite_column(t, data.outcome, "outcome") for t in data.sources])
 
 
 # damped Newton's iteration cap; every solve starts at theta = 0

@@ -101,25 +101,27 @@ def pooled_moments(arrays):
     symmetric with its diagonal clamped at zero.
 
     The sums are taken about the first row, so a mean that is large against
-    the spread does not cancel the variance away.
+    the spread does not cancel the variance away. Sums beyond the float range
+    give inf or nan entries, without a warning; the caller names them.
     """
     total = total_outer = 0.0
     n = 0
-    for values in arrays:
-        values = np.asarray(values, dtype=float)
-        scalar = values.ndim == 1
-        block = values.reshape(values.shape[0], -1)
-        if n == 0:
-            shift = block[0].copy()
-        block = block - shift
-        total = total + block.sum(axis=0)
-        total_outer = total_outer + block.T @ block
-        n += block.shape[0]
-    d = total / n
-    mean = shift + d
-    cov = total_outer / n - np.outer(d, d)
-    cov = 0.5 * (cov + cov.T)
-    np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values in arrays:
+            values = np.asarray(values, dtype=float)
+            scalar = values.ndim == 1
+            block = values.reshape(values.shape[0], -1)
+            if n == 0:
+                shift = block[0].copy()
+            block = block - shift
+            total = total + block.sum(axis=0)
+            total_outer = total_outer + block.T @ block
+            n += block.shape[0]
+        d = total / n
+        mean = shift + d
+        cov = total_outer / n - np.outer(d, d)
+        cov = 0.5 * (cov + cov.T)
+        np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
     if scalar:
         return float(mean[0]), float(cov[0, 0])
     return mean, cov
@@ -130,7 +132,8 @@ def evaluate_moments(data: DatasetCollection, tests: TestFunctionSet) -> MomentM
 
     Also computes the pooled covariance over the concatenated sources. A
     non-finite function value is an error naming the dataset, row, and
-    function that produced it. Row order never matters.
+    function that produced it; so is a mean or pooled source variance
+    beyond the float range, naming the function. Row order never matters.
     """
     means = []
 
@@ -145,12 +148,18 @@ def evaluate_moments(data: DatasetCollection, tests: TestFunctionSet) -> MomentM
                 f"test function {fname!r} produced a non-finite value on "
                 f"dataset {tbl.name!r} at row {rows[0]}"
             )
-        means.append(values.mean(axis=0))
+        with np.errstate(over="ignore"):
+            means.append(values.mean(axis=0))
         return values
 
     evaluated(data.target)
     _, pooled = pooled_moments(map(evaluated, data.sources))
     phi_hat = np.vstack(means)
+    for what, stat in (("pooled source variance", pooled), ("mean", phi_hat)):
+        bad = ~np.isfinite(stat).all(axis=0)
+        if bad.any():
+            raise ValueError(f"test function {tests.names[bad.argmax()]!r} has a {what} "
+                             "beyond the float range")
     return MomentMatrix(
         phi_hat=phi_hat,
         names=tests.names,

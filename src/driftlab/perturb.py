@@ -37,7 +37,6 @@ __all__ = [
     "realize_world",
     "sample_uniform",
     "shift_target",
-    "TargetDistribution",
     "uniform_target",
     "gaussian_target",
     "exponential_target",
@@ -445,51 +444,29 @@ def shift_target(sigma_w: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Target distributions (transforms of the uniform)
+# Column laws: each maps n uniforms in (0, 1) to n values
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TargetDistribution:
-    """A data law written as a measurable transform of a uniform variable.
-
-    ``transform`` maps an array of n uniforms in (0, 1) to n values.
-    ``moments``, when known, is the one-element tuple ((mean, variance),)
-    of the declared law, so that the transform can be validated against it.
-    """
-
-    name: str
-    transform: Callable[[np.ndarray], np.ndarray]
-    moments: tuple[tuple[float, float], ...] | None = None
+def uniform_target() -> Callable[[np.ndarray], np.ndarray]:
+    return lambda u: u
 
 
-def uniform_target() -> TargetDistribution:
-    return TargetDistribution("uniform", lambda u: u, moments=((0.5, 1.0 / 12.0),))
-
-
-def gaussian_target(mean: float = 0.0, sd: float = 1.0) -> TargetDistribution:
+def gaussian_target(mean: float = 0.0, sd: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     if sd <= 0:
         raise ValueError(f"sd must be > 0, got {sd!r}")
-    return TargetDistribution(
-        f"gaussian({mean}, {sd})",
-        lambda u: mean + sd * ndtri(u),
-        moments=((mean, sd**2),),
-    )
+    return lambda u: mean + sd * ndtri(u)
 
 
-def exponential_target(rate: float = 1.0) -> TargetDistribution:
+def exponential_target(rate: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate!r}")
-    return TargetDistribution(
-        f"exponential({rate})",
-        lambda u: -np.log1p(-u) / rate,
-        moments=((1.0 / rate, 1.0 / rate**2),),
-    )
+    return lambda u: -np.log1p(-u) / rate
 
 
 def categorical_target(
     levels: Sequence, probs: Sequence[float] | None = None
-) -> TargetDistribution:
+) -> Callable[[np.ndarray], np.ndarray]:
     """Maps u to the first level i with u <= cum[i], where cum is the
     cumulative ``probs`` (uniform by default), or to the last level when
     rounding leaves cum[-1] below u. Values are an object array of levels.
@@ -507,10 +484,7 @@ def categorical_target(
     if abs(cum[-1] - 1.0) > 1e-9:
         raise ValueError("probs must sum to 1")
     last = table.size - 1
-    return TargetDistribution(
-        f"categorical({table.size} levels)",
-        lambda u: table[np.minimum(np.searchsorted(cum, u, side="left"), last)],
-    )
+    return lambda u: table[np.minimum(np.searchsorted(cum, u, side="left"), last)]
 
 
 def check_regime(m: int, n_min: int) -> None:

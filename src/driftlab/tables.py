@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "Table",
+    "finite_column",
     "DatasetCollection",
     "read_csv_table",
     "write_csv_table",
@@ -73,6 +74,19 @@ class Table:
             data[key] = arr
             names.append(key)
         return Table(name, tuple(names), data)
+
+
+def finite_column(tbl: Table, col: str, role: str) -> np.ndarray:
+    """Column ``col`` of ``tbl``, which must hold only finite numbers; an
+    error names the ``role`` the column plays, and the first bad row."""
+    values = tbl.column(col)
+    if not tbl.is_numeric(col):
+        raise IngestError(f"{role} {col!r} of table {tbl.name!r} is not numeric")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise IngestError(f"{role} {col!r} holds a non-finite value on dataset "
+                          f"{tbl.name!r} at row {bad[0]}")
+    return values
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ Functions are declared as compact strings (usable directly in config files):
 
 ``parse_test_functions(declarations, data)`` resolves each declaration once,
 against the collection it will run on: every column it reads is checked in
-each source and the target, and standardization constants and auto_indicators
-levels are frozen from the pooled sources. Each function is then one closure
+each source and the target (finite, where it is read as a number), and
+standardization constants and auto_indicators levels are frozen from the
+pooled sources. Each function is then one closure
 from a Table to float64 values; a bad declaration is a ValueError naming it.
 """
 
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .moments import pooled_moments
-from .tables import DatasetCollection, Table
+from .tables import DatasetCollection, Table, finite_column
 
 __all__ = ["TestFunctionSet", "parse_test_functions"]
 
@@ -58,13 +59,13 @@ class TestFunctionSet:
 
 
 def _check_columns(data: DatasetCollection, cols, numeric: bool = True) -> None:
-    """Every source and the target have each column, numeric if asked."""
+    """Every source and the target have each column, numeric and finite if asked."""
     for col in cols:
         for tbl in (*data.sources, data.target):
-            if col not in tbl.columns:
-                raise ValueError(f"table {tbl.name!r} has no column {col!r}")
-            if numeric and not tbl.is_numeric(col):
-                raise ValueError(f"column {col!r} of table {tbl.name!r} is not numeric")
+            if numeric:
+                finite_column(tbl, col, "column")
+            else:
+                tbl.column(col)  # a missing column is an error naming the table
 
 
 def _compile_expr(src: str, data: DatasetCollection) -> Callable:
@@ -149,6 +150,10 @@ def _resolve(decl: str, data: DatasetCollection) -> list[tuple[str, Callable]]:
             return [(decl, lambda tbl: tbl.column(a) * tbl.column(b))]
         ma, va = pooled_moments(tbl.column(a) for tbl in data.sources)
         mb, vb = pooled_moments(tbl.column(b) for tbl in data.sources)
+        for col, var in ((a, va), (b, vb)):
+            if not np.isfinite(var):
+                raise ValueError(f"column {col!r} has a pooled source variance "
+                                 "beyond the float range")
         if va == 0.0 or vb == 0.0:
             raise ValueError("cannot standardize a column with zero pooled variance")
         sa, sb = np.sqrt(va), np.sqrt(vb)

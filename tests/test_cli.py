@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import os
@@ -47,6 +48,21 @@ def write_small_data(directory):
     s2 = write(directory / "s2.csv", "x,y\n1.5,3.0\n2.5,5.2\n0.5,1.1\n")
     tgt = write(directory / "tgt.csv", "x\n1.2\n2.2\n1.8\n")
     return s1, s2, tgt
+
+
+def fixture_with_cell(tmp_path, file, column, row, value):
+    """A copy of the fixture whose ``file`` holds ``value`` in ``column`` at
+    data row ``row``; returns the fit and erm argv of its sources and target."""
+    for src in FIXTURE.glob("*.csv"):
+        lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+        if src.name == file:
+            header = lines[1].rstrip("\n").split(",")
+            cells = lines[2 + row].rstrip("\n").split(",")
+            cells[header.index(column)] = value
+            lines[2 + row] = ",".join(cells) + "\n"
+        (tmp_path / src.name).write_text("".join(lines), encoding="utf-8")
+    return ["--data", *[str(tmp_path / f"source_{k}.csv") for k in range(1, 5)],
+            "--target", str(tmp_path / "target.csv")]
 
 
 @pytest.fixture
@@ -539,6 +555,67 @@ class TestFitDeclarations:
                               "non-finite value on dataset ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("file, column, value", [
+        ("source_1.csv", "x1", "inf"), ("source_1.csv", "x1", "nan"),
+        ("target.csv", "x2", "-inf")])
+    def test_non_finite_cell_exits_1_with_one_line_naming_it(
+        self, tmp_path, capsys, file, column, value
+    ):
+        # ingest reads the cell as a number; before this check, the pooled
+        # constants of product:x1*x2:standardized turned nan and the error
+        # blamed row 0 of the target
+        argv = fixture_with_cell(tmp_path, file, column, 1, value)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.run(["fit", *argv, "--config", str(FIXTURE / "fit_config.json"),
+                          "--out", str(tmp_path / "out" / "r")])
+        assert rc == 1 and caught == [] and not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"driftlab: error: test function 'column:{column}': column {column!r} holds a "
+            f"non-finite value on dataset {file[:-4]!r} at row 1"
+        ]
+
+    @pytest.mark.parametrize("declarations, error", [
+        # the fixture's own functions: x1's pooled variance standardizes x1*x2
+        (None, "test function 'product:x1*x2:standardized': column 'x1' has a pooled "
+               "source variance beyond the float range"),
+        (["column:x1", "column:x2", "column:x3", "column:x4", "expr:x2*x3"],
+         "test function 'column:x1' has a pooled source variance beyond the float range"),
+    ], ids=["standardized", "column"])
+    def test_overflowing_cell_exits_1_with_one_line_naming_it(
+        self, tmp_path, capsys, declarations, error
+    ):
+        # 1e300 is finite, but its square is not
+        argv = fixture_with_cell(tmp_path, "source_1.csv", "x1", 1, "1e300")
+        config = json.loads((FIXTURE / "fit_config.json").read_text())
+        config["test_functions"] = declarations or config["test_functions"]
+        cfg = write(tmp_path / "cfg.json", json.dumps(config))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.run(["fit", *argv, "--config", cfg, "--out", str(tmp_path / "out" / "r")])
+        assert rc == 1 and caught == [] and not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.splitlines() == [f"driftlab: error: {error}"]
+
+    @pytest.mark.parametrize("declaration, what", [
+        # finite values whose squares overflow; two sources leave the fit full rank,
+        # so the report used to hold a null pooled variance
+        ("expr:x1*1e200", "pooled source variance"),
+        # a constant: its pooled variance is 0, but a dataset's sum overflows
+        ("expr:x3*0+1.7e308", "mean"),
+    ])
+    def test_moment_beyond_the_float_range_exits_1(self, tmp_path, capsys, declaration, what):
+        cfg = write(tmp_path / "cfg.json", json.dumps(
+            {"outcome": "income", "test_functions": ["column:x1", "column:x2", declaration]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.run(["fit", "--data", str(FIXTURE / "source_1.csv"),
+                          str(FIXTURE / "source_2.csv"), "--target", str(FIXTURE / "target.csv"),
+                          "--config", cfg, "--out", str(tmp_path / "out" / "r")])
+        assert rc == 1 and caught == [] and not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"driftlab: error: test function {declaration!r} has a {what} beyond the float range"
+        ]
+
     def test_repeated_declaration_is_named(self, tmp_path, capsys):
         assert self.fit(tmp_path, ["column:x1", "column:x2", "column:x1"]) == 1
         assert capsys.readouterr().err == ("driftlab: error: test function names must be "
@@ -643,6 +720,19 @@ class TestSimulate:
         names = [f"source_{k}.csv" for k in range(1, 5)] + ["target.csv", "world.json"]
         for name in names:
             assert (tmp_path / name).read_bytes() == (FIXTURE / name).read_bytes(), name
+
+    def test_make_fixture_rebuilds_the_committed_fixture(self, tmp_path, monkeypatch):
+        path = Path(__file__).parents[1] / "scripts" / "make_fixture.py"
+        spec = importlib.util.spec_from_file_location("make_fixture", path)
+        script = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+        spec.loader.exec_module(script)
+        script.FIXTURE = tmp_path / "fixture"
+        script.main()
+        names = sorted(p.name for p in FIXTURE.iterdir())
+        assert sorted(p.name for p in script.FIXTURE.iterdir()) == names
+        for name in names:
+            assert (script.FIXTURE / name).read_bytes() == (FIXTURE / name).read_bytes(), name
 
     @pytest.mark.parametrize(
         "change, message",
@@ -813,21 +903,6 @@ class TestErmCli:
         ]
         assert "Traceback" not in err and not out.exists()
 
-    @staticmethod
-    def fixture_with_cell(tmp_path, file, column, row, value):
-        """A copy of the fixture whose ``file`` holds ``value`` in ``column`` at
-        data row ``row``; returns the erm argv of its sources and target."""
-        for src in FIXTURE.glob("*.csv"):
-            lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
-            if src.name == file:
-                header = lines[1].rstrip("\n").split(",")
-                cells = lines[2 + row].rstrip("\n").split(",")
-                cells[header.index(column)] = value
-                lines[2 + row] = ",".join(cells) + "\n"
-            (tmp_path / src.name).write_text("".join(lines), encoding="utf-8")
-        return ["--data", *[str(tmp_path / f"source_{k}.csv") for k in range(1, 5)],
-                "--target", str(tmp_path / "target.csv")]
-
     @pytest.mark.parametrize(
         "weights, file, column, value",
         [(w, "source_1.csv", "income", v)
@@ -839,7 +914,7 @@ class TestErmCli:
         self, tmp_path, capsys, weights, file, column, value
     ):
         # such cells are numbers to ingest; erm, which would fit them, refuses
-        argv = self.fixture_with_cell(tmp_path, file, column, 7, value)
+        argv = fixture_with_cell(tmp_path, file, column, 7, value)
         if weights == "file":
             weights = f"file:{write(tmp_path / 'w.json', '[0.25, 0.25, 0.25, 0.25]')}"
         out = tmp_path / "e.json"
@@ -858,7 +933,7 @@ class TestErmCli:
     def test_non_finite_covariate_exits_before_the_weight_fit_warns(self, tmp_path, capsys):
         # L == K test functions make the dlm fit warn; x3 is a covariate
         # that no test function reads
-        argv = self.fixture_with_cell(tmp_path, "source_2.csv", "x3", 7, "nan")
+        argv = fixture_with_cell(tmp_path, "source_2.csv", "x3", 7, "nan")
         cfg = write(tmp_path / "cfg.json", json.dumps({
             "outcome": "income",
             "test_functions": ["column:x1", "column:x2", "column:x4", "expr:x1*x2"]}))
@@ -1062,7 +1137,7 @@ class TestDiagnoseCli:
         if "--whiten" in flags:
             moments = whiten_moments(moments, fit_whitening(moments))
         fit = fit_weights(moments, mode="simplex" if "simplex" in flags else "sum_to_one")
-        plot_id, x, y, label = zip(*diagnostic_rows(fit, moments))
+        plot_id, x, y, label = zip(*diagnostic_rows(fit))
         table = Table.from_arrays("diagnostics", plot_id=plot_id, x=x, y=y, label=label)
         chash = json.loads(report.read_text())["config_hash"]
         write_csv_table(table, tmp_path / "ref.csv", f"driftlab {cli.__version__} config={chash}")

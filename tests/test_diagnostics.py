@@ -190,7 +190,7 @@ def test_shift_stats_gaussian_under_perturbation():
 def test_diagnostic_rows_tidy_layout(rng):
     phi = rng.normal(size=(3, 12))
     mm = make_moments(phi, pooled=np.eye(12))
-    rows = diagnostic_rows(fit_weights(mm), mm)
+    rows = diagnostic_rows(fit_weights(mm))
     assert all(len(r) == 4 for r in rows)
     kinds = [r[0] for r in rows]
     # each diagnostic's rows in one run, in a fixed order

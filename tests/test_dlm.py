@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,14 +9,18 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import make_moments
+from driftlab.cli import ingest
 from driftlab.dlm import (
     CollinearDatasetsError,
     DegreesOfFreedomError,
     closed_form_weights,
+    fit_to_dict,
     fit_weights,
     summarize,
     target_ci,
 )
+from driftlab.moments import evaluate_moments
+from driftlab.testfuncs import parse_test_functions
 
 
 def random_problem(rng, k, n_funcs, scale=1.0):
@@ -266,10 +272,21 @@ def test_uniform_beta_gives_zero_f(rng):
     assert fit.f_pvalue == pytest.approx(1.0)
 
 
-def test_inference_gated_to_sum_to_one(rng):
-    fit = fit_weights(random_problem(rng, 3, 10), mode="simplex")
-    with pytest.raises(ValueError):
-        summarize(fit)
+def test_simplex_summary_of_the_fixture():
+    # the simplex layout: no inference, one weight per source and the RSS line
+    fixture = Path(__file__).parent / "data" / "fixture_panel"
+    data = ingest([str(fixture / f"source_{k}.csv") for k in range(1, 5)],
+                  str(fixture / "target.csv"), "income")
+    declarations = json.loads((fixture / "fit_config.json").read_text())["test_functions"]
+    moments = evaluate_moments(data, parse_test_functions(declarations, data))
+    assert summarize(fit_weights(moments, mode="simplex"), "fixture_panel") == (
+        "Simplex weight fit: target ~ source_1 + source_2 + source_3 + source_4\n"
+        "  source_1: 0.0161507\n"
+        "  source_2: 0.3831287\n"
+        "  source_3: 0.6007206\n"
+        "  source_4: 0.0000000\n"
+        "RSS 0.0127658 on 17 degrees of freedom\n"
+    )
 
 
 def test_r_squared_uniform_and_interpolation(rng):
@@ -420,4 +437,4 @@ def test_whiteness_diagnostic_reported(rng):
     pooled = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.0]])
     mm = make_moments(phi_hat, pooled=pooled)
     fit = fit_weights(mm)
-    assert fit.max_offdiag_corr == pytest.approx(0.3)
+    assert fit_to_dict(fit)["max_offdiag_corr"] == pytest.approx(0.3)
