@@ -54,7 +54,6 @@ from .tables import (
     IngestError,
     Table,
     atomic_write,
-    finite_column,
     read_csv_table,
     write_csv_table,
 )
@@ -482,14 +481,15 @@ _ERM_CONFIG = {
 
 def cmd_erm(args) -> int:
     config, settings = _load_config(args.config, record(dict, _ERM_CONFIG))
+    if (args.weights not in ("uniform", "dlm", "importance")
+            and not args.weights.startswith("file:")):
+        raise UserError(f"unknown weights scheme {args.weights!r}")
     outcome = settings.get("outcome", "y")
     data = ingest(args.data, args.target, outcome)
     covariates = tuple(settings.get("covariates") or data.numeric_covariates)
-    # a bad cell is an error before any weight fit can warn
-    erm_mod.outcome_vector(data)
-    for tbl in data.sources:
-        for c in covariates:
-            finite_column(tbl, c, "covariate")
+    # every source cell the fit reads is checked here, before any weight fit can warn
+    y = erm_mod.outcome_vector(data)
+    x = erm_mod.design_matrix(data.sources, covariates)
     if args.loss == "logistic":
         for tbl in data.sources:
             if not np.isin(tbl.column(outcome), (0, 1)).all():
@@ -500,6 +500,7 @@ def cmd_erm(args) -> int:
     spec = erm_mod.squared_error_loss() if args.loss == "squared" else erm_mod.logistic_loss()
     level = settings.get("level", 0.95)
     k = data.n_sources
+    sizes = np.array(data.sizes)
 
     dlm_fit = None
     provenance: dict = {"scheme": args.weights}
@@ -517,8 +518,14 @@ def cmd_erm(args) -> int:
             "rss": dlm_fit.rss,
         }
     elif args.weights == "importance":
-        beta = None
-    elif args.weights.startswith("file:"):
+        iw = erm_mod.importance_weights(
+            x, erm_mod.design_matrix((data.target,), covariates),
+            clip_quantile=settings.get("clip_quantile", 0.99),
+        )
+        w = iw.weights / iw.weights.sum()
+        weights_out = {"clip_threshold": iw.clip_threshold, "n_clipped": iw.n_clipped}
+        provenance["clipped"] = iw.n_clipped > 0
+    else:
         path = args.weights[len("file:"):]
         try:
             values = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -534,29 +541,17 @@ def cmd_erm(args) -> int:
         if abs(beta.sum() - 1.0) > 1e-8:
             raise UserError(f"{path}: weights must sum to 1, got {float(beta.sum())}")
         provenance["file"] = path
-    else:
-        raise UserError(f"unknown weights scheme {args.weights!r}")
+    if args.weights != "importance":
+        w, weights_out = np.repeat(beta / sizes, sizes), beta.tolist()
 
     try:
-        if beta is not None:
-            fit = erm_mod.fit_erm(data, spec, beta, covariates=covariates)
-            weights_out = beta.tolist()
-        else:
-            x = erm_mod.design_matrix(data.sources, covariates)
-            iw = erm_mod.importance_weights(
-                x, erm_mod.design_matrix((data.target,), covariates),
-                clip_quantile=settings.get("clip_quantile", 0.99),
-            )
-            y = erm_mod.outcome_vector(data)
-            fit = erm_mod._solve(x, y, iw.weights / iw.weights.sum(), spec)
-            weights_out = {"clip_threshold": iw.clip_threshold, "n_clipped": iw.n_clipped}
-            provenance["clipped"] = iw.n_clipped > 0
+        fit = erm_mod.fit_erm(x, y, w, sizes, spec)
     except erm_mod.ConvergenceError as exc:
         raise UserError(f"erm on covariates {list(covariates)}: {exc}") from None
 
     report = {
         "theta_hat": fit.theta_hat,
-        "feature_names": list(fit.feature_names) or ["intercept", *covariates],
+        "feature_names": ["intercept", *covariates],
         "loss": fit.loss_family,
         "converged": fit.converged,
         "weights": weights_out,
@@ -564,12 +559,12 @@ def cmd_erm(args) -> int:
     }
     if dlm_fit is not None:
         ci = erm_mod.erm_ci(fit, dlm_fit, level=level)
-        risk = erm_mod.ood_risk(fit, shift_scale=dlm_fit.shift_scale)
+        value, trace_term = erm_mod.ood_risk(fit, shift_scale=dlm_fit.shift_scale)
         report["ci"] = {"level": level, "intervals": ci}
         report["ood_risk"] = {
             "mode": "observational",
-            "value": risk.value,
-            "trace_term": risk.trace_term,
+            "value": value,
+            "trace_term": trace_term,
             "shift_scale": dlm_fit.shift_scale,
         }
     payload = _stamp(

@@ -1,11 +1,11 @@
 """Weighted empirical risk minimization with influence-based uncertainty.
 
-Every fit here is one solve over pooled rows: minimize sum_i w_i loss_i(theta)
-+ (ridge / 2) |theta|^2 with row weights w summing to one, by damped Newton
-with Armijo backtracking. A convex combination of per-dataset empirical risks
-(weights beta summing to one) is the row weighting beta_k / n_k; the
-importance baseline's density-ratio classifier and weighted fit are two more
-row weightings of the same solve.
+Every fit here is one damped Newton iteration with Armijo backtracking over
+pooled rows: minimize sum_i w_i loss_i(theta) + (ridge / 2) |theta|^2 with row
+weights w summing to one. ``fit_erm`` is the one weighted fit with inference:
+dataset weights beta are the row weights beta_k / n_k, and importance weights
+are another row weighting. The importance baseline's density-ratio classifier
+runs the iteration alone.
 
 Out-of-distribution risk under random dense shift decomposes as the weight
 quadratic form beta' Sigma_W beta times Trace(H^{-1} V), with H the weighted
@@ -18,20 +18,19 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .dlm import DlmFit, target_ci
-from .tables import DatasetCollection, Table, finite_column
+from .tables import DatasetCollection, IngestError, Table, finite_column
 
 __all__ = [
     "LossSpec",
     "squared_error_loss",
     "logistic_loss",
     "ErmFit",
-    "OodRisk",
     "ImportanceWeightResult",
     "design_matrix",
     "outcome_vector",
@@ -102,24 +101,18 @@ class ErmFit:
     converged: bool
     n_iterations: int
     loss_family: str
-    feature_names: tuple[str, ...] = ()
-    source_influence_means: np.ndarray | None = None  # (K, p); set by fit_erm only
+    source_influence_means: np.ndarray  # (K, p): per source, the mean of -H^{-1} grad
 
 
-@dataclass(frozen=True)
-class OodRisk:
-    """Mean excess target risk of the weighted fit.
-
-    ``trace_term`` is Trace(H^{-1} V) with H the weighted mean Hessian and
-    V the pooled gradient covariance; ``quadratic_form`` is the plug-in
-    residual scale of a moment-matching weight fit. ``value`` is the mean
-    excess risk itself, (1/2) * quadratic_form * trace_term: the 1/2 is the
-    second-order Taylor constant of the risk around its minimizer.
-    """
-
-    value: float
-    trace_term: float
-    quadratic_form: float
+def _fit_column(tbl: Table, col: str, role: str) -> np.ndarray:
+    """``finite_column``, whose squares must also sum within the float range:
+    the fit's loss, Hessian and influence variance sum them."""
+    values = finite_column(tbl, col, role)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(values @ values):
+            raise IngestError(f"{role} {col!r} of dataset {tbl.name!r} has a sum of "
+                              "squares beyond the float range")
+    return values
 
 
 def design_matrix(tables: Sequence[Table], covariates: tuple[str, ...]) -> np.ndarray:
@@ -131,7 +124,7 @@ def design_matrix(tables: Sequence[Table], covariates: tuple[str, ...]) -> np.nd
     for tbl in tables:
         rows = slice(start, start + tbl.n_rows)
         for j, c in enumerate(covariates, start=1):
-            x[rows, j] = finite_column(tbl, c, "covariate")
+            x[rows, j] = _fit_column(tbl, c, "covariate")
         start = rows.stop
     return x
 
@@ -140,28 +133,24 @@ def outcome_vector(data: DatasetCollection) -> np.ndarray:
     """The sources' outcomes, in the row order of ``design_matrix(data.sources, ...)``."""
     if data.outcome is None:
         raise ValueError("dataset collection declares no outcome column")
-    return np.concatenate([finite_column(t, data.outcome, "outcome") for t in data.sources])
+    return np.concatenate([_fit_column(t, data.outcome, "outcome") for t in data.sources])
 
 
 # damped Newton's iteration cap; every solve starts at theta = 0
 _MAX_ITER = 200
 
 
-def _solve(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray, spec: LossSpec, ridge: float = 0.0
-) -> ErmFit:
+def _newton(x: np.ndarray, y: np.ndarray, w: np.ndarray, spec: LossSpec,
+            ridge: float = 0.0) -> tuple[np.ndarray, float, bool, int]:
     """Minimize sum_i w_i loss_i(theta) + (ridge / 2) |theta|^2 over the rows
     of (x, y), for row weights ``w`` summing to one, by damped Newton with
-    Armijo backtracking."""
+    Armijo backtracking: theta, |grad|, whether it converged, the iterations."""
 
     def value(theta):
         return spec.loss(theta, x, y) @ w + 0.5 * ridge * (theta @ theta)
 
     def grad(theta):
         return spec.gradient(theta, x, y).T @ w + ridge * theta
-
-    def hess(theta):
-        return spec.hessian_mean(theta, x, y, w) + ridge * np.eye(theta.size)
 
     theta = np.zeros(x.shape[1])
     f = value(theta)
@@ -173,7 +162,7 @@ def _solve(
         # rounding floor and further steps cannot improve the fit
         if stalled or np.linalg.norm(g) <= 1e-10 * (1.0 + np.linalg.norm(theta)):
             break
-        h = hess(theta)
+        h = spec.hessian_mean(theta, x, y, w) + ridge * np.eye(theta.size)
         direction = None
         damping = 0.0
         for _ in range(12):
@@ -212,15 +201,33 @@ def _solve(
             f"(|grad| = {gnorm:.3e}); returning last iterate",
             stacklevel=3,
         )
-    h_hat = hess(theta)
+    return theta, gnorm, bool(converged), n_iter
+
+
+def fit_erm(x: np.ndarray, y: np.ndarray, w: np.ndarray, sizes: Sequence[int],
+            spec: LossSpec) -> ErmFit:
+    """Weighted ERM on the pooled source rows (x, y), stacked in source
+    blocks of ``sizes`` rows, for row weights ``w`` summing to one: dataset
+    weights beta are the row weights beta_k / n_k. Returns the fit with its
+    weighted mean Hessian, its influence variance and the per-source means of
+    the influence values -H^{-1} grad, which ``erm_ci`` reads."""
+    sizes = np.asarray(sizes)
+    if not x.shape[0] == y.size == w.size == sizes.sum():
+        raise ValueError("x, y and w need one row per source row")
+    if abs(w.sum() - 1.0) > 1e-8:
+        raise ValueError("row weights must sum to one")
+    theta, gnorm, converged, n_iter = _newton(x, y, w, spec)
+    h_hat = spec.hessian_mean(theta, x, y, w)
     h_hat = 0.5 * (h_hat + h_hat.T)
     if np.linalg.matrix_rank(h_hat) < h_hat.shape[0]:
         # a covariate that repeats or combines others; whether LU meets an
         # exact zero pivot then depends on the BLAS summation order
         raise ConvergenceError("weighted Hessian is singular at the optimum")
+    grads = spec.gradient(theta, x, y)
+    grad_sums = np.add.reduceat(grads, np.cumsum(sizes) - sizes)
+    psi_means = -np.linalg.solve(h_hat, (grad_sums / sizes[:, None]).T).T
     # influence values -H^{-1} grad on the pooled rows have covariance
     # H^{-1} Cov(grad) H^{-1}: two p x p solves
-    grads = spec.gradient(theta, x, y)
     grads -= grads.mean(axis=0)
     grad_cov = grads.T @ grads / grads.shape[0]
     infl_var = np.linalg.solve(h_hat, np.linalg.solve(h_hat, grad_cov).T)
@@ -229,63 +236,32 @@ def _solve(
         hessian_hat=h_hat,
         influence_variance=0.5 * (infl_var + infl_var.T),
         grad_norm=gnorm,
-        converged=bool(converged),
+        converged=converged,
         n_iterations=n_iter,
         loss_family=spec.family,
+        source_influence_means=psi_means,
     )
 
 
-def fit_erm(
-    data: DatasetCollection,
-    spec: LossSpec,
-    beta: np.ndarray,
-    covariates: tuple[str, ...] | None = None,
-) -> ErmFit:
-    """Weighted ERM on a dataset collection (numeric covariates + outcome),
-    with an intercept column in front of the covariates: the per-dataset
-    weights ``beta`` (summing to one) become row weights beta_k / n_k.
-    The covariates default to ``data.numeric_covariates``."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.size != data.n_sources:
-        raise ValueError("need one weight per dataset")
-    if abs(beta.sum() - 1.0) > 1e-8:
-        raise ValueError("distribution weights must sum to one")
-    covs = covariates or data.numeric_covariates
-    x = design_matrix(data.sources, covs)
-    y = outcome_vector(data)
-    sizes = np.array(data.sizes)
-    fit = _solve(x, y, np.repeat(beta / sizes, sizes), spec)
-    # per-source means of the influence values -H^{-1} grad, which erm_ci reads
-    grad_sums = np.add.reduceat(spec.gradient(fit.theta_hat, x, y), np.cumsum(sizes) - sizes)
-    psi_means = -np.linalg.solve(fit.hessian_hat, (grad_sums / sizes[:, None]).T).T
-    return replace(fit, feature_names=("intercept",) + covs, source_influence_means=psi_means)
-
-
-def ood_risk(fit: ErmFit, shift_scale: float) -> OodRisk:
-    """Asymptotic mean excess risk of the weighted fit on the target.
+def ood_risk(fit: ErmFit, shift_scale: float) -> tuple[float, float]:
+    """Asymptotic mean excess risk of the weighted fit on the target, and its
+    trace term Trace(H^{-1} V), with H the weighted mean Hessian and V the
+    pooled gradient covariance.
 
     The mean squared residual of a moment-matching weight fit
     (``shift_scale``) stands in for the unknown shift magnitude
-    beta' Sigma_W beta / m, and scales Trace(H^{-1} V).
+    beta' Sigma_W beta / m. The risk is (1/2) * shift_scale * trace term; the
+    1/2 is the second-order Taylor constant of the risk around its minimizer.
     """
-    v = fit.influence_variance  # pooled Var of -H^{-1} grad
-    h = fit.hessian_hat
     # Trace(H^{-1} Var(grad)) == Trace(H Var(influence))
-    trace_term = float(np.trace(h @ v))
-    return OodRisk(
-        value=0.5 * float(shift_scale) * trace_term,
-        trace_term=trace_term,
-        quadratic_form=float(shift_scale),
-    )
+    trace_term = float(np.trace(fit.hessian_hat @ fit.influence_variance))
+    return 0.5 * float(shift_scale) * trace_term, trace_term
 
 
 def erm_ci(fit: ErmFit, dlm_fit: DlmFit, level: float = 0.95) -> np.ndarray:
     """Per-coordinate (lower, upper) confidence intervals for the target
     parameters: row j is ``target_ci`` of the influence function theta_j + psi_j
     under ``dlm_fit``, from the per-source influence means ``fit_erm`` records."""
-    if fit.source_influence_means is None:
-        raise ValueError("erm_ci needs the per-source influence means that fit_erm "
-                         "records; a fit solved on pooled rows has none")
     cis = [target_ci(dlm_fit, theta + means, var, level) for theta, means, var in zip(
         fit.theta_hat, fit.source_influence_means.T, np.diag(fit.influence_variance))]
     return np.array([(ci.estimate - ci.half_width, ci.estimate + ci.half_width) for ci in cis])
@@ -321,8 +297,8 @@ def importance_weights(
     n = n_s + n_t
     x = np.vstack([x_source, x_target])
     a = np.concatenate([np.zeros(n_s), np.ones(n_t)])
-    fit = _solve(x, a, np.full(n, 1.0 / n), logistic_loss(), ridge=_L2_PENALTY / n)
-    p = expit(x_source @ fit.theta_hat)
+    theta = _newton(x, a, np.full(n, 1.0 / n), logistic_loss(), ridge=_L2_PENALTY / n)[0]
+    p = expit(x_source @ theta)
     p_target = n_t / n
     raw = (p / (1.0 - p)) / (p_target / (1.0 - p_target))
     threshold = float(np.quantile(raw, clip_quantile))

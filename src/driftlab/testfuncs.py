@@ -124,6 +124,8 @@ def _indicator(data: DatasetCollection, col: str, value: str) -> Callable:
         number = float(value) if numeric else None
     except ValueError:
         raise ValueError(f"column {col!r} is numeric, but {value!r} is not a number") from None
+    if numeric and np.isnan(number):
+        raise ValueError(f"column {col!r} is numeric, and no cell equals nan")
     return lambda tbl: (tbl.column(col) == (number if tbl.is_numeric(col) else value)).astype(float)
 
 

@@ -17,7 +17,7 @@ import driftlab as dl
 from driftlab import cli
 from driftlab import harness as H
 from driftlab.dlm import closed_form_weights, fit_weights
-from driftlab.erm import _solve, design_matrix, fit_erm, importance_weights, squared_error_loss
+from driftlab.erm import design_matrix, fit_erm, importance_weights, squared_error_loss
 from driftlab.moments import MomentMatrix
 from driftlab.tables import DatasetCollection, Table
 from driftlab.testfuncs import parse_test_functions
@@ -243,7 +243,7 @@ def test_criterion_10_three_way_weighting_comparison():
     for frac in fractions:
         n2 = int(round(frac / (1 - frac) * n1)) if frac > 0 else 0
         if n2 == 0:
-            fit = fit_erm(DatasetCollection((src1,), target, outcome="y"), loss, np.array([1.0]))
+            fit = fit_erm(design_matrix((src1,), ("x",)), y1, np.full(n1, 1.0 / n1), [n1], loss)
             rows.append((frac, mse(fit.theta_hat), mse(fit.theta_hat),
                          mse(fit.theta_hat), 0.0))
             continue
@@ -254,18 +254,22 @@ def test_criterion_10_three_way_weighting_comparison():
         moments = dl.evaluate_moments(data, tests)
         dlm_fit = fit_weights(moments, mode="simplex")
 
-        theta_dlm = fit_erm(data, loss, dlm_fit.beta_hat).theta_hat
+        pooled_design = design_matrix(data.sources, ("x",))
+        pooled_y = np.concatenate([y1, y2])
+        sizes = np.array([n1, n2])
+        theta_dlm = fit_erm(pooled_design, pooled_y, np.repeat(dlm_fit.beta_hat / sizes, sizes),
+                            sizes, loss).theta_hat
         # equal per-sample weights = dataset weights proportional to sizes
-        beta_equal = np.array([n1, n2]) / (n1 + n2)
-        theta_eq = fit_erm(data, loss, beta_equal).theta_hat
+        beta_equal = sizes / (n1 + n2)
+        theta_eq = fit_erm(pooled_design, pooled_y, np.repeat(beta_equal / sizes, sizes),
+                           sizes, loss).theta_hat
         import warnings
 
-        pooled_design = design_matrix(data.sources, ("x",))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             iw = importance_weights(pooled_design, design_matrix((target,), ("x",)))
-        pooled_y = np.concatenate([y1, y2])
-        theta_iw = _solve(pooled_design, pooled_y, iw.weights / iw.weights.sum(), loss).theta_hat
+        theta_iw = fit_erm(pooled_design, pooled_y, iw.weights / iw.weights.sum(), sizes,
+                           loss).theta_hat
         rows.append(
             (frac, mse(theta_eq), mse(theta_iw), mse(theta_dlm), dlm_fit.beta_hat[1])
         )

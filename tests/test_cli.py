@@ -519,6 +519,8 @@ BAD_FIT_DECLARATIONS = {
                          "column 'occupation' of table 'source_1' is not numeric"),
     "indicator_not_a_number": ("indicator:x1=abc",
                                "column 'x1' is numeric, but 'abc' is not a number"),
+    # nan equals no number, so the indicator would be the zero function
+    "indicator_nan": ("indicator:x1=nan", "column 'x1' is numeric, and no cell equals nan"),
     "column_missing": ("column:nope", "table 'source_1' has no column 'nope'"),
     "expr_number_beyond_float64": ("expr:x1+1" + "0" * 400,
                                    "a number in the expression is too large for a float64"),
@@ -930,6 +932,78 @@ class TestErmCli:
             f"{file[:-4]!r} at row 7"
         ]
 
+    @pytest.mark.parametrize(
+        "weights, file, column",
+        [(w, "source_1.csv", "x1") for w in ("uniform", "importance")]
+        + [(w, "source_1.csv", "income") for w in ("uniform", "dlm", "importance", "file")]
+        + [("importance", "target.csv", "x1")],
+    )
+    def test_overflowing_cell_exits_1_with_one_line_naming_it(
+        self, tmp_path, capsys, weights, file, column
+    ):
+        # 1e300 is finite, but its square is not; the fit sums squares of
+        # every column it reads
+        argv = fixture_with_cell(tmp_path, file, column, 1, "1e300")
+        if weights == "file":
+            weights = f"file:{write(tmp_path / 'w.json', '[0.25, 0.25, 0.25, 0.25]')}"
+        out = tmp_path / "e.json"
+        cfg = write(tmp_path / "cfg.json", '{"outcome": "income"}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            rc = cli.run(["erm", *argv, "--config", cfg, "--weights", weights,
+                          "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        role = "outcome" if column == "income" else "covariate"
+        assert capsys.readouterr().err.splitlines() == [
+            f"driftlab: error: {role} {column!r} of dataset {file[:-4]!r} has a sum of "
+            "squares beyond the float range"
+        ]
+
+    def test_unknown_weights_form_exits_before_ingest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "read_csv_table", lambda *a: pytest.fail("a CSV was opened"))
+        out = tmp_path / "e.json"
+        rc = cli.run(["erm", "--data", str(tmp_path / "s.csv"), "--target",
+                      str(tmp_path / "nonexistent.csv"), "--weights", "bogus", "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "driftlab: error: unknown weights scheme 'bogus'"]
+
+    @pytest.mark.parametrize("weights", ["uniform", "dlm", "importance", "file"])
+    def test_every_weights_form_is_one_fit_erm_call_on_its_row_weights(
+        self, tmp_path, monkeypatch, weights
+    ):
+        paths = [str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)]
+        tgt = str(FIXTURE / "target.csv")
+        data = cli.ingest(paths, tgt, "income")
+        covariates = data.numeric_covariates
+        x, y = erm.design_matrix(data.sources, covariates), erm.outcome_vector(data)
+        sizes = np.array(data.sizes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the dlm fit's L == K, the importance clip
+            if weights == "importance":
+                iw = erm.importance_weights(x, erm.design_matrix((data.target,), covariates))
+                w = iw.weights / iw.weights.sum()
+            else:
+                if weights == "dlm":
+                    tests = parse_test_functions([f"column:{c}" for c in covariates], data)
+                    beta = fit_weights(evaluate_moments(data, tests), mode="simplex").beta_hat
+                else:
+                    beta = np.array([0.1, 0.2, 0.3, 0.4] if weights == "file" else [0.25] * 4)
+                w = np.repeat(beta / sizes, sizes)
+            expected = erm.fit_erm(x, y, w, sizes, erm.squared_error_loss())
+            calls = []
+            fit_erm = erm.fit_erm
+            monkeypatch.setattr(erm, "fit_erm", lambda *a: calls.append(a) or fit_erm(*a))
+            if weights == "file":
+                weights = f"file:{write(tmp_path / 'w.json', '[0.1, 0.2, 0.3, 0.4]')}"
+            out = tmp_path / "e.json"
+            assert cli.run(["erm", "--data", *paths, "--target", tgt, "--config",
+                            write(tmp_path / "cfg.json", '{"outcome": "income"}'),
+                            "--weights", weights, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][2], w)
+        assert json.loads(out.read_text())["erm"]["theta_hat"] == expected.theta_hat.tolist()
+
     def test_non_finite_covariate_exits_before_the_weight_fit_warns(self, tmp_path, capsys):
         # L == K test functions make the dlm fit warn; x3 is a covariate
         # that no test function reads
@@ -986,9 +1060,11 @@ class TestErmCli:
         assert cli.run(["erm", "--data", *paths, "--target", tgt, "--weights", "uniform",
                         "--out", str(out)]) == 0
         report = json.loads(out.read_text())["erm"]
-        fit = erm.fit_erm(cli.ingest(paths, tgt, "y"), erm.squared_error_loss(),
-                          np.array([0.5, 0.5]))
-        assert report["feature_names"] == list(fit.feature_names) == ["intercept", "x"]
+        data = cli.ingest(paths, tgt, "y")
+        covariates = data.numeric_covariates
+        fit = erm.fit_erm(erm.design_matrix(data.sources, covariates), erm.outcome_vector(data),
+                          np.full(100, 1 / 100), data.sizes, erm.squared_error_loss())
+        assert report["feature_names"] == ["intercept", *covariates] == ["intercept", "x"]
         assert report["theta_hat"] == fit.theta_hat.tolist()
 
     def test_importance_weights_path(self, tmp_path):

@@ -10,13 +10,14 @@ from driftlab import erm
 from driftlab.dlm import fit_weights, target_ci
 from driftlab.erm import (
     LossSpec,
-    _solve,
+    _newton,
     design_matrix,
     erm_ci,
     fit_erm,
     importance_weights,
     logistic_loss,
     ood_risk,
+    outcome_vector,
     squared_error_loss,
 )
 from driftlab.moments import evaluate_moments
@@ -32,19 +33,13 @@ def linear_data(rng, n, theta, noise=0.5):
     return x, y
 
 
-def collection(*datasets):
-    """Sources s1, s2, ... with outcome y and covariates x1, x2, ..., the
-    columns of each design x after its intercept; fit_erm rebuilds x."""
-
-    def covariates(x):
-        return {f"x{j}": x[:, j] for j in range(1, x.shape[1])}
-
-    sources = tuple(
-        Table.from_arrays(f"s{k}", **covariates(x), y=y)
-        for k, (x, y) in enumerate(datasets, start=1)
-    )
-    target = Table.from_arrays("t", **covariates(datasets[0][0]))
-    return DatasetCollection(sources, target, outcome="y")
+def fit_datasets(datasets, spec, beta):
+    """fit_erm on the (x, y) datasets stacked in order, at dataset weights
+    beta: row weights beta_k / n_k."""
+    sizes = np.array([y.size for _, y in datasets])
+    w = np.repeat(np.asarray(beta, dtype=float) / sizes, sizes)
+    return fit_erm(np.vstack([x for x, _ in datasets]),
+                   np.concatenate([y for _, y in datasets]), w, sizes, spec)
 
 
 def with_intercept(x):
@@ -83,7 +78,7 @@ def test_loss_derivatives_match_finite_differences(spec_factory, rng):
 def test_single_dataset_squared_equals_ols(rng):
     theta = np.array([1.0, -2.0, 0.5])
     x, y = linear_data(rng, 400, theta)
-    fit = fit_erm(collection((x, y)), squared_error_loss(), np.array([1.0]))
+    fit = fit_datasets([(x, y)], squared_error_loss(), [1.0])
     ols = np.linalg.solve(x.T @ x, x.T @ y)
     assert np.allclose(fit.theta_hat, ols, atol=1e-9)
     assert fit.converged
@@ -92,8 +87,8 @@ def test_single_dataset_squared_equals_ols(rng):
 def test_identical_datasets_any_weights(rng):
     theta = np.array([0.3, 1.2])
     x, y = linear_data(rng, 300, theta)
-    single = fit_erm(collection((x, y)), squared_error_loss(), np.array([1.0]))
-    both = fit_erm(collection((x, y), (x, y)), squared_error_loss(), np.array([0.3, 0.7]))
+    single = fit_datasets([(x, y)], squared_error_loss(), [1.0])
+    both = fit_datasets([(x, y), (x, y)], squared_error_loss(), [0.3, 0.7])
     assert np.allclose(single.theta_hat, both.theta_hat, atol=1e-9)
 
 
@@ -102,7 +97,7 @@ def test_weighted_normal_equations_oracle(rng):
     x1, y1 = linear_data(rng, 200, theta)
     x2, y2 = linear_data(rng, 300, np.array([0.0, -1.0]))
     beta = np.array([0.6, 0.4])
-    fit = fit_erm(collection((x1, y1), (x2, y2)), squared_error_loss(), beta)
+    fit = fit_datasets([(x1, y1), (x2, y2)], squared_error_loss(), beta)
     a = beta[0] * x1.T @ x1 / 200 + beta[1] * x2.T @ x2 / 300
     b = beta[0] * x1.T @ y1 / 200 + beta[1] * x2.T @ y2 / 300
     assert np.allclose(fit.theta_hat, np.linalg.solve(a, b), atol=1e-9)
@@ -111,10 +106,8 @@ def test_weighted_normal_equations_oracle(rng):
 def test_one_hot_recovers_single_source(rng):
     x1, y1 = linear_data(rng, 150, np.array([1.0, 1.0]))
     x2, y2 = linear_data(rng, 150, np.array([-1.0, 2.0]))
-    one_hot = fit_erm(
-        collection((x1, y1), (x2, y2)), squared_error_loss(), np.array([0.0, 1.0])
-    )
-    solo = fit_erm(collection((x2, y2)), squared_error_loss(), np.array([1.0]))
+    one_hot = fit_datasets([(x1, y1), (x2, y2)], squared_error_loss(), [0.0, 1.0])
+    solo = fit_datasets([(x2, y2)], squared_error_loss(), [1.0])
     assert np.allclose(one_hot.theta_hat, solo.theta_hat, atol=1e-10)
 
 
@@ -124,7 +117,7 @@ def test_logistic_matches_scipy_oracle(rng):
     p = 1 / (1 + np.exp(-(x @ np.array([-0.5, 1.5]))))
     y = (rng.random(n) < p).astype(float)
     spec = logistic_loss()
-    fit = _solve(x, y, np.full(n, 1.0 / n), spec)
+    fit = fit_erm(x, y, np.full(n, 1.0 / n), [n], spec)
     res = minimize(
         lambda t: spec.loss(t, x, y).mean(), np.zeros(2), method="BFGS", tol=1e-12
     )
@@ -146,7 +139,7 @@ def test_newton_objective_monotone(rng):
         return vals
 
     spec = LossSpec("logistic", loss, base.gradient, base.hessian_mean)
-    _solve(x, y, np.full(n, 1.0 / n), spec)
+    _newton(x, y, np.full(n, 1.0 / n), spec)
     # the accepted sequence (first eval per line search is the incumbent)
     assert len(seen) >= 2
 
@@ -157,7 +150,7 @@ def test_nonconvergence_flags(rng, monkeypatch):
     y = (rng.random(n) < 0.5).astype(float)
     monkeypatch.setattr(erm, "_MAX_ITER", 1)
     with pytest.warns(UserWarning, match="did not reach"):
-        fit = fit_erm(collection((x, y)), logistic_loss(), np.array([1.0]))
+        fit = fit_datasets([(x, y)], logistic_loss(), [1.0])
     assert not fit.converged
     assert fit.n_iterations == 1
 
@@ -177,18 +170,19 @@ def test_newton_stops_when_accepted_step_leaves_objective_unchanged():
         return (theta - target + 3e-10 * (-1.0) ** next(calls))[None, :]
 
     spec = LossSpec("flat", loss, gradient, lambda theta, x, y, w: np.eye(2))
-    fit = _solve(np.ones((1, 2)), np.zeros(1), np.ones(1), spec)
-    assert fit.n_iterations <= 5
-    assert fit.converged
-    assert fit.grad_norm < 1e-8
-    assert np.abs(fit.theta_hat - target).max() < 1e-9
+    theta, grad_norm, converged, n_iterations = _newton(
+        np.ones((1, 2)), np.zeros(1), np.ones(1), spec)
+    assert n_iterations <= 5
+    assert converged
+    assert grad_norm < 1e-8
+    assert np.abs(theta - target).max() < 1e-9
 
 
 def test_influence_variance_matches_per_row_influences(rng):
     x1, y1 = linear_data(rng, 400, np.array([1.0, 2.0, -1.0]))
     x2, y2 = linear_data(rng, 300, np.array([0.5, 2.0, -1.5]))
     spec = squared_error_loss()
-    fit = fit_erm(collection((x1, y1), (x2, y2)), spec, np.array([0.3, 0.7]))
+    fit = fit_datasets([(x1, y1), (x2, y2)], spec, [0.3, 0.7])
     grads = np.vstack(
         [spec.gradient(fit.theta_hat, x1, y1), spec.gradient(fit.theta_hat, x2, y2)]
     )
@@ -200,13 +194,13 @@ def test_influence_variance_matches_per_row_influences(rng):
 
 def test_ood_risk_one_hot_identity(rng):
     x, y = linear_data(rng, 400, np.array([1.0, 2.0]))
-    fit = fit_erm(collection((x, y)), squared_error_loss(), np.array([1.0]))
-    risk = ood_risk(fit, shift_scale=0.01)
-    assert risk.quadratic_form == 0.01
+    fit = fit_datasets([(x, y)], squared_error_loss(), [1.0])
+    value, trace_term = ood_risk(fit, shift_scale=0.01)
     trace = np.trace(fit.hessian_hat @ fit.influence_variance)
-    assert risk.trace_term == pytest.approx(trace)
-    # mean excess risk carries the 1/2 Taylor constant
-    assert risk.value == pytest.approx(0.5 * 0.01 * trace)
+    assert trace_term == pytest.approx(trace)
+    # mean excess risk carries the 1/2 Taylor constant, at the shift scale given
+    assert value == pytest.approx(0.5 * 0.01 * trace)
+    assert value == 0.5 * 0.01 * trace_term
 
 
 def test_ood_risk_simplex_quadratic_oracle():
@@ -223,15 +217,15 @@ def test_ood_risk_trace_term_matches_direct_computation(rng):
     x1, y1 = linear_data(rng, 300, np.array([1.0, 2.0]))
     x2, y2 = linear_data(rng, 300, np.array([1.0, 2.0]))
     beta = np.array([0.5, 0.5])
-    fit = fit_erm(collection((x1, y1), (x2, y2)), squared_error_loss(), beta)
+    fit = fit_datasets([(x1, y1), (x2, y2)], squared_error_loss(), beta)
     spec = squared_error_loss()
     grads = np.vstack(
         [spec.gradient(fit.theta_hat, x1, y1), spec.gradient(fit.theta_hat, x2, y2)]
     )
     v = np.cov(grads.T, bias=True)
     expected = np.trace(np.linalg.solve(fit.hessian_hat, v))
-    risk = ood_risk(fit, shift_scale=1.0)
-    assert risk.trace_term == pytest.approx(expected, rel=1e-10)
+    _, trace_term = ood_risk(fit, shift_scale=1.0)
+    assert trace_term == pytest.approx(expected, rel=1e-10)
 
 
 def test_erm_ci_zero_residual_dlm(rng):
@@ -239,7 +233,7 @@ def test_erm_ci_zero_residual_dlm(rng):
     phi[0] = phi[1]
     dlm_fit = fit_weights(make_moments(phi))
     x, y = linear_data(rng, 200, np.array([1.0, 2.0]))
-    fit = fit_erm(collection((x, y), (x, y)), squared_error_loss(), dlm_fit.beta_hat)
+    fit = fit_datasets([(x, y), (x, y)], squared_error_loss(), dlm_fit.beta_hat)
     ci = erm_ci(fit, dlm_fit)
     assert np.allclose(ci[:, 0], ci[:, 1])
 
@@ -256,8 +250,10 @@ def test_erm_ci_intercept_only_hand_oracle(rng):
         Table.from_arrays("t", y=np.zeros(1)),
         outcome="y",
     )
-    fit = fit_erm(data, squared_error_loss(), np.array([0.3, 0.7]))
-    assert fit.feature_names == ("intercept",)
+    x = design_matrix(data.sources, data.numeric_covariates)
+    assert data.numeric_covariates == () and np.array_equal(x, np.ones((1000, 1)))
+    fit = fit_erm(x, outcome_vector(data), np.repeat([0.3 / 400, 0.7 / 600], [400, 600]),
+                  data.sizes, squared_error_loss())
     theta = fit.theta_hat[0]
     assert theta == pytest.approx(0.3 * y1.mean() + 0.7 * y2.mean())
     pooled = np.concatenate([y1, y2])
@@ -291,7 +287,9 @@ def test_erm_ci_is_target_ci_of_the_influence_function(mode):
     tests = parse_test_functions([f"column:{c}" for c in covs] + [f"expr:{c}**2" for c in covs],
                                  data)
     dlm_fit = fit_weights(evaluate_moments(data, tests), mode=mode)
-    fit = fit_erm(data, squared_error_loss(), dlm_fit.beta_hat)
+    sizes = np.array(data.sizes)
+    fit = fit_erm(design_matrix(data.sources, covs), outcome_vector(data),
+                  np.repeat(dlm_fit.beta_hat / sizes, sizes), sizes, squared_error_loss())
     ci = erm_ci(fit, dlm_fit, level=0.9)
     assert ci.shape == (5, 2)
     assert ci.mean(axis=1) == pytest.approx(fit.theta_hat, rel=1e-10, abs=0)
@@ -300,16 +298,6 @@ def test_erm_ci_is_target_ci_of_the_influence_function(mode):
                            fit.influence_variance[j, j], level=0.9)
         assert row.tolist() == [direct.estimate - direct.half_width,
                                 direct.estimate + direct.half_width]
-
-
-def test_erm_ci_needs_the_per_source_influence_means(rng):
-    # a pooled-rows solve, as on the importance path, knows no sources
-    x, y = linear_data(rng, 200, np.array([1.0, 2.0]))
-    fit = _solve(x, y, np.full(200, 1.0 / 200), squared_error_loss())
-    assert fit.source_influence_means is None
-    dlm_fit = fit_weights(make_moments(rng.normal(size=(3, 10))))
-    with pytest.raises(ValueError, match="per-source influence means"):
-        erm_ci(fit, dlm_fit)
 
 
 def test_density_ratio_arithmetic():
@@ -344,8 +332,8 @@ def test_row_weights_reweight(rng):
     x, y = linear_data(rng, 500, np.array([0.0, 1.0]))
     w = np.ones(500)
     w[:250] = 1e-9  # effectively drop the first half
-    fit = _solve(x, y, w / w.sum(), squared_error_loss())
-    sub = _solve(x[250:], y[250:], np.full(250, 1 / 250), squared_error_loss())
+    fit = fit_erm(x, y, w / w.sum(), [500], squared_error_loss())
+    sub = fit_erm(x[250:], y[250:], np.full(250, 1 / 250), [250], squared_error_loss())
     assert np.allclose(fit.theta_hat, sub.theta_hat, atol=1e-5)
 
 
@@ -356,13 +344,23 @@ def test_fit_erm_from_tables(rng):
     src = Table.from_arrays("s", x=x, y=y)
     tgt = Table.from_arrays("t", x=x[:20])
     data = DatasetCollection((src,), tgt, outcome="y")
-    fit = fit_erm(data, squared_error_loss(), np.array([1.0]))
-    assert fit.feature_names == ("intercept", "x")
+    assert data.numeric_covariates == ("x",)
+    fit = fit_erm(design_matrix(data.sources, data.numeric_covariates), outcome_vector(data),
+                  np.full(n, 1.0 / n), data.sizes, squared_error_loss())
     assert fit.theta_hat == pytest.approx([1.0, 2.0], abs=0.05)
     with pytest.raises(ValueError):
-        fit_erm(
-            DatasetCollection((src,), tgt), squared_error_loss(), np.array([1.0])
-        )
+        outcome_vector(DatasetCollection((src,), tgt))
+
+
+@pytest.mark.parametrize("rows, w, sizes, message", [
+    (4, np.full(4, 0.25), [2, 1], "one row per source row"),
+    (4, np.full(3, 1 / 3), [2, 2], "one row per source row"),
+    (4, np.full(4, 0.2), [2, 2], "must sum to one"),
+])
+def test_fit_erm_checks_its_rows_and_weights(rng, rows, w, sizes, message):
+    x, y = linear_data(rng, rows, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match=message):
+        fit_erm(x, y, w, sizes, squared_error_loss())
 
 
 def test_design_matrix_orders_columns():

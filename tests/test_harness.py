@@ -6,7 +6,7 @@ import pytest
 import driftlab as dl
 from driftlab import analytic, cli
 from driftlab import harness as H
-from driftlab.erm import _solve, squared_error_loss
+from driftlab.erm import fit_erm, squared_error_loss
 from driftlab.rng import split_uniform, substream
 
 
@@ -275,8 +275,8 @@ def test_excess_risk_fit_matches_the_newton_erm_fit():
             xs.append(x)
             ys.append(x @ theta_star + H._ERM_NOISE_SD * streams[dim_x])
         # uniform dataset weights 1/k over k datasets of n rows each
-        fit = _solve(np.vstack(xs), np.concatenate(ys), np.full(k * n, 1.0 / (k * n)),
-                     squared_error_loss())
+        fit = fit_erm(np.vstack(xs), np.concatenate(ys), np.full(k * n, 1.0 / (k * n)),
+                      [n] * k, squared_error_loss())
         diff = fit.theta_hat - theta_star
         excess.append(cfg.m * diff @ diff)
     np.testing.assert_allclose(result.empirical["mean_excess"], np.mean(excess), rtol=1e-9)
