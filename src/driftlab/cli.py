@@ -548,6 +548,10 @@ def cmd_erm(args) -> int:
         fit = erm_mod.fit_erm(x, y, w, sizes, spec)
     except erm_mod.ConvergenceError as exc:
         raise UserError(f"erm on covariates {list(covariates)}: {exc}") from None
+    except erm_mod.InfluenceOverflowError as exc:
+        raise UserError(f"erm on outcome {outcome!r}: the influence variance overflows the "
+                        f"float range in the gradient products of source "
+                        f"{data.sources[exc.source].name!r}") from None
 
     report = {
         "theta_hat": fit.theta_hat,
@@ -617,7 +621,8 @@ def cmd_diagnose(args) -> int:
     payload, (moments, mode) = _load_config(args.fit, _fit_report)
     try:
         fit = dlm_mod.fit_weights(moments, mode=mode)
-    except (dlm_mod.DegreesOfFreedomError, dlm_mod.CollinearDatasetsError) as exc:
+    except (dlm_mod.DegreesOfFreedomError, dlm_mod.CollinearDatasetsError,
+            dlm_mod.WeightFitOverflowError) as exc:
         raise UserError(f"{args.fit}: {exc}") from None
     plot_id, x, y, label = zip(*diagnostic_rows(fit))
     table = Table.from_arrays("diagnostics", plot_id=plot_id, x=x, y=y, label=label)

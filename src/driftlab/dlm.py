@@ -8,8 +8,9 @@ small-sample t and F laws as an ordinary linear model, with L - K + 1
 degrees of freedom (L test functions, K source datasets).
 
 Both fit modes rest on one solve: the least squares of the design
-reparametrized with dataset K as reference, by ``np.linalg.lstsq``. Its rank
-is the one rule for a degenerate fit. ``sum_to_one`` raises
+reparametrized with dataset K as reference, by one SVD with
+``np.linalg.lstsq``'s rank rule (:func:`_sum_to_one`). Its rank is the one
+rule for a degenerate fit. ``sum_to_one`` raises
 CollinearDatasetsError below rank K - 1; ``simplex`` runs the solve on each
 active support S and, below rank |S| - 1 on the last, returns the
 minimum-norm optimum flagged non-unique. The closed form
@@ -23,6 +24,10 @@ RSS = 1 / (1' (Phi' Phi)^{-1} 1).
 
 ``target_ci`` is the one interval formula, beta_hat . (source means) +-
 z * sqrt(pooled variance) * sqrt(RSS / L); ``erm.erm_ci`` calls it too.
+
+The solve and its inference arithmetic (RSS, uniform-weights RSS, standard
+errors, F) take a stack of problems (:func:`_fit_stack`): ``fit_weights``
+runs it on one, and the Monte Carlo harness on blocks of replicates.
 """
 
 from __future__ import annotations
@@ -52,6 +57,11 @@ class CollinearDatasetsError(np.linalg.LinAlgError):
 
 class DegreesOfFreedomError(ValueError):
     pass
+
+
+class WeightFitOverflowError(ValueError):
+    """The weight fit left the float range: a deviation, a weight or a
+    residual sum of squares is not finite."""
 
 
 @dataclass(frozen=True)
@@ -116,10 +126,10 @@ def _f_sf(x: float, dfn: int, dfd: int) -> float:
     return 1.0 if x <= 0.0 else float(fdtrc(dfn, dfd, x))
 
 
-def _build_deviations(moments: MomentMatrix) -> np.ndarray:
-    """Phi: (L, K) matrix of source-minus-target mean deviations."""
-    phi0 = moments.phi_hat[0]
-    return (moments.phi_hat[1:] - phi0[None, :]).T
+def _build_deviations(phi_hat: np.ndarray) -> np.ndarray:
+    """Phi: the (..., L, K) source-minus-target mean deviations of a
+    (..., K+1, L) stack of mean matrices, row 0 the target's."""
+    return (phi_hat[..., 1:, :] - phi_hat[..., :1, :]).swapaxes(-1, -2)
 
 
 def _collinear(phi: np.ndarray, names: tuple[str, ...]) -> CollinearDatasetsError:
@@ -140,16 +150,94 @@ def _collinear(phi: np.ndarray, names: tuple[str, ...]) -> CollinearDatasetsErro
                                   + ("; ".join(pairs) if pairs else "rank-deficient design"))
 
 
-def _sum_to_one(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Minimize |Phi beta|^2 subject to sum(beta) = 1, the last column the reference.
+def _check_finite(moments: MomentMatrix, *values) -> None:
+    """Raise WeightFitOverflowError unless every entry of ``values`` is
+    finite, naming the test function with the largest |deviation| and the
+    dataset whose mean of it is largest in magnitude."""
+    if all(np.isfinite(v).all() for v in values):
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = int(np.abs(_build_deviations(moments.phi_hat)).max(axis=1).argmax())
+    means = moments.phi_hat[:, worst]
+    row = int(np.abs(means).argmax())
+    dataset = ((moments.target_name,) + moments.source_names)[row]
+    raise WeightFitOverflowError(
+        f"test function {moments.names[worst]!r} takes the weight fit beyond the "
+        f"float range: its mean on dataset {dataset!r} is {means[row]:.6g}")
+
+
+def _sum_to_one(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize |Phi beta|^2 subject to sum(beta) = 1 for every (L, K) matrix
+    of a (..., L, K) stack, the last column the reference.
 
     The free weights are the least squares of -Phi_K on the (L, K-1) design
-    Phi_j - Phi_K. Returns the weights, the design and its rank; below K - 1
-    the minimizer is not unique and lstsq gives the free weights of least norm.
+    Phi_j - Phi_K, solved by one batched SVD U S V' of the designs. A
+    singular value counts toward the rank when it exceeds
+    eps * max(L, K-1) * s_max, the rule of ``np.linalg.lstsq(rcond=None)``;
+    below rank K - 1 the minimizer is not unique and, as from lstsq, the free
+    weights are those of least norm. Returns the weights (..., K), the ranks
+    (...,), the designs (..., L, K-1) and V S^+ (..., K-1, K-1), whose
+    product with its transpose is the inverse Gram matrix of a full-rank
+    design. The designs must be finite.
     """
-    design = phi[:, :-1] - phi[:, -1:]
-    free, _, rank, _ = np.linalg.lstsq(design, -phi[:, -1], rcond=None)
-    return np.append(free, 1.0 - free.sum()), design, int(rank)
+    design = phi[..., :-1] - phi[..., -1:]
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    kept = s > np.finfo(float).eps * max(design.shape[-2:]) * s[..., :1]
+    root = vt.swapaxes(-1, -2) * np.divide(1.0, s, out=np.zeros_like(s), where=kept)[..., None, :]
+    free = -(root @ (u.swapaxes(-1, -2) @ phi[..., -1:]))[..., 0]
+    beta = np.concatenate([free, 1.0 - free.sum(axis=-1, keepdims=True)], axis=-1)
+    return beta, kept.sum(axis=-1), design, root
+
+
+def _residuals(phi_hat: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Target-minus-fitted means of a (..., K+1, L) stack under weights
+    ``beta`` (..., K), and their sums of squares."""
+    residuals = phi_hat[..., 0, :] - (beta[..., None, :] @ phi_hat[..., 1:, :])[..., 0, :]
+    return residuals, np.einsum("...l,...l->...", residuals, residuals)
+
+
+@dataclass(frozen=True)
+class _Fits:
+    """Sum-to-one weight fits of a stack of problems, one entry per problem."""
+
+    beta: np.ndarray  # (..., K)
+    rank: np.ndarray  # (...,) of the (L, K-1) design
+    design: np.ndarray  # (..., L, K-1)
+    residuals: np.ndarray  # (..., L)
+    rss: np.ndarray
+    rss_uniform: np.ndarray
+    se: np.ndarray  # (..., K), the reference dataset's last
+    f_stat: np.ndarray
+
+
+def _fit_stack(phi_hat: np.ndarray) -> _Fits:
+    """The sum-to-one weight fit, with its inference, of every (K+1, L) mean
+    matrix (row 0 the target's) of a (..., K+1, L) stack: the one weight-fit
+    core, which ``fit_weights`` runs on one matrix and the Monte Carlo
+    harness on blocks of replicates.
+
+    With sigma^2 = RSS / (L - K + 1), the free weights' standard errors are
+    sigma times the row norms of V S^+, and the reference weight's, the
+    contrast 1 - (sum of the others), sigma times the norm of their sum. The
+    F statistic tests the uniform weights. With K = 1 the one weight is
+    fixed at 1, and both are NaN. Entries beyond the float range come out as
+    inf or NaN, without a warning.
+    """
+    n_funcs, k = phi_hat.shape[-1], phi_hat.shape[-2] - 1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        beta, rank, design, root = _sum_to_one(_build_deviations(phi_hat))
+        residuals, rss = _residuals(phi_hat, beta)
+        rss_uniform = _residuals(phi_hat, np.full(k, 1.0 / k))[1]
+        sigma2 = rss / (n_funcs - k + 1)
+        root = np.concatenate([root, root.sum(axis=-2, keepdims=True)], axis=-2)
+        se = np.sqrt(sigma2)[..., None] * np.linalg.norm(root, axis=-1)
+        # the numerator is a quadratic form, nonnegative up to rounding
+        f_stat = np.maximum(rss_uniform - rss, 0.0) / ((k - 1) * sigma2)
+    # with no residual, F is 0 where the uniform weights fit as well, inf elsewhere
+    f_stat = np.where(sigma2 > 0.0, f_stat, np.where(rss_uniform > 0.0, np.inf, 0.0))
+    if k == 1:
+        se, f_stat = np.full(beta.shape, np.nan), np.full(rss.shape, np.nan)
+    return _Fits(beta, rank, design, residuals, rss, rss_uniform, se, f_stat)
 
 
 def _simplex_weights(phi: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -170,7 +258,7 @@ def _simplex_weights(phi: np.ndarray) -> tuple[np.ndarray, bool]:
     support = list(range(k))
     for _ in range(50 * k + 50):
         cand = np.zeros(k)
-        cand[support], _, rank = _sum_to_one(phi[:, support])
+        cand[support], rank = _sum_to_one(phi[:, support])[:2]
         if cand[support].min() >= -1e-12:
             beta = np.clip(cand, 0.0, None)
             beta /= beta.sum()
@@ -200,7 +288,7 @@ def _simplex_weights(phi: np.ndarray) -> tuple[np.ndarray, bool]:
             beta = np.zeros(k)
             beta[support] = np.clip(least, 0.0, None)
             beta /= beta.sum()
-    return beta, non_unique
+    return beta, bool(non_unique)
 
 
 def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
@@ -208,7 +296,8 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
 
     ``sum_to_one`` solves the reparametrized least squares (weights sum to
     one, any sign) and carries full t/F inference; ``simplex`` additionally
-    constrains the weights to be nonnegative and carries no inference.
+    constrains the weights to be nonnegative and carries no inference. A fit
+    that leaves the float range raises WeightFitOverflowError.
     """
     if mode not in ("sum_to_one", "simplex"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -218,6 +307,21 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
         raise DegreesOfFreedomError(
             f"need at least as many test functions as datasets (L={n_funcs} < K={k})"
         )
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = _build_deviations(moments.phi_hat)  # (L, K)
+        # bounds every design entry Phi_j - Phi_K, so the SVD sees finite numbers
+        _check_finite(moments, np.abs(phi).sum(axis=1))
+    fits = _fit_stack(moments.phi_hat)
+    beta, residuals, rss = fits.beta, fits.residuals, fits.rss
+    non_unique = False
+    if mode == "simplex":
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta, non_unique = _simplex_weights(phi)
+            residuals, rss = _residuals(moments.phi_hat, beta)
+    _check_finite(moments, beta, rss, fits.rss_uniform)
+    if mode == "sum_to_one" and fits.rank < k - 1:
+        raise _collinear(phi, moments.source_names)
+
     notes = []
     if n_funcs == k:
         warnings.warn(
@@ -226,24 +330,12 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
             stacklevel=2,
         )
         notes.append("df = 1 (L == K): low-power fit")
-
-    phi = _build_deviations(moments)  # (L, K)
-    beta, design, rank = _sum_to_one(phi)
-    non_unique = False
-    if mode == "simplex":
-        beta, non_unique = _simplex_weights(phi)
-        if non_unique:
-            notes.append("simplex optimum non-unique; returned minimum-norm solution")
-    elif rank < k - 1:
-        raise _collinear(phi, moments.source_names)
-
-    residuals = moments.phi_hat[0] - beta @ moments.phi_hat[1:]
-    rss = float(residuals @ residuals)
+    if non_unique:
+        notes.append("simplex optimum non-unique; returned minimum-norm solution")
+    rss = float(rss)
+    rss_unif = float(fits.rss_uniform)
     df = n_funcs - k + 1
     sigma2 = rss / df
-    uniform = np.full(k, 1.0 / k)
-    resid_unif = moments.phi_hat[0] - uniform @ moments.phi_hat[1:]
-    rss_unif = float(resid_unif @ resid_unif)
 
     se = t_stats = p_values = None
     f_stat = f_pvalue = None
@@ -254,29 +346,13 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
             adj_r2 = 1.0 - (1.0 - r2) * n_funcs / df
         else:
             notes.append("uniform-weight RSS is zero; R^2 undefined")
+        se = fits.se
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_stats = beta / se
+        p_values = 2.0 * stdtr(df, -np.abs(t_stats))
         if k > 1:
-            gram = design.T @ design
-            try:
-                cov_beta = np.linalg.inv(gram) * sigma2
-            except np.linalg.LinAlgError:
-                raise _collinear(phi, moments.source_names)
-            se_free = np.sqrt(np.diag(cov_beta))
-            se_ref = float(np.sqrt(np.ones(k - 1) @ cov_beta @ np.ones(k - 1)))
-            se = np.append(se_free, se_ref)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_stats = beta / se
-            p_values = 2.0 * stdtr(df, -np.abs(t_stats))
-            if sigma2 > 0.0:
-                # the numerator is a quadratic form, nonnegative up to rounding
-                f_stat = max(rss_unif - rss, 0.0) / ((k - 1) * sigma2)
-                f_pvalue = _f_sf(f_stat, k - 1, df)
-            else:
-                f_stat = 0.0 if rss_unif <= 0.0 else np.inf
-                f_pvalue = 1.0 if rss_unif <= 0.0 else 0.0
-        else:
-            se = np.array([np.nan])
-            t_stats = np.array([np.nan])
-            p_values = np.array([np.nan])
+            f_stat = float(fits.f_stat)
+            f_pvalue = _f_sf(f_stat, k - 1, df)
 
     if not abs(beta.sum() - 1.0) < 1e-12:
         raise RuntimeError(f"fit_weights: weights sum to {beta.sum()!r}, not 1")
@@ -288,7 +364,7 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
         rss_uniform=rss_unif,
         sigma2_hat=sigma2,
         df=df,
-        design=design,
+        design=fits.design,
         moments=moments,
         se=se,
         t_stats=t_stats,
@@ -304,7 +380,7 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
 
 def closed_form_weights(moments: MomentMatrix) -> np.ndarray:
     """Sum-to-one weights via the normal-equations closed form."""
-    phi = _build_deviations(moments)
+    phi = _build_deviations(moments.phi_hat)
     gram = phi.T @ phi
     ones = np.ones(gram.shape[0])
     try:
@@ -312,6 +388,15 @@ def closed_form_weights(moments: MomentMatrix) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise _collinear(phi, moments.source_names)
     return x / (ones @ x)
+
+
+def _interval(beta: np.ndarray, rss: np.ndarray, n_functions: int, source_means: np.ndarray,
+              pooled_var: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Center and half-width of ``target_ci``'s interval, for one fit or a
+    stack: beta . (source means) and z * sqrt(pooled_var) * sqrt(RSS / L)."""
+    z = ndtri(0.5 + level / 2.0)
+    return (np.einsum("...k,...k->...", beta, source_means),
+            z * np.sqrt(pooled_var) * np.sqrt(rss / n_functions))
 
 
 def target_ci(
@@ -329,12 +414,9 @@ def target_ci(
     source_means = np.asarray(source_means, dtype=float)
     if source_means.size != fit.n_sources:
         raise ValueError("need one mean per source dataset")
-    z = ndtri(0.5 + level / 2.0)
-    return TargetCI(
-        estimate=float(fit.beta_hat @ source_means),
-        half_width=float(z * np.sqrt(pooled_var) * np.sqrt(fit.shift_scale)),
-        level=level,
-    )
+    estimate, half_width = _interval(fit.beta_hat, fit.rss, fit.n_functions, source_means,
+                                     pooled_var, level)
+    return TargetCI(estimate=float(estimate), half_width=float(half_width), level=level)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,15 @@ class ConvergenceError(RuntimeError):
     pass
 
 
+class InfluenceOverflowError(ValueError):
+    """The influence variance left the float range; ``source`` is the index
+    of the source whose gradient products overflow."""
+
+    def __init__(self, source: int):
+        super().__init__(f"the gradient products of source {source} overflow the float range")
+        self.source = source
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """Twice-differentiable per-row loss with gradient and mean Hessian.
@@ -224,12 +233,18 @@ def fit_erm(x: np.ndarray, y: np.ndarray, w: np.ndarray, sizes: Sequence[int],
         # exact zero pivot then depends on the BLAS summation order
         raise ConvergenceError("weighted Hessian is singular at the optimum")
     grads = spec.gradient(theta, x, y)
-    grad_sums = np.add.reduceat(grads, np.cumsum(sizes) - sizes)
+    starts = np.cumsum(sizes) - sizes
+    grad_sums = np.add.reduceat(grads, starts)
     psi_means = -np.linalg.solve(h_hat, (grad_sums / sizes[:, None]).T).T
     # influence values -H^{-1} grad on the pooled rows have covariance
     # H^{-1} Cov(grad) H^{-1}: two p x p solves
-    grads -= grads.mean(axis=0)
-    grad_cov = grads.T @ grads / grads.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads -= grads.mean(axis=0)
+        grad_cov = grads.T @ grads / grads.shape[0]
+        if not np.isfinite(grad_cov).all():
+            # argmax finds the first NaN, or else the first inf
+            squares = np.add.reduceat(grads * grads, starts).max(axis=1)
+            raise InfluenceOverflowError(int(np.argmax(squares)))
     infl_var = np.linalg.solve(h_hat, np.linalg.solve(h_hat, grad_cov).T)
     return ErmFit(
         theta_hat=theta,

@@ -36,8 +36,7 @@ import numpy as np
 from scipy.special import chdtr, fdtr, smirnov, stdtr, stdtrit
 
 from . import analytic
-from .dlm import fit_weights, target_ci
-from .moments import MomentMatrix
+from .dlm import _fit_stack, _interval
 from .perturb import (
     GaussianCopulaWeights,
     IndependentWeights,
@@ -298,18 +297,6 @@ def _walsh_table(n_functions: int, n_bins: int) -> np.ndarray:
     return 1.0 - 2.0 * parity
 
 
-def _moment_matrix(phi_hat: np.ndarray, sizes: tuple[int, ...]) -> MomentMatrix:
-    k = phi_hat.shape[0] - 1
-    return MomentMatrix(
-        phi_hat=phi_hat,
-        names=tuple(f"phi_{i + 1}" for i in range(phi_hat.shape[1])),
-        sizes=sizes,
-        source_names=tuple(f"source_{i + 1}" for i in range(k)),
-        target_name="target",
-        pooled_var=None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Individual checks
 # ---------------------------------------------------------------------------
@@ -404,45 +391,59 @@ def check_kron_cov(cfg: KronCovConfig, seed: int) -> CheckResult:
     )
 
 
+# replicates _simulate_null fits together; memory grows with the block, and
+# the solve gains little beyond it
+_BLOCK = 32
+
+
 def _simulate_null(cfg, seed: int, lane: int, with_ci: bool):
     """Shared exchangeable-null simulation for the t/F/chi2/CI checks.
 
     Per replicate: realize a world with i.i.d. symmetric weights (the
-    exchangeable null, optimal weights uniform), draw the bin counts of K
-    source datasets and of one unperturbed target dataset, take the
+    exchangeable null, optimal weights uniform), draw the bin counts of one
+    unperturbed target dataset and of K source datasets, take the
     orthonormal Walsh test-function means off the counts, and fit the weight
     regression. Rows are built only for the CI's source means of u.
+
+    Replicates are drawn one at a time, each from its own substream, and
+    fitted in blocks of at most ``_BLOCK`` by one call to the weight-fit core
+    ``dlm._fit_stack``; the interval is ``dlm.target_ci``'s arithmetic. Row r
+    holds replicate r's t pivot, F, RSS and coverage flag (0 without the CI).
     """
     k = cfg.n_sources
     n = cfg.n_ratio * cfg.m
     n0 = cfg.n0_ratio * cfg.m
     law = WeightLaw(*_NULL_WEIGHT_LAW)
     scheme = PerturbationScheme(cfg.m, IndependentWeights((law,) * k))
-    beta_star = np.full(k, 1.0 / k)
     table_t = _walsh_table(cfg.n_functions, cfg.m).T
     flat = np.ones(cfg.m)
-    sizes = (n0,) + (n,) * k
-
-    def one(r):
-        rng = substream(seed, lane, r)
-        world = realize_world(scheme, rng)
-        counts = np.stack([_bin_counts(flat, n0, rng)]
-                          + [_bin_counts(world[j], n, rng) for j in range(k)])
-        mm = _moment_matrix(counts @ table_t / np.array(sizes)[:, None], sizes)
-        fit = fit_weights(mm)
-        t_pivot = (fit.beta_hat[0] - beta_star[0]) / fit.se[0]
-        out = [t_pivot, fit.f_stat, fit.rss]
+    sizes = np.array((n0,) + (n,) * k)[:, None]
+    out = np.zeros((cfg.replicates, 4))
+    for start in range(0, cfg.replicates, _BLOCK):
+        block = range(start, min(start + _BLOCK, cfg.replicates))
+        counts = np.empty((len(block), k + 1, cfg.m), dtype=np.int64)
+        source_means = np.empty((len(block), k))
+        pooled_var = np.empty(len(block))
+        for i, r in enumerate(block):
+            rng = substream(seed, lane, r)
+            world = realize_world(scheme, rng)
+            counts[i, 0] = _bin_counts(flat, n0, rng)
+            for j in range(k):
+                counts[i, j + 1] = _bin_counts(world[j], n, rng)
+            if with_ci:
+                u_sources = [_bin_rows(c, rng) for c in counts[i, 1:]]
+                source_means[i] = [u.mean() for u in u_sources]
+                pooled_var[i] = np.concatenate(u_sources).var()
+        phi_hat = (counts.reshape(-1, cfg.m) @ table_t).reshape(len(block), k + 1, -1) / sizes
+        fits = _fit_stack(phi_hat)
+        out[block, 0] = (fits.beta[:, 0] - 1.0 / k) / fits.se[:, 0]
+        out[block, 1] = fits.f_stat
+        out[block, 2] = fits.rss
         if with_ci:
-            u_sources = [_bin_rows(c, rng) for c in counts[1:]]
-            ci = target_ci(fit, np.array([u.mean() for u in u_sources]),
-                           np.concatenate(u_sources).var(), level=_CI_LEVEL)
-            covered = abs(ci.estimate - 0.5) <= ci.half_width
-            out.append(1.0 if covered else 0.0)
-        else:
-            out.append(0.0)
-        return np.array(out)
-
-    return _replicate_map(one, cfg.replicates, 4), n, n0
+            estimate, half_width = _interval(fits.beta, fits.rss, cfg.n_functions,
+                                             source_means, pooled_var, _CI_LEVEL)
+            out[block, 3] = np.abs(estimate - 0.5) <= half_width
+    return out, n, n0
 
 
 # The two-sided one-sample Kolmogorov-Smirnov test. The statistic and the

@@ -13,7 +13,6 @@ import numpy as np
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_BYTE = np.uint64(0xFF)
 
 
 def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
@@ -46,8 +45,9 @@ def split_uniform(u: np.ndarray, streams: int) -> np.ndarray:
     53 bits, so it runs as seven lookups, one per byte of the input, in
     per-byte tables (:func:`_split_tables`) whose entries place each bit
     at its destination in one packed word holding every stream's ``acc``
-    side by side. The output is bit-for-bit that of dealing the bits one
-    at a time.
+    side by side; the lookups index the tables with a little-endian
+    ``uint8`` view of the 53-bit integers, so no byte is shifted or masked
+    out. The output is bit-for-bit that of dealing the bits one at a time.
 
     Returns an array of shape ``(streams,) + u.shape`` with values in (0, 1).
     """
@@ -57,11 +57,12 @@ def split_uniform(u: np.ndarray, streams: int) -> np.ndarray:
     if streams == 1:
         return u[None, ...]
     width, offset, tables = _split_tables(streams)
-    bits = (u.reshape(-1) * float(1 << 53)).astype(np.uint64)
-    packed = tables[0].take(bits & _BYTE)
+    # byte c of each 53-bit integer, least significant first, as column c
+    octets = (u.reshape(-1) * float(1 << 53)).astype("<u8").view(np.uint8).reshape(-1, 8)
+    packed = tables[0].take(octets[:, 0])
     for c in range(1, 7):
-        packed |= tables[c].take((bits >> np.uint64(8 * c)) & _BYTE)
-    out = np.empty((streams, bits.size), dtype=np.float64)
+        packed |= tables[c].take(octets[:, c])
+    out = np.empty((streams, u.size), dtype=np.float64)
     for s in range(streams):
         acc = (packed >> np.uint64(offset[s])) & np.uint64((1 << width[s]) - 1)
         np.add(acc, 0.5, out=out[s])

@@ -261,6 +261,9 @@ def _quoted_records(text: str, path: str):
     return header, list(zip(*body)), numbers
 
 
+_BOM_UTF8 = b"\xef\xbb\xbf"  # codecs.BOM_UTF8
+
+
 def read_csv_table(path: str | Path, name: str | None = None) -> Table:
     """Read a headered CSV into a typed Table.
 
@@ -282,17 +285,23 @@ def read_csv_table(path: str | Path, name: str | None = None) -> Table:
     stripped strings). A column where some cells parse and others do not is
     an error naming the first cell that does not.
 
-    Errors name the file, line (where the record ends), and column involved:
-    empty files, non-UTF8 bytes, ragged rows, oversized cells, and cells that
-    break an otherwise numeric column.
+    One leading UTF-8 byte-order mark is skipped. Errors name the file, line
+    (where the record ends), and column involved: empty files, non-UTF8
+    bytes (at their offset from the start of the file), ragged rows,
+    oversized cells, and cells that break an otherwise numeric column.
     """
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+        raw = path.read_bytes()
     except FileNotFoundError:
         raise IngestError(f"{path}: file not found") from None
+    # one leading byte-order mark is not text; error offsets still count it
+    bom = len(_BOM_UTF8) if raw.startswith(_BOM_UTF8) else 0
+    try:
+        text = raw[bom:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not valid UTF-8 ({exc.reason} at byte "
+                          f"{bom + exc.start})") from exc
     cols = None if '"' in text else _loadtxt_columns(text, str(path))
     if cols is None:
         header, raw_columns, numbers = _quoted_records(text, str(path))

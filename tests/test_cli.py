@@ -618,6 +618,27 @@ class TestFitDeclarations:
             f"driftlab: error: test function {declaration!r} has a {what} beyond the float range"
         ]
 
+    @pytest.mark.parametrize("command", [["fit"], ["fit", "--mode", "simplex"],
+                                         ["erm", "--weights", "dlm"]],
+                             ids=["fit", "fit_simplex", "erm_dlm"])
+    def test_weight_fit_overflow_exits_1_with_one_line_naming_it(
+        self, tmp_path, capsys, command
+    ):
+        # the target's mean of x1, 1e300 / 1200, is finite; the weight fit's
+        # residual sum of squares is not
+        argv = fixture_with_cell(tmp_path, "target.csv", "x1", 1, "1e300")
+        cfg = write(tmp_path / "cfg.json", json.dumps({"outcome": "income", "test_functions": [
+            "column:x1", "column:x2", "column:x3", "column:x4", "expr:x2*x3"]}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            rc = cli.run([*command, *argv, "--config", cfg, "--out", str(out / "r")])
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "driftlab: error: test function 'column:x1' takes the weight fit beyond the "
+            "float range: its mean on dataset 'target' is 8.33333e+296"
+        ]
+
     def test_repeated_declaration_is_named(self, tmp_path, capsys):
         assert self.fit(tmp_path, ["column:x1", "column:x2", "column:x1"]) == 1
         assert capsys.readouterr().err == ("driftlab: error: test function names must be "
@@ -959,6 +980,29 @@ class TestErmCli:
             "squares beyond the float range"
         ]
 
+    @pytest.mark.parametrize("weights", ["uniform", "dlm", "file"])
+    @pytest.mark.parametrize("file", ["source_1.csv", "source_2.csv"])
+    def test_overflowing_influence_variance_exits_1_with_one_line_naming_it(
+        self, tmp_path, capsys, weights, file
+    ):
+        # 1e154 passes the sum-of-squares check, but the squared-loss
+        # gradient 2 * 1e154 * income has a square beyond the float range
+        argv = fixture_with_cell(tmp_path, file, "income", 1, "1e154")
+        if weights == "file":
+            weights = f"file:{write(tmp_path / 'w.json', '[0.25, 0.25, 0.25, 0.25]')}"
+        out = tmp_path / "e.json"
+        cfg = write(tmp_path / "cfg.json", json.dumps({"outcome": "income", "test_functions": [
+            "column:x1", "column:x2", "column:x3", "column:x4", "expr:x2*x3"]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            rc = cli.run(["erm", *argv, "--config", cfg, "--weights", weights,
+                          "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "driftlab: error: erm on outcome 'income': the influence variance overflows the "
+            f"float range in the gradient products of source {file[:-4]!r}"
+        ]
+
     def test_unknown_weights_form_exits_before_ingest(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "read_csv_table", lambda *a: pytest.fail("a CSV was opened"))
         out = tmp_path / "e.json"
@@ -1266,6 +1310,25 @@ class TestDiagnoseCli:
         assert diagnose(report, tmp_path / "diag.csv") == 1
         err = capsys.readouterr().err
         assert f"driftlab: error: {report}: {message}" in err
+        assert not (tmp_path / "diag.csv").exists()
+
+    @pytest.mark.parametrize("row, column, dataset", [(0, 0, "target"), (2, 3, "source_2")])
+    def test_phi_hat_beyond_the_float_range_exits_1_with_one_line(
+        self, tmp_path, capsys, row, column, dataset
+    ):
+        report = fit_fixture(tmp_path / "report")
+        payload = json.loads(report.read_text())
+        payload["moments"]["phi_hat"][row][column] = 1e308
+        report.write_text(json.dumps(payload))
+        name = payload["moments"]["names"][column]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert diagnose(report, tmp_path / "diag.csv") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"driftlab: error: {report}: test function {name!r} takes the weight fit beyond "
+            f"the float range: its mean on dataset {dataset!r} is 1e+308"
+        ]
         assert not (tmp_path / "diag.csv").exists()
 
     def test_data_flag_is_gone(self, tmp_path):

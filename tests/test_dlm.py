@@ -13,6 +13,9 @@ from driftlab.cli import ingest
 from driftlab.dlm import (
     CollinearDatasetsError,
     DegreesOfFreedomError,
+    WeightFitOverflowError,
+    _fit_stack,
+    _sum_to_one,
     closed_form_weights,
     fit_to_dict,
     fit_weights,
@@ -233,6 +236,49 @@ def test_simplex_weights_do_not_depend_on_the_scale(factor):
         scaled = fit_weights(make_moments(factor * phi_hat), mode="simplex")
         assert scaled.beta_hat == pytest.approx(fit.beta_hat, abs=1e-9)
         assert scaled.non_unique == fit.non_unique
+
+
+def lstsq_reference(phi):
+    """The per-problem solve: np.linalg.lstsq of -Phi_K on the design
+    Phi_j - Phi_K, the weights and the rank."""
+    design = phi[:, :-1] - phi[:, -1:]
+    free, _, rank, _ = np.linalg.lstsq(design, -phi[:, -1], rcond=None)
+    return np.append(free, 1.0 - free.sum()), rank
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full_rank", "rank_deficient"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_stacked_solve_matches_per_problem_lstsq(k, deficient):
+    rng = np.random.default_rng(40 + k)
+    for n_funcs in (k, k + 1, 3 * k + 7, 60):
+        phi = rng.normal(size=(25, n_funcs, k))
+        if deficient:
+            # source 1 repeats source 0; for K = 2 that zeroes the one design column
+            phi[..., 1] = phi[..., 0]
+        beta, rank = _sum_to_one(phi)[:2]
+        for i in range(len(phi)):
+            want, want_rank = lstsq_reference(phi[i])
+            assert rank[i] == want_rank == k - 1 - deficient
+            np.testing.assert_allclose(beta[i], want, rtol=0, atol=1e-9)
+
+
+def test_fit_stack_of_one_is_fit_weights(rng):
+    mm = random_problem(rng, 3, 12)
+    fits = _fit_stack(mm.phi_hat[None])
+    fit = fit_weights(mm)
+    np.testing.assert_array_equal(fits.beta[0], fit.beta_hat)
+    np.testing.assert_array_equal(fits.se[0], fit.se)
+    assert (fits.rss[0], fits.f_stat[0]) == (fit.rss, fit.f_stat)
+
+
+@pytest.mark.parametrize("mode", ["sum_to_one", "simplex"])
+def test_a_fit_beyond_the_float_range_names_the_function_and_dataset(rng, mode):
+    phi_hat = rng.normal(size=(4, 6))
+    phi_hat[0, 2] = 1e300  # finite, but its residual square is not
+    with pytest.raises(WeightFitOverflowError,
+                       match="test function 'f2' takes the weight fit beyond the float range: "
+                             "its mean on dataset 'target' is 1e\\+300"):
+        fit_weights(make_moments(phi_hat), mode=mode)
 
 
 def test_collinearity_error_names_datasets(rng):

@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import driftlab as dl
 from driftlab import analytic, cli
 from driftlab import harness as H
 from driftlab.erm import fit_erm, squared_error_loss
+from driftlab.perturb import WeightLaw
 from driftlab.rng import split_uniform, substream
 
 
@@ -145,6 +147,54 @@ def light_config(**kw):
     )
     base.update(kw)
     return H.HarnessConfig(**base)
+
+
+def simulate_null_reference(cfg, seed, lane, with_ci):
+    """The per-replicate loop: each replicate's draws, then its own lstsq
+    weight fit, inverse-Gram standard error, F statistic and interval."""
+    k, n_funcs = cfg.n_sources, cfg.n_functions
+    n, n0 = cfg.n_ratio * cfg.m, cfg.n0_ratio * cfg.m
+    law = WeightLaw(*H._NULL_WEIGHT_LAW)
+    scheme = dl.PerturbationScheme(cfg.m, dl.IndependentWeights((law,) * k))
+    table_t = H._walsh_table(n_funcs, cfg.m).T
+    sizes = np.array((n0,) + (n,) * k)
+    out = np.zeros((cfg.replicates, 4))
+    for r in range(cfg.replicates):
+        rng = substream(seed, lane, r)
+        world = dl.realize_world(scheme, rng)
+        counts = np.stack([H._bin_counts(np.ones(cfg.m), n0, rng)]
+                          + [H._bin_counts(world[j], n, rng) for j in range(k)])
+        phi_hat = counts @ table_t / sizes[:, None]
+        phi = (phi_hat[1:] - phi_hat[0]).T
+        design = phi[:, :-1] - phi[:, -1:]
+        free = np.linalg.lstsq(design, -phi[:, -1], rcond=None)[0]
+        beta = np.append(free, 1.0 - free.sum())
+        resid = phi_hat[0] - beta @ phi_hat[1:]
+        resid_unif = phi_hat[0] - np.full(k, 1.0 / k) @ phi_hat[1:]
+        rss, rss_unif = resid @ resid, resid_unif @ resid_unif
+        sigma2 = rss / (n_funcs - k + 1)
+        var_0 = np.linalg.inv(design.T @ design)[0, 0] * sigma2
+        out[r, :3] = ((beta[0] - 1.0 / k) / np.sqrt(var_0),
+                      max(rss_unif - rss, 0.0) / ((k - 1) * sigma2), rss)
+        if with_ci:
+            u_sources = [H._bin_rows(c, rng) for c in counts[1:]]
+            estimate = beta @ np.array([u.mean() for u in u_sources])
+            half_width = (ndtri(0.5 + H._CI_LEVEL / 2.0) * np.sqrt(np.concatenate(u_sources).var())
+                          * np.sqrt(rss / n_funcs))
+            out[r, 3] = abs(estimate - 0.5) <= half_width
+    return out
+
+
+@pytest.mark.parametrize("replicates", [31, 32, 33])
+@pytest.mark.parametrize("with_ci", [False, True], ids=["null_laws", "ci_chi2"])
+def test_blocked_null_fits_match_the_per_replicate_loop(replicates, with_ci):
+    cfg = H.CiChi2Config(replicates=replicates, m=64, n_ratio=10, n0_ratio=20,
+                         n_sources=2 + (not with_ci), n_functions=30)
+    got, n, n0 = H._simulate_null(cfg, 5, 13, with_ci)
+    want = simulate_null_reference(cfg, 5, 13, with_ci)
+    assert (n, n0) == (640, 1280)
+    np.testing.assert_allclose(got[:, :3], want[:, :3], rtol=1e-9, atol=0)
+    np.testing.assert_array_equal(got[:, 3], want[:, 3])
 
 
 def test_light_harness_runs_and_reports(tmp_path):

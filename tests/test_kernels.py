@@ -57,13 +57,15 @@ def binned_uniforms(rng, m, shape):
         st.tuples(st.integers(1, 300)),
         st.tuples(st.integers(1, 20), st.integers(1, 20)),
     ),
-    source=st.sampled_from(["raw", "dyadic_bins", "bins_100"]),
+    source=st.sampled_from(["raw", "big_endian", "dyadic_bins", "bins_100"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_split_uniform_matches_bit_loop(streams, shape, source, seed):
     rng = np.random.default_rng(seed)
     if source == "raw":
         u = rng.random(shape)
+    elif source == "big_endian":
+        u = rng.random(shape).astype(">f8")
     else:
         u = binned_uniforms(rng, 512 if source == "dyadic_bins" else 100, shape)
     assert_bitwise(split_uniform(u, streams), split_uniform_reference(u, streams))

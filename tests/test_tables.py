@@ -360,6 +360,27 @@ def test_quote_free_edge_cases_read_the_same_on_both_paths(tmp_path, text, loade
     assert {name: col.tolist() for name, col in have.items()} == want
 
 
+@pytest.mark.parametrize("text", ["x1,x2\n1,2\n", "# stamp\nx1,x2\n1,2\n",
+                                  'x1,label\n1,"a"\n'],
+                         ids=["header", "stamp_line", "csv_reader"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = {name: col.tolist() for name, col in read_csv_table(path).data.items()}
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert {name: col.tolist() for name, col in read_csv_table(path).data.items()} == want
+
+
+@pytest.mark.parametrize("raw, offset", [(b"ab\xffcd", 2), (b"\xef\xbb\xbfab\xffcd", 5)],
+                         ids=["plain", "after_a_byte_order_mark"])
+def test_invalid_utf8_is_named_at_its_offset_in_the_file(tmp_path, raw, offset):
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    with pytest.raises(IngestError) as exc:
+        read_csv_table(path)
+    assert str(exc.value) == f"{path}: not valid UTF-8 (invalid start byte at byte {offset})"
+
+
 @pytest.mark.parametrize("end", ["", '# a "quoted" comment\n'], ids=["quote_free", "csv_reader"])
 def test_a_cell_over_the_field_limit_is_an_error_naming_its_line(tmp_path, end):
     path = tmp_path / "t.csv"
