@@ -12,8 +12,12 @@ base runs first in even pairs and the tree in odd ones. For every
 end-to-end metric it prints each side's median and quartiles, the tree's
 wins, and whether the claim rule holds: the tree wins at least 9 of every
 10 pairs (ties count for neither) and the medians differ, in the tree's
-favour, by more than the base's interquartile range. The last line is one
-JSON object with every run's metrics. The copies are removed at exit.
+favour, by more than the base's interquartile range. It then prints
+``regressed`` when the tree's median is worse than the base's by more than
+the metric's ``BENCHMARK.json`` bound, ``unresolved`` when the base's
+interquartile range exceeds the bound and not every tree run beats every
+base run, and ``within bound`` otherwise. The last line is one JSON object
+with every run's metrics. The copies are removed at exit.
 """
 
 from __future__ import annotations
@@ -65,10 +69,15 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
-def summarize(base: list[float], tree: list[float], better: str) -> dict:
+def summarize(base: list[float], tree: list[float], better: str, bound: float) -> dict:
     """Medians, quartiles and the tree's wins over paired runs of one metric,
-    and whether the claim rule holds: at least 9/10 of the pairs won and a
-    median gap, in the better direction, above the base's interquartile range."""
+    whether the claim rule holds (at least 9/10 of the pairs won and a median
+    gap, in the better direction, above the base's interquartile range), and
+    the verdict on a regression. ``bound`` is the metric's ``BENCHMARK.json``
+    bound, a fraction of the base's median: the verdict is ``regressed`` when
+    the tree's median is worse than the base's by more than it,
+    ``unresolved`` when the base's interquartile range exceeds it and not
+    every tree run beats every base run, and ``within bound`` otherwise."""
     if len(base) != len(tree) or len(base) < 2:
         raise ValueError("need at least two pairs, one base and one tree run each")
     sign = -1.0 if better == "lower" else 1.0
@@ -76,12 +85,22 @@ def summarize(base: list[float], tree: list[float], better: str) -> dict:
     b_q1, b_med, b_q3 = statistics.quantiles(base, n=4, method="inclusive")
     t_q1, t_med, t_q3 = statistics.quantiles(tree, n=4, method="inclusive")
     gap = sign * (t_med - b_med)
+    allowed = bound * abs(b_med)
+    # signed values are higher when better
+    beats_every_base_run = min(sign * t for t in tree) > max(sign * b for b in base)
+    if -gap > allowed:
+        verdict = "regressed"
+    elif b_q3 - b_q1 > allowed and not beats_every_base_run:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
     return {
         "base": {"median": b_med, "q1": b_q1, "q3": b_q3},
         "tree": {"median": t_med, "q1": t_q1, "q3": t_q3},
         "wins": wins,
         "pairs": len(base),
         "claim_holds": wins >= 0.9 * len(base) and gap > b_q3 - b_q1,
+        "verdict": verdict,
     }
 
 
@@ -93,7 +112,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     runs: dict[str, list[dict]] = {"base": [], "tree": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         copies = {"base": Path(tmp) / "base", "tree": Path(tmp) / "tree"}
@@ -106,16 +125,17 @@ def main(argv=None) -> int:
                                            bench["run_seconds"]))
             print(f"pair {i} seed {seed}: " + "  ".join(
                 f"{name} {runs['base'][-1][name]:.4g} -> {runs['tree'][-1][name]:.4g}"
-                for name in better), flush=True)
+                for name in metrics), flush=True)
     print(f"{args.workload}: {args.base} (base) against the working tree, {args.pairs} pairs")
-    for name, direction in better.items():
+    for name, metric in metrics.items():
         s = summarize([r[name] for r in runs["base"]], [r[name] for r in runs["tree"]],
-                      direction)
-        print(f"  {name} ({direction} is better): base median {s['base']['median']:.4g} "
+                      metric["better"], metric["bound"])
+        print(f"  {name} ({metric['better']} is better): base median {s['base']['median']:.4g} "
               f"[{s['base']['q1']:.4g}, {s['base']['q3']:.4g}], tree median "
               f"{s['tree']['median']:.4g} [{s['tree']['q1']:.4g}, {s['tree']['q3']:.4g}], "
               f"tree wins {s['wins']}/{s['pairs']}, claim rule "
-              f"{'holds' if s['claim_holds'] else 'does not hold'}")
+              f"{'holds' if s['claim_holds'] else 'does not hold'}, "
+              f"{s['verdict']} (bound {metric['bound']:.0%})")
     print(json.dumps({"workload": args.workload, "base": args.base, "first_seed": args.seed,
                       "runs": runs}))
     return 0

@@ -36,7 +36,6 @@ from .moments import (
     MomentMatrix,
     evaluate_moments,
     fit_whitening,
-    moments_from_arrays,
     whiten_moments,
 )
 from .perturb import (

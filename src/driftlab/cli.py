@@ -487,9 +487,12 @@ def cmd_erm(args) -> int:
     outcome = settings.get("outcome", "y")
     data = ingest(args.data, args.target, outcome)
     covariates = tuple(settings.get("covariates") or data.numeric_covariates)
-    # every source cell the fit reads is checked here, before any weight fit can warn
+    # every cell the fits read is checked here, before any weight fit; the
+    # importance classifier also reads the target's rows, stacked below the sources'
     y = erm_mod.outcome_vector(data)
-    x = erm_mod.design_matrix(data.sources, covariates)
+    x = erm_mod.design_matrix(
+        (*data.sources, data.target) if args.weights == "importance" else data.sources,
+        covariates)
     if args.loss == "logistic":
         for tbl in data.sources:
             if not np.isin(tbl.column(outcome), (0, 1)).all():
@@ -518,10 +521,7 @@ def cmd_erm(args) -> int:
             "rss": dlm_fit.rss,
         }
     elif args.weights == "importance":
-        iw = erm_mod.importance_weights(
-            x, erm_mod.design_matrix((data.target,), covariates),
-            clip_quantile=settings.get("clip_quantile", 0.99),
-        )
+        iw = erm_mod.importance_weights(x, y.size, settings.get("clip_quantile", 0.99))
         w = iw.weights / iw.weights.sum()
         weights_out = {"clip_threshold": iw.clip_threshold, "n_clipped": iw.n_clipped}
         provenance["clipped"] = iw.n_clipped > 0
@@ -545,7 +545,7 @@ def cmd_erm(args) -> int:
         w, weights_out = np.repeat(beta / sizes, sizes), beta.tolist()
 
     try:
-        fit = erm_mod.fit_erm(x, y, w, sizes, spec)
+        fit = erm_mod.fit_erm(x[:y.size], y, w, sizes, spec)
     except erm_mod.ConvergenceError as exc:
         raise UserError(f"erm on covariates {list(covariates)}: {exc}") from None
     except erm_mod.InfluenceOverflowError as exc:
@@ -720,16 +720,17 @@ def run(argv: list[str]) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(name)s: %(message)s",
     )
-    # a warning is one stderr line, as an error is; library callers keep Python's format
-    python_format = warnings.formatwarning
-    warnings.formatwarning = lambda message, *where: f"driftlab: warning: {message}\n"
-    try:
-        return args.func(args)
-    except (UserError, IngestError, ValueError) as exc:
-        print(f"driftlab: error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        warnings.formatwarning = python_format
+    # a warning is one stderr line, as an error is, printed only by a run that
+    # returns: exit 1 prints its error alone
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except (UserError, IngestError, ValueError) as exc:
+            print(f"driftlab: error: {exc}", file=sys.stderr)
+            return 1
+    for warning in caught:
+        print(f"driftlab: warning: {warning.message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -295,25 +295,25 @@ _L2_PENALTY = 1e-6
 
 
 def importance_weights(
-    x_source: np.ndarray,
-    x_target: np.ndarray,
+    x: np.ndarray,
+    n_source: int,
     clip_quantile: float = 0.99,
 ) -> ImportanceWeightResult:
     """Per-sample density-ratio weights from a source-vs-target classifier.
 
-    ``x_source`` and ``x_target`` are design matrices whose first column is
-    the intercept. A logistic regression with a small ridge (``_L2_PENALTY``)
-    distinguishes target rows from source rows; by Bayes' rule the fitted
-    odds, divided by the prior odds n_target / n_source, give the density
-    ratio P(x | target) / P(x | source). Weights above the ``clip_quantile``
-    quantile are clipped (and the clipping reported).
+    ``x`` is a design matrix whose first column is the intercept: its first
+    ``n_source`` rows are the source rows, the rest the target rows. A
+    logistic regression with a small ridge (``_L2_PENALTY``) distinguishes
+    target rows from source rows; by Bayes' rule the fitted odds, divided by
+    the prior odds n_target / n_source, give the density ratio
+    P(x | target) / P(x | source) at each source row. Weights above the
+    ``clip_quantile`` quantile are clipped (and the clipping reported).
     """
-    n_s, n_t = x_source.shape[0], x_target.shape[0]
-    n = n_s + n_t
-    x = np.vstack([x_source, x_target])
-    a = np.concatenate([np.zeros(n_s), np.ones(n_t)])
+    n = x.shape[0]
+    n_t = n - n_source
+    a = np.concatenate([np.zeros(n_source), np.ones(n_t)])
     theta = _newton(x, a, np.full(n, 1.0 / n), logistic_loss(), ridge=_L2_PENALTY / n)[0]
-    p = expit(x_source @ theta)
+    p = expit(x[:n_source] @ theta)
     p_target = n_t / n
     raw = (p / (1.0 - p)) / (p_target / (1.0 - p_target))
     threshold = float(np.quantile(raw, clip_quantile))

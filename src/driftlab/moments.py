@@ -25,7 +25,6 @@ if TYPE_CHECKING:
 __all__ = [
     "MomentMatrix",
     "evaluate_moments",
-    "moments_from_arrays",
     "fit_whitening",
     "whiten_moments",
     "pooled_moments",
@@ -166,35 +165,6 @@ def evaluate_moments(data: DatasetCollection, tests: TestFunctionSet) -> MomentM
         sizes=(data.target.n_rows,) + data.sizes,
         source_names=data.source_names(),
         target_name=data.target.name,
-        pooled_var=pooled,
-    )
-
-
-def moments_from_arrays(
-    source_values: list[np.ndarray],
-    target_values: np.ndarray,
-    names: tuple[str, ...] | None = None,
-) -> MomentMatrix:
-    """Build a MomentMatrix from raw per-row value arrays.
-
-    ``source_values[k]`` has shape (n_k, L); ``target_values`` has shape
-    (n_0, L). Intended for simulation pipelines that never materialize
-    tables.
-    """
-    source_values = [np.atleast_2d(np.asarray(v, dtype=float)) for v in source_values]
-    target_values = np.atleast_2d(np.asarray(target_values, dtype=float))
-    if names is None:
-        names = tuple(f"phi_{i}" for i in range(target_values.shape[1]))
-    pooled = pooled_moments(source_values)[1]
-    phi_hat = np.vstack(
-        [target_values.mean(axis=0)] + [v.mean(axis=0) for v in source_values]
-    )
-    return MomentMatrix(
-        phi_hat=phi_hat,
-        names=names,
-        sizes=(target_values.shape[0],) + tuple(v.shape[0] for v in source_values),
-        source_names=tuple(f"source_{k + 1}" for k in range(len(source_values))),
-        target_name="target",
         pooled_var=pooled,
     )
 

@@ -151,21 +151,28 @@ def _is_number(cell: str) -> bool:
 
 
 def _type_column(raw: tuple[str, ...], colname: str, path: str, lines: list[int]) -> np.ndarray:
-    """Type a raw string column: numeric iff every stripped cell parses as float."""
+    """Type a raw string column: numeric iff every stripped cell parses as float.
+
+    The cells of a categorical column share one ``str`` per distinct label.
+    """
     try:
         # numpy parses each str with Python's float(), so this is the per-cell
         # rule at C speed; float() itself ignores surrounding whitespace.
         return np.array(raw, dtype=np.float64)
     except ValueError:
         pass
-    cells = [c.strip() for c in raw]
-    distinct = set(cells)
+    # each distinct stripped cell maps to its first copy; a copy per cell
+    # would stay alive with the table and keep the memory pools that held the
+    # file's lines from going back to the system
+    distinct: dict[str, str] = {}
+    canonical = distinct.setdefault
+    cells = [canonical(c, c) for c in map(str.strip, raw)]
     bad = {value for value in distinct if not _is_number(value)}
     if not bad:
         # the raw cells failed only on whitespace that str.strip() removes
         # but float() rejects, such as "\x1f"
         return np.array(cells, dtype=np.float64)
-    if bad == distinct:
+    if len(bad) == len(distinct):
         return np.array(cells, dtype=object)
     first_bad = next(i for i, c in enumerate(cells) if c in bad)
     raise IngestError(
@@ -282,7 +289,8 @@ def read_csv_table(path: str | Path, name: str | None = None) -> Table:
     A column is numeric (float64) iff every cell, stripped of surrounding
     whitespace, parses with Python's ``float()``, so ``1_000``, ``inf`` and
     ``nan`` are numbers. A column where no cell parses is categorical (the
-    stripped strings). A column where some cells parse and others do not is
+    stripped strings, one ``str`` object per distinct label shared by its
+    cells). A column where some cells parse and others do not is
     an error naming the first cell that does not.
 
     One leading UTF-8 byte-order mark is skipped. Errors name the file, line
@@ -302,6 +310,7 @@ def read_csv_table(path: str | Path, name: str | None = None) -> Table:
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not valid UTF-8 ({exc.reason} at byte "
                           f"{bom + exc.start})") from exc
+    del raw  # the text is all that is read from here on
     cols = None if '"' in text else _loadtxt_columns(text, str(path))
     if cols is None:
         header, raw_columns, numbers = _quoted_records(text, str(path))

@@ -254,7 +254,9 @@ def test_criterion_10_three_way_weighting_comparison():
         moments = dl.evaluate_moments(data, tests)
         dlm_fit = fit_weights(moments, mode="simplex")
 
-        pooled_design = design_matrix(data.sources, ("x",))
+        # the sources' rows, then the target's, which the importance classifier reads
+        design = design_matrix((*data.sources, target), ("x",))
+        pooled_design = design[: n1 + n2]
         pooled_y = np.concatenate([y1, y2])
         sizes = np.array([n1, n2])
         theta_dlm = fit_erm(pooled_design, pooled_y, np.repeat(dlm_fit.beta_hat / sizes, sizes),
@@ -267,7 +269,7 @@ def test_criterion_10_three_way_weighting_comparison():
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            iw = importance_weights(pooled_design, design_matrix((target,), ("x",)))
+            iw = importance_weights(design, n1 + n2)
         theta_iw = fit_erm(pooled_design, pooled_y, iw.weights / iw.weights.sum(), sizes,
                            loss).theta_hat
         rows.append(

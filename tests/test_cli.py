@@ -644,13 +644,15 @@ class TestFitDeclarations:
         assert capsys.readouterr().err == ("driftlab: error: test function names must be "
                                            "distinct, but 'column:x1' repeats\n")
 
-    def test_target_only_levels_warning_is_capped(self, tmp_path):
-        # x3 sits on a 2^-10 grid: the target holds 900 values no source has
-        with pytest.warns(UserWarning) as record:
-            assert self.fit(tmp_path, ["auto_indicators:x3"]) == 0
-        (message,) = [str(w.message) for w in record if "auto_indicators" in str(w.message)]
-        assert message.startswith("auto_indicators:x3: 900 categories appear only in the "
-                                  "target and are skipped (zero pooled variance): ['0.00")
+    def test_target_only_levels_warning_is_capped(self, tmp_path, capsys):
+        # x3 sits on a 2^-10 grid: the target holds 900 values no source has;
+        # cli.run prints its warnings to stderr once the run returns
+        assert self.fit(tmp_path, ["auto_indicators:x3"]) == 0
+        (message,) = [line for line in capsys.readouterr().err.splitlines()
+                      if "auto_indicators" in line]
+        assert message.startswith("driftlab: warning: auto_indicators:x3: 900 categories "
+                                  "appear only in the target and are skipped (zero pooled "
+                                  "variance): ['0.00")
         assert message.count("'") == 10
 
 
@@ -1025,7 +1027,8 @@ class TestErmCli:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the dlm fit's L == K, the importance clip
             if weights == "importance":
-                iw = erm.importance_weights(x, erm.design_matrix((data.target,), covariates))
+                iw = erm.importance_weights(
+                    erm.design_matrix((*data.sources, data.target), covariates), y.size)
                 w = iw.weights / iw.weights.sum()
             else:
                 if weights == "dlm":
@@ -1066,10 +1069,20 @@ class TestErmCli:
             "'source_2' at row 7"
         ]
 
-    def test_warning_is_one_stderr_line(self, tmp_path):
-        # four covariates and four sources: the dlm fit has L == K and warns.
+    @pytest.mark.parametrize("weights, cell, rc, stderr", [
+        # four covariates and four sources: the dlm fit has L == K and warns
+        ("dlm", None, 0, "driftlab: warning: L == K leaves a single degree of freedom; "
+                         "inference will have very low power"),
+        # the dlm fit warns, or the importance weights are clipped, before
+        # the influence variance overflows; exit 1 prints the error alone
+        *[(weights, "1e154", 1, "driftlab: error: erm on outcome 'income': the influence "
+                                "variance overflows the float range in the gradient "
+                                "products of source 'source_1'")
+          for weights in ("dlm", "importance")],
+    ], ids=["dlm", "dlm_exit_1", "importance_exit_1"])
+    def test_warning_is_one_stderr_line(self, tmp_path, weights, cell, rc, stderr):
         # pytest records warnings, so the run prints from a fresh interpreter,
-        # which then checks that Python's format is back.
+        # which then checks that Python's format is untouched
         script = (
             "import sys, warnings\n"
             "from driftlab import cli\n"
@@ -1077,18 +1090,16 @@ class TestErmCli:
             "rc = cli.run(sys.argv[1:])\n"
             "print(rc, warnings.formatwarning is python_format)\n"
         )
-        argv = ["erm", "--data", *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
-                "--target", str(FIXTURE / "target.csv"),
-                "--config", write(tmp_path / "cfg.json", '{"outcome": "income"}'),
-                "--weights", "dlm", "--out", str(tmp_path / "e.json")]
+        data = (fixture_with_cell(tmp_path, "source_1.csv", "income", 1, cell) if cell else
+                ["--data", *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
+                 "--target", str(FIXTURE / "target.csv")])
+        argv = ["erm", *data, "--config", write(tmp_path / "cfg.json", '{"outcome": "income"}'),
+                "--weights", weights, "--out", str(tmp_path / "e.json")]
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", script, *argv],
                               env=env, capture_output=True, text=True, timeout=300)
-        assert proc.stdout.splitlines()[-1] == "0 True"
-        assert proc.stderr.splitlines() == [
-            "driftlab: warning: L == K leaves a single degree of freedom; inference will "
-            "have very low power"
-        ]
+        assert proc.stdout.splitlines()[-1] == f"{rc} True"
+        assert proc.stderr.splitlines() == [stderr]
 
     def test_default_covariates_are_the_library_default(self, tmp_path):
         # z is numeric in the sources and text in the target, so neither erm

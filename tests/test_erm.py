@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import expit
 
 from conftest import make_moments
 from driftlab import erm
@@ -306,7 +307,7 @@ def test_density_ratio_arithmetic():
     # group is its target frequency over its source frequency
     x_src = with_intercept(np.repeat([0.0, 1.0], [300, 100])[:, None])
     x_tgt = with_intercept(np.repeat([0.0, 1.0], [100, 300])[:, None])
-    res = importance_weights(x_src, x_tgt)
+    res = importance_weights(np.vstack([x_src, x_tgt]), len(x_src))
     assert res.n_clipped == 0
     assert res.weights[:300] == pytest.approx(np.full(300, (1 / 4) / (3 / 4)), rel=1e-4)
     assert res.weights[300:] == pytest.approx(np.full(100, (3 / 4) / (1 / 4)), rel=1e-4)
@@ -314,16 +315,37 @@ def test_density_ratio_arithmetic():
 
 def test_importance_weights_identical_distributions(rng):
     x = with_intercept(rng.normal(size=(10_000, 2)))
-    res = importance_weights(x[:5000], x[5000:])
+    res = importance_weights(x, 5000)
     assert 0.9 <= np.median(res.weights) <= 1.1
     assert res.weights.min() > 0
+
+
+def test_importance_weights_equal_the_classifier_on_stacked_designs_bit_for_bit():
+    # the reference fits the classifier as erm did when it built the source
+    # and target designs apart and stacked a copy of them
+    data = fixture_data()
+    covariates = data.numeric_covariates
+    x_source = design_matrix(data.sources, covariates)
+    x_target = design_matrix((data.target,), covariates)
+    n_s, n_t = len(x_source), len(x_target)
+    n = n_s + n_t
+    theta = _newton(np.vstack([x_source, x_target]),
+                    np.concatenate([np.zeros(n_s), np.ones(n_t)]), np.full(n, 1.0 / n),
+                    logistic_loss(), ridge=erm._L2_PENALTY / n)[0]
+    p = expit(x_source @ theta)
+    raw = (p / (1.0 - p)) / ((n_t / n) / (1.0 - n_t / n))
+    threshold = float(np.quantile(raw, 0.99))
+    with pytest.warns(UserWarning, match="clipped"):
+        res = importance_weights(design_matrix((*data.sources, data.target), covariates), n_s)
+    assert res.weights.tobytes() == np.minimum(raw, threshold).tobytes()
+    assert (res.clip_threshold, res.n_clipped) == (threshold, int((raw > threshold).sum()))
 
 
 def test_importance_weights_disjoint_supports_clip(rng):
     x_src = with_intercept(rng.normal(loc=0.0, size=(500, 1)))
     x_tgt = with_intercept(rng.normal(loc=8.0, size=(500, 1)))
     with pytest.warns(UserWarning, match="clipped"):
-        res = importance_weights(x_src, x_tgt)
+        res = importance_weights(np.vstack([x_src, x_tgt]), len(x_src))
     assert res.n_clipped > 0
     assert res.weights.max() == pytest.approx(res.clip_threshold)
 

@@ -10,7 +10,6 @@ from driftlab.moments import (
     evaluate_moments,
     fit_whitening,
     inverse_sqrt,
-    moments_from_arrays,
     pooled_moments,
     whiten_moments,
 )
@@ -200,20 +199,6 @@ def test_pooled_variance_consistency_under_perturbation():
         rel_err = abs(pooled.var() - 1 / 12) / (1 / 12)
         hits += rel_err < 0.02
     assert hits / reps >= 0.95
-
-
-def test_moments_from_arrays_matches_table_path(rng):
-    x1 = rng.normal(size=30)
-    x2 = rng.normal(size=25)
-    xt = rng.normal(size=40)
-    tables = collection(
-        [Table.from_arrays("s1", x=x1), Table.from_arrays("s2", x=x2)],
-        Table.from_arrays("t", x=xt),
-    )
-    mm_tables = evaluate_moments(tables, parse_test_functions(["column:x"], tables))
-    mm_arrays = moments_from_arrays([x1[:, None], x2[:, None]], xt[:, None])
-    assert np.allclose(mm_tables.phi_hat, mm_arrays.phi_hat)
-    assert np.allclose(mm_tables.pooled_var, mm_arrays.pooled_var)
 
 
 def xy_data():

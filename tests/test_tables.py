@@ -451,6 +451,20 @@ def test_every_written_table_reads_back(tmp_path_factory, table):
     assert_same_columns(back.data, want)
 
 
+def test_categorical_cells_share_one_string_per_label(tmp_path):
+    # a copy per cell would live as long as the table; the fixture goes
+    # through np.loadtxt, the quoted file through csv.reader
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text("x,label\n" + "".join(
+        f'{i},{cell}\n' for i, cell in enumerate(['"a,b"', " plain", '"a,b"', "plain ", "cd"] * 4)),
+        encoding="utf-8")
+    for path, name, labels in [(FIXTURE / "source_1.csv", "occupation", 3),
+                               (quoted, "label", 3)]:
+        col = read_csv_table(path).column(name)
+        assert len(set(col)) == labels < len(col)
+        assert len({id(v) for v in col}) == len(set(col))
+
+
 def test_quote_free_files_never_reach_csv_reader(tmp_path, monkeypatch):
     def no_reader(*args, **kwargs):
         raise AssertionError("csv.reader used on a quote-free file")
