@@ -35,7 +35,6 @@ from .harness import HarnessConfig, HarnessReport, run_harness
 from .moments import (
     MomentMatrix,
     evaluate_moments,
-    fit_whitening,
     whiten_moments,
 )
 from .perturb import (

@@ -30,7 +30,7 @@ from . import dlm as dlm_mod
 from . import erm as erm_mod
 from .diagnostics import diagnostic_rows
 from .harness import _FAMILIES, ALL_CHECKS, HarnessConfig, run_harness
-from .moments import MomentMatrix, evaluate_moments, fit_whitening, whiten_moments
+from .moments import MomentMatrix, evaluate_moments, whiten_moments
 from .perturb import (
     GaussianCopulaWeights,
     IndependentWeights,
@@ -424,23 +424,32 @@ _FIT_CONFIG = {
     "outcome": text,
     "mode": _MODE,
     "whiten": flag,
-    "ridge": number,
     "data_label": text,
 }
+# an unwhitened fit whose test functions correlate more than this on the
+# pooled sources warns that its t/F inference wants --whiten
+_WHITEN_HINT_CORRELATION = 0.9
+
+
+def _declared_moments(data: DatasetCollection, settings: dict, columns) -> MomentMatrix:
+    """The moments of the config's test functions, by default one raw column
+    function per entry of ``columns``."""
+    declarations = settings.get("test_functions") or [f"column:{c}" for c in columns]
+    if not declarations:
+        raise UserError("no numeric covariates available as default test functions")
+    return evaluate_moments(data, parse_test_functions(declarations, data))
 
 
 def cmd_fit(args) -> int:
     config, settings = _load_config(args.config, record(dict, _FIT_CONFIG))
     data = ingest(args.data, args.target, settings.get("outcome"))
-    declarations = settings.get("test_functions")
-    if not declarations:
-        declarations = [f"column:{c}" for c in data.numeric_covariates]
-        if not declarations:
-            raise UserError("no numeric covariates available as default test functions")
-    moments = evaluate_moments(data, parse_test_functions(declarations, data))
+    moments = _declared_moments(data, settings, data.numeric_covariates)
     if args.whiten or settings.get("whiten", False):
-        transform = fit_whitening(moments, ridge=settings.get("ridge", 0.0))
-        moments = whiten_moments(moments, transform)
+        moments = whiten_moments(moments)
+    elif (corr := moments.max_offdiag_correlation() or 0.0) > _WHITEN_HINT_CORRELATION:
+        warnings.warn(f"test functions correlate up to {corr:.3g} "
+                      f"on the pooled sources (above {_WHITEN_HINT_CORRELATION}); the t/F "
+                      "inference assumes uncorrelated ones, so pass --whiten")
     fit = dlm_mod.fit_weights(moments, mode=args.mode or settings.get("mode", "sum_to_one"))
     base = str(args.out)
     for suffix in (".txt", ".json"):
@@ -510,9 +519,7 @@ def cmd_erm(args) -> int:
     if args.weights == "uniform":
         beta = np.full(k, 1.0 / k)
     elif args.weights == "dlm":
-        declarations = settings.get("test_functions") or [f"column:{c}" for c in covariates]
-        tests = parse_test_functions(declarations, data)
-        moments = evaluate_moments(data, tests)
+        moments = _declared_moments(data, settings, covariates)
         dlm_fit = dlm_mod.fit_weights(moments, mode=settings.get("dlm_mode", "simplex"))
         beta = dlm_fit.beta_hat
         provenance["dlm"] = {

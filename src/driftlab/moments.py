@@ -4,14 +4,15 @@ All variances use the population convention (divide by n): the pooled
 covariance over the K source datasets is exactly the empirical covariance
 of the concatenated source rows.
 
-Whitening is a moment-level transform: ``fit_whitening`` returns the L x L
-matrix T = pooled_cov^(-1/2), and ``whiten_moments`` applies a T to a
-``MomentMatrix`` without a second pass over the data.
+Whitening is a moment-level transform: ``whiten_moments`` drops the test
+functions that are redundant on the pooled sources and applies
+T = pooled_cov^(-1/2) of the rest to a ``MomentMatrix`` without a second pass
+over the data.
 """
 
 from __future__ import annotations
 
-import logging
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -25,13 +26,9 @@ if TYPE_CHECKING:
 __all__ = [
     "MomentMatrix",
     "evaluate_moments",
-    "fit_whitening",
     "whiten_moments",
     "pooled_moments",
-    "inverse_sqrt",
 ]
-
-logger = logging.getLogger("driftlab.moments")
 
 
 @dataclass(frozen=True)
@@ -169,64 +166,46 @@ def evaluate_moments(data: DatasetCollection, tests: TestFunctionSet) -> MomentM
     )
 
 
-def inverse_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root via eigendecomposition.
+def whiten_moments(moments: MomentMatrix) -> MomentMatrix:
+    """The moments of the whitened test functions, T phi with T = S^(-1/2).
 
-    Eigenvalues below 1e-12 times the largest are clamped up to
-    that floor, so near-null directions get a large but finite scaling.
+    S is the pooled source covariance of the functions kept: walking them in
+    declaration order, a function is dropped when 1 - R^2 <= 1e-10, R^2 being
+    its squared multiple correlation with the functions before it, and a
+    zero-variance function is dropped too. The rule has no units, so
+    rescaling a function changes nothing, and of a dependent set (every level
+    of ``auto_indicators:``) it drops the last. A drop is one warning naming
+    the dropped functions. Means transform as rows times T^T and the pooled
+    covariance as T S T^T, so no second pass over the data is needed.
     """
-    mat = np.asarray(mat, dtype=float)
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    floor = 1e-12 * float(vals.max())
-    vals = np.maximum(vals, floor)
-    return (vecs / np.sqrt(vals)) @ vecs.T
-
-
-def fit_whitening(moments: MomentMatrix, ridge: float = 0.0) -> np.ndarray:
-    """The empirical whitening transform T = pooled_cov^(-1/2), an L x L array.
-
-    After ``whiten_moments(moments, T)`` the pooled covariance is the
-    identity (up to the ridge, when one is used). A nearly singular pooled
-    covariance is an error unless a positive ``ridge`` is supplied; the
-    ridge amount is logged.
-    """
-    if moments.pooled_var is None:
-        raise ValueError("moments carry no pooled covariance; recompute with pooling")
     sigma = moments.pooled_var
-    n_funcs = sigma.shape[0]
-    vals = np.linalg.eigvalsh(sigma)
-    threshold = 1e-10 * np.trace(sigma) / n_funcs
-    if vals.min() <= threshold and ridge <= 0.0:
-        raise ValueError(
-            "pooled covariance is near-singular "
-            f"(min eigenvalue {vals.min():.3e} <= {threshold:.3e}); supply a "
-            "ridge amount or drop redundant test functions"
-        )
-    if ridge > 0.0:
-        logger.info("whitening with ridge %.3e added to the pooled covariance", ridge)
-        sigma = sigma + ridge * np.eye(n_funcs)
-    return inverse_sqrt(sigma)
-
-
-def whiten_moments(moments: MomentMatrix, transform: np.ndarray) -> MomentMatrix:
-    """Apply a linear test-function transform at the moment level.
-
-    Means transform as rows times T^T and the pooled covariance as
-    T S T^T; no second pass over the data is needed. T must be L x L.
-    """
-    t = np.asarray(transform, dtype=float)
-    if t.shape != (moments.n_functions, moments.n_functions):
-        raise ValueError("whitening transform must be L x L")
-    pooled = None
-    if moments.pooled_var is not None:
-        pooled = t @ moments.pooled_var @ t.T
-        pooled = 0.5 * (pooled + pooled.T)
+    if sigma is None:
+        raise ValueError("moments carry no pooled covariance; recompute with pooling")
+    d = np.sqrt(np.diag(sigma))
+    d[d == 0.0] = 1.0  # a zero-variance function has a zero row, so 1 - R^2 = 0
+    vals, vecs = np.linalg.eigh(sigma / np.outer(d, d))
+    # C = A^T A with A = sqrt(vals) V^T, so A's QR gives C's Cholesky factor R,
+    # whose squared diagonal is each function's 1 - R^2 on the ones before it
+    r = np.linalg.qr(np.sqrt(np.maximum(vals, 0.0))[:, None] * vecs.T, mode="r")
+    keep = np.diag(r) ** 2 > 1e-10
+    if not keep.any():
+        raise ValueError("every test function is constant on the pooled sources")
+    names = tuple(n for n, k in zip(moments.names, keep) if k)
+    if not keep.all():
+        dropped = [n for n, k in zip(moments.names, keep) if not k]
+        warnings.warn(f"whitening drops {len(dropped)} of {len(keep)} test functions, each "
+                      "constant or linear in the ones before it on the pooled sources: "
+                      f"{dropped[:5]}", stacklevel=2)
+        sigma = sigma[np.ix_(keep, keep)]
+    vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
+    t = (vecs / np.sqrt(np.maximum(vals, 1e-12 * float(vals.max())))) @ vecs.T
+    pooled = t @ sigma @ t.T
     return MomentMatrix(
-        phi_hat=moments.phi_hat @ t.T,
-        names=moments.names,
+        phi_hat=moments.phi_hat[:, keep] @ t.T,
+        names=names,
         sizes=moments.sizes,
         source_names=moments.source_names,
         target_name=moments.target_name,
-        pooled_var=pooled,
+        pooled_var=0.5 * (pooled + pooled.T),
         whitened=True,
     )

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from driftlab import cli, erm
 from driftlab.diagnostics import diagnostic_rows
 from driftlab.dlm import fit_weights
-from driftlab.moments import evaluate_moments, fit_whitening, whiten_moments
+from driftlab.moments import evaluate_moments, whiten_moments
 from driftlab.tables import IngestError, Table, read_csv_table, write_csv_table
 from driftlab.testfuncs import parse_test_functions
 
@@ -203,6 +203,31 @@ class TestConfigHandling:
         assert rc == 1
         assert f"{cfg}: config has unknown keys ['seed']" in capsys.readouterr().err
 
+    def test_ridge_is_not_a_fit_key(self, tmp_path, small_data, capsys):
+        # whitening works out which test functions to drop; no ridge gets past them
+        s1, s2, tgt = small_data
+        cfg = write(tmp_path / "cfg.json", '{"outcome": "y", "ridge": 0.0}')
+        rc = cli.run(["fit", "--data", s1, s2, "--target", tgt, "--config", cfg, "--whiten",
+                      "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"driftlab: error: {cfg}: config has unknown keys ['ridge']"]
+
+    @pytest.mark.parametrize("command", [["fit"], ["erm", "--weights", "dlm"]],
+                             ids=["fit", "erm_dlm"])
+    def test_no_numeric_covariate_is_named(self, tmp_path, capsys, command):
+        s1 = write(tmp_path / "s1.csv", "c,y\na,1.0\nb,2.0\na,3.0\n")
+        s2 = write(tmp_path / "s2.csv", "c,y\nb,1.5\na,2.5\nb,0.5\n")
+        tgt = write(tmp_path / "t.csv", "c\na\nb\n")
+        cfg = write(tmp_path / "cfg.json", '{"outcome": "y"}')
+        out = tmp_path / "out"
+        rc = cli.run([*command, "--data", s1, s2, "--target", tgt, "--config", cfg,
+                      "--out", str(out / "r")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "driftlab: error: no numeric covariates available as default test functions"]
+        assert not out.exists()
+
     def test_config_hash_stable(self):
         h1 = cli.config_hash({"a": 1, "b": [1.5, 2.5]})
         h2 = cli.config_hash({"b": [1.5, 2.5], "a": 1})
@@ -236,7 +261,7 @@ FULL_SCHEMES = {
                 "coefficients": [[0.7]], "noise_sd": [0.02]},
 }
 FULL_FIT = {"outcome": "y", "test_functions": ["column:x", "expr:x**2"], "mode": "sum_to_one",
-            "whiten": False, "ridge": 0.0, "data_label": "small"}
+            "whiten": False, "data_label": "small"}
 FULL_ERM = {"outcome": "y", "test_functions": ["column:x", "expr:x**2"], "covariates": ["x"],
             "dlm_mode": "simplex", "level": 0.9, "clip_quantile": 0.99}
 FULL_VALIDATE = {
@@ -438,46 +463,56 @@ class TestFit:
         fit = json.loads(text, parse_constant=reject)["fit"]
         assert fit["r_squared"] is None and fit["adj_r_squared"] is None
 
-    def test_whiten_flag(self, tmp_path):
-        # a full indicator expansion is exactly collinear (categories sum to
-        # one), so whitening the fixture's default set errors; use a reduced
-        # set instead and check the flag end to end
-        base = json.loads((FIXTURE / "fit_config.json").read_text())
-        base["test_functions"] = [
-            f for f in base["test_functions"] if not f.startswith("auto_indicators")
-        ] + ["indicator:occupation=clerk", "indicator:occupation=miner"]
-        cfg = write(tmp_path / "whiten_cfg.json", json.dumps(base))
-        args = [
-            "fit",
-            "--data",
-            *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
-            "--target",
-            str(FIXTURE / "target.csv"),
-            "--config",
-            cfg,
-        ]
-        rc = cli.run(args + ["--whiten", "--out", str(tmp_path / "w")])
-        assert rc == 0
-        payload = json.loads((tmp_path / "w.json").read_text())
+    def test_whiten_flag(self, tmp_path, capsys):
+        # every occupation level's indicator: the levels sum to one, so
+        # whitening drops the last level, and the fit equals the one declared
+        # without it
+        reduced = json.loads((FIXTURE / "fit_config.json").read_text())
+        reduced["test_functions"][-1:] = ["indicator:occupation=clerk",
+                                          "indicator:occupation=miner"]
+        report = fit_fixture(tmp_path / "w", "--whiten")
+        warning = capsys.readouterr().err.splitlines()
+        assert warning == ["driftlab: warning: whitening drops 1 of 20 test functions, each "
+                           "constant or linear in the ones before it on the pooled sources: "
+                           "['indicator:occupation=nurse']"]
+        payload = json.loads(report.read_text())
         assert payload["fit"]["whitened"] is True
         assert "whitening = TRUE" in (tmp_path / "w.txt").read_text()
         assert abs(sum(payload["fit"]["beta_hat"]) - 1.0) < 1e-12
-        # the degenerate set is a clean user error naming the remedy
-        rc = cli.run(
-            [
-                "fit",
-                "--data",
-                *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
-                "--target",
-                str(FIXTURE / "target.csv"),
-                "--config",
-                str(FIXTURE / "fit_config.json"),
-                "--whiten",
-                "--out",
-                str(tmp_path / "boom"),
-            ]
-        )
-        assert rc == 1
+        assert payload["test_functions"] == reduced["test_functions"]
+        assert payload["fit"]["df"] == 16
+        cfg = write(tmp_path / "reduced.json", json.dumps(reduced))
+        ref = json.loads(fit_fixture(tmp_path / "r", "--whiten", config=cfg).read_text())
+        assert capsys.readouterr().err == ""
+        assert np.allclose(payload["fit"]["beta_hat"], ref["fit"]["beta_hat"],
+                           rtol=0, atol=1e-10)
+
+    def test_correlated_unwhitened_fit_points_at_whiten(self, tmp_path, capsys):
+        report = fit_fixture(tmp_path / "r")
+        corr = json.loads(report.read_text())["fit"]["max_offdiag_corr"]
+        assert corr > cli._WHITEN_HINT_CORRELATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"driftlab: warning: test functions correlate up to {corr:.3g} on the pooled "
+            f"sources (above {cli._WHITEN_HINT_CORRELATION}); the t/F inference assumes "
+            "uncorrelated ones, so pass --whiten"]
+        fit_fixture(tmp_path / "w", "--whiten")
+        assert "pass --whiten" not in capsys.readouterr().err
+
+    def test_whitened_fit_does_not_depend_on_a_declaration_s_units(self, tmp_path):
+        # unwhitened, 1000*exp(-x4) moves the F p-value from 0.04 to below 2.2e-16
+        fits = []
+        for scale in ("", "1000*"):
+            config = json.loads((FIXTURE / "fit_config.json").read_text())
+            config["test_functions"] = [f"expr:{scale}exp(-x4)" if f == "expr:exp(-x4)" else f
+                                        for f in config["test_functions"]]
+            cfg = write(tmp_path / f"cfg{scale[:-1]}.json", json.dumps(config))
+            report = fit_fixture(tmp_path / f"r{scale[:-1]}", "--whiten", config=cfg)
+            fits.append(json.loads(report.read_text()))
+        one, scaled = fits
+        assert [f.replace("1000*", "") for f in scaled["test_functions"]] == \
+            one["test_functions"]
+        for key in ("beta_hat", "rss", "t_stats", "f_pvalue"):
+            assert scaled["fit"][key] == pytest.approx(one["fit"][key], rel=1e-9, abs=0), key
 
     def test_no_leftover_temp_files(self, tmp_path, small_data):
         out_dir, sim_dir = write_outputs(tmp_path, small_data)
@@ -1254,10 +1289,6 @@ class TestDiagnoseCli:
                              ids=["fixture", "whiten", "simplex"])
     def test_bundle_equals_the_one_built_from_the_data(self, tmp_path, flags):
         config = json.loads((FIXTURE / "fit_config.json").read_text())
-        if "--whiten" in flags:
-            # every occupation level's indicator would make the pooled covariance singular
-            config["test_functions"][-1:] = ["indicator:occupation=clerk",
-                                             "indicator:occupation=miner"]
         cfg = write(tmp_path / "fit_config.json", json.dumps(config))
         report = fit_fixture(tmp_path / "report", *flags, config=cfg)
         assert diagnose(report, tmp_path / "diag.csv") == 0
@@ -1266,7 +1297,8 @@ class TestDiagnoseCli:
                           str(FIXTURE / "target.csv"), "income")
         moments = evaluate_moments(data, parse_test_functions(config["test_functions"], data))
         if "--whiten" in flags:
-            moments = whiten_moments(moments, fit_whitening(moments))
+            with pytest.warns(UserWarning, match=r"\['indicator:occupation=nurse'\]"):
+                moments = whiten_moments(moments)
         fit = fit_weights(moments, mode="simplex" if "simplex" in flags else "sum_to_one")
         plot_id, x, y, label = zip(*diagnostic_rows(fit))
         table = Table.from_arrays("diagnostics", plot_id=plot_id, x=x, y=y, label=label)

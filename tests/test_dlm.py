@@ -409,8 +409,8 @@ def test_target_ci_normal_oracle(rng):
 
 def test_duplicated_function_with_whitening_keeps_beta(rng):
     # duplicating a test function and then whitening adds no information:
-    # the fitted weights must not move
-    from driftlab.moments import MomentMatrix, fit_whitening, whiten_moments
+    # whitening drops the duplicate, and the fitted weights must not move
+    from driftlab.moments import MomentMatrix, whiten_moments
 
     n_funcs = 6
     phi_hat = rng.normal(size=(4, n_funcs))
@@ -431,7 +431,9 @@ def test_duplicated_function_with_whitening_keeps_beta(rng):
         target_name="target",
         pooled_var=dup_pooled,
     )
-    mm_white = whiten_moments(mm_dup, fit_whitening(mm_dup, ridge=1e-10))
+    with pytest.warns(UserWarning, match=r"drops 1 of 7 .*\['f_dup'\]"):
+        mm_white = whiten_moments(mm_dup)
+    assert mm_white.names == mm_dup.names[:n_funcs]
     fit = fit_weights(mm_white)
     assert np.abs(fit.beta_hat - base_fit.beta_hat).max() < 1e-6
 

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import driftlab as dl
 from driftlab.moments import (
+    MomentMatrix,
     evaluate_moments,
-    fit_whitening,
-    inverse_sqrt,
     pooled_moments,
     whiten_moments,
 )
@@ -109,36 +108,40 @@ def test_auto_indicators_expand_and_skip_target_only(recwarn):
     assert any("z" in str(w.message) for w in recwarn.list)
 
 
-def test_whitening_diagonal_case():
-    sigma = np.diag([4.0, 1.0])
-    t = inverse_sqrt(sigma)
-    assert t == pytest.approx(np.diag([0.5, 1.0]))
+def moments_with(phi_hat, pooled, names=None):
+    """Moments of two sources and a target with the given pooled covariance."""
+    n_funcs = phi_hat.shape[1]
+    return MomentMatrix(phi_hat=phi_hat, names=names or tuple(f"f{i}" for i in range(n_funcs)),
+                        sizes=(10, 10, 10), source_names=("s1", "s2"), target_name="t",
+                        pooled_var=pooled)
 
 
-def test_whitening_dense_case_eigen_oracle():
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_whitening_diagonal_case(rng, scale):
+    # the drop rule has no units: a function of tiny variance is kept
+    phi_hat = rng.normal(size=(3, 2))
+    white = whiten_moments(moments_with(phi_hat, np.diag([4.0 * scale, 1.0])))
+    assert white.names == ("f0", "f1")
+    assert white.phi_hat == pytest.approx(phi_hat @ np.diag([0.5 / np.sqrt(scale), 1.0]))
+    assert white.pooled_var == pytest.approx(np.eye(2))
+
+
+def test_whitening_dense_case_eigen_oracle(rng):
+    phi_hat = rng.normal(size=(3, 2))
     sigma = np.array([[2.0, 1.0], [1.0, 2.0]])
-    t = inverse_sqrt(sigma)
-    # independent oracle: rebuild from eigen-decomposition by hand
+    white = whiten_moments(moments_with(phi_hat, sigma))
+    # independent oracle: rebuild T = sigma^(-1/2) from the eigen-decomposition by hand
     vals, vecs = np.linalg.eigh(sigma)
     t_oracle = vecs @ np.diag(vals**-0.5) @ vecs.T
-    assert np.allclose(t, t_oracle, atol=1e-12)
-    assert np.allclose(t @ sigma @ t.T, np.eye(2), atol=1e-10)
+    assert np.allclose(white.phi_hat, phi_hat @ t_oracle.T, atol=1e-12)
+    assert np.allclose(white.pooled_var, np.eye(2), atol=1e-10)
 
 
-def test_fit_whitening_identity_when_already_white(rng):
+def test_whitening_identity_when_already_white(rng):
     phi_hat = rng.normal(size=(3, 4))
-    mm_args = dict(
-        names=("a", "b", "c", "d"),
-        sizes=(10, 10, 10),
-        source_names=("s1", "s2"),
-        target_name="t",
-    )
-    from driftlab.moments import MomentMatrix
-
-    mm = MomentMatrix(phi_hat=phi_hat, pooled_var=np.eye(4), **mm_args)
-    transform = fit_whitening(mm)
-    assert isinstance(transform, np.ndarray)
-    assert np.allclose(transform, np.eye(4), atol=1e-12)
+    white = whiten_moments(moments_with(phi_hat, np.eye(4)))
+    assert white.names == ("f0", "f1", "f2", "f3")
+    assert np.allclose(white.phi_hat, phi_hat, atol=1e-12)
 
 
 def test_whitening_empirical_gives_identity_covariance(rng):
@@ -149,37 +152,51 @@ def test_whitening_empirical_gives_identity_covariance(rng):
     tgt = Table.from_arrays("t", a=mixed[:5, 0], b=mixed[:5, 1], c=mixed[:5, 2])
     data = collection([src], tgt)
     mm = evaluate_moments(data, parse_test_functions(["column:a", "column:b", "column:c"], data))
-    mm_white = whiten_moments(mm, fit_whitening(mm))
-    assert mm_white.whitened
+    mm_white = whiten_moments(mm)
+    assert mm_white.whitened and not mm.whitened
     assert np.allclose(mm_white.pooled_var, np.eye(3), atol=1e-6)
-    # idempotence: whitening the whitened moments is the identity
-    assert np.allclose(fit_whitening(mm_white), np.eye(3), atol=1e-8)
+    # idempotence: whitening the whitened moments changes nothing
+    again = whiten_moments(mm_white)
+    assert again.names == mm.names
+    assert np.allclose(again.phi_hat, mm_white.phi_hat, atol=1e-8)
 
 
-def test_whiten_moments_rejects_a_transform_of_the_wrong_size(rng):
-    src = Table.from_arrays("s", a=rng.normal(size=20), b=rng.normal(size=20))
-    tgt = Table.from_arrays("t", a=[0.0], b=[1.0])
+def test_whitening_drops_a_constant_function(rng):
+    n = 200
+    x = rng.normal(size=(n, 2))
+    src = Table.from_arrays("s", a=x[:, 0], b=x[:, 1])
+    tgt = Table.from_arrays("t", a=x[:5, 0], b=x[:5, 1])
     data = collection([src], tgt)
-    mm = evaluate_moments(data, parse_test_functions(["column:a", "column:b"], data))
-    with pytest.raises(ValueError, match="L x L"):
-        whiten_moments(mm, np.eye(3))
+    tests = parse_test_functions(["column:a", "expr:0*a + 3", "column:b"], data)
+    with pytest.warns(UserWarning) as caught:
+        white = whiten_moments(evaluate_moments(data, tests))
+    assert [str(w.message) for w in caught] == [
+        "whitening drops 1 of 3 test functions, each constant or linear in the ones "
+        "before it on the pooled sources: ['expr:0*a + 3']"]
+    assert white.names == ("column:a", "column:b")
+    assert np.allclose(white.pooled_var, np.eye(2), atol=1e-10)
 
 
-def test_whitening_near_singular_errors_without_ridge(rng):
-    phi_hat = rng.normal(size=(3, 2))
-    from driftlab.moments import MomentMatrix
+def test_whitening_drops_the_last_level_of_a_full_indicator_expansion(rng):
+    levels = np.array(["a", "b", "c"], dtype=object)
+    src = Table.from_arrays("s", x=rng.normal(size=300), cat=levels[rng.integers(0, 3, 300)])
+    tgt = Table.from_arrays("t", x=rng.normal(size=20), cat=levels[rng.integers(0, 3, 20)])
+    data = collection([src], tgt)
+    tests = parse_test_functions(["auto_indicators:cat", "column:x"], data)
+    with pytest.warns(UserWarning) as caught:
+        white = whiten_moments(evaluate_moments(data, tests))
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith("whitening drops 1 of 4 test functions")
+    assert str(caught[0].message).endswith(": ['indicator:cat=c']")
+    assert white.names == ("indicator:cat=a", "indicator:cat=b", "column:x")
+    reduced = parse_test_functions(["indicator:cat=a", "indicator:cat=b", "column:x"], data)
+    assert white.phi_hat == pytest.approx(
+        whiten_moments(evaluate_moments(data, reduced)).phi_hat, abs=1e-12)
 
-    mm = MomentMatrix(
-        phi_hat=phi_hat,
-        names=("a", "b"),
-        sizes=(10, 10, 10),
-        source_names=("s1", "s2"),
-        target_name="t",
-        pooled_var=np.array([[1.0, 1.0], [1.0, 1.0]]),
-    )
-    with pytest.raises(ValueError, match="ridge"):
-        fit_whitening(mm)
-    assert fit_whitening(mm, ridge=1e-8).shape == (2, 2)
+
+def test_whitening_keeps_no_constant_set():
+    with pytest.raises(ValueError, match="every test function is constant"):
+        whiten_moments(moments_with(np.ones((3, 2)), np.zeros((2, 2))))
 
 
 def test_pooled_variance_consistency_under_perturbation():

@@ -1,8 +1,11 @@
+import json
 import re
 from dataclasses import fields
 from pathlib import Path
 
-from driftlab import harness
+import pytest
+
+from driftlab import cli, harness
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -30,3 +33,15 @@ def test_validate_table_lists_every_settings_field():
         family.block: {f.name: f.default for f in fields(family.config)}
         for family in harness._FAMILIES
     }
+
+
+@pytest.mark.parametrize("heading, keys", [("### fit config", cli._FIT_CONFIG),
+                                           ("### erm config", cli._ERM_CONFIG)],
+                         ids=["fit", "erm"])
+def test_config_example_sets_every_key(heading, keys):
+    # a key the reader drops cannot stay in the example, nor a new one stay out
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(heading):]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    assert set(example) == set(keys)
+    cli.record(dict, keys)(example, "")
