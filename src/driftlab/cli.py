@@ -444,13 +444,20 @@ def cmd_fit(args) -> int:
     config, settings = _load_config(args.config, record(dict, _FIT_CONFIG))
     data = ingest(args.data, args.target, settings.get("outcome"))
     moments = _declared_moments(data, settings, data.numeric_covariates)
+    declared = moments.n_functions
     if args.whiten or settings.get("whiten", False):
         moments = whiten_moments(moments)
     elif (corr := moments.max_offdiag_correlation() or 0.0) > _WHITEN_HINT_CORRELATION:
         warnings.warn(f"test functions correlate up to {corr:.3g} "
                       f"on the pooled sources (above {_WHITEN_HINT_CORRELATION}); the t/F "
                       "inference assumes uncorrelated ones, so pass --whiten")
-    fit = dlm_mod.fit_weights(moments, mode=args.mode or settings.get("mode", "sum_to_one"))
+    try:
+        fit = dlm_mod.fit_weights(moments, mode=args.mode or settings.get("mode", "sum_to_one"))
+    except dlm_mod.DegreesOfFreedomError as exc:
+        if moments.n_functions < declared:  # exit 1 prints no drop warning
+            exc = UserError(f"{exc}: whitening dropped {declared - moments.n_functions} of "
+                            f"the {declared} declared test functions as redundant")
+        raise exc from None
     base = str(args.out)
     for suffix in (".txt", ".json"):
         if base.endswith(suffix):

@@ -173,10 +173,12 @@ def whiten_moments(moments: MomentMatrix) -> MomentMatrix:
     declaration order, a function is dropped when 1 - R^2 <= 1e-10, R^2 being
     its squared multiple correlation with the functions before it, and a
     zero-variance function is dropped too. The rule has no units, so
-    rescaling a function changes nothing, and of a dependent set (every level
-    of ``auto_indicators:``) it drops the last. A drop is one warning naming
-    the dropped functions. Means transform as rows times T^T and the pooled
-    covariance as T S T^T, so no second pass over the data is needed.
+    rescaling a function never changes which are kept, and of a dependent set
+    (every level of ``auto_indicators:``) it drops the last. A drop is one
+    warning naming the dropped functions; a kept S whose eigenvalues span over
+    1e12 is an error naming its least and most variable ones. Means transform
+    as rows times T^T and the pooled covariance as T S T^T, so no second pass
+    over the data is needed.
     """
     sigma = moments.pooled_var
     if sigma is None:
@@ -198,7 +200,12 @@ def whiten_moments(moments: MomentMatrix) -> MomentMatrix:
                       f"{dropped[:5]}", stacklevel=2)
         sigma = sigma[np.ix_(keep, keep)]
     vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    t = (vecs / np.sqrt(np.maximum(vals, 1e-12 * float(vals.max())))) @ vecs.T
+    if vals.min() < 1e-12 * vals.max():  # S^(-1/2) would not whiten S in floating point
+        var = np.diag(sigma)
+        lo, hi = (f"{names[i]!r} (variance {var[i]:.3g})" for i in (var.argmin(), var.argmax()))
+        raise ValueError("whitening cannot invert the kept test functions' pooled covariance, "
+                         f"whose eigenvalues span over 1e12: rescale {lo} or {hi}")
+    t = (vecs / np.sqrt(vals)) @ vecs.T
     pooled = t @ sigma @ t.T
     return MomentMatrix(
         phi_hat=moments.phi_hat[:, keep] @ t.T,

@@ -514,6 +514,39 @@ class TestFit:
         for key in ("beta_hat", "rss", "t_stats", "f_pvalue"):
             assert scaled["fit"][key] == pytest.approx(one["fit"][key], rel=1e-9, abs=0), key
 
+    def test_whitened_fit_exits_1_when_scales_are_too_far_apart(self, tmp_path, capsys):
+        # 1e7*exp(-x4) has a pooled variance ~1e14 times column:x3's: kept,
+        # but beyond what S^(-1/2) can whiten in floating point
+        config = json.loads((FIXTURE / "fit_config.json").read_text())
+        config["test_functions"] = ["expr:1e7*exp(-x4)" if f == "expr:exp(-x4)" else f
+                                    for f in config["test_functions"]]
+        cfg = write(tmp_path / "cfg.json", json.dumps(config))
+        rc = cli.run(["fit", "--data", *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
+                      "--target", str(FIXTURE / "target.csv"), "--config", cfg, "--whiten",
+                      "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("driftlab: error: whitening cannot invert the kept test "
+                                 "functions' pooled covariance, whose eigenvalues span over "
+                                 "1e12: rescale 'column:x3' (variance ")
+        assert " or 'expr:1e7*exp(-x4)' (variance " in err[0]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_whitening_that_leaves_too_few_functions_counts_the_drops(self, tmp_path, capsys):
+        # five declared, two of them linear in the first three: three kept < K = 4
+        cfg = write(tmp_path / "cfg.json", json.dumps({
+            "outcome": "income",
+            "test_functions": ["column:x1", "column:x2", "column:x3", "expr:2*x1",
+                               "expr:x1+x2"]}))
+        rc = cli.run(["fit", "--data", *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
+                      "--target", str(FIXTURE / "target.csv"), "--config", cfg, "--whiten",
+                      "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "driftlab: error: need at least as many test functions as datasets (L=3 < K=4): "
+            "whitening dropped 2 of the 5 declared test functions as redundant"]
+
     def test_no_leftover_temp_files(self, tmp_path, small_data):
         out_dir, sim_dir = write_outputs(tmp_path, small_data)
         assert {p.name for p in out_dir.iterdir()} == {"r.txt", "r.json", "diag.csv"}

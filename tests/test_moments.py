@@ -126,6 +126,15 @@ def test_whitening_diagonal_case(rng, scale):
     assert white.pooled_var == pytest.approx(np.eye(2))
 
 
+def test_whitening_rejects_a_scale_spread_it_cannot_invert(rng):
+    # f0 is kept (nothing is redundant), but its variance is below 1e-12 of
+    # f1's, where S^(-1/2) would come out clamped and not whiten to identity
+    moments = moments_with(rng.normal(size=(3, 2)), np.diag([1e-13, 1.0]))
+    with pytest.raises(ValueError, match=r"eigenvalues span over 1e12: rescale 'f0' "
+                       r"\(variance 1e-13\) or 'f1' \(variance 1\)$"):
+        whiten_moments(moments)
+
+
 def test_whitening_dense_case_eigen_oracle(rng):
     phi_hat = rng.normal(size=(3, 2))
     sigma = np.array([[2.0, 1.0], [1.0, 2.0]])
