@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the synthetic four-source fixture used by the golden fit test.
 
-Writes CSVs, the generation config, the fit config, and the frozen summary
-into tests/data/fixture_panel/. Deterministic: rerunning produces identical
-bytes.
+Reads the committed generation and fit configs in
+tests/data/fixture_panel/, clears the directory, and writes the configs back
+with the CSVs and the frozen summary. Deterministic: rerunning produces
+identical bytes.
 """
 
-import json
 import shutil
 import sys
 from pathlib import Path
@@ -18,68 +18,15 @@ from driftlab import cli  # noqa: E402
 
 FIXTURE = ROOT / "tests" / "data" / "fixture_panel"
 
-SIM_CONFIG = {
-    "seed": 20240811,
-    "m": 100,
-    "scheme": {
-        "kind": "independent",
-        "laws": [
-            {"family": "lognormal", "mu": 0.0, "sigma": 0.8},
-            {"family": "lognormal", "mu": 0.0, "sigma": 0.5},
-            {"family": "lognormal", "mu": 0.0, "sigma": 0.12},
-            {"family": "lognormal", "mu": 0.0, "sigma": 0.3},
-        ],
-    },
-    "n_k": 1200,
-    "n_0": 1200,
-    "columns": [
-        {"name": "x1", "dist": "gaussian", "mean": 0.0, "sd": 1.0},
-        {"name": "x2", "dist": "gaussian", "mean": 1.0, "sd": 0.5},
-        {"name": "x3", "dist": "uniform"},
-        {"name": "x4", "dist": "exponential", "rate": 1.5},
-        {"name": "occupation", "dist": "categorical",
-         "levels": ["clerk", "miner", "nurse"], "probs": [0.5, 0.3, 0.2]},
-    ],
-    "outcome": {
-        "name": "income",
-        "intercept": 1.0,
-        "coef": {"x1": 2.0, "x2": -1.0, "x4": 0.5},
-        "noise_sd": 0.5,
-    },
-}
-
-FIT_CONFIG = {
-    "outcome": "income",
-    "data_label": "fixture_panel",
-    "test_functions": [
-        "column:x1",
-        "column:x2",
-        "column:x3",
-        "column:x4",
-        "product:x1*x2:standardized",
-        "product:x1*x3:standardized",
-        "product:x1*x4:standardized",
-        "product:x2*x3:standardized",
-        "product:x2*x4:standardized",
-        "product:x3*x4:standardized",
-        "expr:x1**2",
-        "expr:x2**2",
-        "expr:x3**2",
-        "expr:x4**2",
-        "expr:x1*x2*x3",
-        "expr:sqrt(abs(x1))",
-        "expr:exp(-x4)",
-        "auto_indicators:occupation",
-    ],
-}
+CONFIGS = ("sim_config.json", "fit_config.json")
 
 
 def main():
-    if FIXTURE.exists():
-        shutil.rmtree(FIXTURE)
+    configs = {name: (FIXTURE / name).read_bytes() for name in CONFIGS}
+    shutil.rmtree(FIXTURE)
     FIXTURE.mkdir(parents=True)
-    (FIXTURE / "sim_config.json").write_text(json.dumps(SIM_CONFIG, indent=2) + "\n")
-    (FIXTURE / "fit_config.json").write_text(json.dumps(FIT_CONFIG, indent=2) + "\n")
+    for name, data in configs.items():
+        (FIXTURE / name).write_bytes(data)
     rc = cli.run(
         ["simulate", "--config", str(FIXTURE / "sim_config.json"), "--out", str(FIXTURE)]
     )

@@ -50,7 +50,6 @@ from .perturb import (
     lognormal_law,
     realize_world,
     sample_uniform,
-    shift_target,
     uniform_law,
     uniform_target,
 )

@@ -228,7 +228,11 @@ def fit_erm(x: np.ndarray, y: np.ndarray, w: np.ndarray, sizes: Sequence[int],
     theta, gnorm, converged, n_iter = _newton(x, y, w, spec)
     h_hat = spec.hessian_mean(theta, x, y, w)
     h_hat = 0.5 * (h_hat + h_hat.T)
-    if np.linalg.matrix_rank(h_hat) < h_hat.shape[0]:
+    # the rank of H scaled to unit diagonal, which a covariate's units cannot
+    # change; a zero diagonal entry is a covariate the fit cannot see
+    scale = np.sqrt(np.diag(h_hat))
+    if not (np.all(scale > 0)
+            and np.linalg.matrix_rank(h_hat / np.outer(scale, scale)) == scale.size):
         # a covariate that repeats or combines others; whether LU meets an
         # exact zero pivot then depends on the BLAS summation order
         raise ConvergenceError("weighted Hessian is singular at the optimum")

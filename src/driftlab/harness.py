@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -209,11 +209,11 @@ class HarnessConfig:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CheckResult:
     name: str
     passed: bool
-    runtime_s: float
+    runtime_s: float = 0.0  # the wall time of the family's call, set by run_harness
     definition: str  # verbatim pass-flag rule
     target: dict
     empirical: dict
@@ -241,12 +241,10 @@ class HarnessReport:
         }
 
 
-def _replicate_map(fn, n_replicates: int, width: int) -> np.ndarray:
-    """Row r is fn(r), the vector replicate r reports."""
-    out = np.empty((n_replicates, width))
-    for r in range(n_replicates):
-        out[r] = fn(r)
-    return out
+def _replicates(seed: int, lane: int, indices, draw) -> np.ndarray:
+    """Row i is draw(substream(seed, lane, indices[i])), the vector that
+    replicate indices[i] reports from its own stream."""
+    return np.array([draw(substream(seed, lane, r)) for r in indices], dtype=float)
 
 
 def _cov_with_se(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,15 +316,13 @@ def _moment_shift_cov(name, cfg, scheme, sigma_w, p, seed, definition, **details
     phi; m * S / n, averaged over replicates, is the sampling term taken off
     that dataset's diagonal block.
     """
-    t0 = time.perf_counter()
     k = sigma_w.shape[0]
     n = cfg.n_ratio * cfg.m
     target = np.kron(sigma_w, analytic.uniform_poly_cov()[:p, :p])
     e_phi = 1.0 / np.arange(2, p + 2)  # E[u^i] = 1 / (i + 1)
     sqrt_m = math.sqrt(cfg.m)
 
-    def one(r):
-        rng = substream(seed, _LANE_OF[name], r)
+    def draw(rng):
         world = realize_world(scheme, rng)
         shifts, s_entries = [], []
         for j in range(k):
@@ -338,7 +334,7 @@ def _moment_shift_cov(name, cfg, scheme, sigma_w, p, seed, definition, **details
             s_entries.extend(np.mean(a * b) for a in centered for b in centered)
         return shifts + s_entries
 
-    data = _replicate_map(one, cfg.replicates, k * p * (1 + p))
+    data = _replicates(seed, _LANE_OF[name], range(cfg.replicates), draw)
     cov, se = _cov_with_se(data[:, : k * p])
     correction = cfg.m * data[:, k * p :].mean(axis=0).reshape(k, p, p) / n
     cov_corrected = cov.copy()
@@ -347,7 +343,6 @@ def _moment_shift_cov(name, cfg, scheme, sigma_w, p, seed, definition, **details
     return CheckResult(
         name=name,
         passed=bool(np.all(np.abs(cov_corrected - target) <= 3.0 * se)),
-        runtime_s=time.perf_counter() - t0,
         definition=definition,
         target={"cov": target.tolist()},
         empirical={
@@ -659,11 +654,9 @@ def _pelz_good_cdf(n: int, d):
 
 def check_null_laws(cfg: NullLawsConfig, seed: int) -> list[CheckResult]:
     """t and F statistics under the exchangeable null vs their exact laws."""
-    t0 = time.perf_counter()
     data, n, n0 = _simulate_null(cfg, seed, _LANE_OF["null_laws"], with_ci=False)
     df = cfg.n_functions - cfg.n_sources + 1
     t_vals, f_vals = data[:, 0], data[:, 1]
-    runtime = time.perf_counter() - t0
 
     crit = stdtrit(df, 0.975)
     size = float(np.mean(np.abs(t_vals) > crit))
@@ -674,7 +667,6 @@ def check_null_laws(cfg: NullLawsConfig, seed: int) -> list[CheckResult]:
         CheckResult(
             name="t_null",
             passed=t_pass,
-            runtime_s=runtime,
             definition=(
                 "empirical two-sided size of the level-0.05 t pivot on the "
                 "first weight lies in [0.04, 0.06] and the pivot passes a "
@@ -691,7 +683,6 @@ def check_null_laws(cfg: NullLawsConfig, seed: int) -> list[CheckResult]:
         CheckResult(
             name="f_null",
             passed=bool(ks_p > 0.01),
-            runtime_s=runtime,
             definition=(
                 "the uniform-weights F statistic under the exchangeable null "
                 "passes a KS test against F(K-1, L-K+1) at p > 0.01"
@@ -707,9 +698,7 @@ def check_null_laws(cfg: NullLawsConfig, seed: int) -> list[CheckResult]:
 
 def check_ci_chi2(cfg: CiChi2Config, seed: int) -> list[CheckResult]:
     """Residual chi-squared law and CI coverage in the many-functions regime."""
-    t0 = time.perf_counter()
     data, n, n0 = _simulate_null(cfg, seed, _LANE_OF["ci_chi2"], with_ci=True)
-    runtime = time.perf_counter() - t0
     k = cfg.n_sources
     n_funcs = cfg.n_functions
 
@@ -722,7 +711,6 @@ def check_ci_chi2(cfg: CiChi2Config, seed: int) -> list[CheckResult]:
         CheckResult(
             name="chi2_residual",
             passed=bool(ks_p > 0.01),
-            runtime_s=runtime,
             definition=(
                 "L times the mean squared residual, divided by the "
                 "finite-n-corrected shift scale beta*' sigma_eff beta* / m, "
@@ -742,7 +730,6 @@ def check_ci_chi2(cfg: CiChi2Config, seed: int) -> list[CheckResult]:
         CheckResult(
             name="ci_coverage",
             passed=bool(0.93 <= coverage <= 0.97),
-            runtime_s=runtime,
             definition=(
                 f"empirical coverage of the level-{_CI_LEVEL} target-mean interval "
                 "lies in [0.93, 0.97]"
@@ -765,7 +752,6 @@ def check_excess_risk(cfg: ExcessRiskConfig, seed: int) -> CheckResult:
     second-moment matrix is the identity and the excess risk of any theta
     is exactly |theta - theta*|^2.
     """
-    t0 = time.perf_counter()
     k = cfg.n_sources
     n = cfg.n_ratio * cfg.m
     dim = _ERM_DIM_X + 1
@@ -775,8 +761,7 @@ def check_excess_risk(cfg: ExcessRiskConfig, seed: int) -> CheckResult:
     target = analytic.excess_risk_mean(beta, sigma_w, dim, _ERM_NOISE_SD**2)
     sqrt12 = math.sqrt(12.0)
 
-    def one(r):
-        rng = substream(seed, _LANE_OF["erm_excess_risk"], r)
+    def draw(rng):
         world = realize_world(scheme, rng)
         # the weighted squared-error fit solves its normal equations,
         # sum_k beta_k X_k'X_k / n theta = sum_k beta_k X_k'y_k / n
@@ -798,14 +783,13 @@ def check_excess_risk(cfg: ExcessRiskConfig, seed: int) -> CheckResult:
         # M = E[x x'] = I for this construction, so excess = |diff|^2
         return np.array([cfg.m * float(diff @ diff)])
 
-    data = _replicate_map(one, cfg.replicates, 1)
+    data = _replicates(seed, _LANE_OF["erm_excess_risk"], range(cfg.replicates), draw)
     mean = float(data.mean())
     se = float(data.std(ddof=1) / math.sqrt(cfg.replicates))
     rel_err = abs(mean - target) / target
     return CheckResult(
         name="erm_excess_risk",
         passed=bool(rel_err < _ERM_REL_TOL),
-        runtime_s=time.perf_counter() - t0,
         definition=(
             "the Monte Carlo mean of m times the excess target risk of the "
             f"weighted squared-error fit is within {_ERM_REL_TOL:.0%} relative of "
@@ -843,7 +827,6 @@ def check_conditional_shift(cfg: ConditionalShiftConfig, seed: int) -> CheckResu
     event probabilities align with the bin grid: the event is a set of bins
     (:func:`_event_bins`), and only its rows are built and split.
     """
-    t0 = time.perf_counter()
     n = cfg.n_ratio * cfg.m
     n0 = cfg.n0_ratio * cfg.m
     v_base = math.exp(_WEIGHT_SD**2) - 1.0
@@ -861,23 +844,25 @@ def check_conditional_shift(cfg: ConditionalShiftConfig, seed: int) -> CheckResu
     ses = {}
     resampled = {}
 
-    for sub_idx, (label, sig, prob) in enumerate(subconfigs):
+    # sub-configuration s draws replicate r from stream index 10 r + s
+    for s, (label, sig, prob) in enumerate(subconfigs):
         scheme, sigma_w = _lognormal_scheme(cfg.m, sig, 1)
+        event = _event_bins(cfg.m, prob)
 
-        def one(r, _scheme=scheme, _event=_event_bins(cfg.m, prob), _sub=sub_idx):
-            rng = substream(seed, _LANE_OF["conditional_shift"], 10 * r + _sub)
+        def draw(rng):
             for attempt in range(20):
-                world = realize_world(_scheme, rng)
+                world = realize_world(scheme, rng)
                 c_src = _bin_counts(world[0], n, rng)
                 c_tgt = _bin_counts(flat, n0, rng)
-                if c_src[_event].any() and c_tgt[_event].any():
-                    ys = split_uniform(_bin_rows(c_src, rng, _event), 2)[1]
-                    yt = split_uniform(_bin_rows(c_tgt, rng, _event), 2)[1]
+                if c_src[event].any() and c_tgt[event].any():
+                    ys = split_uniform(_bin_rows(c_src, rng, event), 2)[1]
+                    yt = split_uniform(_bin_rows(c_tgt, rng, event), 2)[1]
                     gap = sqrt12 * (ys.mean() - yt.mean())
                     return np.array([sqrt_m * gap, float(attempt)])
             raise RuntimeError("conditioning event empty in 20 consecutive draws")
 
-        out = _replicate_map(one, cfg.replicates, 2)
+        out = _replicates(seed, _LANE_OF["conditional_shift"],
+                          range(s, 10 * cfg.replicates, 10), draw)
         data = out[:, 0]
         centered = data - data.mean()
         empirical[label] = float(centered @ centered / (cfg.replicates - 1))
@@ -899,7 +884,6 @@ def check_conditional_shift(cfg: ConditionalShiftConfig, seed: int) -> CheckResu
     return CheckResult(
         name="conditional_shift",
         passed=bool(level_ok and ratio_ok),
-        runtime_s=time.perf_counter() - t0,
         definition=(
             "each sub-configuration's variance of the sqrt(m)-scaled "
             "conditional-mean gap lies within 3 Monte Carlo standard errors "
@@ -921,11 +905,15 @@ def check_conditional_shift(cfg: ConditionalShiftConfig, seed: int) -> CheckResu
 
 def run_harness(config: HarnessConfig) -> HarnessReport:
     """Run each family that reports a requested check, serially and in table
-    order, and keep the requested results."""
+    order, and keep the requested results, each stamped with the wall time
+    of its family's call."""
     results: list[CheckResult] = []
     for family in _FAMILIES:
         if set(family.results) & set(config.checks):
+            t0 = time.perf_counter()
             out = globals()[family.func](getattr(config, family.block), config.seed)
-            results.extend(r for r in (out if isinstance(out, list) else [out])
+            runtime = time.perf_counter() - t0
+            results.extend(replace(r, runtime_s=runtime)
+                           for r in (out if isinstance(out, list) else [out])
                            if r.name in config.checks)
     return HarnessReport(results=tuple(results), seed=config.seed)

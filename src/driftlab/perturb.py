@@ -36,7 +36,6 @@ __all__ = [
     "PerturbationScheme",
     "realize_world",
     "sample_uniform",
-    "shift_target",
     "uniform_target",
     "gaussian_target",
     "exponential_target",
@@ -425,22 +424,6 @@ def _rows_in_bins(v: np.ndarray, bins: np.ndarray, m: int) -> np.ndarray:
         np.minimum(v, np.nextafter(bins + 1.0, 0.0), out=v)
     v /= m
     return v
-
-
-def shift_target(sigma_w: np.ndarray) -> np.ndarray:
-    """Re-express the sigma_w of K+1 distributions relative to the last.
-
-    The last distribution becomes the new reference and the first K keep
-    their weights (``weights[:-1]``); their sigma_w is ``A sigma_w A^T`` with
-    ``A = [I_K | -1]``, the covariance of shifts measured against the new
-    (itself random) reference.
-    """
-    kp1 = len(sigma_w)
-    if kp1 < 2:
-        raise ValueError("need at least 2 distributions to designate a new target")
-    k = kp1 - 1
-    a = np.hstack([np.eye(k), -np.ones((k, 1))])
-    return a @ sigma_w @ a.T
 
 
 # ---------------------------------------------------------------------------

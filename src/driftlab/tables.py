@@ -271,8 +271,8 @@ def _quoted_records(text: str, path: str):
 _BOM_UTF8 = b"\xef\xbb\xbf"  # codecs.BOM_UTF8
 
 
-def read_csv_table(path: str | Path, name: str | None = None) -> Table:
-    """Read a headered CSV into a typed Table.
+def read_csv_table(path: str | Path) -> Table:
+    """Read a headered CSV into a typed Table named after the file's stem.
 
     Lines end at LF, CRLF or CR only. A record is one line, or more when a
     quoted cell holds line breaks; blank lines and lines starting with ``#``
@@ -320,7 +320,7 @@ def read_csv_table(path: str | Path, name: str | None = None) -> Table:
             colname: _type_column(raw, colname, str(path), numbers)
             for colname, raw in zip(header, raw_columns)
         }
-    return Table(name or path.stem, tuple(cols), cols)
+    return Table(path.stem, tuple(cols), cols)
 
 
 @contextmanager

@@ -821,6 +821,9 @@ class TestSimulate:
         monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
         spec.loader.exec_module(script)
         script.FIXTURE = tmp_path / "fixture"
+        script.FIXTURE.mkdir()
+        for name in script.CONFIGS:  # the script rebuilds from the committed configs
+            shutil.copy(FIXTURE / name, script.FIXTURE / name)
         script.main()
         names = sorted(p.name for p in FIXTURE.iterdir())
         assert sorted(p.name for p in script.FIXTURE.iterdir()) == names
@@ -995,6 +998,24 @@ class TestErmCli:
             "weighted Hessian is singular at the optimum"
         ]
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("weights", ["uniform", "dlm", "importance"])
+    def test_badly_scaled_covariate_is_not_reported_as_collinear(
+        self, tmp_path, capsys, weights
+    ):
+        # x1 = 1e154 squares to about 1e308: the fit stops short of its
+        # tolerance, but the Hessian scaled to unit diagonal has full rank
+        argv = fixture_with_cell(tmp_path, "source_1.csv", "x1", 1, "1e154")
+        out = tmp_path / "e.json"
+        cfg = write(tmp_path / "cfg.json", '{"outcome": "income"}')
+        rc = cli.run(["erm", *argv, "--config", cfg, "--weights", weights,
+                      "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 0
+        assert "singular" not in err and "did not reach first-order tolerance" in err
+        fit = json.loads(out.read_text(encoding="utf-8"))["erm"]
+        assert fit["converged"] is False
+        assert np.all(np.isfinite(fit["theta_hat"]))
 
     @pytest.mark.parametrize(
         "weights, file, column, value",

@@ -223,7 +223,7 @@ def test_harness_bitwise_reproducible():
     assert strip_runtime(a) == strip_runtime(b)
 
 
-def test_results_do_not_depend_on_the_thread_count():
+def test_results_do_not_depend_on_a_rerun_or_the_requested_subset():
     # every check family, run twice from the check table, and a request for
     # one result of a two-result family
     small = dict(
@@ -249,6 +249,18 @@ def test_results_do_not_depend_on_the_thread_count():
     for name in ("f_null", "ci_coverage"):
         only = payload(checks=(name,))
         assert only["results"] == [r for r in first["results"] if r["name"] == name]
+
+
+def test_run_harness_stamps_each_family_with_its_wall_time():
+    # the two results of one family share the time of its one call; a check
+    # called directly is not timed
+    config = light_config(checks=("t_null", "f_null"),
+                          null_laws=H.NullLawsConfig(replicates=100, m=64, n_ratio=10,
+                                                     n0_ratio=10, n_functions=20))
+    t_null, f_null = H.run_harness(config).results
+    assert t_null.runtime_s > 0
+    assert f_null.runtime_s == t_null.runtime_s
+    assert H.check_clt_cov(H.CltCovConfig(replicates=100, m=32), seed=3).runtime_s == 0.0
 
 
 def test_run_harness_calls_the_module_global_check(monkeypatch):
@@ -330,6 +342,36 @@ def test_excess_risk_fit_matches_the_newton_erm_fit():
         diff = fit.theta_hat - theta_star
         excess.append(cfg.m * diff @ diff)
     np.testing.assert_allclose(result.empirical["mean_excess"], np.mean(excess), rtol=1e-9)
+
+
+def test_conditional_shift_interleaves_its_sub_configurations():
+    # rebuild every replicate of each sub-configuration s from stream index
+    # 10 r + s of the check's lane
+    cfg = H.ConditionalShiftConfig(replicates=100, m=32, n_ratio=10, n0_ratio=10)
+    result = H.check_conditional_shift(cfg, seed=5)
+    n, n0 = cfg.n_ratio * cfg.m, cfg.n0_ratio * cfg.m
+    v_base = np.exp(H._WEIGHT_SD**2) - 1.0
+    subconfigs = [("base", H._WEIGHT_SD, H._EVENT_PROB),
+                  ("half_prob", H._WEIGHT_SD, H._EVENT_PROB / 2.0),
+                  ("double_sigma", np.sqrt(np.log(2.0 * v_base + 1.0)), H._EVENT_PROB)]
+    for s, (label, sig, prob) in enumerate(subconfigs):
+        scheme, _ = H._lognormal_scheme(cfg.m, sig, 1)
+        event = H._event_bins(cfg.m, prob)
+        gaps, resampled = [], 0
+        for r in range(cfg.replicates):
+            rng = substream(5, H._LANE_OF["conditional_shift"], 10 * r + s)
+            while True:
+                weights = dl.realize_world(scheme, rng)
+                c_src = H._bin_counts(weights[0], n, rng)
+                c_tgt = H._bin_counts(np.ones(cfg.m), n0, rng)
+                if c_src[event].any() and c_tgt[event].any():
+                    break
+                resampled += 1
+            ys = split_uniform(H._bin_rows(c_src, rng, event), 2)[1]
+            yt = split_uniform(H._bin_rows(c_tgt, rng, event), 2)[1]
+            gaps.append(np.sqrt(cfg.m) * np.sqrt(12.0) * (ys.mean() - yt.mean()))
+        np.testing.assert_allclose(result.empirical[label], np.var(gaps, ddof=1), rtol=1e-12)
+        assert result.details["resampled_empty_events"][label] == resampled
 
 
 def test_config_from_dict_round_trip():

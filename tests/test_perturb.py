@@ -224,17 +224,6 @@ def test_standardized_shifts_are_normal():
     assert res.pvalue > 0.01
 
 
-def test_shift_target_examples():
-    shifted = dl.shift_target(np.eye(2))
-    assert shifted == pytest.approx(np.array([[2.0]]))
-    shifted = dl.shift_target(np.eye(3))
-    assert shifted == pytest.approx(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    coupled = dl.shift_target(np.ones((3, 3)))
-    assert coupled == pytest.approx(np.zeros((2, 2)), abs=1e-12)
-    with pytest.raises(ValueError):
-        dl.shift_target(np.eye(1))
-
-
 def test_transform_targets_reproduce_declared_moments():
     for law, (mean, var) in [
         (dl.uniform_target(), (0.5, 1.0 / 12.0)),

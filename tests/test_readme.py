@@ -35,13 +35,26 @@ def test_validate_table_lists_every_settings_field():
     }
 
 
+def config_example(heading):
+    """The first JSON block after ``heading`` in the README."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(heading):]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+
+
 @pytest.mark.parametrize("heading, keys", [("### fit config", cli._FIT_CONFIG),
                                            ("### erm config", cli._ERM_CONFIG)],
                          ids=["fit", "erm"])
 def test_config_example_sets_every_key(heading, keys):
     # a key the reader drops cannot stay in the example, nor a new one stay out
-    text = README.read_text(encoding="utf-8")
-    section = text[text.index(heading):]
-    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    example = config_example(heading)
     assert set(example) == set(keys)
     cli.record(dict, keys)(example, "")
+
+
+@pytest.mark.parametrize("heading, reader", [("### simulate config", cli._SIMULATION),
+                                             ("### validate config", cli._HARNESS_CONFIG)],
+                         ids=["simulate", "validate"])
+def test_config_example_reads(heading, reader):
+    # these examples set some keys only; each must still read as written
+    reader(config_example(heading), "")
