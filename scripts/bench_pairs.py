@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs: a git ref against the working tree.
 
-    python3 scripts/bench_pairs.py --workload harness_mc --base HEAD --pairs 10 --seed 1000
+    python3 scripts/bench_pairs.py --workload harness_mc --base HEAD --pairs 10 --seed 1000 \
+        --out BENCH.json
 
 Exports ``--base`` with ``git archive`` and copies the working tree (tracked
 files and untracked files that are not ignored) into two fresh temporary
@@ -23,8 +24,11 @@ with every run's metrics. The copies are removed at exit.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import io
 import json
+import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -104,15 +108,40 @@ def summarize(base: list[float], tree: list[float], better: str, bound: float) -
     }
 
 
+def bench_record(workload: str, base: str, base_commit: str, first_seed: int,
+                 runs: dict[str, list[dict]], metrics: dict[str, dict],
+                 environment: dict) -> dict:
+    """The bench record of paired runs: for each end-to-end metric of
+    ``metrics`` (``BENCHMARK.json``'s entries by name) its unit, direction,
+    bound and ``summarize``'s record, then every run of each side."""
+    summaries = {
+        name: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+               **summarize([r[name] for r in runs["base"]], [r[name] for r in runs["tree"]],
+                           m["better"], m["bound"])}
+        for name, m in metrics.items()}
+    return {"workload": workload, "base": base, "base_commit": base_commit,
+            "first_seed": first_seed, "environment": environment, "metrics": summaries,
+            "runs": runs}
+
+
+def environment() -> dict:
+    return {"python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"),
+            "scipy": importlib.metadata.version("scipy"),
+            "nproc": len(os.sched_getaffinity(0))}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--base", default="HEAD", help="git ref to compare the working tree with")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    p.add_argument("--out", type=Path, help="also write the bench record to this file")
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in bench["end_to_end"]}
+    base_commit = git("rev-parse", "--verify", args.base + "^{commit}").decode().strip()
     runs: dict[str, list[dict]] = {"base": [], "tree": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         copies = {"base": Path(tmp) / "base", "tree": Path(tmp) / "tree"}
@@ -126,18 +155,19 @@ def main(argv=None) -> int:
             print(f"pair {i} seed {seed}: " + "  ".join(
                 f"{name} {runs['base'][-1][name]:.4g} -> {runs['tree'][-1][name]:.4g}"
                 for name in metrics), flush=True)
+    record = bench_record(args.workload, args.base, base_commit, args.seed, runs, metrics,
+                          environment())
     print(f"{args.workload}: {args.base} (base) against the working tree, {args.pairs} pairs")
-    for name, metric in metrics.items():
-        s = summarize([r[name] for r in runs["base"]], [r[name] for r in runs["tree"]],
-                      metric["better"], metric["bound"])
-        print(f"  {name} ({metric['better']} is better): base median {s['base']['median']:.4g} "
+    for name, s in record["metrics"].items():
+        print(f"  {name} ({s['better']} is better): base median {s['base']['median']:.4g} "
               f"[{s['base']['q1']:.4g}, {s['base']['q3']:.4g}], tree median "
               f"{s['tree']['median']:.4g} [{s['tree']['q1']:.4g}, {s['tree']['q3']:.4g}], "
               f"tree wins {s['wins']}/{s['pairs']}, claim rule "
               f"{'holds' if s['claim_holds'] else 'does not hold'}, "
-              f"{s['verdict']} (bound {metric['bound']:.0%})")
-    print(json.dumps({"workload": args.workload, "base": args.base, "first_seed": args.seed,
-                      "runs": runs}))
+              f"{s['verdict']} (bound {s['bound']:.0%})")
+    print(json.dumps(record))
+    if args.out:
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import __version__
 from . import dlm as dlm_mod
@@ -360,6 +359,8 @@ _SIMULATION = record(
 def _build_table(name, u, columns, outcome):
     """Deal ``u`` into one stream per column (plus one for the outcome noise)
     and draw each column through its law."""
+    from scipy.special import ndtri
+
     streams = split_uniform(u, len(columns) + (outcome is not None))
     data = {col: law(stream) for (col, law), stream in zip(columns, streams)}
     if outcome is not None:
@@ -748,7 +749,7 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    # exit's garbage collection then skips numpy's and scipy's ~42k import-time objects
+    # exit's garbage collection then skips the ~23k import-time objects, mostly numpy's
     gc.freeze()
     sys.exit(run(sys.argv[1:]))
 

@@ -36,8 +36,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fdtrc, ndtri, stdtr
 
+from ._tails import f_sf, ndtri, t_two_sided
 from .moments import MomentMatrix
 
 __all__ = [
@@ -115,15 +115,6 @@ class TargetCI:
     estimate: float
     half_width: float
     level: float
-
-
-def _f_sf(x: float, dfn: int, dfd: int) -> float:
-    """Upper tail of F(dfn, dfd) at x, equal to ``scipy.stats.f.sf``.
-
-    ``fdtrc`` is the function ``stats.f.sf`` evaluates inside the support;
-    below it ``stats.f.sf`` returns 1 where ``fdtrc`` returns NaN.
-    """
-    return 1.0 if x <= 0.0 else float(fdtrc(dfn, dfd, x))
 
 
 def _build_deviations(phi_hat: np.ndarray) -> np.ndarray:
@@ -349,10 +340,10 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
         se = fits.se
         with np.errstate(divide="ignore", invalid="ignore"):
             t_stats = beta / se
-        p_values = 2.0 * stdtr(df, -np.abs(t_stats))
+        p_values = np.array([t_two_sided(t, df) for t in t_stats])
         if k > 1:
             f_stat = float(fits.f_stat)
-            f_pvalue = _f_sf(f_stat, k - 1, df)
+            f_pvalue = f_sf(f_stat, k - 1, df)
 
     if not abs(beta.sum() - 1.0) < 1e-12:
         raise RuntimeError(f"fit_weights: weights sum to {beta.sum()!r}, not 1")

@@ -21,8 +21,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
+from ._tails import expit
 from .dlm import DlmFit, target_ci
 from .tables import DatasetCollection, IngestError, Table, finite_column
 
@@ -165,11 +165,15 @@ def _newton(x: np.ndarray, y: np.ndarray, w: np.ndarray, spec: LossSpec,
     f = value(theta)
     n_iter = 0
     stalled = False
+    stop = "the iteration cap was reached"
     for n_iter in range(1, _MAX_ITER + 1):
         g = grad(theta)
         # after a step that left f unchanged the gradient sits at its
         # rounding floor and further steps cannot improve the fit
-        if stalled or np.linalg.norm(g) <= 1e-10 * (1.0 + np.linalg.norm(theta)):
+        if stalled:
+            stop = "a step left the loss unchanged"
+            break
+        if np.linalg.norm(g) <= 1e-10 * (1.0 + np.linalg.norm(theta)):
             break
         h = spec.hessian_mean(theta, x, y, w) + ridge * np.eye(theta.size)
         direction = None
@@ -199,6 +203,7 @@ def _newton(x: np.ndarray, y: np.ndarray, w: np.ndarray, spec: LossSpec,
                 break
             step *= 0.5
         if not accepted:
+            stop = "no descent step was accepted"
             break
     else:
         g = grad(theta)  # the last step moved theta
@@ -206,8 +211,8 @@ def _newton(x: np.ndarray, y: np.ndarray, w: np.ndarray, spec: LossSpec,
     converged = gnorm <= 1e-8 * (1.0 + np.linalg.norm(theta))
     if not converged:
         warnings.warn(
-            f"ERM did not reach first-order tolerance in {_MAX_ITER} iterations "
-            f"(|grad| = {gnorm:.3e}); returning last iterate",
+            f"ERM did not reach first-order tolerance after {n_iter} iterations, "
+            f"as {stop} (|grad| = {gnorm:.3e}); returning last iterate",
             stacklevel=3,
         )
     return theta, gnorm, bool(converged), n_iter

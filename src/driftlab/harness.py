@@ -33,7 +33,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import chdtr, fdtr, smirnov, stdtr, stdtrit
 
 from . import analytic
 from .dlm import _fit_stack, _interval
@@ -494,6 +493,8 @@ def _ks_sf(n: int, d: float) -> float:
     Only 2 smirnov(n, d) below d = 1/2 (Miller's approximation), the 0 and
     Pelz-Good are not exact.
     """
+    from scipy.special import smirnov
+
     d = np.float64(d)
     if np.isnan(d):
         return float(d)
@@ -654,6 +655,8 @@ def _pelz_good_cdf(n: int, d):
 
 def check_null_laws(cfg: NullLawsConfig, seed: int) -> list[CheckResult]:
     """t and F statistics under the exchangeable null vs their exact laws."""
+    from scipy.special import fdtr, stdtr, stdtrit
+
     data, n, n0 = _simulate_null(cfg, seed, _LANE_OF["null_laws"], with_ci=False)
     df = cfg.n_functions - cfg.n_sources + 1
     t_vals, f_vals = data[:, 0], data[:, 1]
@@ -698,6 +701,8 @@ def check_null_laws(cfg: NullLawsConfig, seed: int) -> list[CheckResult]:
 
 def check_ci_chi2(cfg: CiChi2Config, seed: int) -> list[CheckResult]:
     """Residual chi-squared law and CI coverage in the many-functions regime."""
+    from scipy.special import chdtr
+
     data, n, n0 = _simulate_null(cfg, seed, _LANE_OF["ci_chi2"], with_ci=True)
     k = cfg.n_sources
     n_funcs = cfg.n_functions

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv, ndtr, ndtri
 
 __all__ = [
     "WeightLaw",
@@ -109,6 +108,8 @@ class WeightLaw:
         return rng.uniform(self.a, self.b, size=size)
 
     def ppf(self, q: np.ndarray) -> np.ndarray:
+        from scipy.special import gammaincinv, ndtri
+
         if self.family == "lognormal":
             return np.exp(self.a + self.b * ndtri(q))
         if self.family == "gamma":
@@ -206,6 +207,8 @@ class GaussianCopulaWeights:
         return out
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        from scipy.special import ndtr
+
         corr = self._corr()
         chol = np.linalg.cholesky(corr + 1e-14 * np.eye(self.n_dists))
         z = chol @ rng.standard_normal((self.n_dists, m))
@@ -221,6 +224,8 @@ def _clip_unit(q: np.ndarray) -> np.ndarray:
 
 def _copula_rel_cov(law_i: WeightLaw, law_j: WeightLaw, rho: float) -> float:
     """Cov(W_i, W_j) / (E W_i E W_j) under a Gaussian copula with corr rho."""
+    from scipy.special import ndtr
+
     if law_i.family == "lognormal" and law_j.family == "lognormal":
         return math.exp(law_i.b * law_j.b * rho) - 1.0
     if rho == 0.0:
@@ -438,6 +443,8 @@ def uniform_target() -> Callable[[np.ndarray], np.ndarray]:
 def gaussian_target(mean: float = 0.0, sd: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     if sd <= 0:
         raise ValueError(f"sd must be > 0, got {sd!r}")
+    from scipy.special import ndtri
+
     return lambda u: mean + sd * ndtri(u)
 
 

@@ -21,3 +21,14 @@ def make_moments(phi_hat, sizes=None, pooled=None):
         target_name="target",
         pooled_var=pooled,
     )
+
+
+# the weight fit's t and F p-values come from driftlab's own incomplete beta:
+# within these of scipy.stats, relative, wherever scipy's value is at least
+# 1e-290; below it the two may differ by 1e-290 times the tolerance
+T_RTOL = 1e-10
+F_RTOL = 1e-11
+
+
+def assert_tail_close(got, want, rtol):
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-290 * rtol)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,34 @@ def test_verdict_names_a_regression_beyond_the_bound_and_spreads_wider_than_it()
     # one tree run that does not beat the slowest base run leaves it unresolved
     tree = [b - 0.6 for b in base[:9]] + [2.35]
     assert bench_pairs.summarize(base, tree, "lower", 0.05)["verdict"] == "unresolved"
+
+
+def test_bench_record_holds_each_metric_summary_and_every_run():
+    metrics = {"pass_s": {"name": "pass_s", "unit": "s", "better": "lower", "bound": 0.25},
+               "work_per_s": {"name": "work_per_s", "unit": "1/s", "better": "higher",
+                              "bound": 0.25}}
+    base = [2.0, 2.1, 2.2, 1.9, 2.0, 2.3, 2.1, 2.0, 2.2, 1.8]
+    runs = {"base": [{"pass_s": b, "work_per_s": 1.0 / b} for b in base],
+            "tree": [{"pass_s": b - 0.4, "work_per_s": 1.0 / (b - 0.4)} for b in base]}
+    env = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1", "nproc": 2}
+    record = bench_pairs.bench_record("panel_analysis", "HEAD", "abc123", 3600, runs,
+                                      metrics, env)
+    assert (record["workload"], record["base"], record["base_commit"],
+            record["first_seed"]) == ("panel_analysis", "HEAD", "abc123", 3600)
+    assert record["environment"] == env and record["runs"] == runs
+    assert list(record["metrics"]) == ["pass_s", "work_per_s"]
+    for name, m in metrics.items():
+        want = bench_pairs.summarize([r[name] for r in runs["base"]],
+                                     [r[name] for r in runs["tree"]], m["better"], m["bound"])
+        assert record["metrics"][name] == {"unit": m["unit"], "better": m["better"],
+                                           "bound": m["bound"], **want}
+    assert record["metrics"]["pass_s"]["claim_holds"]
+    assert record["metrics"]["work_per_s"]["wins"] == 10
+    # the record is what --out writes: plain JSON
+    assert json.loads(json.dumps(record)) == record
+
+
+def test_environment_names_the_versions_and_cpu_count():
+    env = bench_pairs.environment()
+    assert set(env) == {"python", "numpy", "scipy", "nproc"}
+    assert env["nproc"] >= 1

@@ -1575,17 +1575,22 @@ class TestCliSurface:
     def test_no_subcommand_imports_scipy_stats(self, tmp_path):
         # scipy.stats takes about a second to import and scipy.optimize about
         # a quarter; validate's KS tests run on scipy.special and the weight
-        # fits on numpy, so no subcommand needs them or scipy.linalg. validate
-        # may exit 2 on a gate that fails by chance at these replicate counts.
+        # fits on numpy, so no subcommand needs them or scipy.linalg. fit,
+        # diagnose and erm load no scipy module at all: scipy.special alone
+        # costs a process 0.3 s. validate may exit 2 on a gate that fails by
+        # chance at these replicate counts.
         script = (
             "import json, sys\n"
             "from driftlab import cli\n"
             "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.linalg')\n"
-            "seen = [[m for m in heavy if m in sys.modules]]\n"
+            "def loaded():\n"
+            "    return [any(m.split('.')[0] == 'scipy' for m in sys.modules),\n"
+            "            [m for m in heavy if m in sys.modules]]\n"
+            "seen = [loaded()]\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    if cli.run(argv) not in (0, 2):\n"
             "        sys.exit(f'failed: {argv}')\n"
-            "    seen.append([m for m in heavy if m in sys.modules])\n"
+            "    seen.append(loaded())\n"
             "print(json.dumps(seen))\n"
         )
         data = ["--data", *[str(FIXTURE / f"source_{k}.csv") for k in range(1, 5)],
@@ -1614,9 +1619,22 @@ class TestCliSurface:
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [[]] * (1 + len(runs))
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        # import, fit, diagnose and erm: no scipy; simulate and validate:
+        # scipy.special only
+        assert seen[:4] == [[False, []]] * 4
+        assert [heavy for _, heavy in seen[4:]] == [[], []]
         report = json.loads((tmp_path / "v.json").read_text())["report"]
         assert [r["name"] for r in report["results"]] == ["t_null", "f_null", "chi2_residual"]
+
+    def test_importing_driftlab_loads_no_scipy(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        for module in ("driftlab", "driftlab.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import sys, {module}; print(sorted(m for m in "
+                 "sys.modules if m.split('.')[0] == 'scipy'))"],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
 
     def test_missing_file_is_user_error(self, tmp_path):
         rc = cli.run(["fit", "--data", "nope.csv", "--target", "nope2.csv",

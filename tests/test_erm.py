@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import expit
 
 from conftest import make_moments
 from driftlab import erm
@@ -150,7 +149,8 @@ def test_nonconvergence_flags(rng, monkeypatch):
     x = np.column_stack([np.ones(n), rng.normal(size=n)])
     y = (rng.random(n) < 0.5).astype(float)
     monkeypatch.setattr(erm, "_MAX_ITER", 1)
-    with pytest.warns(UserWarning, match="did not reach"):
+    with pytest.warns(UserWarning, match="ERM did not reach first-order tolerance after 1 "
+                      "iterations, as the iteration cap was reached"):
         fit = fit_datasets([(x, y)], logistic_loss(), [1.0])
     assert not fit.converged
     assert fit.n_iterations == 1
@@ -177,6 +177,38 @@ def test_newton_stops_when_accepted_step_leaves_objective_unchanged():
     assert converged
     assert grad_norm < 1e-8
     assert np.abs(theta - target).max() < 1e-9
+
+
+def test_nonconvergence_warning_names_the_stalled_step():
+    # f is flat to rounding while the gradient keeps a floor far above the
+    # first-order tolerance: the second step leaves f unchanged
+    def loss(theta, x, y):
+        return np.array([1e6 + 0.5 * theta @ theta])
+
+    def gradient(theta, x, y):
+        return (theta + 1e-3)[None, :]
+
+    spec = LossSpec("flat", loss, gradient, lambda theta, x, y, w: np.eye(2))
+    with pytest.warns(UserWarning, match="ERM did not reach first-order tolerance after "
+                      r"\d+ iterations, as a step left the loss unchanged"):
+        converged = _newton(np.ones((1, 2)), np.zeros(1), np.ones(1), spec)[2]
+    assert not converged
+
+
+def test_nonconvergence_warning_names_a_failed_line_search():
+    # every step away from theta = 0 raises the loss, however short
+    def loss(theta, x, y):
+        return np.array([1.0 + np.any(theta != 0.0)])
+
+    def gradient(theta, x, y):
+        return np.ones((1, 2))
+
+    spec = LossSpec("step", loss, gradient, lambda theta, x, y, w: np.eye(2))
+    with pytest.warns(UserWarning, match="ERM did not reach first-order tolerance after 1 "
+                      "iterations, as no descent step was accepted"):
+        theta, _, converged, n_iterations = _newton(np.ones((1, 2)), np.zeros(1),
+                                                    np.ones(1), spec)
+    assert (theta.tolist(), converged, n_iterations) == ([0.0, 0.0], False, 1)
 
 
 def test_influence_variance_matches_per_row_influences(rng):
@@ -322,7 +354,8 @@ def test_importance_weights_identical_distributions(rng):
 
 def test_importance_weights_equal_the_classifier_on_stacked_designs_bit_for_bit():
     # the reference fits the classifier as erm did when it built the source
-    # and target designs apart and stacked a copy of them
+    # and target designs apart and stacked a copy of them, with erm's own
+    # logistic function
     data = fixture_data()
     covariates = data.numeric_covariates
     x_source = design_matrix(data.sources, covariates)
@@ -332,7 +365,7 @@ def test_importance_weights_equal_the_classifier_on_stacked_designs_bit_for_bit(
     theta = _newton(np.vstack([x_source, x_target]),
                     np.concatenate([np.zeros(n_s), np.ones(n_t)]), np.full(n, 1.0 / n),
                     logistic_loss(), ridge=erm._L2_PENALTY / n)[0]
-    p = expit(x_source @ theta)
+    p = erm.expit(x_source @ theta)
     raw = (p / (1.0 - p)) / ((n_t / n) / (1.0 - n_t / n))
     threshold = float(np.quantile(raw, 0.99))
     with pytest.warns(UserWarning, match="clipped"):
