@@ -561,7 +561,7 @@ def cmd_erm(args) -> int:
 
     try:
         fit = erm_mod.fit_erm(x[:y.size], y, w, sizes, spec)
-    except erm_mod.ConvergenceError as exc:
+    except erm_mod.SingularHessianError as exc:
         raise UserError(f"erm on covariates {list(covariates)}: {exc}") from None
     except erm_mod.InfluenceOverflowError as exc:
         raise UserError(f"erm on outcome {outcome!r}: the influence variance overflows the "

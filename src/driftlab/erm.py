@@ -1,11 +1,13 @@
 """Weighted empirical risk minimization with influence-based uncertainty.
 
-Every fit here is one damped Newton iteration with Armijo backtracking over
-pooled rows: minimize sum_i w_i loss_i(theta) + (ridge / 2) |theta|^2 with row
-weights w summing to one. ``fit_erm`` is the one weighted fit with inference:
-dataset weights beta are the row weights beta_k / n_k, and importance weights
-are another row weighting. The importance baseline's density-ratio classifier
-runs the iteration alone.
+Every fit here is one Newton iteration with Armijo backtracking over pooled
+rows: minimize sum_i w_i loss_i(theta) + (ridge / 2) |theta|^2 with row
+weights w summing to one. It converges when the Newton decrement g' H^{-1} g,
+which no rescaling of a covariate changes, falls within the loss's rounding;
+otherwise the caller warns and keeps the last iterate. ``fit_erm`` is the one
+weighted fit with inference: dataset weights beta are the row weights
+beta_k / n_k, and importance weights are another row weighting. The
+importance baseline's density-ratio classifier runs the iteration alone.
 
 Out-of-distribution risk under random dense shift decomposes as the weight
 quadratic form beta' Sigma_W beta times Trace(H^{-1} V), with H the weighted
@@ -41,7 +43,7 @@ __all__ = [
 ]
 
 
-class ConvergenceError(RuntimeError):
+class SingularHessianError(RuntimeError):
     pass
 
 
@@ -106,7 +108,6 @@ class ErmFit:
     theta_hat: np.ndarray
     hessian_hat: np.ndarray  # weighted mean Hessian at theta_hat
     influence_variance: np.ndarray  # pooled covariance of the influence values
-    grad_norm: float
     converged: bool
     n_iterations: int
     loss_family: str
@@ -145,77 +146,56 @@ def outcome_vector(data: DatasetCollection) -> np.ndarray:
     return np.concatenate([_fit_column(t, data.outcome, "outcome") for t in data.sources])
 
 
-# damped Newton's iteration cap; every solve starts at theta = 0
+# Newton's iteration cap; every solve starts at theta = 0
 _MAX_ITER = 200
+_EPS = float(np.finfo(float).eps)
 
 
 def _newton(x: np.ndarray, y: np.ndarray, w: np.ndarray, spec: LossSpec,
-            ridge: float = 0.0) -> tuple[np.ndarray, float, bool, int]:
-    """Minimize sum_i w_i loss_i(theta) + (ridge / 2) |theta|^2 over the rows
-    of (x, y), for row weights ``w`` summing to one, by damped Newton with
-    Armijo backtracking: theta, |grad|, whether it converged, the iterations."""
+            ridge: float = 0.0) -> tuple[np.ndarray, int, str | None]:
+    """Minimize f(theta) = sum_i w_i loss_i(theta) + (ridge / 2) |theta|^2
+    over the rows of (x, y), for row weights ``w`` summing to one, by Newton
+    steps with Armijo backtracking: theta, the iterations, and why the
+    iteration stopped short (None when it converged).
+
+    It converges when the Newton decrement lambda^2 = g' H^{-1} g is at most
+    8 eps max(|f|, |f(0)|): the Newton step's predicted decrease lambda^2 / 2
+    is then within the loss's rounding. lambda^2 does not change when a
+    covariate is rescaled, and |f(0)| floors the bound, so a fit whose loss
+    reaches 0 still converges."""
 
     def value(theta):
         return spec.loss(theta, x, y) @ w + 0.5 * ridge * (theta @ theta)
 
-    def grad(theta):
-        return spec.gradient(theta, x, y).T @ w + ridge * theta
-
     theta = np.zeros(x.shape[1])
     f = value(theta)
-    n_iter = 0
-    stalled = False
-    stop = "the iteration cap was reached"
+    f0 = abs(f)
     for n_iter in range(1, _MAX_ITER + 1):
-        g = grad(theta)
-        # after a step that left f unchanged the gradient sits at its
-        # rounding floor and further steps cannot improve the fit
-        if stalled:
-            stop = "a step left the loss unchanged"
-            break
-        if np.linalg.norm(g) <= 1e-10 * (1.0 + np.linalg.norm(theta)):
-            break
+        g = spec.gradient(theta, x, y).T @ w + ridge * theta
         h = spec.hessian_mean(theta, x, y, w) + ridge * np.eye(theta.size)
-        direction = None
-        damping = 0.0
-        for _ in range(12):
-            try:
-                direction = -np.linalg.solve(h + damping * np.eye(h.shape[0]), g)
-            except np.linalg.LinAlgError:
-                direction = None
-            if direction is not None and g @ direction < 0:
-                break
-            damping = max(2.0 * damping, 1e-8 * max(np.abs(np.diag(h)).max(), 1.0))
-        if direction is None or g @ direction >= 0:
+        try:
+            direction = -np.linalg.solve(h, g)
+        except np.linalg.LinAlgError:
+            direction = -np.linalg.lstsq(h, g, rcond=None)[0]
+        # where H is not positive definite, steepest descent takes over and
+        # |g|^2 stands in for the decrement
+        if not g @ direction < 0:
             direction = -g
-        # Armijo backtracking; in floating point an accepted step can leave
-        # f unchanged, which ends the iteration at the next gradient test
+        decrement = -(g @ direction)
+        if decrement <= 8.0 * _EPS * max(abs(f), f0):
+            return theta, n_iter, None
+        # Armijo backtracking
         step = 1.0
-        slope = g @ direction
-        accepted = False
         for _ in range(60):
             cand = theta + step * direction
             f_cand = value(cand)
-            if f_cand <= f + 1e-4 * step * slope:
-                stalled = not f_cand < f
+            if f_cand <= f - 1e-4 * step * decrement:
                 theta, f = cand, f_cand
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
-            stop = "no descent step was accepted"
-            break
-    else:
-        g = grad(theta)  # the last step moved theta
-    gnorm = float(np.linalg.norm(g))
-    converged = gnorm <= 1e-8 * (1.0 + np.linalg.norm(theta))
-    if not converged:
-        warnings.warn(
-            f"ERM did not reach first-order tolerance after {n_iter} iterations, "
-            f"as {stop} (|grad| = {gnorm:.3e}); returning last iterate",
-            stacklevel=3,
-        )
-    return theta, gnorm, bool(converged), n_iter
+        else:
+            return theta, n_iter, "no descent step was accepted"
+    return theta, _MAX_ITER, "the iteration cap was reached"
 
 
 def fit_erm(x: np.ndarray, y: np.ndarray, w: np.ndarray, sizes: Sequence[int],
@@ -230,7 +210,10 @@ def fit_erm(x: np.ndarray, y: np.ndarray, w: np.ndarray, sizes: Sequence[int],
         raise ValueError("x, y and w need one row per source row")
     if abs(w.sum() - 1.0) > 1e-8:
         raise ValueError("row weights must sum to one")
-    theta, gnorm, converged, n_iter = _newton(x, y, w, spec)
+    theta, n_iter, stop = _newton(x, y, w, spec)
+    if stop is not None:
+        warnings.warn(f"the ERM fit did not converge after {n_iter} iterations, as {stop}; "
+                      "returning the last iterate", stacklevel=2)
     h_hat = spec.hessian_mean(theta, x, y, w)
     h_hat = 0.5 * (h_hat + h_hat.T)
     # the rank of H scaled to unit diagonal, which a covariate's units cannot
@@ -240,7 +223,7 @@ def fit_erm(x: np.ndarray, y: np.ndarray, w: np.ndarray, sizes: Sequence[int],
             and np.linalg.matrix_rank(h_hat / np.outer(scale, scale)) == scale.size):
         # a covariate that repeats or combines others; whether LU meets an
         # exact zero pivot then depends on the BLAS summation order
-        raise ConvergenceError("weighted Hessian is singular at the optimum")
+        raise SingularHessianError("weighted Hessian is singular at the optimum")
     grads = spec.gradient(theta, x, y)
     starts = np.cumsum(sizes) - sizes
     grad_sums = np.add.reduceat(grads, starts)
@@ -259,8 +242,7 @@ def fit_erm(x: np.ndarray, y: np.ndarray, w: np.ndarray, sizes: Sequence[int],
         theta_hat=theta,
         hessian_hat=h_hat,
         influence_variance=0.5 * (infl_var + infl_var.T),
-        grad_norm=gnorm,
-        converged=converged,
+        converged=stop is None,
         n_iterations=n_iter,
         loss_family=spec.family,
         source_influence_means=psi_means,
@@ -321,7 +303,11 @@ def importance_weights(
     n = x.shape[0]
     n_t = n - n_source
     a = np.concatenate([np.zeros(n_source), np.ones(n_t)])
-    theta = _newton(x, a, np.full(n, 1.0 / n), logistic_loss(), ridge=_L2_PENALTY / n)[0]
+    theta, n_iter, stop = _newton(x, a, np.full(n, 1.0 / n), logistic_loss(),
+                                  ridge=_L2_PENALTY / n)
+    if stop is not None:
+        warnings.warn(f"the importance classifier did not converge after {n_iter} iterations, "
+                      f"as {stop}; its weights are used as they are", stacklevel=2)
     p = expit(x[:n_source] @ theta)
     p_target = n_t / n
     raw = (p / (1.0 - p)) / (p_target / (1.0 - p_target))
