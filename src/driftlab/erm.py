@@ -1,13 +1,17 @@
 """Weighted empirical risk minimization with influence-based uncertainty.
 
+A loss is a function of the linear predictor eta = x theta: a ``LossSpec``
+gives, per row, the loss l(eta, y) and its derivatives l' and l'' in eta.
 Every fit here is one Newton iteration with Armijo backtracking over pooled
-rows: minimize sum_i w_i loss_i(theta) + (ridge / 2) |theta|^2 with row
-weights w summing to one. It converges when the Newton decrement g' H^{-1} g,
-which no rescaling of a covariate changes, falls within the loss's rounding;
-otherwise the caller warns and keeps the last iterate. ``fit_erm`` is the one
-weighted fit with inference: dataset weights beta are the row weights
-beta_k / n_k, and importance weights are another row weighting. The
-importance baseline's density-ratio classifier runs the iteration alone.
+rows: minimize f(theta) = sum_i w_i l(x_i theta, y_i) + (ridge / 2) |theta|^2
+with row weights w summing to one, from g = X'(w l') + ridge theta and
+H = X' diag(w l'') X + ridge I. It converges when the Newton decrement
+g' H^{-1} g, which no rescaling of a covariate changes, falls within the
+loss's rounding; otherwise the caller warns and keeps the last iterate.
+Either way it returns H at the theta it returns. ``fit_erm`` is the one
+weighted fit with inference, and reads that H: dataset weights beta are the
+row weights beta_k / n_k, and importance weights are another row weighting.
+The importance baseline's density-ratio classifier runs the iteration alone.
 
 Out-of-distribution risk under random dense shift decomposes as the weight
 quadratic form beta' Sigma_W beta times Trace(H^{-1} V), with H the weighted
@@ -58,49 +62,28 @@ class InfluenceOverflowError(ValueError):
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Twice-differentiable per-row loss with gradient and mean Hessian.
-
-    loss(theta, X, y) -> (n,) per-row losses
-    gradient(theta, X, y) -> (n, p) per-row gradients
-    hessian_mean(theta, X, y, w) -> (p, p) mean Hessian over rows, weighted
-        by the per-row weights ``w``
-    """
+    """Twice-differentiable loss of the linear predictor eta = X theta, as
+    three per-row functions of (eta, y), each returning an (n,) array: the
+    loss, and its first and second derivatives in eta."""
 
     family: str
     loss: object
-    gradient: object
-    hessian_mean: object
+    dloss: object
+    d2loss: object
 
 
 def squared_error_loss() -> LossSpec:
-    def loss(theta, x, y):
-        r = y - x @ theta
-        return r * r
-
-    def gradient(theta, x, y):
-        r = y - x @ theta
-        return x * (-2.0 * r)[:, None]
-
-    def hessian_mean(theta, x, y, w):
-        return 2.0 * (x.T * w) @ x / w.sum()
-
-    return LossSpec("squared_error_linear", loss, gradient, hessian_mean)
+    return LossSpec("squared_error_linear",
+                    loss=lambda eta, y: (y - eta) ** 2,
+                    dloss=lambda eta, y: 2.0 * (eta - y),
+                    d2loss=lambda eta, y: np.full_like(eta, 2.0))
 
 
 def logistic_loss() -> LossSpec:
-    def loss(theta, x, y):
-        eta = x @ theta
-        return np.logaddexp(0.0, eta) - y * eta
-
-    def gradient(theta, x, y):
-        p = expit(x @ theta)
-        return x * (p - y)[:, None]
-
-    def hessian_mean(theta, x, y, w):
-        p = expit(x @ theta)
-        return (x.T * (p * (1.0 - p) * w)) @ x / w.sum()
-
-    return LossSpec("logistic", loss, gradient, hessian_mean)
+    return LossSpec("logistic",
+                    loss=lambda eta, y: np.logaddexp(0.0, eta) - y * eta,
+                    dloss=lambda eta, y: expit(eta) - y,
+                    d2loss=lambda eta, y: expit(eta) * expit(-eta))
 
 
 @dataclass(frozen=True)
@@ -152,11 +135,11 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _newton(x: np.ndarray, y: np.ndarray, w: np.ndarray, spec: LossSpec,
-            ridge: float = 0.0) -> tuple[np.ndarray, int, str | None]:
-    """Minimize f(theta) = sum_i w_i loss_i(theta) + (ridge / 2) |theta|^2
+            ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray, int, str | None]:
+    """Minimize f(theta) = sum_i w_i loss(x_i theta, y_i) + (ridge / 2) |theta|^2
     over the rows of (x, y), for row weights ``w`` summing to one, by Newton
-    steps with Armijo backtracking: theta, the iterations, and why the
-    iteration stopped short (None when it converged).
+    steps with Armijo backtracking: theta, the Hessian of f at theta, the
+    iterations, and why the iteration stopped short (None when it converged).
 
     It converges when the Newton decrement lambda^2 = g' H^{-1} g is at most
     8 eps max(|f|, |f(0)|): the Newton step's predicted decrease lambda^2 / 2
@@ -164,15 +147,19 @@ def _newton(x: np.ndarray, y: np.ndarray, w: np.ndarray, spec: LossSpec,
     covariate is rescaled, and |f(0)| floors the bound, so a fit whose loss
     reaches 0 still converges."""
 
-    def value(theta):
-        return spec.loss(theta, x, y) @ w + 0.5 * ridge * (theta @ theta)
+    def value(eta, theta):
+        return spec.loss(eta, y) @ w + 0.5 * ridge * (theta @ theta)
+
+    def hessian(eta):
+        return (x.T * (w * spec.d2loss(eta, y))) @ x + ridge * np.eye(x.shape[1])
 
     theta = np.zeros(x.shape[1])
-    f = value(theta)
+    eta = np.zeros(x.shape[0])
+    f = value(eta, theta)
     f0 = abs(f)
     for n_iter in range(1, _MAX_ITER + 1):
-        g = spec.gradient(theta, x, y).T @ w + ridge * theta
-        h = spec.hessian_mean(theta, x, y, w) + ridge * np.eye(theta.size)
+        g = x.T @ (w * spec.dloss(eta, y)) + ridge * theta
+        h = hessian(eta)
         try:
             direction = -np.linalg.solve(h, g)
         except np.linalg.LinAlgError:
@@ -183,19 +170,20 @@ def _newton(x: np.ndarray, y: np.ndarray, w: np.ndarray, spec: LossSpec,
             direction = -g
         decrement = -(g @ direction)
         if decrement <= 8.0 * _EPS * max(abs(f), f0):
-            return theta, n_iter, None
+            return theta, h, n_iter, None
         # Armijo backtracking
         step = 1.0
         for _ in range(60):
             cand = theta + step * direction
-            f_cand = value(cand)
+            eta_cand = x @ cand
+            f_cand = value(eta_cand, cand)
             if f_cand <= f - 1e-4 * step * decrement:
-                theta, f = cand, f_cand
+                theta, eta, f = cand, eta_cand, f_cand
                 break
             step *= 0.5
         else:
-            return theta, n_iter, "no descent step was accepted"
-    return theta, _MAX_ITER, "the iteration cap was reached"
+            return theta, h, n_iter, "no descent step was accepted"
+    return theta, hessian(eta), _MAX_ITER, "the iteration cap was reached"
 
 
 def fit_erm(x: np.ndarray, y: np.ndarray, w: np.ndarray, sizes: Sequence[int],
@@ -210,11 +198,10 @@ def fit_erm(x: np.ndarray, y: np.ndarray, w: np.ndarray, sizes: Sequence[int],
         raise ValueError("x, y and w need one row per source row")
     if abs(w.sum() - 1.0) > 1e-8:
         raise ValueError("row weights must sum to one")
-    theta, n_iter, stop = _newton(x, y, w, spec)
+    theta, h_hat, n_iter, stop = _newton(x, y, w, spec)
     if stop is not None:
         warnings.warn(f"the ERM fit did not converge after {n_iter} iterations, as {stop}; "
                       "returning the last iterate", stacklevel=2)
-    h_hat = spec.hessian_mean(theta, x, y, w)
     h_hat = 0.5 * (h_hat + h_hat.T)
     # the rank of H scaled to unit diagonal, which a covariate's units cannot
     # change; a zero diagonal entry is a covariate the fit cannot see
@@ -224,7 +211,7 @@ def fit_erm(x: np.ndarray, y: np.ndarray, w: np.ndarray, sizes: Sequence[int],
         # a covariate that repeats or combines others; whether LU meets an
         # exact zero pivot then depends on the BLAS summation order
         raise SingularHessianError("weighted Hessian is singular at the optimum")
-    grads = spec.gradient(theta, x, y)
+    grads = x * spec.dloss(x @ theta, y)[:, None]
     starts = np.cumsum(sizes) - sizes
     grad_sums = np.add.reduceat(grads, starts)
     psi_means = -np.linalg.solve(h_hat, (grad_sums / sizes[:, None]).T).T
@@ -303,8 +290,8 @@ def importance_weights(
     n = x.shape[0]
     n_t = n - n_source
     a = np.concatenate([np.zeros(n_source), np.ones(n_t)])
-    theta, n_iter, stop = _newton(x, a, np.full(n, 1.0 / n), logistic_loss(),
-                                  ridge=_L2_PENALTY / n)
+    theta, _, n_iter, stop = _newton(x, a, np.full(n, 1.0 / n), logistic_loss(),
+                                     ridge=_L2_PENALTY / n)
     if stop is not None:
         warnings.warn(f"the importance classifier did not converge after {n_iter} iterations, "
                       f"as {stop}; its weights are used as they are", stacklevel=2)

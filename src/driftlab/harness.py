@@ -412,30 +412,32 @@ def _simulate_null(cfg, seed: int, lane: int, with_ci: bool):
     table_t = _walsh_table(cfg.n_functions, cfg.m).T
     flat = np.ones(cfg.m)
     sizes = np.array((n0,) + (n,) * k)[:, None]
+    n_counts = (k + 1) * cfg.m
+
+    def draw(rng):
+        # the target's and the sources' bin counts, then with the CI the
+        # sources' means of u and their pooled variance
+        world = realize_world(scheme, rng)
+        counts = [_bin_counts(flat, n0, rng)] + [_bin_counts(world[j], n, rng) for j in range(k)]
+        if not with_ci:
+            return np.concatenate(counts)
+        u_sources = [_bin_rows(c, rng) for c in counts[1:]]
+        return np.concatenate(counts + [[u.mean() for u in u_sources],
+                                        [np.concatenate(u_sources).var()]])
+
     out = np.zeros((cfg.replicates, 4))
     for start in range(0, cfg.replicates, _BLOCK):
         block = range(start, min(start + _BLOCK, cfg.replicates))
-        counts = np.empty((len(block), k + 1, cfg.m), dtype=np.int64)
-        source_means = np.empty((len(block), k))
-        pooled_var = np.empty(len(block))
-        for i, r in enumerate(block):
-            rng = substream(seed, lane, r)
-            world = realize_world(scheme, rng)
-            counts[i, 0] = _bin_counts(flat, n0, rng)
-            for j in range(k):
-                counts[i, j + 1] = _bin_counts(world[j], n, rng)
-            if with_ci:
-                u_sources = [_bin_rows(c, rng) for c in counts[i, 1:]]
-                source_means[i] = [u.mean() for u in u_sources]
-                pooled_var[i] = np.concatenate(u_sources).var()
-        phi_hat = (counts.reshape(-1, cfg.m) @ table_t).reshape(len(block), k + 1, -1) / sizes
+        data = _replicates(seed, lane, block, draw)
+        phi_hat = (data[:, :n_counts].reshape(-1, cfg.m) @ table_t).reshape(
+            len(block), k + 1, -1) / sizes
         fits = _fit_stack(phi_hat)
         out[block, 0] = (fits.beta[:, 0] - 1.0 / k) / fits.se[:, 0]
         out[block, 1] = fits.f_stat
         out[block, 2] = fits.rss
         if with_ci:
             estimate, half_width = _interval(fits.beta, fits.rss, cfg.n_functions,
-                                             source_means, pooled_var, _CI_LEVEL)
+                                             data[:, n_counts:-1], data[:, -1], _CI_LEVEL)
             out[block, 3] = np.abs(estimate - 0.5) <= half_width
     return out, n, n0
 

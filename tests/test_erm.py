@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,23 +57,71 @@ def central_difference(f, theta, step=1e-6):
     return np.stack(cols, axis=-1)
 
 
+def assert_matches_finite_differences(exact, fd):
+    assert np.max(np.abs(exact - fd) / np.maximum(np.abs(exact), 1.0)) <= 1e-5
+
+
+def row_gradients(spec, theta, x, y):
+    """The per-row gradients of the loss in theta: x_i l'(x_i theta, y_i)."""
+    return x * spec.dloss(x @ theta, y)[:, None]
+
+
+def assembled_hessian(spec, theta, x, y, w):
+    """sum_i w_i l''(x_i theta, y_i) x_i x_i', symmetrized as fit_erm reads it."""
+    h = (x.T * (w * spec.d2loss(x @ theta, y))) @ x
+    return 0.5 * (h + h.T)
+
+
+def random_outcome(spec, rng, n):
+    if spec.family == "logistic":
+        return rng.integers(0, 2, size=n).astype(float)
+    return rng.normal(size=n)
+
+
 @pytest.mark.parametrize("spec_factory", [squared_error_loss, logistic_loss])
-def test_loss_derivatives_match_finite_differences(spec_factory, rng):
+def test_loss_derivatives_in_eta_match_finite_differences(spec_factory, rng):
     spec = spec_factory()
-    for _ in range(10):
-        x = rng.normal(size=(1, 3))
-        y = (
-            rng.normal(size=1)
-            if spec.family.startswith("squared")
-            else rng.integers(0, 2, size=1).astype(float)
-        )
-        theta = rng.normal(size=3)
-        grad = spec.gradient(theta, x, y).mean(axis=0)
-        fd_grad = central_difference(lambda t: spec.loss(t, x, y).mean(), theta)
-        assert np.max(np.abs(grad - fd_grad) / np.maximum(np.abs(grad), 1.0)) <= 1e-5
-        hess = spec.hessian_mean(theta, x, y, np.ones(1))
-        fd_hess = central_difference(lambda t: spec.gradient(t, x, y).mean(axis=0), theta)
-        assert np.max(np.abs(hess - fd_hess) / np.maximum(np.abs(hess), 1.0)) <= 1e-5
+    eta = 3.0 * rng.normal(size=50)
+    y = random_outcome(spec, rng, 50)
+    step = 1e-6
+    fd_d1 = (spec.loss(eta + step, y) - spec.loss(eta - step, y)) / (2 * step)
+    fd_d2 = (spec.dloss(eta + step, y) - spec.dloss(eta - step, y)) / (2 * step)
+    for d, fd in ((spec.dloss(eta, y), fd_d1), (spec.d2loss(eta, y), fd_d2)):
+        assert d.shape == eta.shape
+        assert_matches_finite_differences(d, fd)
+
+
+@pytest.mark.parametrize("spec_factory", [squared_error_loss, logistic_loss])
+def test_newton_assembles_the_derivatives_of_its_objective(spec_factory, rng, monkeypatch):
+    # each full Newton step from theta solves H(theta) step = -g(theta), and
+    # the cap returns H where the last step lands: both against central
+    # differences of f, at non-uniform row weights and a non-zero ridge
+    spec = spec_factory()
+    n, ridge = 200, 0.3
+    x = with_intercept(rng.normal(size=(n, 2)))
+    y = random_outcome(spec, rng, n)
+    w = rng.random(n)
+    w /= w.sum()
+
+    def f(theta):
+        return spec.loss(x @ theta, y) @ w + 0.5 * ridge * (theta @ theta)
+
+    def fd_gradient(theta):
+        return central_difference(f, theta, step=1e-5)
+
+    def fd_hessian(theta):
+        return central_difference(fd_gradient, theta, step=1e-4)
+
+    iterates = [np.zeros(3)]
+    for cap in (1, 2):
+        monkeypatch.setattr(erm, "_MAX_ITER", cap)
+        theta, h, n_iterations, _ = _newton(x, y, w, spec, ridge=ridge)
+        assert n_iterations == cap
+        assert_matches_finite_differences(h, fd_hessian(theta))
+        iterates.append(theta)
+    for before, after in itertools.pairwise(iterates):
+        assert_matches_finite_differences(fd_hessian(before) @ (after - before),
+                                          -fd_gradient(before))
 
 
 def test_single_dataset_squared_equals_ols(rng):
@@ -119,29 +168,30 @@ def test_logistic_matches_scipy_oracle(rng):
     spec = logistic_loss()
     fit = fit_erm(x, y, np.full(n, 1.0 / n), [n], spec)
     res = minimize(
-        lambda t: spec.loss(t, x, y).mean(), np.zeros(2), method="BFGS", tol=1e-12
+        lambda t: spec.loss(x @ t, y).mean(), np.zeros(2), method="BFGS", tol=1e-12
     )
     assert np.allclose(fit.theta_hat, res.x, atol=1e-6)
     assert fit.converged
 
 
-def test_newton_objective_monotone(rng):
-    # instrument the loss to record objective values at accepted iterates
-    n = 300
-    x = np.column_stack([np.ones(n), rng.normal(size=n)])
-    y = (rng.random(n) < 0.5).astype(float)
+def test_newton_objective_monotone():
+    # on the identity design eta = theta; the iteration takes l' once per
+    # iteration, at each accepted iterate, so those calls record the iterates
+    x = np.eye(3)
+    y = np.array([0.2, 0.5, 0.9])
+    w = np.full(3, 1.0 / 3)
     base = logistic_loss()
     seen = []
 
-    def loss(theta, xx, yy):
-        vals = base.loss(theta, xx, yy)
-        seen.append(vals.mean())
-        return vals
+    def dloss(eta, yy):
+        seen.append(eta.copy())
+        return base.dloss(eta, yy)
 
-    spec = LossSpec("logistic", loss, base.gradient, base.hessian_mean)
-    _newton(x, y, np.full(n, 1.0 / n), spec)
-    # the accepted sequence (first eval per line search is the incumbent)
+    spec = LossSpec("logistic", base.loss, dloss, base.d2loss)
+    _newton(x, y, w, spec)
     assert len(seen) >= 2
+    values = [base.loss(eta, y) @ w for eta in seen]
+    assert np.all(np.diff(values) <= 0)
 
 
 def test_nonconvergence_flags(rng, monkeypatch):
@@ -194,37 +244,58 @@ def test_convergence_does_not_depend_on_a_covariates_units(rng, spec):
 def test_newton_stops_when_accepted_step_leaves_objective_unchanged():
     # f is flat to rounding near the optimum while the gradient carries a
     # sign-alternating floor of 3e-10: the decrement there is far within
-    # f's rounding, so the iteration converges instead of stepping on
+    # f's rounding, so the iteration converges instead of stepping on. On
+    # the identity design at weights 1/2, f(theta) = 1e6 + |theta - target|^2 / 2
     target = np.array([1.0, -2.0])
     calls = itertools.count()
 
-    def loss(theta, x, y):
-        d = theta - target
-        return np.array([1e6 + 0.5 * d @ d])
+    def dloss(eta, y):
+        return 2.0 * (eta - y) + 6e-10 * (-1.0) ** next(calls)
 
-    def gradient(theta, x, y):
-        return (theta - target + 3e-10 * (-1.0) ** next(calls))[None, :]
-
-    spec = LossSpec("flat", loss, gradient, lambda theta, x, y, w: np.eye(2))
-    theta, n_iterations, stop = _newton(np.ones((1, 2)), np.zeros(1), np.ones(1), spec)
+    spec = LossSpec("flat", lambda eta, y: 1e6 + (eta - y) ** 2, dloss,
+                    lambda eta, y: np.full_like(eta, 2.0))
+    theta, _, n_iterations, stop = _newton(np.eye(2), target, np.full(2, 0.5), spec)
     assert n_iterations <= 5
     assert stop is None
     assert np.abs(theta - target).max() < 1e-9
 
 
+def step_loss() -> LossSpec:
+    """On the identity design, every step away from theta = 0 raises the
+    loss, however short."""
+    return LossSpec("step", lambda eta, y: 1.0 + (eta != 0.0), lambda eta, y: np.ones_like(eta),
+                    lambda eta, y: 1.0 + eta * eta)
+
+
 def test_nonconvergence_warning_names_a_failed_line_search():
-    # every step away from theta = 0 raises the loss, however short
-    def loss(theta, x, y):
-        return np.array([1.0 + np.any(theta != 0.0)])
-
-    def gradient(theta, x, y):
-        return np.ones((1, 2))
-
-    spec = LossSpec("step", loss, gradient, lambda theta, x, y, w: np.eye(2))
     with pytest.warns(UserWarning, match="^the ERM fit did not converge after 1 iterations, "
                       "as no descent step was accepted; returning the last iterate$"):
-        fit = fit_erm(np.ones((1, 2)), np.zeros(1), np.ones(1), [1], spec)
+        fit = fit_erm(np.eye(2), np.zeros(2), np.full(2, 0.5), [2], step_loss())
     assert (fit.theta_hat.tolist(), fit.converged, fit.n_iterations) == ([0.0, 0.0], False, 1)
+
+
+@pytest.mark.parametrize("case", ["converged", "iteration cap", "failed line search"])
+def test_hessian_hat_is_the_hessian_at_theta_hat(case, rng, monkeypatch):
+    # fit_erm reads the Hessian _newton returns; at the cap that is the
+    # Hessian after the last step, not the one that chose it
+    n = 400
+    x = with_intercept(rng.normal(size=(n, 2)))
+    y = (rng.random(n) < erm.expit(x @ [-0.5, 1.5, -1.0])).astype(float)
+    w = np.full(n, 1.0 / n)
+    spec = logistic_loss()
+    if case == "iteration cap":
+        monkeypatch.setattr(erm, "_MAX_ITER", 1)
+    if case == "failed line search":
+        x, y, w, spec = np.eye(2), np.zeros(2), np.full(2, 0.5), step_loss()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_erm(x, y, w, [y.size], spec)
+    assert fit.converged == (case == "converged") and len(caught) == (case != "converged")
+    direct = assembled_hessian(spec, fit.theta_hat, x, y, w)
+    np.testing.assert_allclose(fit.hessian_hat, direct, rtol=1e-13, atol=0)
+    if case == "iteration cap":
+        stale = assembled_hessian(spec, np.zeros(3), x, y, w)
+        assert not np.allclose(fit.hessian_hat, stale, rtol=1e-3)
 
 
 def test_influence_variance_matches_per_row_influences(rng):
@@ -233,7 +304,7 @@ def test_influence_variance_matches_per_row_influences(rng):
     spec = squared_error_loss()
     fit = fit_datasets([(x1, y1), (x2, y2)], spec, [0.3, 0.7])
     grads = np.vstack(
-        [spec.gradient(fit.theta_hat, x1, y1), spec.gradient(fit.theta_hat, x2, y2)]
+        [row_gradients(spec, fit.theta_hat, x1, y1), row_gradients(spec, fit.theta_hat, x2, y2)]
     )
     infl = -np.linalg.solve(fit.hessian_hat, grads.T).T
     expected = np.cov(infl.T, bias=True)
@@ -269,7 +340,7 @@ def test_ood_risk_trace_term_matches_direct_computation(rng):
     fit = fit_datasets([(x1, y1), (x2, y2)], squared_error_loss(), beta)
     spec = squared_error_loss()
     grads = np.vstack(
-        [spec.gradient(fit.theta_hat, x1, y1), spec.gradient(fit.theta_hat, x2, y2)]
+        [row_gradients(spec, fit.theta_hat, x1, y1), row_gradients(spec, fit.theta_hat, x2, y2)]
     )
     v = np.cov(grads.T, bias=True)
     expected = np.trace(np.linalg.solve(fit.hessian_hat, v))
