@@ -423,8 +423,6 @@ _MODE = one_of("sum_to_one", "simplex")
 _FIT_CONFIG = {
     "test_functions": list_of(text),
     "outcome": text,
-    "mode": _MODE,
-    "whiten": flag,
     "data_label": text,
 }
 # an unwhitened fit whose test functions correlate more than this on the
@@ -446,14 +444,14 @@ def cmd_fit(args) -> int:
     data = ingest(args.data, args.target, settings.get("outcome"))
     moments = _declared_moments(data, settings, data.numeric_covariates)
     declared = moments.n_functions
-    if args.whiten or settings.get("whiten", False):
+    if args.whiten:
         moments = whiten_moments(moments)
     elif (corr := moments.max_offdiag_correlation() or 0.0) > _WHITEN_HINT_CORRELATION:
         warnings.warn(f"test functions correlate up to {corr:.3g} "
                       f"on the pooled sources (above {_WHITEN_HINT_CORRELATION}); the t/F "
                       "inference assumes uncorrelated ones, so pass --whiten")
     try:
-        fit = dlm_mod.fit_weights(moments, mode=args.mode or settings.get("mode", "sum_to_one"))
+        fit = dlm_mod.fit_weights(moments, mode=args.mode)
     except dlm_mod.DegreesOfFreedomError as exc:
         if moments.n_functions < declared:  # exit 1 prints no drop warning
             exc = UserError(f"{exc}: whitening dropped {declared - moments.n_functions} of "
@@ -697,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", nargs="+", required=True, help="source CSVs or a directory")
     p.add_argument("--target", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--mode", choices=["sum_to_one", "simplex"], default=None)
+    p.add_argument("--mode", choices=["sum_to_one", "simplex"], default="sum_to_one")
     p.add_argument("--whiten", action="store_true")
     p.add_argument("--out", required=True, help="basename for the .txt/.json reports")
     p.set_defaults(func=cmd_fit)
@@ -735,9 +733,10 @@ def run(argv: list[str]) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(name)s: %(message)s",
     )
-    # a warning is one stderr line, as an error is, printed only by a run that
-    # returns: exit 1 prints its error alone
+    # a warning is one stderr line per location, whatever the filters say, printed
+    # only by a run that returns: exit 1 prints its error alone
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
         try:
             code = args.func(args)
         except (UserError, IngestError, ValueError) as exc:

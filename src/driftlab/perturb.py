@@ -355,7 +355,7 @@ class PerturbationScheme:
 
     The weight law must describe at least one dataset, and its ``sigma_w``
     is checked once, here: it must be finite, symmetric and positive
-    semidefinite.
+    semidefinite to within 1e-8 of its largest eigenvalue in magnitude.
     """
 
     m: int
@@ -372,7 +372,7 @@ class PerturbationScheme:
             raise ValueError("the weight scheme's sigma_w overflows the float range")
         if not np.allclose(sigma_w, sigma_w.T):
             raise ValueError("sigma_w must be symmetric")
-        if np.linalg.eigvalsh(sigma_w).min() < -1e-8:
+        if (eig := np.linalg.eigvalsh(sigma_w)).min() < -1e-8 * max(1.0, np.abs(eig).max()):
             raise ValueError("sigma_w must be positive semidefinite")
 
     @property

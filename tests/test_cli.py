@@ -50,6 +50,13 @@ def write_small_data(directory):
     return s1, s2, tgt
 
 
+def raise_float_errors():
+    """numpy's overflow, divide and invalid warnings raised as FloatingPointError.
+    ``cli.run`` records every warning and an exit 1 drops them; the error
+    escapes the run, so a stray non-finite value before an exit 1 fails the test."""
+    return np.errstate(over="raise", divide="raise", invalid="raise")
+
+
 def fixture_with_cell(tmp_path, file, column, row, value):
     """A copy of the fixture whose ``file`` holds ``value`` in ``column`` at
     data row ``row``; returns the fit and erm argv of its sources and target."""
@@ -203,15 +210,21 @@ class TestConfigHandling:
         assert rc == 1
         assert f"{cfg}: config has unknown keys ['seed']" in capsys.readouterr().err
 
-    def test_ridge_is_not_a_fit_key(self, tmp_path, small_data, capsys):
-        # whitening works out which test functions to drop; no ridge gets past them
+    @pytest.mark.parametrize("key, value", [("ridge", 0.0), ("mode", "simplex"),
+                                            ("whiten", True)])
+    def test_removed_fit_key_is_unknown(self, tmp_path, small_data, capsys, key, value):
+        # whitening works out which test functions to drop, so no ridge gets
+        # past them; --mode and --whiten alone set the mode and whitening, and
+        # the report's argv block is the one record of both
         s1, s2, tgt = small_data
-        cfg = write(tmp_path / "cfg.json", '{"outcome": "y", "ridge": 0.0}')
+        cfg = write(tmp_path / "cfg.json", json.dumps({"outcome": "y", key: value}))
+        out = tmp_path / "out"
         rc = cli.run(["fit", "--data", s1, s2, "--target", tgt, "--config", cfg, "--whiten",
-                      "--out", str(tmp_path / "r")])
+                      "--out", str(out / "r")])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"driftlab: error: {cfg}: config has unknown keys ['ridge']"]
+            f"driftlab: error: {cfg}: config has unknown keys [{key!r}]"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["fit"], ["erm", "--weights", "dlm"]],
                              ids=["fit", "erm_dlm"])
@@ -260,8 +273,7 @@ FULL_SCHEMES = {
                 "base_laws": [{"family": "gamma", "shape": 4.0, "scale": 0.25}],
                 "coefficients": [[0.7]], "noise_sd": [0.02]},
 }
-FULL_FIT = {"outcome": "y", "test_functions": ["column:x", "expr:x**2"], "mode": "sum_to_one",
-            "whiten": False, "data_label": "small"}
+FULL_FIT = {"outcome": "y", "test_functions": ["column:x", "expr:x**2"], "data_label": "small"}
 FULL_ERM = {"outcome": "y", "test_functions": ["column:x", "expr:x**2"], "covariates": ["x"],
             "dlm_mode": "simplex", "level": 0.9, "clip_quantile": 0.99}
 FULL_VALIDATE = {
@@ -487,8 +499,13 @@ class TestFit:
         assert np.allclose(payload["fit"]["beta_hat"], ref["fit"]["beta_hat"],
                            rtol=0, atol=1e-10)
 
-    def test_correlated_unwhitened_fit_points_at_whiten(self, tmp_path, capsys):
-        report = fit_fixture(tmp_path / "r")
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_correlated_unwhitened_fit_points_at_whiten(self, tmp_path, capsys, action):
+        # under an "error" filter, as with PYTHONWARNINGS=error, the run still
+        # records the warning and prints it, and does not raise it
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            report = fit_fixture(tmp_path / "r")
         corr = json.loads(report.read_text())["fit"]["max_offdiag_corr"]
         assert corr > cli._WHITEN_HINT_CORRELATION
         assert capsys.readouterr().err.splitlines() == [
@@ -698,8 +715,7 @@ class TestFitDeclarations:
         cfg = write(tmp_path / "cfg.json", json.dumps({"outcome": "income", "test_functions": [
             "column:x1", "column:x2", "column:x3", "column:x4", "expr:x2*x3"]}))
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a warning would be a second stderr line
+        with raise_float_errors():
             rc = cli.run([*command, *argv, "--config", cfg, "--out", str(out / "r")])
         assert rc == 1 and not out.exists()
         assert capsys.readouterr().err.splitlines() == [
@@ -1034,8 +1050,7 @@ class TestErmCli:
             weights = f"file:{write(tmp_path / 'w.json', '[0.25, 0.25, 0.25, 0.25]')}"
         out = tmp_path / "e.json"
         cfg = write(tmp_path / "cfg.json", '{"outcome": "income"}')
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a warning would be a second stderr line
+        with raise_float_errors():
             rc = cli.run(["erm", *argv, "--config", cfg, "--weights", weights,
                           "--out", str(out)])
         assert rc == 1 and not out.exists()
@@ -1061,8 +1076,7 @@ class TestErmCli:
             weights = f"file:{write(tmp_path / 'w.json', '[0.25, 0.25, 0.25, 0.25]')}"
         out = tmp_path / "e.json"
         cfg = write(tmp_path / "cfg.json", '{"outcome": "income"}')
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a warning would be a second stderr line
+        with raise_float_errors():
             rc = cli.run(["erm", *argv, "--config", cfg, "--weights", weights,
                           "--out", str(out)])
         assert rc == 1 and not out.exists()
@@ -1085,8 +1099,7 @@ class TestErmCli:
         out = tmp_path / "e.json"
         cfg = write(tmp_path / "cfg.json", json.dumps({"outcome": "income", "test_functions": [
             "column:x1", "column:x2", "column:x3", "column:x4", "expr:x2*x3"]}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a warning would be a second stderr line
+        with raise_float_errors():
             rc = cli.run(["erm", *argv, "--config", cfg, "--weights", weights,
                           "--out", str(out)])
         assert rc == 1 and not out.exists()
@@ -1141,7 +1154,9 @@ class TestErmCli:
         assert np.array_equal(calls[0][2], w)
         assert json.loads(out.read_text())["erm"]["theta_hat"] == expected.theta_hat.tolist()
 
-    def test_non_finite_covariate_exits_before_the_weight_fit_warns(self, tmp_path, capsys):
+    def test_non_finite_covariate_exits_before_the_weight_fit_warns(
+        self, tmp_path, monkeypatch, capsys
+    ):
         # L == K test functions make the dlm fit warn; x3 is a covariate
         # that no test function reads
         argv = fixture_with_cell(tmp_path, "source_2.csv", "x3", 7, "nan")
@@ -1149,8 +1164,9 @@ class TestErmCli:
             "outcome": "income",
             "test_functions": ["column:x1", "column:x2", "column:x4", "expr:x1*x2"]}))
         out = tmp_path / "e.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a warning would be a second stderr line
+        monkeypatch.setattr(cli.dlm_mod, "fit_weights",
+                            lambda *a, **k: pytest.fail("the weight fit ran"))
+        with raise_float_errors():
             rc = cli.run(["erm", *argv, "--config", cfg, "--weights", "dlm",
                           "--out", str(out)])
         assert rc == 1 and not out.exists()
@@ -1357,7 +1373,11 @@ class TestDiagnoseCli:
         fit = fit_weights(moments, mode="simplex" if "simplex" in flags else "sum_to_one")
         plot_id, x, y, label = zip(*diagnostic_rows(fit))
         table = Table.from_arrays("diagnostics", plot_id=plot_id, x=x, y=y, label=label)
-        chash = json.loads(report.read_text())["config_hash"]
+        payload = json.loads(report.read_text())
+        # the flags are the report's one record of the mode and the whitening
+        assert {k: payload["config"]["argv"][k] for k in ("mode", "whiten")} == {
+            "mode": fit.mode, "whiten": "--whiten" in flags}
+        chash = payload["config_hash"]
         write_csv_table(table, tmp_path / "ref.csv", f"driftlab {cli.__version__} config={chash}")
         assert (tmp_path / "diag.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -1420,8 +1440,7 @@ class TestDiagnoseCli:
         report.write_text(json.dumps(payload))
         name = payload["moments"]["names"][column]
         capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with raise_float_errors():
             assert diagnose(report, tmp_path / "diag.csv") == 1
         assert capsys.readouterr().err.splitlines() == [
             f"driftlab: error: {report}: test function {name!r} takes the weight fit beyond "
@@ -1641,3 +1660,109 @@ class TestCliSurface:
         rc = cli.run(["fit", "--data", "nope.csv", "--target", "nope2.csv",
                       "--out", str(tmp_path / "r")])
         assert rc == 1
+
+
+# Documented user errors, each a single "driftlab: error:" line naming the
+# file, key or dataset at fault. A case is (subcommand, config, sources,
+# message): the config is an object, raw text, or None for a missing file;
+# sources maps the name of each extra fit source to its CSV text, or to None
+# for an empty directory; the message follows "driftlab: error: ".
+LAW = SMALL_SIM["scheme"]["laws"][0]
+
+
+def _scheme(**scheme):
+    return {**SMALL_SIM, "scheme": scheme}
+
+
+ONE_LINE_ERRORS = {
+    "unreadable_config": ("simulate", None, {}, "cannot read {cfg}: No such file or directory"),
+    "invalid_json": ("simulate", "{", {}, "{cfg}: invalid JSON (Expecting property name "
+                     "enclosed in double quotes: line 1 column 2 (char 1))"),
+    "config_not_an_object": ("simulate", "[1]", {}, "{cfg}: config must be a JSON object"),
+    "n_k_length": ("simulate", {**SMALL_SIM, "n_k": [100, 100]}, {},
+                   "{cfg}: n_k must be one size or a list of K=1 sizes, got [100, 100]"),
+    "no_columns": ("simulate", {**SMALL_SIM, "columns": []}, {},
+                   "{cfg}: columns must be a non-empty list, got []"),
+    "outcome_named_like_a_column": (
+        "simulate", {**SMALL_SIM, "outcome": {"name": "x"}}, {},
+        "{cfg}: outcome.name must be distinct from every column name, got 'x'"),
+    "outcome_noise_sd_negative": (
+        "simulate", {**SMALL_SIM, "outcome": {"name": "y", "noise_sd": -1}}, {},
+        "{cfg}: outcome.noise_sd must be >= 0, got -1.0"),
+    "lognormal_sigma_negative": (
+        "simulate", _scheme(kind="independent",
+                            laws=[{"family": "lognormal", "mu": 0, "sigma": -0.5}]), {},
+        "{cfg}: scheme.laws[0]: lognormal sigma must be >= 0"),
+    "gamma_shape_zero": (
+        "simulate", _scheme(kind="independent",
+                            laws=[{"family": "gamma", "shape": 0, "scale": 1}]), {},
+        "{cfg}: scheme.laws[0]: gamma shape and scale must be > 0"),
+    "gamma_scale_negative": (
+        "simulate", _scheme(kind="independent",
+                            laws=[{"family": "gamma", "shape": 1, "scale": -1}]), {},
+        "{cfg}: scheme.laws[0]: gamma shape and scale must be > 0"),
+    "uniform_lo_above_hi": (
+        "simulate", _scheme(kind="independent",
+                            laws=[{"family": "uniform", "lo": 2, "hi": 1}]), {},
+        "{cfg}: scheme.laws[0]: uniform weight law needs 0 < lo <= hi"),
+    "walk_innovation_sd_negative": (
+        "simulate", _scheme(kind="random_walk", base=LAW, innovation_sd=-0.1, k=2), {},
+        "{cfg}: scheme: innovation_sd must be >= 0"),
+    "mixture_row_length": (
+        "simulate", _scheme(kind="mixture", base_laws=[LAW] * 2, coefficients=[[0.5]],
+                            noise_sd=[0.1]), {},
+        "{cfg}: scheme: each coefficient row must have one entry per base law"),
+    "mixture_noise_sd_count": (
+        "simulate", _scheme(kind="mixture", base_laws=[LAW] * 2, coefficients=[[0.5, 0.5]],
+                            noise_sd=[0.1, 0.2]), {},
+        "{cfg}: scheme: need one noise_sd per derived distribution"),
+    "mixture_noise_sd_negative": (
+        "simulate", _scheme(kind="mixture", base_laws=[LAW] * 2, coefficients=[[0.5, 0.5]],
+                            noise_sd=[-0.1]), {},
+        "{cfg}: scheme: noise_sd must be >= 0"),
+    "copula_corr_asymmetric": (
+        "simulate", _scheme(kind="gaussian_copula", laws=[LAW] * 2,
+                            corr=[[1, 0.5], [0.4, 1]]), {},
+        "{cfg}: scheme: copula_corr must be symmetric"),
+    "copula_corr_diagonal": (
+        "simulate", _scheme(kind="gaussian_copula", laws=[LAW] * 2,
+                            corr=[[1, 0.5], [0.5, 0.9]]), {},
+        "{cfg}: scheme: copula_corr must have unit diagonal"),
+    "copula_corr_indefinite": (
+        "simulate", _scheme(kind="gaussian_copula", laws=[LAW] * 3,
+                            corr=[[1, 0.9, -0.9], [0.9, 1, 0.9], [-0.9, 0.9, 1]]), {},
+        "{cfg}: scheme: copula_corr must be positive semidefinite"),
+    "one_bin": ("simulate", {**SMALL_SIM, "m": 1}, {}, "{cfg}: need at least m = 2 bins"),
+    "directory_without_csv": ("fit", {"outcome": "y"}, {"empty": None},
+                              "{tmp}/empty: directory contains no CSV files"),
+    "one_row_source": ("fit", {"outcome": "y"}, {"one": "x,y\n1.0,2.0\n"},
+                       "source 'one' needs at least 2 rows"),
+    "source_without_outcome": ("fit", {"outcome": "y"}, {"no_y": "x\n1.0\n2.0\n3.0\n"},
+                               "source 'no_y' lacks outcome column 'y'"),
+}
+
+
+@pytest.mark.parametrize("command, config, sources, message", ONE_LINE_ERRORS.values(),
+                         ids=ONE_LINE_ERRORS)
+def test_user_error_is_one_stderr_line(tmp_path, capsys, command, config, sources, message):
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        write(cfg, config if isinstance(config, str) else json.dumps(config))
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+    else:
+        s1, _, tgt = write_small_data(tmp_path)
+        data = [s1]
+        for name, csv in sources.items():
+            if csv is None:
+                (tmp_path / name).mkdir()
+                data.append(str(tmp_path / name))
+            else:
+                data.append(write(tmp_path / f"{name}.csv", csv))
+        argv = ["fit", "--data", *data, "--target", tgt, "--config", str(cfg),
+                "--out", str(out / "r")]
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"driftlab: error: {message.format(cfg=cfg, tmp=tmp_path)}"]
+    assert not out.exists()

@@ -38,7 +38,8 @@ def qq_of_draws(draws):
 
 def test_single_function_qq_point(rng):
     phi = rng.normal(size=(2, 1))
-    fit = fit_weights(make_moments(phi))
+    with pytest.warns(UserWarning, match="L == K"):
+        fit = fit_weights(make_moments(phi))
     qq = points(residual_rows(fit), "qq_normal")
     assert qq.shape == (1, 2)
     assert qq[0, 0] == pytest.approx(0.0)  # median quantile

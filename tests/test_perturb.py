@@ -71,6 +71,25 @@ def test_misconfigured_schemes_error():
         dl.PerturbationScheme(16, walk)
 
 
+@pytest.mark.parametrize("innovation_sd, k", [(1.5, 20), (0.5, 200), (0.3, 500)])
+def test_large_random_walk_sigma_w_reads_as_psd(innovation_sd, k):
+    # lambda_max reaches 1e18 to 1e22, so rounding leaves lambda_min at -300 to -3e6
+    walk = dl.RandomWalkWeights(dl.lognormal_law(0.0, 0.5), innovation_sd, k)
+    assert np.linalg.eigvalsh(walk.sigma_w()).min() < -1.0
+    assert dl.PerturbationScheme(16, walk).n_dists == k
+
+
+def test_indefinite_sigma_w_is_rejected():
+    class Indefinite:
+        n_dists = 2
+
+        def sigma_w(self):
+            return np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+
+    with pytest.raises(ValueError, match="sigma_w must be positive semidefinite"):
+        dl.PerturbationScheme(16, Indefinite())
+
+
 def test_random_walk_sigma_w():
     base = dl.uniform_law(0.5, 1.5)
     walk = dl.RandomWalkWeights(base, 0.05, 3)
