@@ -733,10 +733,10 @@ def run(argv: list[str]) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(name)s: %(message)s",
     )
-    # a warning is one stderr line per location, whatever the filters say, printed
-    # only by a run that returns: exit 1 prints its error alone
+    # driftlab's own warnings are one stderr line per location, whatever the
+    # filters say, printed only by a run that returns: exit 1 prints its error alone
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
+        warnings.simplefilter("default", UserWarning)
         try:
             code = args.func(args)
         except (UserError, IngestError, ValueError) as exc:

@@ -50,13 +50,6 @@ def write_small_data(directory):
     return s1, s2, tgt
 
 
-def raise_float_errors():
-    """numpy's overflow, divide and invalid warnings raised as FloatingPointError.
-    ``cli.run`` records every warning and an exit 1 drops them; the error
-    escapes the run, so a stray non-finite value before an exit 1 fails the test."""
-    return np.errstate(over="raise", divide="raise", invalid="raise")
-
-
 def fixture_with_cell(tmp_path, file, column, row, value):
     """A copy of the fixture whose ``file`` holds ``value`` in ``column`` at
     data row ``row``; returns the fit and erm argv of its sources and target."""
@@ -715,7 +708,8 @@ class TestFitDeclarations:
         cfg = write(tmp_path / "cfg.json", json.dumps({"outcome": "income", "test_functions": [
             "column:x1", "column:x2", "column:x3", "column:x4", "expr:x2*x3"]}))
         out = tmp_path / "out"
-        with raise_float_errors():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a stray numpy warning raises
             rc = cli.run([*command, *argv, "--config", cfg, "--out", str(out / "r")])
         assert rc == 1 and not out.exists()
         assert capsys.readouterr().err.splitlines() == [
@@ -1050,7 +1044,8 @@ class TestErmCli:
             weights = f"file:{write(tmp_path / 'w.json', '[0.25, 0.25, 0.25, 0.25]')}"
         out = tmp_path / "e.json"
         cfg = write(tmp_path / "cfg.json", '{"outcome": "income"}')
-        with raise_float_errors():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a stray numpy warning raises
             rc = cli.run(["erm", *argv, "--config", cfg, "--weights", weights,
                           "--out", str(out)])
         assert rc == 1 and not out.exists()
@@ -1076,7 +1071,8 @@ class TestErmCli:
             weights = f"file:{write(tmp_path / 'w.json', '[0.25, 0.25, 0.25, 0.25]')}"
         out = tmp_path / "e.json"
         cfg = write(tmp_path / "cfg.json", '{"outcome": "income"}')
-        with raise_float_errors():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a stray numpy warning raises
             rc = cli.run(["erm", *argv, "--config", cfg, "--weights", weights,
                           "--out", str(out)])
         assert rc == 1 and not out.exists()
@@ -1099,7 +1095,8 @@ class TestErmCli:
         out = tmp_path / "e.json"
         cfg = write(tmp_path / "cfg.json", json.dumps({"outcome": "income", "test_functions": [
             "column:x1", "column:x2", "column:x3", "column:x4", "expr:x2*x3"]}))
-        with raise_float_errors():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a stray numpy warning raises
             rc = cli.run(["erm", *argv, "--config", cfg, "--weights", weights,
                           "--out", str(out)])
         assert rc == 1 and not out.exists()
@@ -1166,7 +1163,8 @@ class TestErmCli:
         out = tmp_path / "e.json"
         monkeypatch.setattr(cli.dlm_mod, "fit_weights",
                             lambda *a, **k: pytest.fail("the weight fit ran"))
-        with raise_float_errors():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a stray numpy warning raises
             rc = cli.run(["erm", *argv, "--config", cfg, "--weights", "dlm",
                           "--out", str(out)])
         assert rc == 1 and not out.exists()
@@ -1440,7 +1438,8 @@ class TestDiagnoseCli:
         report.write_text(json.dumps(payload))
         name = payload["moments"]["names"][column]
         capsys.readouterr()
-        with raise_float_errors():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a stray numpy warning raises
             assert diagnose(report, tmp_path / "diag.csv") == 1
         assert capsys.readouterr().err.splitlines() == [
             f"driftlab: error: {report}: test function {name!r} takes the weight fit beyond "

@@ -72,22 +72,34 @@ def test_misconfigured_schemes_error():
 
 
 @pytest.mark.parametrize("innovation_sd, k", [(1.5, 20), (0.5, 200), (0.3, 500)])
-def test_large_random_walk_sigma_w_reads_as_psd(innovation_sd, k):
-    # lambda_max reaches 1e18 to 1e22, so rounding leaves lambda_min at -300 to -3e6
+def test_large_random_walk_sigma_w_builds(innovation_sd, k):
+    # lambda_max reaches 1e18 to 1e22, where rounding can leave lambda_min
+    # far below -1e-8 on a matrix that is PSD by construction
     walk = dl.RandomWalkWeights(dl.lognormal_law(0.0, 0.5), innovation_sd, k)
-    assert np.linalg.eigvalsh(walk.sigma_w()).min() < -1.0
     assert dl.PerturbationScheme(16, walk).n_dists == k
 
 
-def test_indefinite_sigma_w_is_rejected():
-    class Indefinite:
-        n_dists = 2
+class FixedSigmaW:
+    n_dists = 2
 
-        def sigma_w(self):
-            return np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    def __init__(self, sigma_w):
+        self._sigma_w = np.array(sigma_w)
 
-    with pytest.raises(ValueError, match="sigma_w must be positive semidefinite"):
-        dl.PerturbationScheme(16, Indefinite())
+    def sigma_w(self):
+        return self._sigma_w
+
+
+@pytest.mark.parametrize("sigma_w, builds", [
+    ([[1e18, 0.0], [0.0, -100.0]], True),  # 1e-16 of lambda_max: rounding
+    ([[1e18, 0.0], [0.0, -1e11]], False),  # 1e-7 of lambda_max, beyond the 1e-8 bound
+    ([[1.0, 2.0], [2.0, 1.0]], False),  # eigenvalues 3 and -1
+])
+def test_sigma_w_psd_bound_is_relative_to_its_largest_eigenvalue(sigma_w, builds):
+    if builds:
+        assert dl.PerturbationScheme(16, FixedSigmaW(sigma_w)).n_dists == 2
+    else:
+        with pytest.raises(ValueError, match="sigma_w must be positive semidefinite"):
+            dl.PerturbationScheme(16, FixedSigmaW(sigma_w))
 
 
 def test_random_walk_sigma_w():
