@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from . import dlm as dlm_mod
 from . import erm as erm_mod
+from ._tails import ndtri
 from .diagnostics import diagnostic_rows
 from .harness import _FAMILIES, ALL_CHECKS, HarnessConfig, run_harness
 from .moments import MomentMatrix, evaluate_moments, whiten_moments
@@ -208,18 +209,24 @@ def variant(tag: str, records: dict):
     return read
 
 
+def _read_json(file: str):
+    """The JSON value in ``file``; a file that cannot be read or parsed is a
+    UserError that starts with its name."""
+    try:
+        return json.loads(Path(file).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise UserError(f"{file}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:
+        raise UserError(f"{file}: invalid JSON ({exc})") from None
+
+
 def _load_config(file: str | None, read, seed: int | None = None):
     """The JSON object in ``file`` ({} without a file), its ``seed`` replaced
     by ``seed`` when that is given, and what ``read`` makes of it. A UserError
     from ``read`` gets the file name in front."""
     config = {}
     if file is not None:
-        try:
-            config = json.loads(Path(file).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise UserError(f"cannot read {file}: {exc.strerror}") from None
-        except ValueError as exc:
-            raise UserError(f"{file}: invalid JSON ({exc})") from None
+        config = _read_json(file)
         if not isinstance(config, dict):
             raise UserError(f"{file}: config must be a JSON object")
     if seed is not None:
@@ -359,8 +366,6 @@ _SIMULATION = record(
 def _build_table(name, u, columns, outcome):
     """Deal ``u`` into one stream per column (plus one for the outcome noise)
     and draw each column through its law."""
-    from scipy.special import ndtri
-
     streams = split_uniform(u, len(columns) + (outcome is not None))
     data = {col: law(stream) for (col, law), stream in zip(columns, streams)}
     if outcome is not None:
@@ -540,10 +545,7 @@ def cmd_erm(args) -> int:
         provenance["clipped"] = iw.n_clipped > 0
     else:
         path = args.weights[len("file:"):]
-        try:
-            values = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise UserError(f"cannot read weights file {path}: {exc}")
+        values = _read_json(path)
         try:
             beta = np.array(list_of(number)(values, "weights"))
         except UserError as exc:

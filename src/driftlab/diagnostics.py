@@ -43,7 +43,7 @@ def residual_rows(fit: DlmFit) -> list[Row]:
             for x, y in zip(fitted, fit.residuals)]
     if fit.sigma2_hat > 0.0:
         n_funcs = fit.residuals.size
-        theo = [ndtri(p) for p in (np.arange(1, n_funcs + 1) - 0.5) / n_funcs]
+        theo = ndtri((np.arange(1, n_funcs + 1) - 0.5) / n_funcs)
         std = np.sort(fit.residuals / np.sqrt(fit.sigma2_hat))
         rows += [("qq_normal", float(x), float(y), "") for x, y in zip(theo, std)]
     return rows

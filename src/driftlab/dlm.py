@@ -340,10 +340,10 @@ def fit_weights(moments: MomentMatrix, mode: str = "sum_to_one") -> DlmFit:
         se = fits.se
         with np.errstate(divide="ignore", invalid="ignore"):
             t_stats = beta / se
-        p_values = np.array([t_two_sided(t, df) for t in t_stats])
+        p_values = t_two_sided(t_stats, df)
         if k > 1:
             f_stat = float(fits.f_stat)
-            f_pvalue = f_sf(f_stat, k - 1, df)
+            f_pvalue = float(f_sf(f_stat, k - 1, df))
 
     if not abs(beta.sum() - 1.0) < 1e-12:
         raise RuntimeError(f"fit_weights: weights sum to {beta.sum()!r}, not 1")

@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import analytic
+from ._tails import chi2_cdf, f_cdf, t_cdf, t_ppf
 from .dlm import _fit_stack, _interval
 from .perturb import (
     GaussianCopulaWeights,
@@ -495,8 +496,6 @@ def _ks_sf(n: int, d: float) -> float:
     Only 2 smirnov(n, d) below d = 1/2 (Miller's approximation), the 0 and
     Pelz-Good are not exact.
     """
-    from scipy.special import smirnov
-
     d = np.float64(d)
     if np.isnan(d):
         return float(d)
@@ -514,19 +513,27 @@ def _ks_sf(n: int, d: float) -> float:
     if t >= n - 1:
         return _clip_prob(2 * (1.0 - d) ** n)
     if d >= 0.5:
-        return _clip_prob(2 * smirnov(n, d))
+        return _twice_smirnov(n, d)
     nd2 = t * d
     if n <= 140:
         if nd2 > 4.0:
-            return _clip_prob(2 * smirnov(n, d))
+            return _twice_smirnov(n, d)
         return _clip_prob(1.0 - _durbin_cdf(n, d))
     if nd2 >= 370.0:
         return 0.0
     if nd2 >= 2.2:
-        return _clip_prob(2 * smirnov(n, d))
+        return _twice_smirnov(n, d)
     if n <= 100000 and n * np.power(d, 1.5) <= 1.4:
         return _clip_prob(1.0 - _durbin_cdf(n, d))
     return _clip_prob(1.0 - _pelz_good_cdf(n, d))
+
+
+def _twice_smirnov(n: int, d) -> float:
+    """2 smirnov(n, d) in [0, 1]: the one KS branch that loads scipy.special,
+    whose C source for smirnov driftlab does not port."""
+    from scipy.special import smirnov
+
+    return _clip_prob(2 * smirnov(n, d))
 
 
 def _clip_prob(p) -> float:
@@ -657,16 +664,14 @@ def _pelz_good_cdf(n: int, d):
 
 def check_null_laws(cfg: NullLawsConfig, seed: int) -> list[CheckResult]:
     """t and F statistics under the exchangeable null vs their exact laws."""
-    from scipy.special import fdtr, stdtr, stdtrit
-
     data, n, n0 = _simulate_null(cfg, seed, _LANE_OF["null_laws"], with_ci=False)
     df = cfg.n_functions - cfg.n_sources + 1
     t_vals, f_vals = data[:, 0], data[:, 1]
 
-    crit = stdtrit(df, 0.975)
+    crit = t_ppf(0.975, df)
     size = float(np.mean(np.abs(t_vals) > crit))
     size_se = math.sqrt(0.05 * 0.95 / cfg.replicates)
-    ks_stat, ks_p = _kstest(t_vals, lambda x: stdtr(df, x))
+    ks_stat, ks_p = _kstest(t_vals, lambda x: t_cdf(x, df))
     t_pass = bool(0.04 <= size <= 0.06 and ks_p > 0.01)
     results = [
         CheckResult(
@@ -683,7 +688,7 @@ def check_null_laws(cfg: NullLawsConfig, seed: int) -> list[CheckResult]:
             details={"replicates": cfg.replicates, "m": cfg.m, "n": n, "n0": n0},
         )
     ]
-    ks_stat, ks_p = _kstest(f_vals, lambda x: fdtr(cfg.n_sources - 1, df, x))
+    ks_stat, ks_p = _kstest(f_vals, lambda x: f_cdf(x, cfg.n_sources - 1, df))
     results.append(
         CheckResult(
             name="f_null",
@@ -703,8 +708,6 @@ def check_null_laws(cfg: NullLawsConfig, seed: int) -> list[CheckResult]:
 
 def check_ci_chi2(cfg: CiChi2Config, seed: int) -> list[CheckResult]:
     """Residual chi-squared law and CI coverage in the many-functions regime."""
-    from scipy.special import chdtr
-
     data, n, n0 = _simulate_null(cfg, seed, _LANE_OF["ci_chi2"], with_ci=True)
     k = cfg.n_sources
     n_funcs = cfg.n_functions
@@ -713,7 +716,7 @@ def check_ci_chi2(cfg: CiChi2Config, seed: int) -> list[CheckResult]:
     sigma_eff = analytic.effective_row_cov(sigma_w, cfg.m, [n] * k, n0)
     scale = analytic.optimal_uniform_quadratic(sigma_eff) / cfg.m
     chi2_stats = data[:, 2] / scale
-    ks_stat, ks_p = _kstest(chi2_stats, lambda x: chdtr(n_funcs, x))
+    ks_stat, ks_p = _kstest(chi2_stats, lambda x: chi2_cdf(x, n_funcs))
     results = [
         CheckResult(
             name="chi2_residual",

@@ -23,6 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._tails import libm, ndtr, ndtri
+
 __all__ = [
     "WeightLaw",
     "lognormal_law",
@@ -108,11 +110,11 @@ class WeightLaw:
         return rng.uniform(self.a, self.b, size=size)
 
     def ppf(self, q: np.ndarray) -> np.ndarray:
-        from scipy.special import gammaincinv, ndtri
-
         if self.family == "lognormal":
             return np.exp(self.a + self.b * ndtri(q))
         if self.family == "gamma":
+            from scipy.special import gammaincinv
+
             return gammaincinv(self.a, q) * self.b
         return self.a + (self.b - self.a) * np.asarray(q)
 
@@ -207,13 +209,14 @@ class GaussianCopulaWeights:
         return out
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        from scipy.special import ndtr
-
         corr = self._corr()
         chol = np.linalg.cholesky(corr + 1e-14 * np.eye(self.n_dists))
         z = chol @ rng.standard_normal((self.n_dists, m))
         q = _clip_unit(ndtr(z))
-        return np.stack([law.ppf(q[i]) for i, law in enumerate(self.laws)])
+        for law in dict.fromkeys(self.laws):  # equal laws share one quantile call
+            rows = [i for i, other in enumerate(self.laws) if other == law]
+            q[rows] = law.ppf(q[rows])
+        return q
 
 
 def _clip_unit(q: np.ndarray) -> np.ndarray:
@@ -224,8 +227,6 @@ def _clip_unit(q: np.ndarray) -> np.ndarray:
 
 def _copula_rel_cov(law_i: WeightLaw, law_j: WeightLaw, rho: float) -> float:
     """Cov(W_i, W_j) / (E W_i E W_j) under a Gaussian copula with corr rho."""
-    from scipy.special import ndtr
-
     if law_i.family == "lognormal" and law_j.family == "lognormal":
         return math.exp(law_i.b * law_j.b * rho) - 1.0
     if rho == 0.0:
@@ -443,15 +444,14 @@ def uniform_target() -> Callable[[np.ndarray], np.ndarray]:
 def gaussian_target(mean: float = 0.0, sd: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     if sd <= 0:
         raise ValueError(f"sd must be > 0, got {sd!r}")
-    from scipy.special import ndtri
-
     return lambda u: mean + sd * ndtri(u)
 
 
 def exponential_target(rate: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate!r}")
-    return lambda u: -np.log1p(-u) / rate
+    # libm's log1p, so that simulate's bytes do not depend on numpy's CPU dispatch
+    return lambda u: -libm(math.log1p, -u) / rate
 
 
 def categorical_target(

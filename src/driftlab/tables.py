@@ -107,14 +107,16 @@ class DatasetCollection:
             raise IngestError("need at least one source dataset")
         covs = set(self.covariates)
         for tbl in self.sources:
+            # a missing outcome first: its source may hold another outcome,
+            # which the covariate diff would name instead
+            if self.outcome and self.outcome not in tbl.columns:
+                raise IngestError(f"source {tbl.name!r} lacks outcome column {self.outcome!r}")
             have = set(tbl.columns) - ({self.outcome} if self.outcome else set())
             if have != covs:
                 diff = sorted(have.symmetric_difference(covs))
                 raise IngestError(
                     f"source {tbl.name!r} covariate schema mismatch; differing columns: {diff}"
                 )
-            if self.outcome and self.outcome not in tbl.columns:
-                raise IngestError(f"source {tbl.name!r} lacks outcome column {self.outcome!r}")
             if tbl.n_rows < 2:
                 raise IngestError(f"source {tbl.name!r} needs at least 2 rows")
         if self.target.n_rows < 1:

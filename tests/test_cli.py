@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -824,6 +825,30 @@ class TestSimulate:
         for name in names:
             assert (tmp_path / name).read_bytes() == (FIXTURE / name).read_bytes(), name
 
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="the disabled numpy features are x86 ones")
+    def test_fixture_bytes_do_not_depend_on_numpys_avx512_kernels(self, tmp_path):
+        # numpy runs log1p, log and exp through AVX-512 kernels where the CPU
+        # has them, and those differ from libm's in the last bit; simulate
+        # takes its transcendental functions from libm, so a child with those
+        # kernels off writes the committed fixture too
+        disabled = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+        script = (
+            "import sys\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "from driftlab import cli\n"
+            f"assert not any(__cpu_features__[f] for f in {disabled!r}), 'AVX-512 is on'\n"
+            "sys.exit(cli.run(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(FIXTURE / "sim_config.json"), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for name in [f"source_{k}.csv" for k in range(1, 5)] + ["target.csv", "world.json"]:
+            assert (tmp_path / name).read_bytes() == (FIXTURE / name).read_bytes(), name
+
     def test_make_fixture_rebuilds_the_committed_fixture(self, tmp_path, monkeypatch):
         path = Path(__file__).parents[1] / "scripts" / "make_fixture.py"
         spec = importlib.util.spec_from_file_location("make_fixture", path)
@@ -949,8 +974,8 @@ class TestErmCli:
 
     @pytest.mark.parametrize(
         "content, message",
-        [(None, "cannot read weights file {}: "),
-         ("0.25, 0.75", "cannot read weights file {}: "),
+        [(None, "{}: cannot read (No such file or directory)"),
+         ("0.25, 0.75", "{}: invalid JSON (Extra data: line 1 column 5 (char 4))"),
          ("[NaN, 0.5, 0.25, 0.25]", "{}: weights[0] must be a finite number, got nan"),
          ("[[0.25, 0.25], [0.25, 0.25]]",
           "{}: weights[0] must be a finite number, got [0.25, 0.25]"),
@@ -1592,19 +1617,20 @@ class TestCliSurface:
         assert cli.run(["frobnicate"]) == 1
 
     def test_no_subcommand_imports_scipy_stats(self, tmp_path):
-        # scipy.stats takes about a second to import and scipy.optimize about
-        # a quarter; validate's KS tests run on scipy.special and the weight
-        # fits on numpy, so no subcommand needs them or scipy.linalg. fit,
-        # diagnose and erm load no scipy module at all: scipy.special alone
-        # costs a process 0.3 s. validate may exit 2 on a gate that fails by
-        # chance at these replicate counts.
+        # scipy.special alone costs a process about 0.2 s and 21 MB, and
+        # scipy.stats, scipy.optimize and scipy.linalg more. No subcommand
+        # loads any scipy module on its common path: driftlab._tails holds
+        # the normal, t, F and chi-squared laws that simulate and validate
+        # use. Only gamma weight laws and the far-tail KS branch (n d^2 >= 2.2
+        # at these n) load scipy.special; this validate config's three KS
+        # tests, at n = 300, 300 and 200, take the Durbin or Pelz-Good branch
+        # instead, which the report's statistics confirm below. validate may
+        # exit 2 on a gate that fails by chance at these replicate counts.
         script = (
             "import json, sys\n"
             "from driftlab import cli\n"
-            "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.linalg')\n"
             "def loaded():\n"
-            "    return [any(m.split('.')[0] == 'scipy' for m in sys.modules),\n"
-            "            [m for m in heavy if m in sys.modules]]\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "seen = [loaded()]\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    if cli.run(argv) not in (0, 2):\n"
@@ -1638,13 +1664,33 @@ class TestCliSurface:
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout.splitlines()[-1])
-        # import, fit, diagnose and erm: no scipy; simulate and validate:
-        # scipy.special only
-        assert seen[:4] == [[False, []]] * 4
-        assert [heavy for _, heavy in seen[4:]] == [[], []]
+        # import, then each of the five subcommands: no scipy module
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[]] * 6
         report = json.loads((tmp_path / "v.json").read_text())["report"]
         assert [r["name"] for r in report["results"]] == ["t_null", "f_null", "chi2_residual"]
+        for r in report["results"]:
+            assert r["details"]["replicates"] * r["empirical"]["ks_stat"] ** 2 < 2.2
+
+    def test_far_tail_ks_pvalue_loads_scipy_special_only(self):
+        # n d^2 = 4 at n = 10000: _ks_sf's smirnov branch, whose C source
+        # driftlab does not port
+        script = (
+            "import json, sys\n"
+            "from driftlab import harness\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "before = loaded()\n"
+            "harness._ks_sf(10_000, 0.02)\n"
+            "print(json.dumps([before, loaded()]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        before, after = json.loads(proc.stdout)
+        assert before == [] and "scipy.special" in after
+        assert not [m for m in after if m.startswith(("scipy.stats", "scipy.optimize",
+                                                      "scipy.linalg"))]
 
     def test_importing_driftlab_loads_no_scipy(self):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -1674,7 +1720,7 @@ def _scheme(**scheme):
 
 
 ONE_LINE_ERRORS = {
-    "unreadable_config": ("simulate", None, {}, "cannot read {cfg}: No such file or directory"),
+    "unreadable_config": ("simulate", None, {}, "{cfg}: cannot read (No such file or directory)"),
     "invalid_json": ("simulate", "{", {}, "{cfg}: invalid JSON (Expecting property name "
                      "enclosed in double quotes: line 1 column 2 (char 1))"),
     "config_not_an_object": ("simulate", "[1]", {}, "{cfg}: config must be a JSON object"),
@@ -1738,6 +1784,11 @@ ONE_LINE_ERRORS = {
                        "source 'one' needs at least 2 rows"),
     "source_without_outcome": ("fit", {"outcome": "y"}, {"no_y": "x\n1.0\n2.0\n3.0\n"},
                                "source 'no_y' lacks outcome column 'y'"),
+    # the fixture's shape: the source holds another outcome, which is no
+    # covariate of the target's
+    "source_with_another_outcome": (
+        "fit", {"outcome": "y"}, {"income": "x,income\n1.0,2.0\n2.0,4.1\n3.0,5.9\n"},
+        "source 'income' lacks outcome column 'y'"),
 }
 
 

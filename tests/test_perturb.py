@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import driftlab as dl
 from driftlab import analytic
@@ -265,6 +265,15 @@ def test_transform_targets_reproduce_declared_moments():
         x = law(u)
         assert x.mean() == pytest.approx(mean, abs=4 * np.sqrt(var / 1e5))
         assert x.var() == pytest.approx(var, rel=0.05)
+
+
+def test_transform_targets_take_libms_bits():
+    # simulate's bytes must not depend on numpy's CPU dispatch: the gaussian
+    # law is scipy's Cephes ndtri and the exponential law libm's log1p
+    u = substream(12, 1).random(20_000)
+    got = dl.exponential_target(1.5)(u)
+    assert np.array_equal(got, np.array([-math.log1p(-v) / 1.5 for v in u]))
+    assert np.array_equal(dl.gaussian_target(1.0, 0.5)(u), 1.0 + 0.5 * special.ndtri(u))
 
 
 def test_split_uniform_streams_are_uniform_and_independent():
