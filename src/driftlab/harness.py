@@ -248,16 +248,12 @@ def _replicates(seed: int, lane: int, indices, draw) -> np.ndarray:
 
 
 def _cov_with_se(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample covariance of rows plus a moment-based SE for each entry."""
-    n, d = g.shape
+    """Sample covariance of rows plus a moment-based SE for each entry, both
+    from the rows' products of centered entries."""
+    n = g.shape[0]
     centered = g - g.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
-    se = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            prods = centered[:, i] * centered[:, j]
-            se[i, j] = prods.std(ddof=1) / math.sqrt(n)
-    return cov, se
+    prods = centered[:, :, None] * centered[:, None, :]
+    return prods.sum(axis=0) / (n - 1), prods.std(axis=0, ddof=1) / math.sqrt(n)
 
 
 def _bin_counts(w: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -324,15 +320,15 @@ def _moment_shift_cov(name, cfg, scheme, sigma_w, p, seed, definition, **details
 
     def draw(rng):
         world = realize_world(scheme, rng)
-        shifts, s_entries = [], []
+        shifts, covs = [], []
         for j in range(k):
             u = _bin_rows(_bin_counts(world[j], n, rng), rng)
-            phi = (u,) if p == 1 else (u, u * u)
-            means = np.array([c.mean() for c in phi])
-            centered = [c - mu for c, mu in zip(phi, means)]
-            shifts.extend(sqrt_m * (means - e_phi))
-            s_entries.extend(np.mean(a * b) for a in centered for b in centered)
-        return shifts + s_entries
+            phi = np.array([u**i for i in range(1, p + 1)])
+            means = phi.mean(axis=1)
+            phi -= means[:, None]
+            shifts.append(sqrt_m * (means - e_phi))
+            covs.append((phi @ phi.T / n).ravel())
+        return np.concatenate(shifts + covs)
 
     data = _replicates(seed, _LANE_OF[name], range(cfg.replicates), draw)
     cov, se = _cov_with_se(data[:, : k * p])
@@ -760,37 +756,34 @@ def check_excess_risk(cfg: ExcessRiskConfig, seed: int) -> CheckResult:
     The data law: regressors and noise are independent unit-variance scaled
     uniforms obtained by bit-splitting the perturbed uniform, so the
     second-moment matrix is the identity and the excess risk of any theta
-    is exactly |theta - theta*|^2.
+    is exactly |theta - theta*|^2. The outcome is y = x'theta* + sd * noise,
+    so the fit's error theta_hat - theta* = sd (X'X)^{-1} X'noise does not
+    depend on theta*.
     """
     k = cfg.n_sources
     n = cfg.n_ratio * cfg.m
     dim = _ERM_DIM_X + 1
-    theta_star = np.array([1.0, 2.0, -1.0, 0.5, -0.25])[:dim]
     beta = np.full(k, 1.0 / k)
     scheme, sigma_w = _lognormal_scheme(cfg.m, _ERM_WEIGHT_SD, k)
     target = analytic.excess_risk_mean(beta, sigma_w, dim, _ERM_NOISE_SD**2)
     sqrt12 = math.sqrt(12.0)
+    # a dataset's rows z = (1, x_1, ..., x_{dim-1}, noise) as columns, filled
+    # in place: a fresh (dim + 1, n) array per replicate can fault the
+    # trimmed top of the heap back in
+    z = np.ones((dim + 1, n))
 
     def draw(rng):
         world = realize_world(scheme, rng)
-        # the weighted squared-error fit solves its normal equations,
-        # sum_k beta_k X_k'X_k / n theta = sum_k beta_k X_k'y_k / n
-        gram, moment = 0.0, 0.0
+        # M = sum_k beta_k Z_k Z_k' / n holds the weighted fit's normal
+        # equations: X'X = M[:dim, :dim] and X'noise = M[:dim, dim]
+        moments = 0.0
         for j in range(k):
             u = _bin_rows(_bin_counts(world[j], n, rng), rng)
-            # in place and into one buffer: fresh (5, n) temporaries per
-            # replicate can fault the trimmed top of the heap back in
-            streams = split_uniform(u, dim)
-            streams -= 0.5
-            streams *= sqrt12
-            x = np.empty((n, dim))
-            x[:, 0] = 1.0
-            x[:, 1:] = streams[:_ERM_DIM_X].T
-            y = x @ theta_star + _ERM_NOISE_SD * streams[_ERM_DIM_X]
-            gram = gram + beta[j] * (x.T @ x) / n
-            moment = moment + beta[j] * (x.T @ y) / n
-        diff = np.linalg.solve(gram, moment) - theta_star
-        # M = E[x x'] = I for this construction, so excess = |diff|^2
+            np.subtract(split_uniform(u, dim), 0.5, out=z[1:])
+            z[1:] *= sqrt12
+            moments = moments + beta[j] * (z @ z.T) / n
+        diff = np.linalg.solve(moments[:dim, :dim], _ERM_NOISE_SD * moments[:dim, dim])
+        # E[x x'] = I for this construction, so excess = |diff|^2
         return np.array([cfg.m * float(diff @ diff)])
 
     data = _replicates(seed, _LANE_OF["erm_excess_risk"], range(cfg.replicates), draw)
@@ -873,10 +866,7 @@ def check_conditional_shift(cfg: ConditionalShiftConfig, seed: int) -> CheckResu
 
         out = _replicates(seed, _LANE_OF["conditional_shift"],
                           range(s, 10 * cfg.replicates, 10), draw)
-        data = out[:, 0]
-        centered = data - data.mean()
-        empirical[label] = float(centered @ centered / (cfg.replicates - 1))
-        ses[label] = float((centered**2).std(ddof=1) / math.sqrt(cfg.replicates))
+        empirical[label], ses[label] = (a.item() for a in _cov_with_se(out[:, :1]))
         targets[label] = analytic.conditional_shift_var(
             sigma_w[0, 0], 1.0, prob, cfg.m, n, n0
         )

@@ -111,7 +111,7 @@ class WeightLaw:
 
     def ppf(self, q: np.ndarray) -> np.ndarray:
         if self.family == "lognormal":
-            return np.exp(self.a + self.b * ndtri(q))
+            return libm(math.exp, self.a + self.b * ndtri(q))
         if self.family == "gamma":
             from scipy.special import gammaincinv
 
@@ -275,7 +275,7 @@ class RandomWalkWeights:
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         s = self.innovation_sd
         w0 = self.base.draw(rng, m)
-        factors = np.exp(s * rng.standard_normal((self.n_dists - 1, m)) - 0.5 * s * s)
+        factors = libm(math.exp, s * rng.standard_normal((self.n_dists - 1, m)) - 0.5 * s * s)
         return np.cumprod(np.vstack([w0, factors]), axis=0)
 
 
@@ -340,7 +340,7 @@ class MixtureWeights:
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         base = np.stack([law.draw(rng, m) for law in self.base_laws])
         s = np.asarray(self.noise_sd, dtype=float)[:, None]
-        factors = np.exp(s * rng.standard_normal((s.shape[0], m)) - 0.5 * s * s)
+        factors = libm(math.exp, s * rng.standard_normal((s.shape[0], m)) - 0.5 * s * s)
         derived = np.asarray(self.coefficients, dtype=float) @ base * factors
         return np.concatenate([base, derived], axis=0)
 

@@ -290,6 +290,21 @@ def test_mc_se_shrinks_with_replicates():
     assert np.all(ratio < 2 * 1.2)
 
 
+def test_cov_with_se_matches_the_per_entry_loop():
+    g = substream(3, 0).standard_normal((400, 4)) @ np.triu(np.ones((4, 4)))
+    n, d = g.shape
+    centered = g - g.mean(axis=0)
+    cov = centered.T @ centered / (n - 1)
+    se = np.empty((d, d))
+    for i in range(d):
+        for j in range(d):
+            prods = centered[:, i] * centered[:, j]
+            se[i, j] = prods.std(ddof=1) / np.sqrt(n)
+    got_cov, got_se = H._cov_with_se(g)
+    np.testing.assert_allclose(got_cov, cov, rtol=1e-12)
+    np.testing.assert_allclose(got_se, se, rtol=1e-12)
+
+
 def test_kron_cov_sampling_correction_uses_population_variances():
     # rebuild every replicate's two datasets from the check's own streams:
     # the diagonal correction is m/n times the mean population variance
@@ -317,15 +332,16 @@ def test_kron_cov_sampling_correction_uses_population_variances():
 
 
 def test_excess_risk_fit_matches_the_newton_erm_fit():
-    # the check solves the weighted normal equations; rebuild every
-    # replicate's datasets and fit them with erm's Newton solver instead
+    # the check solves the weighted normal equations from one moment matrix;
+    # rebuild every replicate's datasets, solve the normal equations of their
+    # design matrices, and fit them with erm's Newton solver too
     cfg = H.ExcessRiskConfig(replicates=20, m=64, n_ratio=10)
     result = H.check_excess_risk(cfg, seed=5)
     n, k = cfg.n_ratio * cfg.m, cfg.n_sources
     dim_x = H._ERM_DIM_X
     scheme, _ = H._lognormal_scheme(cfg.m, H._ERM_WEIGHT_SD, k)
     theta_star = np.array([1.0, 2.0, -1.0, 0.5, -0.25])[: dim_x + 1]
-    excess = []
+    excess, normal_excess = [], []
     for r in range(cfg.replicates):
         rng = substream(5, H._LANE_OF["erm_excess_risk"], r)
         weights = dl.realize_world(scheme, rng)
@@ -341,6 +357,12 @@ def test_excess_risk_fit_matches_the_newton_erm_fit():
                       [n] * k, squared_error_loss())
         diff = fit.theta_hat - theta_star
         excess.append(cfg.m * diff @ diff)
+        gram = sum(x.T @ x for x in xs) / (k * n)
+        moment = sum(x.T @ y for x, y in zip(xs, ys)) / (k * n)
+        diff = np.linalg.solve(gram, moment) - theta_star
+        normal_excess.append(cfg.m * diff @ diff)
+    np.testing.assert_allclose(result.empirical["mean_excess"], np.mean(normal_excess),
+                               rtol=1e-12)
     np.testing.assert_allclose(result.empirical["mean_excess"], np.mean(excess), rtol=1e-9)
 
 
@@ -392,3 +414,8 @@ def test_config_from_dict_round_trip():
         H.HarnessConfig(checks=("not_a_check",))
     with pytest.raises(ValueError):
         H.HarnessConfig(clt_cov=H.CltCovConfig(replicates=10))
+
+
+def test_harness_config_warns_below_n_ratio_10():
+    with pytest.warns(UserWarning, match=r"^clt_cov: n/m ratio 5 is below 10"):
+        H.HarnessConfig(clt_cov=H.CltCovConfig(n_ratio=5))

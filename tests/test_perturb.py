@@ -269,11 +269,31 @@ def test_transform_targets_reproduce_declared_moments():
 
 def test_transform_targets_take_libms_bits():
     # simulate's bytes must not depend on numpy's CPU dispatch: the gaussian
-    # law is scipy's Cephes ndtri and the exponential law libm's log1p
+    # law is scipy's Cephes ndtri, the exponential law libm's log1p, and the
+    # world draws of the weight schemes take libm's exp
     u = substream(12, 1).random(20_000)
     got = dl.exponential_target(1.5)(u)
     assert np.array_equal(got, np.array([-math.log1p(-v) / 1.5 for v in u]))
     assert np.array_equal(dl.gaussian_target(1.0, 0.5)(u), 1.0 + 0.5 * special.ndtri(u))
+    # the copula's lognormal marginal
+    q = u[:4000]
+    assert np.array_equal(dl.lognormal_law(0.1, 0.5).ppf(q),
+                          [math.exp(0.1 + 0.5 * z) for z in special.ndtri(q)])
+    m, sd = 1000, 0.3
+    walk = dl.RandomWalkWeights(dl.uniform_law(0.5, 1.5), sd, 4)
+    rng = substream(12, 2)
+    start, steps = rng.uniform(0.5, 1.5, m), rng.standard_normal((3, m))
+    factors = [[math.exp(sd * z - 0.5 * sd * sd) for z in row] for row in steps]
+    assert np.array_equal(walk.draw(substream(12, 2), m), np.cumprod([start, *factors], axis=0))
+    coefficients, noise_sd = ((0.7, 0.3), (0.2, 0.8)), (0.3, 0.6)
+    mix = dl.MixtureWeights((dl.uniform_law(0.5, 1.5), dl.uniform_law(0.8, 1.2)),
+                            coefficients, noise_sd)
+    rng = substream(12, 3)
+    base = np.stack([rng.uniform(0.5, 1.5, m), rng.uniform(0.8, 1.2, m)])
+    noise = rng.standard_normal((2, m))
+    factors = [[math.exp(s * z - 0.5 * s * s) for z in row] for s, row in zip(noise_sd, noise)]
+    derived = np.asarray(coefficients) @ base * np.array(factors)
+    assert np.array_equal(mix.draw(substream(12, 3), m), np.vstack([base, derived]))
 
 
 def test_split_uniform_streams_are_uniform_and_independent():
