@@ -373,7 +373,7 @@ def _build_table(name, u, columns, outcome):
         for col, coef in outcome["coef"].items():
             y = y + coef * data[col]
         data[outcome["name"]] = y + outcome["noise_sd"] * ndtri(streams[-1])
-    return Table(name, tuple(data), data)
+    return Table(name, data)
 
 
 def cmd_simulate(args) -> int:
@@ -625,24 +625,25 @@ def _moments(value, path: str) -> MomentMatrix:
 
 
 def _fit_report(report: dict, path: str):
-    """The moment matrix a fit report's weights were fitted on, and their mode."""
+    """The moment matrix a fit report's weights were fitted on, their mode,
+    and the config the fit ran with."""
     if "moments" not in report:
         raise UserError("no moments block; re-run fit to write one")
     fit = _object(report.get("fit"), "fit")
-    return _moments(report["moments"], "moments"), _MODE(fit.get("mode"), "fit.mode")
+    return (_moments(report["moments"], "moments"), _MODE(fit.get("mode"), "fit.mode"),
+            _object(report.get("config"), "config"))
 
 
 def cmd_diagnose(args) -> int:
-    payload, (moments, mode) = _load_config(args.fit, _fit_report)
+    _, (moments, mode, config) = _load_config(args.fit, _fit_report)
     try:
         fit = dlm_mod.fit_weights(moments, mode=mode)
     except (dlm_mod.DegreesOfFreedomError, dlm_mod.CollinearDatasetsError,
             dlm_mod.WeightFitOverflowError) as exc:
         raise UserError(f"{args.fit}: {exc}") from None
     plot_id, x, y, label = zip(*diagnostic_rows(fit))
-    table = Table.from_arrays("diagnostics", plot_id=plot_id, x=x, y=y, label=label)
-    chash = payload.get("config_hash", config_hash(payload.get("config", {})))
-    write_csv_table(table, args.out, _stamp_comment(chash))
+    table = Table("diagnostics", dict(plot_id=plot_id, x=x, y=y, label=label))
+    write_csv_table(table, args.out, _stamp_comment(config_hash(config)))
     print(f"wrote {args.out}")
     return 0
 

@@ -160,7 +160,7 @@ def evaluate_moments(data: DatasetCollection, tests: TestFunctionSet) -> MomentM
         phi_hat=phi_hat,
         names=tests.names,
         sizes=(data.target.n_rows,) + data.sizes,
-        source_names=data.source_names(),
+        source_names=data.source_names,
         target_name=data.target.name,
         pooled_var=pooled,
     )

@@ -32,26 +32,32 @@ class IngestError(ValueError):
 class Table:
     """Column-typed numeric/categorical table.
 
-    ``columns`` preserves declared order; numeric columns are float64 arrays,
-    categorical columns are object arrays of strings.
+    ``data`` maps each column name to its values, in column order. The
+    table keeps its own copy of the dict, typed column by column: integers
+    and floats become float64 arrays, everything else (strings, bools) an
+    object array.
     """
 
     name: str
-    columns: tuple[str, ...]
     data: dict = field(repr=False)
 
     def __post_init__(self):
-        n = None
-        for col in self.columns:
-            arr = self.data[col]
-            if n is None:
-                n = len(arr)
-            elif len(arr) != n:
-                raise ValueError(f"column {col!r} has inconsistent length")
+        data = {}
+        for col, values in self.data.items():
+            arr = np.asarray(values)
+            data[col] = arr.astype(np.float64 if arr.dtype.kind in "fiu" else object, copy=False)
+        lengths = {col: len(arr) for col, arr in data.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"table {self.name!r} has columns of unequal lengths {lengths}")
+        object.__setattr__(self, "data", data)
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return tuple(self.data)
 
     @property
     def n_rows(self) -> int:
-        return len(self.data[self.columns[0]]) if self.columns else 0
+        return len(next(iter(self.data.values()), ()))
 
     def is_numeric(self, col: str) -> bool:
         return self.data[col].dtype.kind == "f"
@@ -60,20 +66,6 @@ class Table:
         if col not in self.data:
             raise IngestError(f"table {self.name!r} has no column {col!r}")
         return self.data[col]
-
-    @staticmethod
-    def from_arrays(name: str, **cols) -> "Table":
-        data = {}
-        names = []
-        for key, values in cols.items():
-            arr = np.asarray(values)
-            if arr.dtype.kind in "fiu":
-                arr = arr.astype(np.float64)
-            else:
-                arr = arr.astype(object)
-            data[key] = arr
-            names.append(key)
-        return Table(name, tuple(names), data)
 
 
 def finite_column(tbl: Table, col: str, role: str) -> np.ndarray:
@@ -140,6 +132,7 @@ class DatasetCollection:
     def sizes(self) -> tuple[int, ...]:
         return tuple(tbl.n_rows for tbl in self.sources)
 
+    @property
     def source_names(self) -> tuple[str, ...]:
         return tuple(tbl.name for tbl in self.sources)
 
@@ -303,8 +296,8 @@ def read_csv_table(path: str | Path) -> Table:
     path = Path(path)
     try:
         raw = path.read_bytes()
-    except FileNotFoundError:
-        raise IngestError(f"{path}: file not found") from None
+    except OSError as exc:
+        raise IngestError(f"{path}: cannot read ({exc.strerror})") from None
     # one leading byte-order mark is not text; error offsets still count it
     bom = len(_BOM_UTF8) if raw.startswith(_BOM_UTF8) else 0
     try:
@@ -322,7 +315,7 @@ def read_csv_table(path: str | Path) -> Table:
             colname: _type_column(raw, colname, str(path), numbers)
             for colname, raw in zip(header, raw_columns)
         }
-    return Table(path.stem, tuple(cols), cols)
+    return Table(path.stem, cols)
 
 
 @contextmanager

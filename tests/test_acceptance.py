@@ -233,8 +233,8 @@ def test_criterion_10_three_way_weighting_comparison():
         return float(np.mean((y_eval - eval_design @ theta) ** 2))
 
     x1, y1 = draw(n1, 0.0, theta_similar)
-    src1 = Table.from_arrays("similar", x=x1, y=y1)
-    target = Table.from_arrays("target", x=x_eval[:5000])
+    src1 = Table("similar", dict(x=x1, y=y1))
+    target = Table("target", dict(x=x_eval[:5000]))
     declarations = ["column:x", "expr:x**2", "expr:x**3"]
 
     fractions = np.arange(0.0, 0.81, 0.1)
@@ -248,7 +248,7 @@ def test_criterion_10_three_way_weighting_comparison():
                          mse(fit.theta_hat), 0.0))
             continue
         x2, y2 = draw(n2, 2.5, theta_divergent)
-        src2 = Table.from_arrays("divergent", x=x2, y=y2)
+        src2 = Table("divergent", dict(x=x2, y=y2))
         data = DatasetCollection((src1, src2), target, outcome="y")
         tests = parse_test_functions(declarations, data)
         moments = dl.evaluate_moments(data, tests)

@@ -1395,7 +1395,7 @@ class TestDiagnoseCli:
                 moments = whiten_moments(moments)
         fit = fit_weights(moments, mode="simplex" if "simplex" in flags else "sum_to_one")
         plot_id, x, y, label = zip(*diagnostic_rows(fit))
-        table = Table.from_arrays("diagnostics", plot_id=plot_id, x=x, y=y, label=label)
+        table = Table("diagnostics", dict(plot_id=plot_id, x=x, y=y, label=label))
         payload = json.loads(report.read_text())
         # the flags are the report's one record of the mode and the whitening
         assert {k: payload["config"]["argv"][k] for k in ("mode", "whiten")} == {
@@ -1415,6 +1415,18 @@ class TestDiagnoseCli:
         residuals = rows.column("y")[np.asarray(rows.column("plot_id")) == "residual_vs_fitted"]
         assert residuals.tolist() == json.loads(report.read_text())["fit"]["residuals"]
 
+    def test_stamps_the_hash_of_the_report_config(self, tmp_path):
+        report = fit_fixture(tmp_path / "report")
+        payload = json.loads(report.read_text())
+        stored = payload["config_hash"]
+        assert stored == cli.config_hash(payload["config"])
+        payload["config_hash"] = "abc\nplot_id,x\n1,2"
+        report.write_text(json.dumps(payload))
+        assert diagnose(report, tmp_path / "diag.csv") == 0
+        lines = (tmp_path / "diag.csv").read_text().splitlines()
+        assert lines[:2] == [f"# driftlab {cli.__version__} config={stored}", "plot_id,x,y,label"]
+        assert read_csv_table(tmp_path / "diag.csv").columns == ("plot_id", "x", "y", "label")
+
     def test_opens_no_csv(self, tmp_path, monkeypatch):
         report = fit_fixture(tmp_path / "report")
         monkeypatch.setattr(cli, "read_csv_table", lambda *a: pytest.fail("a CSV was opened"))
@@ -1422,6 +1434,7 @@ class TestDiagnoseCli:
 
     @pytest.mark.parametrize("key, edit, message", [
         (None, lambda r: r.pop("moments"), "no moments block; re-run fit to write one"),
+        (None, lambda r: r.pop("config"), "config must be an object, got None"),
         ("sizes", lambda s: s.__setitem__(0, 0.5),
          "moments.sizes[0] must be an integer >= 1, got 0.5"),
         ("pooled_var_diag", lambda v: v.__setitem__(0, -1.0),
@@ -1439,8 +1452,8 @@ class TestDiagnoseCli:
         ("source_names", lambda names: names.__setitem__(2, names[0]),
          "moments: source names must be distinct, but 'source_1' repeats; sources are "
          "named by their file stem"),
-    ], ids=["no_moments", "fractional_size", "negative_variance", "sizes_short", "diag_short",
-            "ragged_phi_hat", "fewer_functions_than_sources", "identical_sources",
+    ], ids=["no_moments", "no_config", "fractional_size", "negative_variance", "sizes_short",
+            "diag_short", "ragged_phi_hat", "fewer_functions_than_sources", "identical_sources",
             "repeated_function_name", "repeated_source_name"])
     def test_bad_report_exits_1_naming_the_file(self, tmp_path, capsys, key, edit, message):
         report = fit_fixture(tmp_path / "report")
@@ -1789,6 +1802,8 @@ ONE_LINE_ERRORS = {
     "source_with_another_outcome": (
         "fit", {"outcome": "y"}, {"income": "x,income\n1.0,2.0\n2.0,4.1\n3.0,5.9\n"},
         "source 'income' lacks outcome column 'y'"),
+    "target_is_a_directory": ("fit", {"outcome": "y"}, {"target": None},
+                              "{tmp}/target: cannot read (Is a directory)"),
 }
 
 
@@ -1806,8 +1821,12 @@ def test_user_error_is_one_stderr_line(tmp_path, capsys, command, config, source
         data = [s1]
         for name, csv in sources.items():
             if csv is None:
+                # an empty directory; one named "target" stands in for the target
                 (tmp_path / name).mkdir()
-                data.append(str(tmp_path / name))
+                if name == "target":
+                    tgt = str(tmp_path / name)
+                else:
+                    data.append(str(tmp_path / name))
             else:
                 data.append(write(tmp_path / f"{name}.csv", csv))
         argv = ["fit", "--data", *data, "--target", tgt, "--config", str(cfg),

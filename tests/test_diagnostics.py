@@ -136,8 +136,8 @@ def test_one_source_or_few_functions_give_no_scatter_rows(rng):
 
 def test_shift_stats_identical_datasets_zero():
     x = np.arange(10.0)
-    src = Table.from_arrays("s", x=x)
-    tgt = Table.from_arrays("t", x=x)
+    src = Table("s", dict(x=x))
+    tgt = Table("t", dict(x=x))
     data = DatasetCollection((src,), tgt)
     stats_map = shift_stats(evaluate_moments(data, parse_test_functions(["column:x"], data)))
     assert stats_map["s|column:x"] == pytest.approx(0.0, abs=1e-14)
@@ -149,16 +149,16 @@ def test_shift_stats_prefactor_algebra():
     rng = np.random.default_rng(12)
     base = rng.normal(size=n)
     base = (base - base.mean()) / base.std()  # exactly unit sd, zero mean
-    src = Table.from_arrays("s", x=base + delta)
-    tgt = Table.from_arrays("t", x=base)
+    src = Table("s", dict(x=base + delta))
+    tgt = Table("t", dict(x=base))
     data = DatasetCollection((src,), tgt)
     stats_map = shift_stats(evaluate_moments(data, parse_test_functions(["column:x"], data)))
     assert stats_map["s|column:x"] == pytest.approx(delta * np.sqrt(n / 2))
 
 
 def test_shift_stats_skip_zero_sd():
-    src = Table.from_arrays("s", x=[1.0, 1.0, 1.0], y=[0.0, 1.0, 2.0])
-    tgt = Table.from_arrays("t", x=[1.0], y=[1.0])
+    src = Table("s", dict(x=[1.0, 1.0, 1.0], y=[0.0, 1.0, 2.0]))
+    tgt = Table("t", dict(x=[1.0], y=[1.0]))
     data = DatasetCollection((src,), tgt)
     with pytest.warns(UserWarning, match="zero pooled"):
         stats_map = shift_stats(

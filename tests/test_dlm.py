@@ -315,6 +315,17 @@ def test_collinearity_error_names_datasets(rng):
         fit_weights(make_moments(phi))
 
 
+def test_near_collinear_sources_with_large_weights_fit():
+    # two of 16 sources agree to 1e-8: the weights reach about 1e7, and
+    # their sum misses 1 by more than an absolute 1e-12
+    rng = np.random.default_rng(0)
+    phi_hat = rng.normal(size=(17, 30))
+    phi_hat[2] = phi_hat[1] + 1e-8 * rng.normal(size=30)
+    fit = fit_weights(make_moments(phi_hat))
+    assert np.abs(fit.beta_hat).max() > 1e6
+    assert fit.beta_hat.sum() == pytest.approx(1.0, abs=1e-6)
+
+
 def test_df_guards(rng):
     with pytest.raises(DegreesOfFreedomError):
         fit_weights(random_problem(rng, 4, 3))

@@ -366,8 +366,8 @@ def test_erm_ci_intercept_only_hand_oracle(rng):
     # one-column tables: the outcome is the target's only column, so there
     # are no covariates and the design is the intercept
     data = DatasetCollection(
-        (Table.from_arrays("s1", y=y1), Table.from_arrays("s2", y=y2)),
-        Table.from_arrays("t", y=np.zeros(1)),
+        (Table("s1", dict(y=y1)), Table("s2", dict(y=y2))),
+        Table("t", dict(y=np.zeros(1))),
         outcome="y",
     )
     x = design_matrix(data.sources, data.numeric_covariates)
@@ -484,8 +484,8 @@ def test_fit_erm_from_tables(rng):
     n = 300
     x = rng.normal(size=n)
     y = 1.0 + 2.0 * x + 0.1 * rng.normal(size=n)
-    src = Table.from_arrays("s", x=x, y=y)
-    tgt = Table.from_arrays("t", x=x[:20])
+    src = Table("s", dict(x=x, y=y))
+    tgt = Table("t", dict(x=x[:20]))
     data = DatasetCollection((src,), tgt, outcome="y")
     assert data.numeric_covariates == ("x",)
     fit = fit_erm(design_matrix(data.sources, data.numeric_covariates), outcome_vector(data),
@@ -507,7 +507,7 @@ def test_fit_erm_checks_its_rows_and_weights(rng, rows, w, sizes, message):
 
 
 def test_design_matrix_orders_columns():
-    first = Table.from_arrays("s1", b=[5.0, 6.0], a=[1.0, 2.0])
-    second = Table.from_arrays("s2", a=[3.0], b=[7.0])
+    first = Table("s1", dict(b=[5.0, 6.0], a=[1.0, 2.0]))
+    second = Table("s2", dict(a=[3.0], b=[7.0]))
     x = design_matrix((first, second), ("a", "b"))
     assert np.array_equal(x, [[1.0, 1.0, 5.0], [1.0, 2.0, 6.0], [1.0, 3.0, 7.0]])

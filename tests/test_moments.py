@@ -22,8 +22,8 @@ def collection(sources, target, outcome=None):
 
 
 def test_single_dataset_two_point_example():
-    src = Table.from_arrays("s1", x=[0.0, 1.0])
-    tgt = Table.from_arrays("t", x=[0.5, 0.5])
+    src = Table("s1", dict(x=[0.0, 1.0]))
+    tgt = Table("t", dict(x=[0.5, 0.5]))
     data = collection([src], tgt)
     mm = evaluate_moments(data, parse_test_functions(["column:x"], data))
     assert mm.phi_hat[1, 0] == pytest.approx(0.5)
@@ -31,9 +31,9 @@ def test_single_dataset_two_point_example():
 
 
 def test_two_dataset_pooled_variance_weighted_formula():
-    s1 = Table.from_arrays("s1", x=[0.0, 0.0])
-    s2 = Table.from_arrays("s2", x=[1.0, 1.0])
-    tgt = Table.from_arrays("t", x=[0.5])
+    s1 = Table("s1", dict(x=[0.0, 0.0]))
+    s2 = Table("s2", dict(x=[1.0, 1.0]))
+    tgt = Table("t", dict(x=[0.5]))
     data = collection([s1, s2], tgt)
     mm = evaluate_moments(data, parse_test_functions(["column:x"], data))
     # pooled mean 0.5; pooled second moment 0.5 -> variance 0.25
@@ -41,8 +41,8 @@ def test_two_dataset_pooled_variance_weighted_formula():
 
 
 def test_indicator_means_are_category_proportions():
-    src = Table.from_arrays("s1", occ=np.array(["a", "b", "a", "a"], dtype=object))
-    tgt = Table.from_arrays("t", occ=np.array(["b", "b"], dtype=object))
+    src = Table("s1", dict(occ=np.array(["a", "b", "a", "a"], dtype=object)))
+    tgt = Table("t", dict(occ=np.array(["b", "b"], dtype=object)))
     data = collection([src], tgt)
     mm = evaluate_moments(data, parse_test_functions(["indicator:occ=a"], data))
     assert mm.phi_hat[1, 0] == pytest.approx(3 / 4)
@@ -54,9 +54,9 @@ def test_row_order_invariance(rng):
     y = rng.normal(size=40)
     perm = rng.permutation(40)
     decls = ["column:x", "product:x*y", "product:x*y:standardized", "expr:x**2 + y"]
-    tgt = Table.from_arrays("t", x=[0.0], y=[0.0])
-    a_data = collection([Table.from_arrays("s", x=x, y=y)], tgt)
-    b_data = collection([Table.from_arrays("s", x=x[perm], y=y[perm])], tgt)
+    tgt = Table("t", dict(x=[0.0], y=[0.0]))
+    a_data = collection([Table("s", dict(x=x, y=y))], tgt)
+    b_data = collection([Table("s", dict(x=x[perm], y=y[perm]))], tgt)
     a = evaluate_moments(a_data, parse_test_functions(decls, a_data))
     b = evaluate_moments(b_data, parse_test_functions(decls, b_data))
     assert np.allclose(a.phi_hat, b.phi_hat)
@@ -64,8 +64,8 @@ def test_row_order_invariance(rng):
 
 
 def test_non_finite_value_names_everything():
-    src = Table.from_arrays("weird", x=[1.0, -1.0, 2.0])
-    tgt = Table.from_arrays("t", x=[1.0])
+    src = Table("weird", dict(x=[1.0, -1.0, 2.0]))
+    tgt = Table("t", dict(x=[1.0]))
 
     def log_x_moments(data):
         return evaluate_moments(data, parse_test_functions(["expr:log(x)"], data))
@@ -73,11 +73,11 @@ def test_non_finite_value_names_everything():
     with pytest.raises(ValueError, match=r"expr:log\(x\).*'weird'.*row 1"):
         log_x_moments(collection([src], tgt))
     # the target is checked first, then the sources in order
-    bad_target = Table.from_arrays("t", x=[1.0, 2.0, -3.0])
+    bad_target = Table("t", dict(x=[1.0, 2.0, -3.0]))
     with pytest.raises(ValueError, match=r"dataset 't' at row 2"):
         log_x_moments(collection([src], bad_target))
-    later = Table.from_arrays("later", x=[-1.0, 1.0])
-    fine = Table.from_arrays("fine", x=[1.0, 2.0])
+    later = Table("later", dict(x=[-1.0, 1.0]))
+    fine = Table("fine", dict(x=[1.0, 2.0]))
     with pytest.raises(ValueError, match=r"dataset 'weird' at row 1"):
         log_x_moments(collection([fine, src, later], tgt))
 
@@ -86,8 +86,8 @@ def test_standardized_product_uses_pooled_constants():
     rng = np.random.default_rng(0)
     a = rng.normal(2.0, 3.0, size=500)
     b = rng.normal(-1.0, 0.5, size=500)
-    src = Table.from_arrays("s", a=a, b=b)
-    tgt = Table.from_arrays("t", a=a[:10], b=b[:10])
+    src = Table("s", dict(a=a, b=b))
+    tgt = Table("t", dict(a=a[:10], b=b[:10]))
     data = collection([src], tgt)
     mm = evaluate_moments(data, parse_test_functions(["product:a*b:standardized"], data))
     za = (a - a.mean()) / a.std()
@@ -100,8 +100,8 @@ def test_standardized_product_uses_pooled_constants():
 
 
 def test_auto_indicators_expand_and_skip_target_only(recwarn):
-    src = Table.from_arrays("s", cat=np.array(["a", "b", "a"], dtype=object))
-    tgt = Table.from_arrays("t", cat=np.array(["a", "z"], dtype=object))
+    src = Table("s", dict(cat=np.array(["a", "b", "a"], dtype=object)))
+    tgt = Table("t", dict(cat=np.array(["a", "z"], dtype=object)))
     data = collection([src], tgt)
     tests = parse_test_functions(["auto_indicators:cat"], data)
     assert tests.names == ("indicator:cat=a", "indicator:cat=b")
@@ -157,8 +157,8 @@ def test_whitening_empirical_gives_identity_covariance(rng):
     n = 2000
     raw = rng.normal(size=(n, 3))
     mixed = raw @ rng.normal(size=(3, 3)) + rng.normal(size=3)
-    src = Table.from_arrays("s", a=mixed[:, 0], b=mixed[:, 1], c=mixed[:, 2])
-    tgt = Table.from_arrays("t", a=mixed[:5, 0], b=mixed[:5, 1], c=mixed[:5, 2])
+    src = Table("s", dict(a=mixed[:, 0], b=mixed[:, 1], c=mixed[:, 2]))
+    tgt = Table("t", dict(a=mixed[:5, 0], b=mixed[:5, 1], c=mixed[:5, 2]))
     data = collection([src], tgt)
     mm = evaluate_moments(data, parse_test_functions(["column:a", "column:b", "column:c"], data))
     mm_white = whiten_moments(mm)
@@ -173,8 +173,8 @@ def test_whitening_empirical_gives_identity_covariance(rng):
 def test_whitening_drops_a_constant_function(rng):
     n = 200
     x = rng.normal(size=(n, 2))
-    src = Table.from_arrays("s", a=x[:, 0], b=x[:, 1])
-    tgt = Table.from_arrays("t", a=x[:5, 0], b=x[:5, 1])
+    src = Table("s", dict(a=x[:, 0], b=x[:, 1]))
+    tgt = Table("t", dict(a=x[:5, 0], b=x[:5, 1]))
     data = collection([src], tgt)
     tests = parse_test_functions(["column:a", "expr:0*a + 3", "column:b"], data)
     with pytest.warns(UserWarning) as caught:
@@ -188,8 +188,8 @@ def test_whitening_drops_a_constant_function(rng):
 
 def test_whitening_drops_the_last_level_of_a_full_indicator_expansion(rng):
     levels = np.array(["a", "b", "c"], dtype=object)
-    src = Table.from_arrays("s", x=rng.normal(size=300), cat=levels[rng.integers(0, 3, 300)])
-    tgt = Table.from_arrays("t", x=rng.normal(size=20), cat=levels[rng.integers(0, 3, 20)])
+    src = Table("s", dict(x=rng.normal(size=300), cat=levels[rng.integers(0, 3, 300)]))
+    tgt = Table("t", dict(x=rng.normal(size=20), cat=levels[rng.integers(0, 3, 20)]))
     data = collection([src], tgt)
     tests = parse_test_functions(["auto_indicators:cat", "column:x"], data)
     with pytest.warns(UserWarning) as caught:
@@ -230,8 +230,8 @@ def test_pooled_variance_consistency_under_perturbation():
 def xy_data():
     """Numeric x, y and categorical cat in one source and the target."""
     cat = np.array(["a", "b", "a"], dtype=object)
-    return collection([Table.from_arrays("s", x=[1.0, 2.0, 4.0], y=[0.5, 0.0, 1.0], cat=cat)],
-                      Table.from_arrays("t", x=[1.0, 3.0, 5.0], y=[0.0, 1.0, 2.0], cat=cat))
+    return collection([Table("s", dict(x=[1.0, 2.0, 4.0], y=[0.5, 0.0, 1.0], cat=cat))],
+                      Table("t", dict(x=[1.0, 3.0, 5.0], y=[0.0, 1.0, 2.0], cat=cat)))
 
 
 def test_expr_rejects_unsafe_syntax():
@@ -257,15 +257,15 @@ def test_parse_errors():
 
 
 def test_columns_are_checked_in_the_target_too():
-    data = collection([Table.from_arrays("s", x=[1.0, 2.0], z=[1.0, 2.0])],
-                      Table.from_arrays("t", x=[1.0], z=np.array(["q"], dtype=object)))
+    data = collection([Table("s", dict(x=[1.0, 2.0], z=[1.0, 2.0]))],
+                      Table("t", dict(x=[1.0], z=np.array(["q"], dtype=object))))
     with pytest.raises(ValueError, match="column 'z' of table 't' is not numeric"):
         parse_test_functions(["expr:x*z"], data)
 
 
 def test_standardizing_a_constant_column_is_an_error_naming_it():
-    data = collection([Table.from_arrays("s", x=[1.0, 1.0], y=[0.0, 1.0])],
-                      Table.from_arrays("t", x=[1.0], y=[0.5]))
+    data = collection([Table("s", dict(x=[1.0, 1.0], y=[0.0, 1.0]))],
+                      Table("t", dict(x=[1.0], y=[0.5])))
     with pytest.raises(ValueError, match=r"'product:x\*y:standardized': cannot standardize"):
         parse_test_functions(["product:x*y:standardized"], data)
 

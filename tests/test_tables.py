@@ -30,9 +30,37 @@ def test_fixture_csv_round_trips_byte_for_byte(tmp_path, name):
     assert out.read_bytes() == original
 
 
+def test_constructor_types_its_columns():
+    # integers and floats become float64; strings and bools an object array
+    table = Table("t", dict(n=[1, 2, 3], x=np.array([0.5, 1.0, 2.0], dtype=np.float32),
+                           s=["a", "b", "c"], b=np.array([True, False, True])))
+    assert [table.data[c].dtype for c in table.columns] == [np.float64, np.float64, object, object]
+    assert [table.is_numeric(c) for c in table.columns] == [True, True, False, False]
+    assert table.column("n").tolist() == [1.0, 2.0, 3.0]
+    assert table.column("s").tolist() == ["a", "b", "c"]
+    assert table.column("b").tolist() == [True, False, True]
+
+
+def test_constructor_copies_the_dict_and_keeps_its_order():
+    data = {"z": [1, 2], "a": ["p", "q"]}
+    table = Table("t", data)
+    assert table.columns == ("z", "a")
+    assert table.n_rows == 2
+    # the caller's dict still holds its lists; the table holds typed arrays
+    assert table.data is not data
+    assert data == {"z": [1, 2], "a": ["p", "q"]}
+    assert Table("empty", {}).columns == () and Table("empty", {}).n_rows == 0
+
+
+def test_unequal_column_lengths_name_the_table():
+    with pytest.raises(ValueError, match=r"table 'ragged' has columns of unequal lengths "
+                                         r"\{'x': 3, 'y': 2\}"):
+        Table("ragged", dict(x=[1.0, 2.0, 3.0], y=[1.0, 2.0]))
+
+
 def test_categorical_cells_with_delimiters_round_trip(tmp_path):
     labels = np.array(['a,b', 'say "hi"', "plain"], dtype=object)
-    table = Table.from_arrays("t", x=[1.5, 0.1, -2.0], label=labels)
+    table = Table("t", dict(x=[1.5, 0.1, -2.0], label=labels))
     path = tmp_path / "t.csv"
     write_csv_table(table, path, "stamp")
     assert path.read_text(encoding="utf-8") == (
@@ -50,7 +78,7 @@ def test_categorical_cells_with_delimiters_round_trip(tmp_path):
 def test_categorical_cells_with_line_breaks_round_trip(tmp_path, label):
     # only \n, \r\n and \r end a CSV line; the others are cell text. A
     # blank or "#" line inside a quoted cell is cell text too.
-    table = Table.from_arrays("t", label=np.array([label, "plain"], dtype=object), x=[1.0, 2.0])
+    table = Table("t", dict(label=np.array([label, "plain"], dtype=object), x=[1.0, 2.0]))
     path = tmp_path / "t.csv"
     write_csv_table(table, path, "stamp")
     back = read_csv_table(path)
@@ -176,11 +204,10 @@ def test_reader_matches_the_per_cell_float_definition(tmp_path_factory, text):
 def test_writer_quotes_only_cells_that_need_it(tmp_path):
     # a first cell that is blank or starts with "#" would be skipped on
     # reading; in any other column it reads back as written
-    table = Table.from_arrays(
-        "t",
+    table = Table("t", dict(
         a=np.array(["#a", " ", "", "a\rb", "x#"], dtype=object),
         b=np.array(["#b", " ", "", "p q", "y"], dtype=object),
-    )
+    ))
     path = tmp_path / "t.csv"
     write_csv_table(table, path, "stamp")
     assert path.read_bytes() == (
@@ -209,7 +236,7 @@ def per_cell_csv(table, comment):
 
 def written_floats(path, values):
     """The cells ``write_csv_table`` writes for ``values`` as one float column."""
-    write_csv_table(Table("t", ("x",), {"x": np.asarray(values, dtype=np.float64)}), path, "c")
+    write_csv_table(Table("t", {"x": np.asarray(values, dtype=np.float64)}), path, "c")
     return path.read_text(encoding="utf-8").split("\n")[2:-1]
 
 
@@ -260,13 +287,12 @@ def test_chunked_tables_equal_the_per_cell_writer(tmp_path, n_rows):
     labels = np.array(["#lead", "naïve", "a,b", 'say "hi"', " ", "plain", "日本"], dtype=object)
     x = rng.normal(size=n_rows) * 10.0 ** rng.uniform(-6, 18, n_rows)
     x[rng.integers(0, n_rows, 30)] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324], 30)
-    table = Table.from_arrays(
-        "t",
+    table = Table("t", dict(
         label=rng.choice(labels, n_rows),
         x=x,
         kind=rng.choice(np.array(["café", "b", "", "c\nd"], dtype=object), n_rows),
         y=-rng.uniform(size=n_rows),
-    )
+    ))
     write_csv_table(table, tmp_path / "t.csv", "stamp")
     assert (tmp_path / "t.csv").read_text(encoding="utf-8") == per_cell_csv(table, "stamp")
 
@@ -433,7 +459,7 @@ def written_tables(draw):
         else:
             labels = draw(st.lists(_ROUND_TRIP_LABEL, min_size=n_rows, max_size=n_rows))
             columns[name] = np.array(labels, dtype=object)
-    return Table("t", tuple(names), columns)
+    return Table("t", columns)
 
 
 @settings(max_examples=300, deadline=None)
@@ -472,11 +498,10 @@ def test_quote_free_files_never_reach_csv_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(tables, "_quoted_records", no_reader)
     for name in ["source_1", "source_2", "source_3", "source_4", "target"]:
         read_csv_table(FIXTURE / f"{name}.csv")
-    panel = Table.from_arrays(
-        "panel",
+    panel = Table("panel", dict(
         x1=np.linspace(-1.0, 1.0, 50),
         occupation=np.array(["clerk", "miner", "nurse", "#", " "] * 10, dtype=object),
-    )
+    ))
     write_csv_table(panel, tmp_path / "panel.csv", "stamp")
     text = (tmp_path / "panel.csv").read_bytes()
     assert b'"' not in text
